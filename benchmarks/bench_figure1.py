@@ -70,8 +70,9 @@ def exclusivity_holds() -> bool:
     # this nonlinear query is exactly what times out in Table II's -C rows.
     solver.add(*geo.base_assumptions(),
                *transpose_assumptions(geo, inputs),
-               *geo.concretize((2, 2, 1), (2, 2)),
-               Eq(inputs["width"], 4), Eq(inputs["height"], 4),
+               *geo.concretize({"bdim": (2, 2, 1), "gdim": (2, 2),
+                                "scalars": {"width": 4, "height": 4}},
+                               inputs),
                s1.validity(), s2.validity(), distinct,
                i1.guard, i2.guard,
                Eq(i1.address[0], k), Eq(i2.address[0], k))

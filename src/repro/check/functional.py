@@ -32,7 +32,7 @@ from ..param.geometry import Geometry, ThreadInstance
 from ..param.resolve import GroupContext, PrestateStore, resolve_value
 from ..param.ca import Read
 from ..smt import (
-    And, ArrayVar, BVConst, BVVar, CheckResult, Eq, Implies, Not, Query,
+    And, ArrayVar, BVConst, BVVar, CheckResult, Implies, Not, Query,
     Select, Term, fresh_scope, fresh_var, solve_all,
 )
 from ..smt.dispatch import default_stream, solve_stream
@@ -347,15 +347,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
     assumptions = geometry.base_assumptions() + model.assumes
     if assumption_builder is not None:
         assumptions += list(assumption_builder(geometry, inputs))
-    if concretize:
-        if "bdim" in concretize:
-            assumptions += [Eq(geometry.bdim[a], v) for a, v in
-                            zip(("x", "y", "z"), concretize["bdim"])]
-        if "gdim" in concretize:
-            assumptions += [Eq(geometry.gdim[a], v) for a, v in
-                            zip(("x", "y"), concretize["gdim"])]
-        for name, value in (concretize.get("scalars") or {}).items():
-            assumptions.append(Eq(inputs[name], value))
+    assumptions += geometry.concretize(concretize, inputs)
 
     deadline = start + timeout if timeout else None
 

@@ -216,15 +216,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     assumptions = list(base)
     if assumption_builder is not None:
         assumptions += list(assumption_builder(geometry, inputs))
-    if concretize:
-        if "bdim" in concretize:
-            assumptions += [Eq(geometry.bdim[a], v) for a, v in
-                            zip(("x", "y", "z"), concretize["bdim"])]
-        if "gdim" in concretize:
-            assumptions += [Eq(geometry.gdim[a], v) for a, v in
-                            zip(("x", "y"), concretize["gdim"])]
-        for name, value in (concretize.get("scalars") or {}).items():
-            assumptions.append(Eq(inputs[name], value))
+    assumptions += geometry.concretize(concretize, inputs)
 
     deadline = start + timeout if timeout else None
 

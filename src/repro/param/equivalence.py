@@ -229,15 +229,7 @@ def _check(src_info: KernelInfo, tgt_info: KernelInfo, width: int,
     assumptions += src.assumes + tgt.assumes
     if assumption_builder is not None:
         assumptions += list(assumption_builder(geometry, inputs))
-    if concretize:
-        if "bdim" in concretize:
-            assumptions += [Eq(geometry.bdim[a], v) for a, v in
-                            zip(("x", "y", "z"), concretize["bdim"])]
-        if "gdim" in concretize:
-            assumptions += [Eq(geometry.gdim[a], v) for a, v in
-                            zip(("x", "y"), concretize["gdim"])]
-        for name, value in (concretize.get("scalars") or {}).items():
-            assumptions.append(Eq(inputs[name], value))
+    assumptions += geometry.concretize(concretize, inputs)
 
     deadline = start + options.timeout if options.timeout else None
     run = _Run(geometry=geometry, assumptions=assumptions, options=options,

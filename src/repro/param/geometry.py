@@ -92,11 +92,20 @@ class Geometry:
     def single_block(self) -> Term:
         return And(Eq(self.gdim["x"], 1), Eq(self.gdim["y"], 1))
 
-    def concretize(self, bdim: tuple[int, int, int],
-                   gdim: tuple[int, int]) -> list[Term]:
-        """The paper's ``+C.`` flag: pin the geometry to concrete values."""
-        out = [Eq(self.bdim[a], v) for a, v in zip(_AXES3, bdim)]
-        out += [Eq(self.gdim[a], v) for a, v in zip(_AXES2, gdim)]
+    def concretize(self, pins: dict | None,
+                   inputs: dict[str, Term]) -> list[Term]:
+        """The paper's ``+C.`` flag: pin the geometry and scalar inputs to
+        concrete values.  ``pins`` is the checkers' ``concretize`` mapping
+        (optional ``"bdim"``, ``"gdim"`` tuples and a ``"scalars"`` dict of
+        input name to value); ``inputs`` maps scalar names to variables."""
+        if not pins:
+            return []
+        out = [Eq(self.bdim[a], v)
+               for a, v in zip(_AXES3, pins.get("bdim") or ())]
+        out += [Eq(self.gdim[a], v)
+                for a, v in zip(_AXES2, pins.get("gdim") or ())]
+        out += [Eq(inputs[name], v)
+                for name, v in (pins.get("scalars") or {}).items()]
         return out
 
 

@@ -551,8 +551,8 @@ def _group_payload(preps: list[_Prepared], plen: int,
                    preprocess: bool, spec: Any, salt: int,
                    certify: bool) -> tuple:
     """Flatten a shared-prefix group into one picklable worker payload."""
-    prefix = list(preps[0].work[:plen])
-    residuals = [list(p.work[plen:]) for p in preps]
+    prefix = list(preps[0].query.assertions[:plen])
+    residuals = [list(p.query.assertions[plen:]) for p in preps]
     flat = prefix + [t for residual in residuals for t in residual]
     return (encode_terms(flat), plen, [len(r) for r in residuals],
             [budgets[p.key][0] for p in preps],
@@ -1139,8 +1139,8 @@ def _solve_group_local_guarded(
         faults.maybe_delay(plan, "local", leader_key, salt)
         faults.maybe_raise(plan, "local", leader_key, salt)
         group = solve_group(
-            list(preps[0].work[:plen]),
-            [list(p.work[plen:]) for p in preps],
+            list(preps[0].query.assertions[:plen]),
+            [list(p.query.assertions[plen:]) for p in preps],
             timeouts=[budgets[p.key][0] for p in preps],
             conflict_budgets=[budgets[p.key][1] for p in preps],
             do_simplify=preps[0].query.do_simplify,
@@ -1289,8 +1289,14 @@ def _solve_wave_incremental(
     to the one-shot wave paths.  Queries whose budgets or flags differ
     from their group's consensus are demoted to singletons so a group is
     always solved under one (do_simplify, validate_models) regime.
+
+    Groups are planned and solved on the *raw* assertions, not on the
+    simplified ``work``: simplification propagates a query's own units,
+    so a unit in one member's residual would rewrite the shared prefix
+    for that member alone.  :func:`solve_group` propagates only the units
+    of the prefix.
     """
-    planned, single_idx = plan_groups([p.work for p in wave])
+    planned, single_idx = plan_groups([p.query.assertions for p in wave])
     singles: list[_Prepared] = [wave[i] for i in single_idx]
     groups: list[tuple[list[_Prepared], int]] = []
     for plen, indices in planned:

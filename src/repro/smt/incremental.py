@@ -46,9 +46,10 @@ from .bitblast import BitBlaster
 from .cnf import ClauseDB, GateBuilder
 from .model import Model
 from .preprocess import Preprocessor
+from .rewrite import Facts
 from .sat import SATConfig, SATResult, SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
-from .simplify import harvest_facts, simplify
+from .simplify import harvest_facts, propagate, simplify
 from .solver import CheckResult
 from .substitute import evaluate
 from .terms import FALSE, TRUE, Term, common_prefix_length, fingerprint
@@ -153,19 +154,29 @@ def solve_group(prefix: Sequence[Term],
                               dict(stats, certify=dict(cert)))
 
     # ---- term-level simplification (shared caches across the group) ------
-    scache: dict[Term, Term] = {}
-    smemo: dict[tuple[Term, Term], int | None] = {}
-    # Rewrite facts are harvested from the *shared prefix only*: the prefix
-    # is asserted in every member query, so a prefix fact licenses rewrites
-    # in all of them — which is also what keeps the shared simplify caches
-    # sound (one fact base for every term passing through them).
+    # Units and facts of the *shared prefix* hold in every member query,
+    # so they license rewrites in all of them — which is also what keeps
+    # the shared simplify caches sound (one fact base and one substitution
+    # for every term passing through them).  A residual's own units and
+    # facts hold in its member query alone: ``simp`` applies them to that
+    # residual only, on a private copy of the shared cache, so a member
+    # never rewrites the shared prefix.
     facts = harvest_facts(prefix)
+    smemo: dict[tuple[Term, Term], int | None] = {}
+    if do_simplify:
+        prefix_s, scache, units = propagate(list(prefix), facts=facts,
+                                            memo=smemo)
+        pinned = units.subst.keys()
+    else:
+        prefix_s = list(prefix)
 
-    def simp(terms: Sequence[Term]) -> list[Term]:
-        if do_simplify:
-            return [simplify(t, scache, index_memo=smemo, facts=facts)
-                    for t in terms]
-        return list(terms)
+    def simp(residual: Sequence[Term]) -> list[Term]:
+        if not do_simplify:
+            return list(residual)
+        own = harvest_facts(residual)
+        fb = Facts(facts.zpow2 | own.zpow2) if own else facts
+        return propagate(list(residual), facts=fb, cache=scache, memo=smemo,
+                         pinned=pinned)[0]
 
     base_stats: dict = {"incremental": True, "group_size": n,
                         "prefix_terms": len(prefix)}
@@ -178,7 +189,7 @@ def solve_group(prefix: Sequence[Term],
                 results[i] = maker(dict(base_stats, time=share, conflicts=0))
         return [r for r in results if r is not None]
 
-    prefix_w = [t for t in simp(prefix) if t is not TRUE]
+    prefix_w = [t for t in prefix_s if t is not TRUE]
     if any(t is FALSE for t in prefix_w):
         return finish_all(term_unsat)
     residuals_w = []

@@ -52,13 +52,16 @@ shared blast cache (:mod:`repro.smt.blastcache`).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .poly import normalize_arith, normalize_eq, poly_add, poly_neg, poly_of
 from .sorts import BitVecSort
-from .terms import BVAnd, BVConst, BVSub, Eq, Ite, Kind, Not, Or, Term
+from .terms import (
+    BVAnd, BVConst, BVSub, Eq, FALSE, Ite, Kind, Not, Or, TRUE, Term,
+)
 
-__all__ = ["Facts", "harvest_facts", "rewrite_node"]
+__all__ = ["Facts", "Units", "harvest_facts", "harvest_units",
+           "rewrite_node"]
 
 
 class Facts:
@@ -109,12 +112,13 @@ NO_FACTS = Facts()
 
 
 def _iter_conjuncts(terms: Sequence[Term]):
-    """Top-level conjuncts of an assertion list (AND nodes flattened)."""
-    stack = list(terms)
+    """Top-level conjuncts of an assertion list (AND nodes flattened), in
+    assertion order."""
+    stack = list(reversed(terms))
     while stack:
         t = stack.pop()
         if t.kind == Kind.AND:
-            stack.extend(t.args)
+            stack.extend(reversed(t.args))
         else:
             yield t
 
@@ -168,6 +172,70 @@ def harvest_facts(terms: Sequence[Term]) -> Facts:
         if t is not None:
             zpow2.append(t)
     return Facts(zpow2) if zpow2 else NO_FACTS
+
+
+class Units:
+    """The variables a query pins to a constant by a top-level conjunct.
+
+    ``subst`` maps each pinned variable to its value; ``defs`` holds, in
+    assertion order, the conjuncts that define them (a dict used as an
+    ordered set).  A variable keeps the value of its first definition: a
+    later, conflicting one is left out of ``defs`` so that substitution
+    folds it to FALSE.
+    """
+
+    __slots__ = ("subst", "defs")
+
+    def __init__(self) -> None:
+        self.subst: dict[Term, Term] = {}
+        self.defs: dict[Term, None] = {}
+
+
+def _unit_of(f: Term) -> tuple[Term, Term] | None:
+    """``(var, value)`` when conjunct ``f`` pins a variable, else ``None``.
+
+    Recognizes a Bool ``v``, ``not v``, and ``v == c`` in either
+    orientation — plus ``v + k == c``, which is how the polynomial
+    normalizer spells ``v == c`` when ``c`` lies in the upper half of the
+    word (``v == 200`` at 8 bits becomes ``v + 56 == 0``).
+    """
+    k = f.kind
+    if k == Kind.VAR:
+        return f, TRUE
+    if k == Kind.NOT:
+        v = f.args[0]
+        return (v, FALSE) if v.kind == Kind.VAR else None
+    if k != Kind.EQ:
+        return None
+    a, b = f.args
+    for v, c in ((a, b), (b, a)):
+        if c.kind != Kind.BVCONST:
+            continue
+        if v.kind == Kind.VAR:
+            return v, c
+        if v.kind == Kind.BVADD and len(v.args) == 2:
+            p, q = v.args
+            if q.kind == Kind.VAR:
+                p, q = q, p
+            if p.kind == Kind.VAR and q.kind == Kind.BVCONST:
+                return p, BVConst(c.payload - q.payload, c.sort.width)
+    return None
+
+
+def harvest_units(terms: Sequence[Term], *,
+                  pinned: Container[Term] = ()) -> Units:
+    """Collect the unit definitions among a query's positive top-level
+    conjuncts — as for :func:`harvest_facts`, a unit under a negation,
+    disjunction or ite does not hold in every model and is ignored.
+    Variables in ``pinned`` already have a value and are skipped."""
+    units = Units()
+    for f in _iter_conjuncts(terms):
+        hit = _unit_of(f)
+        if (hit is not None and hit[0] not in units.subst
+                and hit[0] not in pinned):
+            units.subst[hit[0]] = hit[1]
+            units.defs[f] = None
+    return units
 
 
 # --------------------------------------------------------------------- rules

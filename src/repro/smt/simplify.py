@@ -1,6 +1,6 @@
 """Bottom-up term simplification.
 
-Composes three layers:
+Composes four layers:
 
 1. the smart constructors of :mod:`repro.smt.terms` (constant folding and
    cheap local identities, re-applied on rebuilt nodes);
@@ -10,7 +10,17 @@ Composes three layers:
 3. array read-over-write resolution using the polynomial engine to decide
    index (dis)equality syntactically: ``select(store(a, i, v), j)`` collapses
    to ``v`` when ``i - j`` normalizes to 0, and skips the store when ``i - j``
-   normalizes to a non-zero constant.
+   normalizes to a non-zero constant;
+4. word-level unit propagation (:func:`simplify_all`): a positive top-level
+   conjunct that pins a variable — ``v == c`` in either orientation, a Bool
+   ``v``, ``not v`` — seeds the memo with ``v -> c``, so one bottom-up pass
+   both substitutes and folds.  The ``+C`` configurations pin every block,
+   grid and scalar value, so their double-width geometry products fold to
+   constants here instead of being bit-blasted as multipliers.  The pass
+   repeats only when it exposes a new unit (``x + 1 == 3`` normalizes to
+   ``x == 2``).  Each defining conjunct stays asserted, so the pinned
+   variables keep their values in every model, and two conflicting units
+   fold to FALSE.
 
 Simplification is idempotent on its output in all cases exercised by the test
 suite (a property-based test checks this) and is *model-preserving*: it never
@@ -24,14 +34,18 @@ simplified once per call no matter how many paths reach it.
 
 from __future__ import annotations
 
+from typing import Container
 
 from .poly import normalize_arith, normalize_eq, poly_of, poly_add, poly_neg
-from .rewrite import Facts, NO_FACTS, harvest_facts, rewrite_node
+from .rewrite import (
+    Facts, NO_FACTS, Units, harvest_facts, harvest_units, rewrite_node,
+)
 from .sorts import BitVecSort
 from .substitute import rebuild
 from .terms import FALSE, TRUE, Ite, Kind, Select, Term, Eq
 
-__all__ = ["simplify", "simplify_all", "index_difference", "harvest_facts"]
+__all__ = ["simplify", "simplify_all", "propagate", "index_difference",
+           "harvest_facts"]
 
 _ARITH_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG, Kind.BVMUL, Kind.BVSHL})
 
@@ -179,18 +193,62 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
     return cache[term]
 
 
+def _pass(terms: list[Term], units: Units, facts: Facts,
+          cache: dict[Term, Term],
+          memo: dict[tuple[Term, Term], int | None]) -> list[Term]:
+    """One simplification pass under ``units`` (``cache`` is seeded with
+    ``units.subst``).  Defining conjuncts are kept as they are; those
+    nested in a top-level AND are appended, since the AND folds them."""
+    defs = units.defs
+    out = [t if t in defs else simplify(t, cache, index_memo=memo,
+                                         facts=facts)
+           for t in terms]
+    if defs:
+        top = set(terms)
+        out += [d for d in defs if d not in top]
+    return out
+
+
+def propagate(terms: list[Term], *, facts: Facts | None = None,
+              cache: dict[Term, Term] | None = None,
+              memo: dict[tuple[Term, Term], int | None] | None = None,
+              pinned: Container[Term] = ()
+              ) -> tuple[list[Term], dict[Term, Term], Units]:
+    """:func:`simplify_all`, also returning the term cache of its last
+    pass and the units it propagated.
+
+    The returned cache is seeded with the units' substitution, so further
+    terms of the *same* conjunction can be simplified under it.  Passing
+    it back as ``cache`` (with ``pinned`` = those units' variables)
+    propagates the units of such further terms on top: each pass starts
+    from a private copy of ``cache``, so the caller's cache is never
+    changed.  The incremental solver does this for each member's residual
+    on top of a group's shared prefix.  ``memo`` (the index-difference
+    memo) does not depend on units or facts and is shared."""
+    if facts is None:
+        facts = harvest_facts(terms)
+    if memo is None:
+        memo = {}
+    units = harvest_units(terms, pinned=pinned)
+    while True:
+        run = dict(cache) if cache else {}
+        run.update(units.subst)
+        out = _pass(terms, units, facts, run, memo)
+        more = harvest_units(out, pinned=pinned)
+        if more.subst.keys() <= units.subst.keys():
+            return out, run, units
+        terms, units = out, more
+
+
 def simplify_all(terms: list[Term], *,
                  facts: Facts | None = None) -> list[Term]:
     """Simplify one query's assertion list with shared caches (the
     assertions of one query overlap heavily, so the term cache and the
-    index-difference memo are shared across the batch).
+    index-difference memo are shared across the batch), propagating its
+    unit conjuncts (module docstring, layer 4).
 
     Unless a pre-harvested ``facts`` base is supplied, the word-level
     rewriter's facts are harvested from ``terms`` itself — the list must
     therefore be one conjunction (one query), which is how every caller
-    uses it."""
-    if facts is None:
-        facts = harvest_facts(terms)
-    cache: dict[Term, Term] = {}
-    memo: dict[tuple[Term, Term], int | None] = {}
-    return [simplify(t, cache, index_memo=memo, facts=facts) for t in terms]
+    uses it; the units are always harvested from ``terms``."""
+    return propagate(terms, facts=facts)[0]

@@ -2,7 +2,9 @@
 
 Pipeline per ``check()``:
 
-1. term-level simplification (polynomial normalization, read-over-write);
+1. term-level simplification (polynomial normalization, read-over-write,
+   word-level rewriting, and unit propagation of top-level ``v == c``
+   conjuncts — see :mod:`repro.smt.simplify`);
 2. array elimination (write-chain expansion + Ackermann reduction);
 3. bit-blasting to CNF;
 4. CDCL SAT solving under a time/conflict budget;

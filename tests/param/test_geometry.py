@@ -27,7 +27,8 @@ def test_pow2_predicate():
 def test_square_block_and_concretize():
     g = Geometry.create(8)
     s = Solver()
-    s.add(g.square_block(), *g.concretize((4, 2, 1), (1, 1)))
+    s.add(g.square_block(),
+          *g.concretize({"bdim": (4, 2, 1), "gdim": (1, 1)}, {}))
     assert s.check() is CheckResult.UNSAT  # 4 != 2
 
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
-    ArrayVar, BVAdd, BVConst, BVMul, BVVar, BoolVar, CheckResult, Eq, Iff,
-    Not, Or, Query, Select, Solver, Store, UGt, ULt, fresh_scope,
+    ArrayVar, BVAdd, BVAnd, BVConst, BVMul, BVSub, BVURem, BVVar, BoolVar,
+    CheckResult, Eq, Iff, Not, Or, Query, Select, Solver, Store, UGt, ULt,
+    fresh_scope,
     plan_groups, solve_all, solve_group,
 )
 from repro.smt.faults import FaultPlan, injected
@@ -175,6 +176,64 @@ class TestDispatchEquivalence:
         results = solve_all(_batch("st.inc"), jobs=1, cache=False,
                             incremental=True)
         assert all(r.stats.get("incremental") for r in results)
+
+    def test_prefix_units_propagate_residual_units_stay_local(self):
+        """A unit of the shared prefix is substituted in every member; a
+        unit in one member's residual neither leaks into the others nor
+        splits the group."""
+        prefix, (x, _, _) = _prefix("pu")
+        z = BVVar("pu.z", W)
+        prefix = prefix + [Eq(z, BVConst(3, W))]
+        queries = [Query(prefix + [Eq(BVAdd(x, z), BVConst(i, W))])
+                   for i in (10, 20, 70)]  # x = 67 breaks x < 64: UNSAT
+        base = solve_all(queries, jobs=1, cache=False, incremental=False)
+        incr = solve_all(queries, jobs=1, cache=False, incremental=True)
+        assert _verdicts(base) == _verdicts(incr) == [
+            CheckResult.SAT, CheckResult.SAT, CheckResult.UNSAT]
+        assert all(r.stats.get("incremental") for r in incr)
+        for r, q in zip(incr[:2], queries):
+            model = r.model()
+            assert model.eval(z) == 3
+            assert all(model.eval(t) is True for t in q.assertions)
+
+    def test_residual_units_fold_only_their_own_member(self):
+        """The residuals pin ``z`` and share the subterm ``x + z``: each
+        folds it under its own value.  Had the first member's ``z = 3``
+        reached the second through the shared cache, ``x + 70 < 10``
+        (UNSAT under ``x < 64``) would read ``x + 3 < 10`` and turn SAT."""
+        prefix, (x, _, _) = _prefix("ru")
+        z = BVVar("ru.z", W)
+        below = ULt(BVAdd(x, z), BVConst(10, W))
+        queries = [Query(prefix + [Eq(z, BVConst(v, W)), below])
+                   for v in (3, 70, 2)]
+        base = solve_all(queries, jobs=1, cache=False, incremental=False)
+        incr = solve_all(queries, jobs=1, cache=False, incremental=True)
+        assert _verdicts(base) == _verdicts(incr) == [
+            CheckResult.SAT, CheckResult.UNSAT, CheckResult.SAT]
+        assert all(r.stats.get("incremental") for r in incr)
+        model = incr[0].model()
+        assert model.eval(z) == 3
+        assert all(model.eval(t) is True for t in queries[0].assertions)
+
+    def test_residual_facts_stay_local(self):
+        """A residual's power-of-two fact rewrites ``x % k`` to a mask in
+        its own member only: in the sibling ``k`` is 3 and the remainder
+        differs from the mask, so a leaked rewrite would turn SAT into
+        UNSAT."""
+        prefix, (x, _, _) = _prefix("rf")
+        k = BVVar("rf.k", W)
+        zero, one = BVConst(0, W), BVConst(1, W)
+        differs = Not(Eq(BVURem(x, k), BVAnd(x, BVSub(k, one))))
+        queries = [
+            Query(prefix + [Eq(BVAnd(k, BVSub(k, one)), zero), differs]),
+            Query(prefix + [UGt(k, BVConst(2, W)), ULt(k, BVConst(4, W)),
+                            differs]),
+        ]
+        base = solve_all(queries, jobs=1, cache=False, incremental=False)
+        incr = solve_all(queries, jobs=1, cache=False, incremental=True)
+        assert _verdicts(base) == _verdicts(incr) == [
+            CheckResult.UNSAT, CheckResult.SAT]
+        assert all(r.stats.get("incremental") for r in incr)
 
     def test_validate_models_flag_respected_in_groups(self):
         queries = [Query(list(q.assertions), validate_models=True)

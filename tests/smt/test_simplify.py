@@ -1,11 +1,15 @@
 """Unit tests for the simplifier, including read-over-write resolution with
 polynomially-decided index (dis)equality."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.smt import (
-    And, ArrayVar, BVAdd, BVConst, BVMul, BVSub, BVVar, Eq, FALSE, Implies,
-    Ite, Kind, Not, Or, Select, Store, TRUE, ULt,
+    And, ArrayVar, BVAdd, BVConst, BVMul, BVSub, BVVar, BoolVar, CheckResult,
+    Eq, FALSE, Implies, Ite, Kind, Not, Or, Select, Solver, Store, TRUE, UGe,
+    ULt, ZeroExt,
 )
 from repro.smt.simplify import index_difference, simplify, simplify_all
+from repro.smt.terms import iter_dag
 
 x = BVVar("sx", 8)
 y = BVVar("sy", 8)
@@ -90,3 +94,141 @@ def test_simplify_all_shares_cache():
 
 def test_tautology_or_with_negation():
     assert simplify(Or(Eq(x, y), Not(Eq(y, x)))) is TRUE
+
+
+# ------------------------------------------------------------ unit propagation
+
+u = BVVar("su", 8)
+b = BoolVar("sb")
+c = BoolVar("sc")
+
+
+def _const(v: int):
+    return BVConst(v, 8)
+
+
+def test_unit_substituted_everywhere_and_definition_kept():
+    pin = Eq(u, _const(4))
+    out = simplify_all([pin, ULt(x, BVMul(u, _const(3))),
+                        Eq(BVAdd(y, u), _const(9))])
+    assert out[0] is pin                          # the definition stays
+    assert out[1] is ULt(x, _const(12))           # u folded into 3*u
+    assert out[2] is Eq(y, _const(5))
+
+
+def test_unit_in_either_orientation_and_inside_top_level_and():
+    pin = Eq(_const(4), u)
+    out = simplify_all([And(pin, ULt(x, y)), ULt(x, u)])
+    assert out[1] is ULt(x, _const(4))
+    assert pin in out                             # nested definition kept
+
+
+def test_conflicting_units_fold_to_false():
+    out = simplify_all([Eq(u, _const(2)), Eq(u, _const(3))])
+    assert FALSE in out
+    s = Solver()
+    s.add(Eq(u, _const(2)), Eq(u, _const(3)))
+    assert s.check() is CheckResult.UNSAT
+
+
+def test_bool_literal_units():
+    out = simplify_all([b, Not(c), Or(Not(b), c, ULt(x, y)),
+                        Ite(c, Eq(x, _const(1)), ULt(y, x))])
+    assert out[:2] == [b, Not(c)]                 # definitions stay
+    assert out[2] is ULt(x, y)                    # ~b and c folded away
+    assert out[3] is ULt(y, x)                    # the ite chose else
+
+
+def test_unit_exposed_by_normalization():
+    # u + y == y + 2 only becomes the unit u == 2 after normalization;
+    # a second pass then substitutes it.
+    out = simplify_all([Eq(BVAdd(u, y), BVAdd(y, _const(2))),
+                        ULt(x, BVMul(u, u))])
+    assert out == [Eq(u, _const(2)), ULt(x, _const(4))]
+
+
+def test_upper_half_unit_spelled_as_offset():
+    # The normalizer spells u == 200 at 8 bits as u + 56 == 0; the unit is
+    # still found and its value is 0 - 56 mod 2^8.
+    pin = Eq(BVAdd(u, _const(56)), _const(0))
+    out = simplify_all([pin, ULt(x, u)])
+    assert out == [pin, ULt(x, _const(200))]
+
+
+def test_units_under_or_not_ite_are_not_used():
+    guarded = [Or(Eq(u, _const(2)), b), Not(Eq(u, _const(3))),
+               Ite(b, Eq(u, _const(5)), c)]
+    other = ULt(x, BVMul(u, _const(3)))
+    out = simplify_all(guarded + [other])
+    assert out[-1] is simplify(other)             # nothing substituted
+
+
+def test_double_width_geometry_product_folds():
+    """The +C shape that motivated the layer: a covering constraint over
+    pinned dimensions folds to a comparison with a constant."""
+    gx, bx, n = BVVar("sgx", 8), BVVar("sbx", 8), BVVar("sn", 8)
+    cover = Eq(ZeroExt(n, 8), BVMul(ZeroExt(gx, 8), ZeroExt(bx, 8)))
+    out = simplify_all([cover, Eq(gx, _const(2)), Eq(bx, _const(16))])
+    assert not any(n.kind == Kind.BVMUL for t in out for n in iter_dag(t))
+    assert out[0] is simplify(Eq(ZeroExt(n, 8), BVConst(32, 16)))
+
+
+_leaf = st.sampled_from([x, y, u, _const(0), _const(1), _const(3),
+                         _const(200)])
+_bv = st.recursive(_leaf, lambda s: st.one_of(
+    st.builds(BVAdd, s, s), st.builds(BVMul, s, s)), max_leaves=4)
+_atom = st.one_of(st.builds(Eq, _bv, _bv), st.builds(ULt, _bv, _bv),
+                  st.builds(Eq, st.sampled_from([x, y, u]), _leaf),
+                  st.sampled_from([b, Not(b), c]))
+_formula = st.recursive(_atom, lambda s: st.one_of(
+    st.builds(Not, s), st.builds(Or, s, s), st.builds(And, s, s)),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_formula, min_size=1, max_size=4))
+def test_simplify_all_idempotent_and_model_preserving(terms):
+    once = simplify_all(terms)
+    assert simplify_all(once) == once
+    s = Solver(validate_models=True)
+    s.add(*terms)
+    r = s.check()
+    ref = Solver(do_simplify=False)
+    ref.add(*terms)
+    assert r is ref.check()
+
+
+def test_validated_models_bind_pinned_variables():
+    s = Solver(validate_models=True)
+    s.add(Eq(u, _const(7)), b, ULt(x, BVAdd(u, _const(1))),
+          UGe(x, _const(7)))
+    assert s.check() is CheckResult.SAT
+    m = s.model()
+    assert m.eval(u) == 7 and m.eval(b) is True and m.eval(x) == 7
+
+
+def test_pinned_unsat_under_certify_passes_proof_checker():
+    # After substitution t < 2*4 and t >= 8 remain: a real SAT-level
+    # refutation, not a term-level FALSE.
+    t = BVVar("st", 8)
+    s = Solver(certify=True)
+    s.add(Eq(u, _const(4)), ULt(t, BVMul(u, _const(2))), UGe(t, _const(8)))
+    assert s.check() is CheckResult.UNSAT
+    cert = s.stats["certify"]
+    assert cert["rejected"] == 0 and cert["trivial"] == 0
+
+
+def test_concretized_check_certifies():
+    from repro.check.configs import transpose_assumptions
+    from repro.check.result import Verdict
+    from repro.kernels import load_pair
+    from repro.param.equivalence import ParamOptions, check_equivalence_param
+    (_, si), (_, ti) = load_pair("Transpose")
+    out = check_equivalence_param(
+        si, ti, 8, assumption_builder=transpose_assumptions,
+        concretize={"bdim": (2, 2, 1), "gdim": (2, 2),
+                    "scalars": {"width": 4, "height": 4}},
+        options=ParamOptions(timeout=120, cache=False, certify=True))
+    assert out.verdict is Verdict.VERIFIED
+    cert = out.stats["certify"]
+    assert cert["checked"] > 0 and cert["rejected"] == 0
