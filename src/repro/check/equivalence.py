@@ -40,7 +40,6 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                policy=None,
                                incremental: bool | None = None,
                                preprocess: bool | None = None,
-                               portfolio: int | None = None,
                                certify: bool | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
@@ -56,7 +55,7 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
             concretize_extent=concretize_extent, timeout=timeout,
             do_simplify=do_simplify, validate=validate, jobs=jobs,
             cache=cache, policy=policy, incremental=incremental,
-            preprocess=preprocess, portfolio=portfolio, certify=certify)
+            preprocess=preprocess, certify=certify)
 
 
 def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
@@ -64,7 +63,7 @@ def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                 concretize_extent, timeout, do_simplify,
                                 validate, jobs, cache,
                                 policy=None, incremental=None,
-                                preprocess=None, portfolio=None,
+                                preprocess=None,
                                 certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -114,7 +113,7 @@ def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
         Query([*constraints, Or(*differs)], timeout=timeout,
               do_simplify=do_simplify),
         cache=cache, policy=policy, incremental=incremental,
-        preprocess=preprocess, portfolio=portfolio, certify=certify)
+        preprocess=preprocess, certify=certify)
     result = response.verdict
     outcome.vcs_checked = 1
     outcome.solver_time = response.solver_time
@@ -170,7 +169,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
                       policy=None,
                       incremental: bool | None = None,
                       preprocess: bool | None = None,
-                      portfolio: int | None = None,
                       certify: bool | None = None) -> CheckOutcome:
     """Unified entry point.
 
@@ -194,8 +192,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             opts.incremental = incremental
         if preprocess is not None:
             opts.preprocess = preprocess
-        if portfolio is not None:
-            opts.portfolio = portfolio
         if certify is not None:
             opts.certify = certify
         if not validate:
@@ -213,5 +209,5 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             concretize_extent=concretize_extent,
             timeout=timeout, validate=validate, jobs=jobs, cache=cache,
             policy=policy, incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            certify=certify)
     raise ValueError(f"unknown method {method!r}")

@@ -11,7 +11,8 @@ Two methods, mirroring the equivalence checkers:
   "no thread wrote this cell" branch is handled like the equivalence
   checker's frames: proved impossible by a coverage witness where possible,
   otherwise dropped with an incompleteness flag (the paper's
-  under-approximation).
+  under-approximation); a run that dropped one reports UNKNOWN, never
+  VERIFIED.
 
 Counterexamples are replayed concretely before being reported.
 """
@@ -162,7 +163,6 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               policy=None,
                               incremental: bool | None = None,
                               preprocess: bool | None = None,
-                              portfolio: int | None = None,
                               certify: bool | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
@@ -171,13 +171,13 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
             info, config, scalar_values=scalar_values, timeout=timeout,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
             incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            certify=certify)
 
 
 def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                                scalar_values, timeout, validate, jobs,
                                cache, policy=None, incremental=None,
-                               preprocess=None, portfolio=None,
+                               preprocess=None,
                                certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -216,7 +216,7 @@ def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
     # early return below abandons (never solves) the tail.
     dispatch = dict(jobs=jobs, cache=cache, policy=policy,
                     incremental=incremental, preprocess=preprocess,
-                    portfolio=portfolio, certify=certify)
+                    certify=certify)
     lat: dict = {}
     if default_stream():
         record_encode_stats(outcome, mode="stream")
@@ -296,7 +296,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                            policy=None,
                            incremental: bool | None = None,
                            preprocess: bool | None = None,
-                           portfolio: int | None = None,
                            certify: bool | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
@@ -310,14 +309,14 @@ def check_functional_param(info: KernelInfo, width: int, *,
             concretize=concretize, timeout=timeout, bughunt=bughunt,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
             incremental=incremental, preprocess=preprocess,
-            portfolio=portfolio, certify=certify)
+            certify=certify)
 
 
 def _check_functional_param(info: KernelInfo, width: int, *,
                             assumption_builder, concretize, timeout,
                             bughunt, validate, jobs, cache,
                             policy=None, incremental=None,
-                            preprocess=None, portfolio=None,
+                            preprocess=None,
                             certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -361,8 +360,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
         response = solve_query(
             Query([*assumptions, *premises, Not(And(*obligations))],
                   timeout=budget()),
-            cache=cache, policy=policy, portfolio=portfolio,
-            certify=certify)
+            cache=cache, policy=policy, certify=certify)
         outcome.vcs_checked += 1
         outcome.solver_time += response.solver_time
         outcome.merge_solver_stats(response.stats)
@@ -435,7 +433,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
                        timeout=budget()) for case in cases],
                 jobs=jobs, cache=cache, policy=policy,
                 incremental=incremental, preprocess=preprocess,
-                portfolio=portfolio, certify=certify)
+            certify=certify)
             for response in responses:
                 outcome.vcs_checked += 1
                 outcome.solver_time += response.solver_time
@@ -481,7 +479,12 @@ def _check_functional_param(info: KernelInfo, width: int, *,
     outcome.complete = not ctx.incomplete_reads
     if ctx.incomplete_reads:
         outcome.stats["incomplete"] = list(ctx.incomplete_reads)
-    outcome.verdict = Verdict.VERIFIED
+        skipped = list(dict.fromkeys(ctx.incomplete_reads))
+        outcome.reason = ("no bug found; obligations skipped: "
+                          + "; ".join(skipped[:3]))
+        outcome.verdict = Verdict.UNKNOWN
+    else:
+        outcome.verdict = Verdict.VERIFIED
     outcome.elapsed = time.monotonic() - start
     return outcome
 

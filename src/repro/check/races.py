@@ -114,7 +114,6 @@ def check_races(info: KernelInfo, width: int = 16, *,
                 policy=None,
                 incremental: bool | None = None,
                 preprocess: bool | None = None,
-                portfolio: int | None = None,
                 certify: bool | None = None) -> CheckOutcome:
     """Check the kernel race-free for any thread count.
 
@@ -133,15 +132,13 @@ def check_races(info: KernelInfo, width: int = 16, *,
                             concretize=concretize, timeout=timeout,
                             validate=validate, jobs=jobs, cache=cache,
                             policy=policy, incremental=incremental,
-                            preprocess=preprocess, portfolio=portfolio,
-                            certify=certify)
+                            preprocess=preprocess, certify=certify)
 
 
 def _check_races(info: KernelInfo, width: int, *, assumption_builder,
                  concretize, timeout, validate, jobs, cache,
                  policy=None, incremental=None,
-                 preprocess=None, portfolio=None,
-                 certify=None) -> CheckOutcome:
+                 preprocess=None, certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -246,7 +243,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     # generation order in both modes.
     dispatch = dict(jobs=jobs, cache=cache, policy=policy,
                     incremental=incremental, preprocess=preprocess,
-                    portfolio=portfolio, certify=certify)
+                    certify=certify)
     if default_stream():
         lat: dict = {}
         bounded = []

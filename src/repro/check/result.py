@@ -100,7 +100,6 @@ class CheckOutcome:
             if isinstance(value, (int, float)):
                 agg[key] = agg.get(key, 0) + value
         self._merge_resilience(query_stats.get("resilience"))
-        self._merge_portfolio(query_stats.get("portfolio"))
         self._merge_certify(query_stats)
 
     def _merge_resilience(self, res: dict[str, Any] | None) -> None:
@@ -129,38 +128,6 @@ class CheckOutcome:
                                       + int(pool.get("worker_restarts", 0)))
             if pool.get("degraded"):
                 agg["degraded"] = True
-
-    def _merge_portfolio(self, port: dict[str, Any] | None) -> None:
-        """Fold one query's portfolio-race record (winning arm, per-arm
-        spend, cancellation accounting) into ``stats["portfolio"]``."""
-        if not isinstance(port, dict):
-            return
-        agg = self.stats.setdefault("portfolio", {})
-        agg["races"] = agg.get("races", 0) + 1
-        if port.get("mode") == "serial":
-            agg["serial"] = agg.get("serial", 0) + 1
-        winner = port.get("winner")
-        if winner:
-            wins = agg.setdefault("wins", {})
-            wins[winner] = wins.get(winner, 0) + 1
-            winner_time = port.get("winner_time")
-            if isinstance(winner_time, (int, float)):
-                agg["winner_time"] = (agg.get("winner_time", 0.0)
-                                      + winner_time)
-        else:
-            agg["exhausted"] = agg.get("exhausted", 0) + 1
-        for key in ("wasted_time",):
-            value = port.get(key)
-            if isinstance(value, (int, float)):
-                agg[key] = agg.get(key, 0.0) + value
-        for key in ("cancelled", "killed"):
-            value = port.get(key)
-            if isinstance(value, int):
-                agg[key] = agg.get(key, 0) + value
-        latency = port.get("cancel_latency")
-        if isinstance(latency, (int, float)):
-            agg["cancel_latency_max"] = max(
-                agg.get("cancel_latency_max", 0.0), latency)
 
     def _merge_certify(self, query_stats: dict[str, Any]) -> None:
         """Fold one query's proof-certification record into
@@ -300,31 +267,6 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
                          "restart(s)"
                          + (", degraded to serial"
                             if res.get("degraded") else ""))
-    port = outcome.stats.get("portfolio")
-    if port:
-        lines.append("portfolio:")
-        races = port.get("races", 0)
-        lines.append(f"  races        {races}"
-                     f"  (serial: {port.get('serial', 0)},"
-                     f" exhausted: {port.get('exhausted', 0)})")
-        wins = port.get("wins") or {}
-        if wins:
-            ranked = sorted(wins.items(), key=lambda kv: (-kv[1], kv[0]))
-            lines.append("  wins         "
-                         + ", ".join(f"{arm}: {n}" for arm, n in ranked))
-        winner_time = port.get("winner_time", 0.0)
-        wasted = port.get("wasted_time", 0.0)
-        lines.append(f"  winner time  {winner_time:.3f}s"
-                     f"  (wasted on losers: {wasted:.3f}s)")
-        if winner_time + wasted > 0:
-            lines.append("  wasted ratio "
-                         f"{wasted / (winner_time + wasted):.1%}")
-        if port.get("cancelled") or port.get("killed"):
-            lines.append(f"  cancellation {port.get('cancelled', 0)} "
-                         f"cooperative, {port.get('killed', 0)} hard-killed"
-                         + (f", worst ack latency "
-                            f"{port['cancel_latency_max']:.3f}s"
-                            if port.get("cancel_latency_max") else ""))
     cert = outcome.stats.get("certify")
     if cert:
         lines.append("certify:")
@@ -373,7 +315,7 @@ def outcome_to_json(outcome: "CheckOutcome") -> dict[str, Any]:
 
     This is the one JSON shape shared by ``pugpara ... --stats-json``, the
     ``repro.serve`` response body, and the bench harness — solver,
-    resilience, and portfolio stat blocks ride along under ``stats``
+    resilience, and certify stat blocks ride along under ``stats``
     without anyone scraping the human ``--stats`` rendering.
     """
     cex = None

@@ -57,7 +57,8 @@ exit codes:
      a race/assertion failure)
   2  usage error
   3  inconclusive: budget exhausted (T.O), unconfirmed candidate
-     counterexample, or unsupported kernel
+     counterexample, skipped obligations (--bughunt found no bug), or
+     unsupported kernel
   4  internal error
 
 front-end environment knobs (defaults in parentheses):
@@ -181,13 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                             "incremental groups (default: "
                             "PUGPARA_PREPROCESS, on); --no-preprocess "
                             "disables it")
-        p.add_argument("--portfolio", type=int, nargs="?", const=3,
-                       default=None, metavar="N",
-                       help="race each VC across N diversified "
-                            "strategy/heuristic arms, first conclusive "
-                            "verdict wins (N defaults to 3; default: "
-                            "PUGPARA_PORTFOLIO, off; at --jobs 1 the arms "
-                            "run sequentially with early exit)")
         p.add_argument("--certify",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="require a checked DRAT proof for every UNSAT "
@@ -358,7 +352,6 @@ def _dispatch(args) -> int:
     validate = getattr(args, "validate_cex", True)
     incremental = getattr(args, "incremental", None)
     preprocess = getattr(args, "preprocess", None)
-    portfolio = getattr(args, "portfolio", None)
     certify = getattr(args, "certify", None)
 
     def report(outcome) -> int:
@@ -397,7 +390,6 @@ def _dispatch(args) -> int:
                                      policy=policy,
                                      incremental=incremental,
                                      preprocess=preprocess,
-                                     portfolio=portfolio,
                                      certify=certify))
         else:
             outcome = check_equivalence(
@@ -405,8 +397,7 @@ def _dispatch(args) -> int:
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
                 cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                preprocess=preprocess, certify=certify)
         return report(outcome)
 
     if args.command == "func":
@@ -417,16 +408,14 @@ def _dispatch(args) -> int:
                 assumption_builder=builder, concretize=_concretize(args),
                 timeout=args.timeout, validate=validate, jobs=jobs,
                 cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                preprocess=preprocess, certify=certify)
         else:
             outcome = check_functional(
                 info, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
                 cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, portfolio=portfolio,
-                certify=certify)
+                preprocess=preprocess, certify=certify)
         return report(outcome)
 
     if args.command == "races":
@@ -437,8 +426,7 @@ def _dispatch(args) -> int:
                               timeout=args.timeout, validate=validate,
                               jobs=jobs, cache=cache, policy=policy,
                               incremental=incremental,
-                              preprocess=preprocess, portfolio=portfolio,
-                              certify=certify)
+                              preprocess=preprocess, certify=certify)
         return report(outcome)
 
     if args.command == "run":

@@ -29,7 +29,9 @@ Method outline:
 
 ``bughunt=True`` reproduces the paper's "Fast Bug Hunting": coverage VCs and
 coverage proofs are skipped, checking only matched writes — much faster,
-still no false alarms, but bugs hiding in frames may be missed.
+still no false alarms, but bugs hiding in frames may be missed.  A run that
+skipped any obligation and found no bug therefore reports UNKNOWN with
+``complete=False``, never VERIFIED.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class ParamOptions:
     policy: object = None               # UNKNOWN retry policy (None = env)
     incremental: bool | None = None     # shared-prefix batch solving
     preprocess: bool | None = None      # CNF preprocessing in groups
-    portfolio: int | None = None        # first-wins strategy racing width
     certify: bool | None = None         # DRAT-check every UNSAT verdict
 
 
@@ -111,7 +112,6 @@ class _Run:
             Query(terms, timeout=self.budget(),
                   do_simplify=self.options.simplify),
             cache=self.options.cache, policy=self.options.policy,
-            portfolio=self.options.portfolio,
             certify=self.options.certify)
         self.account(response)
         return response.verdict, response
@@ -285,6 +285,12 @@ def _check(src_info: KernelInfo, tgt_info: KernelInfo, width: int,
     if run.unconfirmed:
         outcome.reason = "; ".join(run.unconfirmed[:3])
         return Verdict.UNKNOWN
+    if run.incomplete:
+        # No bug found, but the skipped obligations may hide one: an
+        # under-approximate run never claims VERIFIED.
+        outcome.reason = ("no bug found; obligations skipped: "
+                          + "; ".join(list(dict.fromkeys(run.incomplete))[:3]))
+        return Verdict.UNKNOWN
     return Verdict.VERIFIED
 
 
@@ -353,7 +359,6 @@ class _GroupChecker:
                 policy=run.options.policy,
                 incremental=run.options.incremental,
                 preprocess=run.options.preprocess,
-                portfolio=run.options.portfolio,
                 certify=run.options.certify)
             for response in responses:
                 run.account(response)

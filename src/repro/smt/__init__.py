@@ -17,9 +17,7 @@ Layers (bottom-up):
 - :mod:`repro.smt.preprocess` — SatELite-style CNF preprocessing;
 - :mod:`repro.smt.solver` — the one-shot facade tying it together;
 - :mod:`repro.smt.incremental` / :mod:`repro.smt.dispatch` — shared-prefix
-  incremental batch solving and the resilient parallel runtime;
-- :mod:`repro.smt.portfolio` — diversified strategy arms raced first-wins
-  by the dispatcher under cooperative cancellation.
+  incremental batch solving and the resilient parallel runtime.
 """
 
 from .sorts import ARRAY, BOOL, BV, ArraySort, BitVecSort, Sort
@@ -43,14 +41,10 @@ from .solver import CheckResult, Solver, check_valid, is_satisfiable
 from .preprocess import Preprocessor, preprocess
 from .incremental import GroupResult, plan_groups, solve_group
 from .qcache import QueryCache, canonical_key, canonicalize
-from .portfolio import (
-    ArmSpec, default_ladder, default_width, effective_width, run_arm,
-)
 from .dispatch import (
     Query, QueryResult, default_cache, default_certify, default_incremental,
-    default_jobs, default_portfolio, default_preprocess, default_stream,
-    default_stream_chunk, resolve_cache, solve_all, solve_query,
-    solve_stream,
+    default_jobs, default_preprocess, default_stream, default_stream_chunk,
+    resolve_cache, solve_all, solve_query, solve_stream,
 )
 from .resilience import ESCALATIONS, RetryPolicy, default_policy
 from .faults import FaultPlan, InjectedFault
@@ -80,9 +74,6 @@ __all__ = [
     # preprocessing + incremental batches
     "Preprocessor", "preprocess",
     "GroupResult", "plan_groups", "solve_group",
-    # portfolio racing
-    "ArmSpec", "default_ladder", "default_portfolio", "default_width",
-    "effective_width", "run_arm",
     # caching + dispatch
     "QueryCache", "canonical_key", "canonicalize",
     "Query", "QueryResult", "default_cache", "default_incremental",

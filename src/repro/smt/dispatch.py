@@ -44,27 +44,11 @@ it never reports what it cannot defend:
 * **Exception containment.** A solver failure (genuine or injected via
   :mod:`repro.smt.faults`) becomes ``UNKNOWN`` with the error recorded —
   never an unhandled exception, never a fabricated verdict.
-* **Portfolio racing.** With ``portfolio=N`` (or ``PUGPARA_PORTFOLIO``),
-  each query is raced across up to N diversified arms
-  (:mod:`repro.smt.portfolio`): solving strategy × CDCL configuration,
-  first conclusive verdict wins.  A supervisor polls the race every
-  :func:`~repro.smt.resilience.supervision_interval` seconds, cancels the
-  losers through a shared cooperative token the CDCL loop checks, and
-  escalates to hard worker kill + pool rebuild when an arm ignores the
-  token past :func:`~repro.smt.resilience.cancel_grace` (the arm-hang
-  fault class exercises exactly this).  Only the winning arm's verdict
-  and model flow onward — losers never touch the cache or the caller's
-  stats, beyond the per-arm accounting in ``stats["portfolio"]``.  At
-  ``jobs=1`` the race degrades to sequential arm attempts with early
-  exit, arm 0 being the exact non-portfolio baseline.
 
 Determinism: the CDCL core is deterministic, so a batch solved at ``jobs=8``
 returns bit-identical verdicts (and models) to a serial run; only wall-clock
 changes.  Faults and retries preserve this one-sidedly: a faulted or
-budget-starved run answers the fault-free verdict or ``UNKNOWN``.  A
-portfolio race is deterministic per *arm* — the winner's verdict and model
-are bit-identical to running that arm alone — while which arm wins at
-``jobs>=2`` depends on wall-clock; verdicts never do.
+budget-starved run answers the fault-free verdict or ``UNKNOWN``.
 
 Pools are torn down hermetically: every path — normal completion, SIGINT,
 exception, hung worker — funnels through :func:`_teardown_pool`, which
@@ -75,15 +59,11 @@ dispatcher no matter how a solve ends.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import signal
 import time
 import warnings
-from concurrent.futures import (
-    FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor,
-    wait as _futures_wait,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -91,14 +71,11 @@ from . import faults
 from .faults import FaultPlan
 from .incremental import plan_groups, solve_group
 from .model import Model
-from .portfolio import ArmSpec, default_ladder, default_width, effective_width, run_arm
 from .qcache import (
     QueryCache, canonicalize, decode_terms, encode_terms,
     model_from_canonical, model_to_canonical,
 )
-from .resilience import (
-    RetryPolicy, cancel_grace, default_policy, supervision_interval,
-)
+from .resilience import RetryPolicy, default_policy
 from .simplify import simplify_all
 from .solver import CheckResult, Solver
 from .terms import Term
@@ -108,7 +85,7 @@ __all__ = ["Query", "QueryResult", "solve_query", "solve_all",
            "solve_stream", "default_cache", "default_certify",
            "default_jobs", "default_stream", "default_stream_chunk",
            "resolve_cache", "default_incremental", "default_preprocess",
-           "default_portfolio", "set_default_cache", "teardown_pool",
+           "set_default_cache", "teardown_pool",
            "worker_init"]
 
 log = logging.getLogger("repro.smt.dispatch")
@@ -229,11 +206,6 @@ def default_preprocess() -> bool:
     return _env_flag("PUGPARA_PREPROCESS", True)
 
 
-def default_portfolio() -> int | None:
-    """Portfolio width from ``PUGPARA_PORTFOLIO`` (None = off)."""
-    return default_width()
-
-
 def default_stream() -> bool:
     """Whether checkers pipeline encode and solve by default
     (``PUGPARA_STREAM``; on unless explicitly disabled).
@@ -321,20 +293,6 @@ def _worker_init(rlimit_mb: int | None) -> None:
             pass  # best-effort: platforms without RLIMIT_AS solve uncapped
 
 
-#: Worker-side slot of the shared cancel-flag array (portfolio pools only;
-#: installed by :func:`_portfolio_worker_init` at process creation — a
-#: ``multiprocessing`` shared array cannot travel through the task queue).
-_arm_cancel_flags = None
-
-
-def _portfolio_worker_init(rlimit_mb: int | None, flags) -> None:
-    """Initializer of portfolio-pool workers: standard worker setup plus
-    the shared cancel-flag array (one ``int`` slot per racing arm)."""
-    global _arm_cancel_flags
-    _worker_init(rlimit_mb)
-    _arm_cancel_flags = flags
-
-
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Dismantle a worker pool with no survivors.
 
@@ -342,8 +300,8 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     pick up the sentinel), so every worker is terminated and reaped
     explicitly, escalating from SIGTERM to SIGKILL.  This is the single
     funnel all dispatcher exits use — normal completion, SIGINT,
-    exception, or a portfolio arm that ignored its cancel token — which is
-    what makes the no-orphan guarantee unconditional.
+    exception or a hung worker — which is what makes the no-orphan
+    guarantee unconditional.
     """
     procs = list((getattr(pool, "_processes", None) or {}).values())
     try:
@@ -510,42 +468,6 @@ def _worker_solve_group(payload: tuple) -> list[tuple[str, str, dict | None,
     return out
 
 
-def _worker_solve_arm(payload: tuple) -> tuple[str, dict | None, dict]:
-    """Executed in a worker process: solve one portfolio arm.
-
-    The arm polls its slot of the shared cancel-flag array from inside the
-    CDCL loop; the ``cancel_ignored`` fault disconnects the token (only
-    budgets or the supervisor's hard kill stop the arm then) and
-    ``arm_hang`` wedges the arm outright — both exist to prove the
-    supervisor's escalation ladder actually escalates.
-    """
-    (blob, timeout, conflict_budget, do_simplify, validate_models,
-     key, fault_spec, salt, slot, arm, certify) = payload
-    plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
-    faults.maybe_crash(plan, key, salt)
-    faults.maybe_delay(plan, "worker", key, salt)
-    faults.maybe_raise(plan, "worker", key, salt)
-    faults.maybe_hang(plan, key, salt)
-    flags = _arm_cancel_flags
-    if flags is not None and not faults.ignores_cancel(plan, key, salt):
-        def cancel(_flags=flags, _slot=slot) -> bool:
-            return _flags[_slot] != 0
-    else:
-        cancel = None
-    try:
-        terms = decode_terms(blob)
-        verdict, model, stats = run_arm(
-            arm, terms, timeout=timeout, conflict_budget=conflict_budget,
-            do_simplify=do_simplify, validate_models=validate_models,
-            cancel=cancel, certify=certify)
-    except MemoryError:
-        return CheckResult.UNKNOWN.value, None, {"error": "memory exhausted"}
-    model_blob = (_project_model(model)
-                  if verdict is CheckResult.SAT and model is not None
-                  else None)
-    return verdict.value, model_blob, dict(stats)
-
-
 def _group_payload(preps: list[_Prepared], plen: int,
                    budgets: dict[str, tuple[float | None, int | None]],
                    preprocess: bool, spec: Any, salt: int,
@@ -617,425 +539,6 @@ def _attempt_salt(attempt: int, requeue: int) -> int:
     """Fold the retry attempt and pool-requeue count into one fault salt, so
     every re-dispatch of a query draws a fresh deterministic decision."""
     return attempt * 1024 + requeue
-
-
-# ---------------------------------------------------- portfolio racing
-
-
-def _arm_salt(attempt: int, requeue: int, slot: int) -> int:
-    """A per-arm fault salt: arms of one race draw independent decisions,
-    and a requeued race draws fresh ones for every arm."""
-    return _attempt_salt(attempt, requeue) * 8 + slot
-
-
-def _new_arm_record(arm: ArmSpec) -> dict:
-    return {"arm": arm.name, "strategy": arm.strategy, "verdict": None,
-            "time": None, "conflicts": 0, "cancelled": False,
-            "killed": False, "winner": False}
-
-
-def _finalize_portfolio(port: dict) -> None:
-    """(Re)compute a race's aggregate accounting from its arm records.
-
-    Called once when a race settles and again after stragglers drain, so
-    the aggregates always reflect every arm's final state.
-    """
-    arms = port["arms"]
-    wasted = sum(r["time"] or 0.0 for r in arms if not r["winner"])
-    port["wasted_time"] = wasted
-    port["cancelled"] = sum(1 for r in arms
-                            if r["cancelled"] and not r["winner"])
-    port["killed"] = sum(1 for r in arms if r["killed"])
-    latencies = [r["ack_latency"] for r in arms if "ack_latency" in r]
-    port["cancel_latency"] = max(latencies) if latencies else None
-    winner_time = port.get("winner_time")
-    if winner_time:
-        port["wasted_ratio"] = wasted / (wasted + winner_time)
-
-
-def _race_serial(prep: _Prepared,
-                 budget: tuple[float | None, int | None],
-                 plan: FaultPlan | None, events: dict,
-                 attempt: int, requeue: int, width: int,
-                 certify: bool = False) -> _Outcome:
-    """Serial-degradation racing: try the arms in ladder order in-process,
-    stopping at the first conclusive verdict.
-
-    Arm 0 is the exact non-portfolio baseline, so whenever it answers
-    conclusively this path is bit-identical to portfolio-off solving; the
-    remaining arms only ever turn an UNKNOWN into a real verdict.  The
-    ``arm_hang`` fault is a *worker* fault and deliberately not injected
-    here — a hang in the parent process would take the run down, and the
-    bottom rung of the degradation ladder must always terminate.
-    """
-    timeout, conflicts = budget
-    arms = default_ladder(width)
-    events["portfolio_serial"] = events.get("portfolio_serial", 0) + 1
-    records = [_new_arm_record(arm) for arm in arms]
-    start = time.monotonic()
-    winner: tuple[int, _Outcome] | None = None
-    fallback_stats: dict | None = None
-    for slot, arm in enumerate(arms):
-        salt = _arm_salt(attempt, requeue, slot)
-        rec = records[slot]
-        arm_start = time.monotonic()
-        try:
-            faults.maybe_delay(plan, "local", prep.key, salt)
-            faults.maybe_raise(plan, "local", prep.key, salt)
-            verdict, model, stats = run_arm(
-                arm, list(prep.query.assertions), timeout=timeout,
-                conflict_budget=conflicts,
-                do_simplify=prep.query.do_simplify,
-                validate_models=prep.query.validate_models,
-                certify=certify)
-        except MemoryError:
-            verdict, model, stats = CheckResult.UNKNOWN, None, {
-                "error": "memory exhausted"}
-        except Exception as exc:
-            verdict, model, stats = CheckResult.UNKNOWN, None, {
-                "error": f"{type(exc).__name__}: {exc}"}
-        rec["verdict"] = verdict.value
-        rec["time"] = time.monotonic() - arm_start
-        rec["conflicts"] = int(stats.get("conflicts", 0) or 0)
-        rec["cancelled"] = bool(stats.get("cancelled"))
-        if "error" in stats:
-            rec["error"] = stats["error"]
-        if verdict is not CheckResult.UNKNOWN:
-            rec["winner"] = True
-            winner = (slot, (verdict, model, stats))
-            break
-        if fallback_stats is None:
-            fallback_stats = stats
-    if winner is not None:
-        slot, (verdict, model, stats) = winner
-        stats = dict(stats)
-        port = {"mode": "serial", "width": len(arms),
-                "winner": arms[slot].name,
-                "winner_strategy": arms[slot].strategy,
-                "winner_time": records[slot]["time"],
-                "arms": records[:slot + 1]}
-    else:
-        verdict, model = CheckResult.UNKNOWN, None
-        stats = dict(fallback_stats or {})
-        stats.setdefault("time", time.monotonic() - start)
-        port = {"mode": "serial", "width": len(arms), "winner": None,
-                "winner_time": None, "arms": records}
-    _finalize_portfolio(port)
-    stats["portfolio"] = port
-    return verdict, model, stats
-
-
-@dataclass
-class _Straggler:
-    """A settled race's still-running losers, drained before the pool is
-    reused.  ``records`` and ``port`` alias the winner outcome's stats, so
-    the drain retroactively completes the per-arm accounting the caller
-    already holds — without having delayed the verdict."""
-    futures: dict
-    records: list[dict]
-    port: dict
-    start: float
-    cancel_at: float
-    deadline: float
-
-
-def _drain_stragglers(strag: _Straggler, events: dict) -> bool:
-    """Collect a settled race's losers, up to the cancellation grace.
-
-    Returns False when the pool can no longer be trusted — a loser died,
-    or ignored the cooperative cancel past the grace and must be
-    hard-killed (the caller tears the pool down, which reaps it).
-    """
-    pending = set(strag.futures)
-    pool_ok = True
-    while pending:
-        remaining = strag.deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        done, pending = _futures_wait(pending, timeout=remaining,
-                                      return_when=FIRST_COMPLETED)
-        now = time.monotonic()
-        for future in done:
-            slot, arm = strag.futures[future]
-            rec = strag.records[slot]
-            try:
-                verdict_str, _model_blob, stats = future.result()
-            except BrokenExecutor:
-                rec["killed"] = True
-                pool_ok = False
-                continue
-            except Exception as exc:
-                rec["verdict"] = CheckResult.UNKNOWN.value
-                rec["time"] = now - strag.start
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-                continue
-            rec["verdict"] = verdict_str
-            rec["time"] = float(stats.get("time", now - strag.start))
-            rec["conflicts"] = int(stats.get("conflicts", 0) or 0)
-            rec["cancelled"] = bool(stats.get("cancelled"))
-            rec["ack_latency"] = now - strag.cancel_at
-    if pending:
-        # Grace expired: these arms ignored the cooperative token (the
-        # cancel-ignored / arm-hang faults, or a genuinely wedged solve).
-        # Escalate — the caller replaces the pool, killing the workers.
-        pool_ok = False
-        events["portfolio_kills"] = (events.get("portfolio_kills", 0)
-                                     + len(pending))
-        for future in pending:
-            slot, _arm = strag.futures[future]
-            strag.records[slot]["killed"] = True
-            strag.records[slot]["verdict"] = CheckResult.UNKNOWN.value
-    _finalize_portfolio(strag.port)
-    return pool_ok
-
-
-def _race_pooled(pool: ProcessPoolExecutor, flags, arms: list[ArmSpec],
-                 prep: _Prepared, budget: tuple[float | None, int | None],
-                 spec: Any, attempt: int, requeue: int, interval: float,
-                 grace: float, events: dict, certify: bool = False
-                 ) -> tuple[_Outcome | None, _Straggler | None, bool]:
-    """Race one query's arms on the pool, first conclusive verdict wins.
-
-    Returns ``(outcome, straggler, pool_ok)``.  The outcome is handed back
-    as soon as the winner is known — within one supervision interval of
-    its completion — with any still-running losers packaged as a
-    :class:`_Straggler` for the caller to drain off the verdict path.
-    ``outcome=None`` means the pool broke before any verdict (the caller
-    requeues the race through the crash-recovery ladder);
-    ``pool_ok=False`` means the pool must be torn down and rebuilt.
-    """
-    timeout, conflicts = budget
-    events["portfolio_races"] = events.get("portfolio_races", 0) + 1
-    records = [_new_arm_record(arm) for arm in arms]
-    start = time.monotonic()
-    futures: dict = {}
-    try:
-        for slot, arm in enumerate(arms):
-            payload = (encode_terms(prep.work), timeout, conflicts,
-                       prep.query.do_simplify, prep.query.validate_models,
-                       prep.key, spec, _arm_salt(attempt, requeue, slot),
-                       slot, arm, certify)
-            futures[pool.submit(_worker_solve_arm, payload)] = (slot, arm)
-    except BrokenExecutor:
-        return None, None, False
-    pending = set(futures)
-    winner: tuple[int, CheckResult, dict | None, dict] | None = None
-    cancel_at: float | None = None
-    arm_stats: dict[int, dict] = {}
-    broke = False
-    # Escalation state for the no-winner hang: every arm past its own
-    # budget plus the grace is presumed wedged — cancel cooperatively,
-    # then give up on the race and let the caller kill the pool.
-    hang_deadline = (start + timeout + grace) if timeout is not None else None
-    hang_cancel_at: float | None = None
-
-    while pending:
-        done, pending = _futures_wait(pending, timeout=interval,
-                                      return_when=FIRST_COMPLETED)
-        now = time.monotonic()
-        for future in done:
-            slot, arm = futures[future]
-            rec = records[slot]
-            try:
-                verdict_str, model_blob, stats = future.result()
-            except BrokenExecutor:
-                broke = True
-                continue
-            except Exception as exc:
-                rec["verdict"] = CheckResult.UNKNOWN.value
-                rec["time"] = now - start
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-                arm_stats[slot] = {"error": rec["error"],
-                                   "time": rec["time"]}
-                continue
-            verdict = CheckResult(verdict_str)
-            rec["verdict"] = verdict.value
-            rec["time"] = float(stats.get("time", now - start))
-            rec["conflicts"] = int(stats.get("conflicts", 0) or 0)
-            rec["cancelled"] = bool(stats.get("cancelled"))
-            arm_stats[slot] = stats
-            if cancel_at is not None and not rec["winner"]:
-                rec["ack_latency"] = now - cancel_at
-            if verdict is not CheckResult.UNKNOWN and winner is None:
-                winner = (slot, verdict, model_blob, stats)
-                rec["winner"] = True
-                cancel_at = now
-                for other in range(len(arms)):
-                    if other != slot:
-                        flags[other] = 1
-        if broke:
-            # The pool is gone; every remaining future is dead with it.
-            for future in pending:
-                slot, _arm = futures[future]
-                if records[slot]["verdict"] is None:
-                    records[slot]["killed"] = True
-            if winner is not None:
-                outcome = _race_outcome(winner, records, arms, prep,
-                                        cancel_at, start, finalize=True)
-                return outcome, None, False
-            return None, None, False
-        if winner is not None:
-            if not pending:
-                outcome = _race_outcome(winner, records, arms, prep,
-                                        cancel_at, start, finalize=True)
-                return outcome, None, True
-            # The verdict is decided: hand it back now (the acceptance
-            # bound — winner's time plus one supervision interval) and
-            # leave the cancelled losers to drain off the verdict path.
-            outcome = _race_outcome(winner, records, arms, prep,
-                                    cancel_at, start, finalize=True)
-            strag = _Straggler(
-                futures={f: futures[f] for f in pending},
-                records=records, port=outcome[2]["portfolio"],
-                start=start, cancel_at=cancel_at,
-                deadline=cancel_at + grace)
-            return outcome, strag, True
-        if hang_deadline is not None and now >= hang_deadline and pending:
-            if hang_cancel_at is None:
-                hang_cancel_at = now
-                for slot in range(len(arms)):
-                    flags[slot] = 1
-            elif now >= hang_cancel_at + grace:
-                events["portfolio_kills"] = (
-                    events.get("portfolio_kills", 0) + len(pending))
-                for future in pending:
-                    slot, _arm = futures[future]
-                    records[slot]["killed"] = True
-                    records[slot]["verdict"] = CheckResult.UNKNOWN.value
-                base = arm_stats.get(0) or next(iter(arm_stats.values()), {
-                    "error": "every portfolio arm hung and was killed"})
-                stats = dict(base)
-                stats.setdefault("time", now - start)
-                port = {"mode": "race", "width": len(arms), "winner": None,
-                        "winner_time": None, "arms": records}
-                _finalize_portfolio(port)
-                stats["portfolio"] = port
-                return (CheckResult.UNKNOWN, None, stats), None, False
-
-    # Every arm exhausted its budget: the portfolio's one honest UNKNOWN.
-    base = arm_stats.get(0) or next(iter(arm_stats.values()), {})
-    stats = dict(base)
-    stats.setdefault("time", time.monotonic() - start)
-    port = {"mode": "race", "width": len(arms), "winner": None,
-            "winner_time": None, "arms": records}
-    _finalize_portfolio(port)
-    stats["portfolio"] = port
-    return (CheckResult.UNKNOWN, None, stats), None, True
-
-
-def _race_outcome(winner: tuple[int, CheckResult, dict | None, dict],
-                  records: list[dict], arms: list[ArmSpec],
-                  prep: _Prepared, cancel_at: float | None, start: float,
-                  finalize: bool) -> _Outcome:
-    """Assemble the winning arm's outcome, with the race accounting in
-    ``stats["portfolio"]`` (aliased by any straggler for late updates)."""
-    slot, verdict, model_blob, win_stats = winner
-    stats = dict(win_stats)
-    port = {"mode": "race", "width": len(arms), "winner": arms[slot].name,
-            "winner_strategy": arms[slot].strategy,
-            "winner_time": records[slot]["time"], "arms": records}
-    if finalize:
-        _finalize_portfolio(port)
-    stats["portfolio"] = port
-    return verdict, _model_from_names(model_blob, prep.varmap), stats
-
-
-def _solve_wave_portfolio(wave: list[_Prepared],
-                          budgets: dict[str, tuple[float | None, int | None]],
-                          jobs: int, plan: FaultPlan | None, events: dict,
-                          attempt: int, width: int,
-                          certify: bool = False) -> dict[str, _Outcome]:
-    """Solve one wave with portfolio racing, query by query.
-
-    Arms share one pool of ``min(width, jobs)`` workers — never
-    oversubscribed — so races run sequentially across the wave.  Pool
-    breakage follows the standard crash-recovery ladder: requeue the race
-    with a fresh fault salt, rebuild under capped backoff, degrade to
-    serial arm attempts after ``PUGPARA_POOL_RETRIES`` failures.  The
-    ``finally`` teardown is unconditional, so neither SIGINT nor an
-    exception nor a hung arm leaves worker processes behind.
-    """
-    results: dict[str, _Outcome] = {}
-    width_eff = effective_width(width, jobs)
-    if jobs < 2 or width_eff < 2 or events.get("degraded"):
-        for prep in wave:
-            results[prep.key] = _race_serial(
-                prep, budgets[prep.key], plan, events, attempt, 0,
-                width_eff, certify)
-        return results
-
-    arms = default_ladder(width_eff)
-    spec = plan.to_spec() if plan is not None else None
-    rlimit = _worker_rlimit_mb()
-    interval = supervision_interval()
-    grace = cancel_grace()
-    flags = multiprocessing.Array("i", len(arms), lock=False)
-    pool: ProcessPoolExecutor | None = None
-    straggler: _Straggler | None = None
-    failures = 0
-    max_failures = _pool_retries()
-    backoff = _pool_backoff()
-    pending: list[tuple[_Prepared, int]] = [(p, 0) for p in wave]
-    try:
-        while pending:
-            prep, requeue = pending.pop(0)
-            if events.get("degraded"):
-                results[prep.key] = _race_serial(
-                    prep, budgets[prep.key], plan, events, attempt,
-                    requeue, width_eff, certify)
-                continue
-            if straggler is not None:
-                if not _drain_stragglers(straggler, events):
-                    if pool is not None:
-                        _teardown_pool(pool)
-                        pool = None
-                straggler = None
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=len(arms),
-                    initializer=_portfolio_worker_init,
-                    initargs=(rlimit, flags))
-            for slot in range(len(arms)):
-                flags[slot] = 0
-            outcome, straggler, pool_ok = _race_pooled(
-                pool, flags, arms, prep, budgets[prep.key], spec,
-                attempt, requeue, interval, grace, events, certify)
-            if not pool_ok:
-                straggler = None
-                if pool is not None:
-                    _teardown_pool(pool)
-                    pool = None
-            if outcome is None:
-                # The pool broke before any verdict: requeue this race
-                # with a bumped salt, following the recovery ladder.
-                failures += 1
-                events["worker_restarts"] = (
-                    events.get("worker_restarts", 0) + 1)
-                if failures >= max_failures:
-                    events["degraded"] = True
-                    log.warning(
-                        "portfolio pool failed %d times in a row; "
-                        "degrading to serial arm attempts", failures)
-                    results[prep.key] = _race_serial(
-                        prep, budgets[prep.key], plan, events, attempt,
-                        requeue + 1, width_eff, certify)
-                    continue
-                sleep = min(1.0, backoff * (2 ** (failures - 1)))
-                log.warning(
-                    "portfolio pool broke mid-race; rebuilding after "
-                    "%.2fs backoff (failure %d/%d)",
-                    sleep, failures, max_failures)
-                if sleep > 0:
-                    time.sleep(sleep)
-                pending.insert(0, (prep, requeue + 1))
-                continue
-            results[prep.key] = outcome
-    finally:
-        if straggler is not None and pool is not None:
-            _drain_stragglers(straggler, events)
-        if pool is not None:
-            _teardown_pool(pool)
-    return results
 
 
 def _solve_wave_pool(wave: list[_Prepared],
@@ -1355,7 +858,7 @@ def _attempt_record(attempt: int, timeout: float | None,
 def _solve_batch(leaders: list[_Prepared], *, jobs: int,
                  policy: RetryPolicy, plan: FaultPlan | None,
                  events: dict, incremental: bool = False,
-                 preprocess: bool = True, portfolio: int = 0,
+                 preprocess: bool = True,
                  certify: bool = False) -> dict[str, _Outcome]:
     """Solve every leader, retrying UNKNOWNs under escalated budgets."""
     outcomes: dict[str, _Outcome] = {}
@@ -1368,24 +871,17 @@ def _solve_batch(leaders: list[_Prepared], *, jobs: int,
                                   attempt)
             for p in wave}
         solved = None
-        if portfolio >= 2:
-            # Portfolio racing subsumes the strategy choice — incremental
-            # and preprocessed solving are arms of the ladder.
-            solved = _solve_wave_portfolio(wave, budgets, jobs, plan,
-                                           events, attempt, portfolio,
-                                           certify)
-        elif incremental and len(wave) > 1:
+        if incremental and len(wave) > 1:
             # Retries re-enter the same grouping each attempt; the salt
             # advances with the attempt so faults draw fresh decisions.
             solved = _solve_wave_incremental(wave, budgets, jobs, plan,
                                              events, attempt, preprocess,
                                              certify)
-        if solved is not None:
-            pass
-        elif jobs > 1 and len(wave) > 1 and not events.get("degraded"):
+        if solved is None and jobs > 1 and len(wave) > 1 \
+                and not events.get("degraded"):
             solved = _solve_wave_pool(wave, budgets, jobs, plan, events,
                                       attempt, certify)
-        else:
+        if solved is None:
             solved = {
                 p.key: _solve_local_guarded(
                     p.query, *budgets[p.key], plan, p.key,
@@ -1438,18 +934,15 @@ def solve_query(query: Query,
                 policy: RetryPolicy | None = None,
                 incremental: bool | None = None,
                 preprocess: bool | None = None,
-                portfolio: int | None = None,
                 certify: bool | None = None) -> QueryResult:
     """Solve one query in-process, through the canonical cache.
 
     A single query never forms a shared-prefix group, so ``incremental``
     is accepted only for interface symmetry with :func:`solve_all`.
-    ``portfolio`` races the query across diversified arms — at one job
-    this is the serial early-exit ladder.
     """
     return solve_all([query], jobs=1, cache=cache, policy=policy,
                      incremental=incremental, preprocess=preprocess,
-                     portfolio=portfolio, certify=certify)[0]
+                     certify=certify)[0]
 
 
 def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
@@ -1457,7 +950,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
               policy: RetryPolicy | None = None,
               incremental: bool | None = None,
               preprocess: bool | None = None,
-              portfolio: int | None = None,
               certify: bool | None = None) -> list[QueryResult]:
     """Solve every query; results come back in input order.
 
@@ -1475,14 +967,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     (default: :func:`default_preprocess`, i.e. ``PUGPARA_PREPROCESS``).
     Verdicts are identical either way; only wall-clock changes.
 
-    ``portfolio`` (default: :func:`default_portfolio`, i.e.
-    ``PUGPARA_PORTFOLIO``; ``None``/0/1 = off) races each cache miss
-    across that many diversified strategy/heuristic arms, first
-    conclusive verdict wins; the race accounting lands in
-    ``stats["portfolio"]``.  Verdicts match single-strategy solving;
-    which arm's (equally valid) model wins at ``jobs>=2`` is
-    wall-clock-dependent.
-
     ``certify`` (default: :func:`default_certify`, i.e.
     ``PUGPARA_CERTIFY``) requires every UNSAT verdict to carry a checked
     DRAT proof; a rejected proof surfaces as UNKNOWN with
@@ -1499,8 +983,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
         incremental = default_incremental()
     if preprocess is None:
         preprocess = default_preprocess()
-    if portfolio is None:
-        portfolio = default_portfolio() or 0
     if certify is None:
         certify = default_certify()
     cache_obj = resolve_cache(cache)
@@ -1533,8 +1015,7 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     events: dict = {}
     solved = _solve_batch(leaders, jobs=jobs, policy=policy, plan=plan,
                           events=events, incremental=incremental,
-                          preprocess=preprocess, portfolio=portfolio,
-                          certify=certify)
+                          preprocess=preprocess, certify=certify)
     entries: dict[str, dict] = {}
     leader_models: dict[str, Model | None] = {}
     for prep in leaders:
@@ -1589,7 +1070,6 @@ def solve_stream(queries, *, jobs: int | None = None,
                  policy: RetryPolicy | None = None,
                  incremental: bool | None = None,
                  preprocess: bool | None = None,
-                 portfolio: int | None = None,
                  certify: bool | None = None,
                  chunk: int | None = None,
                  latency: dict | None = None):
@@ -1600,7 +1080,7 @@ def solve_stream(queries, *, jobs: int | None = None,
     each VC on demand); it is pulled ``chunk`` queries at a time, each
     chunk solved through the full :func:`solve_all` machinery — canonical
     cache, duplicate folding, retry policy, worker pool, incremental
-    grouping, portfolio racing — and yielded before the next chunk is
+    grouping — and yielded before the next chunk is
     even pulled.  Two consequences:
 
     * **time-to-first-verdict drops** from "encode everything, then
@@ -1641,8 +1121,7 @@ def solve_stream(queries, *, jobs: int | None = None,
             latency["chunks"] = chunks
         for result in solve_all(block, jobs=jobs, cache=cache,
                                 policy=policy, incremental=incremental,
-                                preprocess=preprocess, portfolio=portfolio,
-                                certify=certify):
+                                preprocess=preprocess, certify=certify):
             if first:
                 first = False
                 if latency is not None:

@@ -9,11 +9,6 @@ failure points and a :class:`FaultPlan` describing which faults to inject:
 * ``solver_exception`` — a solve raises an :class:`InjectedFault`;
 * ``delay``          — an artificial stall before solving;
 * ``corrupt_cache``  — a disk-cache write is garbled before it lands;
-* ``arm_hang``       — a portfolio arm wedges (a long sleep that ignores
-  the cooperative cancel token), exercising the supervisor's escalation
-  from cancel to hard worker kill;
-* ``cancel_ignored`` — an arm runs with its cancel token disconnected, so
-  only its own budget or the supervisor's deadline can stop it;
 * ``flip_unsat``     — the solver *lies*: a satisfiable query is reported
   UNSAT, the false-VERIFIED failure mode proof certification exists to
   catch (with ``--certify`` the bogus verdict is rejected to UNKNOWN;
@@ -47,8 +42,8 @@ from ..errors import SolverError
 
 __all__ = [
     "FAULTS_ENV", "FaultPlan", "InjectedFault", "active", "clear",
-    "corrupt_bytes", "flips_unsat", "ignores_cancel", "install", "injected",
-    "maybe_crash", "maybe_delay", "maybe_hang", "maybe_raise",
+    "corrupt_bytes", "flips_unsat", "install", "injected", "maybe_crash",
+    "maybe_delay", "maybe_raise",
 ]
 
 #: Environment variable holding an ambient fault-plan spec.
@@ -77,11 +72,8 @@ class FaultPlan:
     solver_exception: float = 0.0
     delay: float = 0.0
     corrupt_cache: float = 0.0
-    arm_hang: float = 0.0
-    cancel_ignored: float = 0.0
     flip_unsat: float = 0.0
     delay_seconds: float = 0.005
-    hang_seconds: float = 30.0
     max_triggers: int | None = None
 
     # -- deterministic decisions --------------------------------------
@@ -200,24 +192,6 @@ def maybe_crash(plan: FaultPlan | None, key: str, salt: int = 0) -> None:
     if plan is not None and plan.decide("worker.crash", key, salt,
                                         plan.worker_crash):
         os._exit(CRASH_EXIT_STATUS)
-
-
-def maybe_hang(plan: FaultPlan | None, key: str, salt: int = 0) -> None:
-    """Wedge the current portfolio arm: sleep for ``hang_seconds`` in short
-    slices, *ignoring* the cooperative cancel token (that is the point —
-    the supervisor must escalate to a hard kill).  Sliced so an unfaulted
-    interactive run is still interruptible by SIGKILL quickly."""
-    if plan is not None and plan.decide("arm.hang", key, salt,
-                                        plan.arm_hang):
-        deadline = time.monotonic() + plan.hang_seconds
-        while time.monotonic() < deadline:
-            time.sleep(0.02)
-
-
-def ignores_cancel(plan: FaultPlan | None, key: str, salt: int = 0) -> bool:
-    """Whether this arm should run with its cancel token disconnected."""
-    return plan is not None and plan.decide("arm.cancel_ignored", key, salt,
-                                            plan.cancel_ignored)
 
 
 def flips_unsat(plan: FaultPlan | None, key: str, salt: int = 0) -> bool:

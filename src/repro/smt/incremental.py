@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import faults
 from .arrays import ArrayEliminator
@@ -47,7 +47,7 @@ from .cnf import ClauseDB, GateBuilder
 from .model import Model
 from .preprocess import Preprocessor
 from .rewrite import Facts
-from .sat import SATConfig, SATResult, SATSolver, STAT_COUNTER_KEYS
+from .sat import SATResult, SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
 from .simplify import harvest_facts, propagate, simplify
 from .solver import CheckResult
@@ -102,19 +102,13 @@ def solve_group(prefix: Sequence[Term],
                 preprocess: bool = True,
                 validate_models: bool = False,
                 originals: Sequence[Sequence[Term]] | None = None,
-                sat_config: SATConfig | None = None,
-                cancel: Callable[[], bool] | None = None,
                 certify: bool = False) -> list[GroupResult]:
     """Solve ``prefix + residuals[i]`` for every ``i`` incrementally.
 
     Verdicts are identical to running the one-shot facade on each
     ``prefix + residual`` (modulo budget-induced UNKNOWNs, which stay
     one-sided).  ``originals`` supplies the untouched assertion lists used
-    for model validation when ``validate_models`` is set.  ``sat_config``
-    diversifies the shared CDCL instance (portfolio arms); ``cancel`` is
-    polled before each member solve and inside the CDCL loop — on
-    cancellation the remaining members answer UNKNOWN with
-    ``stats["cancelled"]`` set (and no budget axis).
+    for model validation when ``validate_models`` is set.
 
     With ``certify`` the group CNF and every derivation are logged to one
     shared DRAT proof; each member's UNSAT is re-checked against the log
@@ -241,7 +235,7 @@ def solve_group(prefix: Sequence[Term],
     # substitution folds member circuits against prefix facts and replayed
     # templates land in the clause arena with no intermediate copy.  The
     # preprocessing path still needs the raw CNF in a ClauseDB.
-    backend = ClauseDB() if preprocess else SATSolver(sat_config)
+    backend = ClauseDB() if preprocess else SATSolver()
     if log is not None and not preprocess:
         backend.attach_proof(log)  # type: ignore[union-attr]
     bb = BitBlaster(GateBuilder(backend))
@@ -272,7 +266,7 @@ def solve_group(prefix: Sequence[Term],
                            proof=log).run()
         if not pre.ok:
             return finish_all(cnf_unsat_maker())
-        sat = SATSolver(sat_config)
+        sat = SATSolver()
         if log is not None:
             sat.attach_proof(log, adopt=True)
         sat.new_vars(db.num_vars)
@@ -302,14 +296,6 @@ def solve_group(prefix: Sequence[Term],
             continue
         stats = dict(base_stats)
         stats["setup_share"] = setup_time / open_count
-        if cancel is not None and cancel():
-            stats["cancelled"] = True
-            stats["sat_time"] = 0.0
-            stats["time"] = stats["setup_share"]
-            for key in STAT_COUNTER_KEYS:
-                stats[key] = 0
-            results[i] = (CheckResult.UNKNOWN, None, stats)
-            continue
         before = dict(sat.stats)
         assumptions = [guards[i]] if guards[i] is not None else []
         solve_start = time.monotonic()
@@ -331,8 +317,7 @@ def solve_group(prefix: Sequence[Term],
             continue
         res = sat.solve(deadline=deadline,
                         conflict_budget=conflict_budgets[i],
-                        assumptions=assumptions,
-                        cancel=cancel)
+                        assumptions=assumptions)
         if res is SATResult.SAT and faults.flips_unsat(
                 faults.active(), f"group:{sat.num_vars}", salt=i):
             res = SATResult.UNSAT  # the lying-solver fault
@@ -361,10 +346,7 @@ def solve_group(prefix: Sequence[Term],
             results[i] = (CheckResult.UNSAT, None, stats)
             continue
         if res is SATResult.UNKNOWN:
-            if sat.stats.get("cancelled"):
-                stats["cancelled"] = True
-            else:
-                stats["budget_axis"] = sat.stats.get("budget_axis", "time")
+            stats["budget_axis"] = sat.stats.get("budget_axis", "time")
             results[i] = (CheckResult.UNKNOWN, None, stats)
             continue
         # SAT: reconstruct the model through the preprocessor, then up

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .sat.luby import luby
 
-__all__ = ["ESCALATIONS", "RetryPolicy", "cancel_grace", "default_policy",
-           "supervision_interval"]
+__all__ = ["ESCALATIONS", "RetryPolicy", "default_policy"]
 
 #: The recognised escalation schedules.
 ESCALATIONS = ("geometric", "luby")
@@ -93,32 +92,6 @@ class RetryPolicy:
             if self.max_conflicts is not None:
                 scaled_conflicts = min(scaled_conflicts, self.max_conflicts)
         return scaled_timeout, scaled_conflicts
-
-
-def supervision_interval() -> float:
-    """How often (seconds) the portfolio supervisor polls racing arms.
-
-    This bounds the cancellation latency a losing arm can add to a race:
-    the final verdict lands within the winner's time plus one interval.
-    ``PUGPARA_SUPERVISE_INTERVAL`` overrides (floored at 1 ms so a typo
-    cannot spin the supervisor).
-    """
-    try:
-        value = float(os.environ.get("PUGPARA_SUPERVISE_INTERVAL", "0.05"))
-    except ValueError:
-        value = 0.05
-    return max(0.001, value)
-
-
-def cancel_grace() -> float:
-    """How long (seconds) a cancelled arm gets to acknowledge the
-    cooperative token before the supervisor escalates to a hard worker
-    kill and pool rebuild.  ``PUGPARA_CANCEL_GRACE`` overrides."""
-    try:
-        value = float(os.environ.get("PUGPARA_CANCEL_GRACE", "1.0"))
-    except ValueError:
-        value = 1.0
-    return max(0.0, value)
 
 
 def default_policy() -> RetryPolicy:

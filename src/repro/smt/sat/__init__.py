@@ -8,13 +8,11 @@ restarts, activity-based learned-clause deletion, assumptions, and time /
 conflict budgets (the paper's ``T.O`` rows come from these budgets).
 """
 
-from .solver import (RESTART_SCHEDULES, STAT_COUNTER_KEYS, SATConfig,
-                     SATResult, SATSolver)
+from .solver import STAT_COUNTER_KEYS, SATConfig, SATResult, SATSolver
 from .proof import CheckedProof, ProofLog, check_proof
 from .luby import luby
 from .dimacs import load_into, parse_dimacs, to_dimacs
 
-__all__ = ["RESTART_SCHEDULES", "STAT_COUNTER_KEYS", "SATConfig",
-           "SATSolver", "SATResult",
+__all__ = ["STAT_COUNTER_KEYS", "SATConfig", "SATSolver", "SATResult",
            "CheckedProof", "ProofLog", "check_proof",
            "luby", "load_into", "parse_dimacs", "to_dimacs"]

@@ -48,20 +48,10 @@ subset of assumptions the final conflict depends on.  Time and conflict
 budgets return ``UNKNOWN`` and record which axis was binding in
 ``stats["budget_axis"]``; the checkers report that as the paper's ``T.O``.
 
-Two extensions serve the portfolio runtime (:mod:`repro.smt.portfolio`):
-
-* **Diversification** — a :class:`SATConfig` parameterizes the CDCL
-  heuristics (VSIDS decay, restart schedule, phase-saving polarity, a
-  deterministic decision-randomization seed).  Any config is sound and
-  complete, so diversified instances may disagree only on *which* model
-  they find, never on the verdict.
-* **Cooperative cancellation** — :meth:`SATSolver.solve` accepts a
-  ``cancel`` callable, polled at the same cadence as the deadline (every
-  128 conflicts, every 256 decisions, at every restart, and between
-  vivification steps).  When it returns True the solve abandons search
-  with ``UNKNOWN`` and sets ``stats["cancelled"]`` — no budget axis is
-  recorded, so a cancelled attempt is never mistaken for budget
-  exhaustion, including when the cancel lands inside inprocessing.
+The branching heuristics are fixed: VSIDS with activity decay
+``_VAR_DECAY``, Luby restarts scaled by ``_RESTART_BASE`` conflicts, and
+phase saving that starts every fresh variable at polarity
+``_DEFAULT_PHASE`` (decide False first, as MiniSat does).
 """
 
 from __future__ import annotations
@@ -71,14 +61,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappush, heappop
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .luby import luby
 from .proof import ProofLog
 from ...errors import SolverError
 
-__all__ = ["SATSolver", "SATResult", "SATConfig", "RESTART_SCHEDULES",
-           "STAT_COUNTER_KEYS"]
+__all__ = ["SATSolver", "SATResult", "SATConfig", "STAT_COUNTER_KEYS"]
 
 #: Monotone per-solve counters in ``SATSolver.stats`` — the keys the facade
 #: and the incremental group loop copy (as deltas) into query stats, and that
@@ -89,44 +78,24 @@ STAT_COUNTER_KEYS = (
     "vivified", "vivify_lits", "subsumed", "compactions",
 )
 
-#: Recognised restart schedules for :class:`SATConfig`.
-RESTART_SCHEDULES = ("luby", "geometric")
+#: VSIDS activity decay: activities are *divided* by this per conflict.
+_VAR_DECAY = 0.95
 
-_MASK64 = (1 << 64) - 1
+#: Conflicts in the first restart; restart ``i`` gets ``luby(i)`` times it.
+_RESTART_BASE = 100
+
+#: Initial saved polarity of fresh variables (``1`` decides False first).
+_DEFAULT_PHASE = 1
 
 
 @dataclass(frozen=True)
 class SATConfig:
-    """CDCL heuristic configuration — the portfolio's diversification axes.
+    """Per-instance solver options: inprocessing and proof logging.
 
     ``SATSolver()`` and ``SATSolver(SATConfig())`` are indistinguishable.
-    Every configuration is sound and complete: arms may differ in which
-    model they report and how fast they get there, never in the verdict.
 
     Parameters
     ----------
-    var_decay:
-        VSIDS activity decay (activities are *divided* by this per
-        conflict; smaller = more aggressive focus on recent conflicts).
-    clause_decay:
-        Retained for configuration compatibility; the clause database is
-        now reduced by glue (LBD) and recency rather than activity.
-    restart_base:
-        Conflicts allowed before the first restart.
-    restart_schedule:
-        ``"luby"`` (restart ``i`` gets ``restart_base * luby(i)``) or
-        ``"geometric"`` (``restart_base * restart_factor ** (i - 1)``).
-    restart_factor:
-        Growth base of the geometric schedule.
-    default_phase:
-        Initial saved polarity of fresh variables: ``1`` decides False
-        first (MiniSat's default), ``0`` decides True first.
-    seed:
-        When not None, enables deterministic decision-polarity
-        randomization (an xorshift64* stream — no global RNG state).
-    random_freq:
-        Fraction of decisions whose polarity is flipped at random
-        (only with ``seed`` set).
     inprocess:
         Enables periodic vivification and on-the-fly subsumption of
         learned clauses.  ``PUGPARA_INPROCESS=0`` in the environment
@@ -139,26 +108,8 @@ class SATConfig:
         the search; a caller that attaches a shared log via
         :meth:`SATSolver.attach_proof` takes precedence over this flag.
     """
-    var_decay: float = 0.95
-    clause_decay: float = 0.999
-    restart_base: int = 100
-    restart_schedule: str = "luby"
-    restart_factor: float = 1.5
-    default_phase: int = 1
-    seed: int | None = None
-    random_freq: float = 0.0
     inprocess: bool = True
     certify: bool = False
-
-    def __post_init__(self) -> None:
-        if self.restart_schedule not in RESTART_SCHEDULES:
-            raise SolverError(
-                f"unknown restart schedule {self.restart_schedule!r}; "
-                f"expected one of {RESTART_SCHEDULES}")
-        if not 0.0 < self.var_decay <= 1.0:
-            raise SolverError("var_decay must be in (0, 1]")
-        if self.default_phase not in (0, 1):
-            raise SolverError("default_phase must be 0 or 1")
 
 
 #: The configuration every solver uses unless told otherwise.
@@ -246,13 +197,10 @@ class SATSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        # Heuristic state (VSIDS with a lazy heap), set by the config.
+        # Heuristic state (VSIDS with a lazy heap).
         self.var_inc = 1.0
-        self.var_decay = 1.0 / self.config.var_decay
+        self.var_decay = 1.0 / _VAR_DECAY
         self.order_heap: list[tuple[float, int]] = []
-        # Deterministic decision-randomization stream (xorshift64*); no
-        # global RNG state, so parallel instances never interfere.
-        self._rng = ((self.config.seed or 0) * 2 + 1) & _MASK64
         self.ok = True
         self._pending_prop = False
         self.inprocess = (self.config.inprocess and
@@ -297,7 +245,7 @@ class SATSolver:
         self.levels.append(0)
         self.reasons.append(-1)
         self.activity.append(0.0)
-        self.phase.append(self.config.default_phase)
+        self.phase.append(_DEFAULT_PHASE)
         self.watches.append([])
         self.watches.append([])
         heappush(self.order_heap, (0.0, v))
@@ -315,7 +263,7 @@ class SATSolver:
         self.levels += [0] * n
         self.reasons += [-1] * n
         self.activity += [0.0] * n
-        self.phase += [self.config.default_phase] * n
+        self.phase += [_DEFAULT_PHASE] * n
         self.watches += [[] for _ in range(2 * n)]
         # Appending preserves the heap invariant without a heapify: every
         # existing key is ``(-activity, var)`` with activity >= 0 and var <
@@ -909,21 +857,16 @@ class SATSolver:
 
     # ----------------------------------------------------------- vivification
 
-    def _vivify_round(self, deadline: float | None,
-                      cancel: Callable[[], bool] | None) -> str:
+    def _vivify_round(self, deadline: float | None) -> str:
         """One budgeted vivification pass over learned clauses at level 0.
 
         For each selected clause the negations of its literals are assumed
         one at a time with propagation in between; implied/falsified
         literals shorten the clause, a conflict or implied literal replaces
-        it by the derived prefix.  Returns ``"ok"``, ``"cancelled"`` or
-        ``"deadline"``; may set ``self.ok = False`` when a clause reduces
-        to the empty clause (the instance is UNSAT at level 0).
-
-        The cancel token and deadline are polled between clauses — the
-        PR 5 cancellation contract extends into inprocessing phases, so a
-        cancelled solve inside vivification still reports ``cancelled``
-        and never a budget axis.
+        it by the derived prefix.  Returns ``"ok"`` or ``"deadline"`` (the
+        deadline is polled between clauses); may set ``self.ok = False``
+        when a clause reduces to the empty clause (the instance is UNSAT at
+        level 0).
         """
         arena = self.arena
         offs = [o for o in self.learnt_offs
@@ -938,10 +881,6 @@ class SATSolver:
             if examined >= _VIVIFY_CLAUSES or \
                     self.stats["propagations"] - props_before > _VIVIFY_PROPS:
                 break
-            if cancel is not None and cancel():
-                self._backtrack(0)
-                self.stats["cancelled"] = True
-                return "cancelled"
             if deadline is not None and time.monotonic() > deadline:
                 self._backtrack(0)
                 return "deadline"
@@ -1015,39 +954,15 @@ class SATSolver:
 
     # ------------------------------------------------------------------ solve
 
-    def _rand(self) -> float:
-        """Next deterministic fraction in [0, 1) (xorshift64*)."""
-        x = self._rng
-        x ^= (x << 13) & _MASK64
-        x ^= x >> 7
-        x ^= (x << 17) & _MASK64
-        self._rng = x
-        return ((x * 0x2545F4914F6CDD1D) & _MASK64) / float(1 << 64)
-
-    def _restart_budget(self, restart_num: int) -> int:
-        cfg = self.config
-        if cfg.restart_schedule == "geometric":
-            return max(1, int(cfg.restart_base
-                              * cfg.restart_factor ** (restart_num - 1)))
-        return cfg.restart_base * luby(restart_num)
-
     def solve(self, deadline: float | None = None,
               conflict_budget: int | None = None,
-              assumptions: Iterable[int] = (),
-              cancel: Callable[[], bool] | None = None) -> SATResult:
+              assumptions: Iterable[int] = ()) -> SATResult:
         """Decide satisfiability, optionally under assumption literals.
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp;
         ``conflict_budget`` caps the conflicts of *this call*.  Exceeding
         either yields :data:`SATResult.UNKNOWN` and records the binding axis
         in ``stats["budget_axis"]`` (``"time"`` or ``"conflicts"``).
-
-        ``cancel`` is a zero-argument callable polled alongside the
-        deadline (every 128 conflicts / 256 decisions, at every restart,
-        and between vivification steps).  When it returns True the solve
-        gives up cooperatively: the answer is :data:`SATResult.UNKNOWN`
-        with ``stats["cancelled"]`` set and *no* budget axis — a cancelled
-        race arm must never masquerade as budget exhaustion.
 
         ``assumptions`` are established as forced decisions before any
         branching; an UNSAT answer caused by them leaves ``ok`` True,
@@ -1056,7 +971,6 @@ class SATSolver:
         unwound first; learned clauses persist.
         """
         self.stats.pop("budget_axis", None)
-        self.stats.pop("cancelled", None)
         self._backtrack(0)
         self._assumptions = list(assumptions)
         self.conflict_assumptions = []
@@ -1071,17 +985,11 @@ class SATSolver:
         max_learnts = max(2000, self.n_orig)
         while True:
             restart_num += 1
-            if cancel is not None and cancel():
-                self.stats["cancelled"] = True
-                self._backtrack(0)
-                return SATResult.UNKNOWN
-            res = self._search(self._restart_budget(restart_num), deadline,
-                               cancel)
+            res = self._search(_RESTART_BASE * luby(restart_num), deadline)
             if res is not None:
                 if res is not SATResult.SAT:
                     self._backtrack(0)
-                if res is SATResult.UNKNOWN and \
-                        not self.stats.get("cancelled"):
+                if res is SATResult.UNKNOWN:
                     self.stats["budget_axis"] = "time"
                 return res
             self.stats["restarts"] += 1
@@ -1093,10 +1001,7 @@ class SATSolver:
             if self.inprocess and \
                     self.stats["conflicts"] >= self._next_vivify:
                 self._next_vivify = self.stats["conflicts"] + _VIVIFY_PERIOD
-                verdict = self._vivify_round(deadline, cancel)
-                if verdict == "cancelled":
-                    return SATResult.UNKNOWN
-                if verdict == "deadline":
+                if self._vivify_round(deadline) == "deadline":
                     self.stats["budget_axis"] = "time"
                     return SATResult.UNKNOWN
                 if not self.ok:
@@ -1107,13 +1012,12 @@ class SATSolver:
 
     def solve_under_assumptions(self, assumptions: Iterable[int],
                                 deadline: float | None = None,
-                                conflict_budget: int | None = None,
-                                cancel: Callable[[], bool] | None = None
+                                conflict_budget: int | None = None
                                 ) -> SATResult:
         """:meth:`solve` with the assumption argument first, for callers
         whose primary axis is the per-query assumption literal."""
         return self.solve(deadline=deadline, conflict_budget=conflict_budget,
-                          assumptions=assumptions, cancel=cancel)
+                          assumptions=assumptions)
 
     def reset_to_root(self) -> None:
         """Unwind all decisions (e.g. a satisfying trail) so clauses may be
@@ -1149,11 +1053,10 @@ class SATSolver:
                         seen[q >> 1] = 1
         return out
 
-    def _search(self, budget: int, deadline: float | None,
-                cancel: Callable[[], bool] | None = None
-                ) -> SATResult | None:
-        """CDCL until SAT/UNSAT, ``budget`` conflicts (``None`` = restart),
-        the deadline, or a cooperative cancel (``UNKNOWN``)."""
+    def _search(self, budget: int,
+                deadline: float | None) -> SATResult | None:
+        """CDCL until SAT/UNSAT, ``budget`` conflicts (``None`` = restart)
+        or the deadline (``UNKNOWN``)."""
         conflicts = 0
         n_assumptions = len(self._assumptions)
         stats = self.stats
@@ -1186,20 +1089,13 @@ class SATSolver:
                 self.var_inc *= self.var_decay
                 if conflicts >= budget:
                     return None
-                if conflicts & 127 == 0:
-                    if cancel is not None and cancel():
-                        stats["cancelled"] = True
-                        return SATResult.UNKNOWN
-                    if deadline is not None and \
-                            time.monotonic() > deadline:
-                        return SATResult.UNKNOWN
+                if conflicts & 127 == 0 and deadline is not None and \
+                        time.monotonic() > deadline:
+                    return SATResult.UNKNOWN
                 continue
-            if stats["decisions"] & 255 == 0:
-                if cancel is not None and cancel():
-                    stats["cancelled"] = True
-                    return SATResult.UNKNOWN
-                if deadline is not None and time.monotonic() > deadline:
-                    return SATResult.UNKNOWN
+            if stats["decisions"] & 255 == 0 and deadline is not None and \
+                    time.monotonic() > deadline:
+                return SATResult.UNKNOWN
             if len(self.trail_lim) < n_assumptions:
                 # Establish the next assumption as a forced decision.
                 p = self._assumptions[len(self.trail_lim)]
@@ -1218,12 +1114,7 @@ class SATSolver:
                 return SATResult.SAT
             stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))
-            phase = self.phase[var]
-            cfg = self.config
-            if cfg.random_freq and cfg.seed is not None and \
-                    self._rand() < cfg.random_freq:
-                phase ^= 1
-            self._enqueue((var << 1) | phase, -1)
+            self._enqueue((var << 1) | self.phase[var], -1)
 
     # ------------------------------------------------------------------ model
 

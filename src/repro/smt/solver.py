@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Callable
-
 from . import faults
 from .arrays import eliminate_arrays
 from .bitblast import BitBlaster
 from .cnf import ClauseDB, GateBuilder
 from .model import Model
 from .preprocess import Preprocessor
-from .sat import SATConfig, SATSolver, STAT_COUNTER_KEYS
+from .sat import SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
 from .simplify import simplify_all
 from .sorts import ArraySort
@@ -70,15 +68,6 @@ class Solver:
         Run the SatELite-style CNF preprocessing pass
         (:mod:`repro.smt.preprocess`) on the blasted clauses before
         solving; models are reconstructed through the eliminations.
-    sat_config:
-        CDCL heuristic configuration (:class:`~repro.smt.sat.SATConfig`)
-        for the underlying SAT core — the portfolio's diversification
-        handle.  ``None`` keeps the historical defaults bit for bit.
-    cancel:
-        Zero-argument callable polled between pipeline phases and inside
-        the CDCL search loop; when it returns True the check abandons
-        work and answers ``UNKNOWN`` with ``stats["cancelled"]`` set
-        (never a budget axis — cancellation is not exhaustion).
     certify:
         Require a checked DRAT proof for every UNSAT answer: the SAT
         layer logs its derivation and the independent checker
@@ -94,16 +83,12 @@ class Solver:
                  do_simplify: bool = True,
                  validate_models: bool = False,
                  preprocess: bool = False,
-                 sat_config: SATConfig | None = None,
-                 cancel: Callable[[], bool] | None = None,
                  certify: bool = False) -> None:
         self.timeout = timeout
         self.conflict_budget = conflict_budget
         self.do_simplify = do_simplify
         self.validate_models = validate_models
         self.preprocess = preprocess
-        self.sat_config = sat_config
-        self.cancel = cancel
         self.certify = certify
         self.assertions: list[Term] = []
         self._model: Model | None = None
@@ -115,14 +100,6 @@ class Solver:
                 self.assertions.append(t)
             else:
                 raise SolverError(f"assertion must be Bool-sorted, got {t.sort!r}")
-
-    def _cancelled(self, start: float) -> bool:
-        """Poll the cancel token between pipeline phases."""
-        if self.cancel is not None and self.cancel():
-            self.stats["cancelled"] = True
-            self._finish(start, conflicts=0)
-            return True
-        return False
 
     def check(self) -> CheckResult:
         """Decide satisfiability of the conjunction of all assertions."""
@@ -144,8 +121,6 @@ class Solver:
             self._model = Model({})
             self._finish(start, conflicts=0)
             return CheckResult.SAT
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
 
         elim_start = time.monotonic()
         flat, info = eliminate_arrays(work)
@@ -157,8 +132,6 @@ class Solver:
                 self._finish(start, conflicts=0)
                 return CheckResult.UNSAT
         self.stats["array_time"] = time.monotonic() - elim_start
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
 
         blast_start = time.monotonic()
         pre = None
@@ -166,15 +139,13 @@ class Solver:
         if self.preprocess:
             bb = BitBlaster(GateBuilder(ClauseDB()))
         else:
-            core = SATSolver(self.sat_config)
+            core = SATSolver()
             if log is not None:
                 core.attach_proof(log)
             bb = BitBlaster(GateBuilder(core))
         for t in flat:
             bb.assert_term(t)
         self.stats["blast_time"] = time.monotonic() - blast_start
-        if self._cancelled(start):
-            return CheckResult.UNKNOWN
         if self.preprocess:
             db = bb.gb.sat
             pp_start = time.monotonic()
@@ -186,7 +157,7 @@ class Solver:
                                proof=log).run()
             self.stats["preprocess_time"] = time.monotonic() - pp_start
             self.stats.update(pre.stats)
-            sat = SATSolver(self.sat_config)
+            sat = SATSolver()
             if log is not None:
                 sat.attach_proof(log, adopt=True)
             sat.new_vars(db.num_vars)
@@ -207,8 +178,7 @@ class Solver:
 
         sat_start = time.monotonic()
         result = sat.solve(deadline=deadline,
-                           conflict_budget=self.conflict_budget,
-                           cancel=self.cancel)
+                           conflict_budget=self.conflict_budget)
         if result.value == "sat" and faults.flips_unsat(
                 faults.active(), str(sat.num_vars)):
             result = type(result).UNSAT  # the lying-solver fault
@@ -292,8 +262,6 @@ class Solver:
                 self.stats[key] = sat.stats.get(key, 0)
         if sat.stats.get("budget_axis"):
             self.stats["budget_axis"] = sat.stats["budget_axis"]
-        if sat.stats.get("cancelled"):
-            self.stats["cancelled"] = True
 
     def model(self) -> Model:
         if self._model is None:

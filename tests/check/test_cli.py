@@ -137,6 +137,32 @@ class TestExitCodeContract:
             main(["races"])  # missing kernel argument
         assert exc.value.code == 2
 
+    def test_portfolio_flag_is_usage_error(self, kernel_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["races", kernel_files["optimizedTranspose"],
+                  "--portfolio=2"])
+        assert exc.value.code == 2
+
+    def test_bughunt_with_skipped_frames_exits_3(self, tmp_path, capsys):
+        """Reduction ``addr2`` hides in a frame bughunt skips: no bug is
+        found, so the run is inconclusive, not verified."""
+        from repro.cli import EXIT_UNKNOWN
+        from repro.kernels import address_mutants
+        from repro.lang import parse_kernel, pretty_kernel
+        target = parse_kernel(KERNELS["optimizedReduce"].source)
+        mutant = next(m for m in address_mutants(target)
+                      if m.label == "addr2")
+        src = tmp_path / "naiveReduce.cu"
+        src.write_text(KERNELS["naiveReduce"].source)
+        tgt = tmp_path / "addr2.cu"
+        tgt.write_text(pretty_kernel(mutant.kernel))
+        rc = main(["equiv", str(src), str(tgt), "--method", "param",
+                   "--bughunt", "--width", "8", "--pair", "Reduction",
+                   "--timeout", "60", "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_UNKNOWN
+        assert "unknown" in out and "[frames unverified]" in out
+
     def test_help_documents_exit_codes(self, capsys):
         import pytest
         with pytest.raises(SystemExit):

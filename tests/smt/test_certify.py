@@ -1,5 +1,5 @@
-"""End-to-end proof certification: facade, incremental, portfolio and
-dispatch, plus the lying-solver fault and the cache gating rules.
+"""End-to-end proof certification: facade, incremental and dispatch,
+plus the lying-solver fault and the cache gating rules.
 
 The contract under test: with ``certify`` on, every UNSAT verdict that
 survives to the caller carries a checked (or trivially certified) DRAT
@@ -15,7 +15,6 @@ from repro.smt import (
 from repro.smt import faults
 from repro.smt.faults import FaultPlan
 from repro.smt.incremental import solve_group
-from repro.smt.portfolio import default_ladder, run_arm
 from repro.smt.qcache import QueryCache, canonical_key
 from repro.smt.terms import BoolConst
 
@@ -94,25 +93,6 @@ class TestIncremental:
                 _sat_terms("ig"), [[BoolConst(True)]],
                 timeouts=[None], conflict_budgets=[None], certify=True)
         verdict, _, stats = results[0]
-        assert verdict is CheckResult.UNKNOWN
-        assert stats["certify"]["rejected"] == 1
-
-
-class TestPortfolio:
-    def test_every_arm_strategy_certifies(self):
-        terms = _opaque_unsat("pa")
-        for spec in default_ladder(4):
-            verdict, _, stats = run_arm(
-                spec, terms, timeout=None, conflict_budget=None,
-                certify=True)
-            assert verdict is CheckResult.UNSAT, spec.name
-            assert stats["certify"]["rejected"] == 0, spec.name
-
-    def test_lying_arm_answers_unknown(self):
-        with faults.injected(FaultPlan(seed=5, flip_unsat=1.0)):
-            verdict, _, stats = run_arm(
-                default_ladder(1)[0], _sat_terms("pl"),
-                timeout=None, conflict_budget=None, certify=True)
         assert verdict is CheckResult.UNKNOWN
         assert stats["certify"]["rejected"] == 1
 

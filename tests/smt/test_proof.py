@@ -77,12 +77,10 @@ class TestAccepts:
         assert res is SATResult.UNSAT
         assert check_proof(solver.proof).ok
 
-    def test_inprocessing_heavy_config_still_checks(self):
-        # Aggressive reduction/restarts exercise deletion logging hard.
-        nv, clauses = php_clauses(4)
-        res, solver = solve_certified(
-            nv, clauses, SATConfig(certify=True, restart_base=16,
-                                   var_decay=0.8, seed=7, random_freq=0.1))
+    def test_inprocessing_heavy_run_still_checks(self):
+        # Restarts and on-the-fly subsumption exercise deletion logging.
+        nv, clauses = php_clauses(5)
+        res, solver = solve_certified(nv, clauses)
         assert res is SATResult.UNSAT
         checked = check_proof(solver.proof)
         assert checked.ok, checked.reason

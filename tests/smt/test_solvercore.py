@@ -1,22 +1,15 @@
 """Arena CDCL core internals: clause-DB reduction, vivification,
-on-the-fly subsumption, compaction, the raw bulk-load path, and the
-cancellation contract inside inprocessing phases.
+on-the-fly subsumption, compaction and the raw bulk-load path.
 
 The public solver behaviour (verdicts, assumptions, budgets) is covered
 by ``test_sat.py``; this module reaches into the arena representation to
-pin the inprocessing mechanics and their stats counters, and proves the
-PR 5 cancellation contract — ``stats["cancelled"]``, never a
-``budget_axis`` — extends into vivification and into hung portfolio
-arms.
+pin the inprocessing mechanics and their stats counters.
 """
 
 import time
 
-from repro.smt import FaultPlan, Query, faults, solve_all
-from repro.smt.dispatch import _arm_salt, _prepare
 from repro.smt.sat import SATConfig, SATResult, SATSolver, STAT_COUNTER_KEYS
 from repro.smt.sat.solver import _DEAD, _GLUE_KEEP
-from repro.smt.terms import BVConst, BVVar, Eq, UGt
 
 
 def lit(v: int, positive: bool = True) -> int:
@@ -180,40 +173,15 @@ class TestVivification:
 
     def test_vivify_drops_root_false_literal(self):
         s, off, (a, b, c) = self._solver_with_weak_learnt()
-        assert s._vivify_round(None, None) == "ok"
+        assert s._vivify_round(None) == "ok"
         assert s.arena[off + 1] == _DEAD  # replaced by a shorter clause
         assert s.stats["vivified"] == 1
         assert s.stats["vivify_lits"] >= 1
         assert s.solve() is SATResult.SAT
 
-    def test_vivify_round_polls_cancel_between_clauses(self):
-        s, off, _ = self._solver_with_weak_learnt()
-        assert s._vivify_round(None, lambda: True) == "cancelled"
-        assert s.stats["cancelled"] is True
-        assert "budget_axis" not in s.stats
-        assert s.arena[off + 1] != _DEAD  # cancelled before any work
-
     def test_vivify_round_honors_deadline(self):
         s, off, _ = self._solver_with_weak_learnt()
-        assert s._vivify_round(time.monotonic() - 1.0, None) == "deadline"
-        assert "cancelled" not in s.stats
-
-    def test_cancel_during_inprocessing_solve_reports_cancelled(self):
-        """End-to-end: a solve cancelled while vivification is due answers
-        UNKNOWN with ``cancelled`` set and no budget axis — cancellation
-        is not exhaustion (the PR 5 contract, extended to inprocessing)."""
-        s = _php(7)
-        s._next_vivify = 1  # vivify from the first restart on
-        polls = []
-
-        def cancel() -> bool:
-            polls.append(None)
-            return len(polls) > 64
-
-        res = s.solve(cancel=cancel)
-        assert res is SATResult.UNKNOWN
-        assert s.stats["cancelled"] is True
-        assert "budget_axis" not in s.stats
+        assert s._vivify_round(time.monotonic() - 1.0) == "deadline"
 
     def test_inprocess_off_skips_vivification(self):
         cfg = SATConfig(inprocess=False)
@@ -230,37 +198,3 @@ class TestVivification:
         s._next_vivify = 1
         assert s.solve() is SATResult.UNSAT
         assert s.stats["vivified"] == 0
-
-
-# ----------------------------------------------- cancellation via faults
-
-
-class TestHungArmCancellation:
-    def test_hung_arm_race_never_reports_budget_axis(self, monkeypatch):
-        """An ``arm_hang`` fault wedges one portfolio arm; the winner's
-        outcome must carry no ``budget_axis`` (the loser was *cancelled*,
-        then killed — not budget-exhausted)."""
-        monkeypatch.setenv("PUGPARA_SUPERVISE_INTERVAL", "0.01")
-        monkeypatch.setenv("PUGPARA_CANCEL_GRACE", "0.3")
-        x, y = BVVar("sc.x", 16), BVVar("sc.y", 16)
-        query = Query([Eq(x + y, BVConst(9, 16)), UGt(x, BVConst(2, 16))],
-                      do_simplify=False)
-        key = _prepare(0, query).key
-        plan = None
-        for seed in range(200):
-            cand = FaultPlan(seed=seed, arm_hang=0.5, hang_seconds=20.0)
-            hangs = [cand.chance("arm.hang", key,
-                                 _arm_salt(0, 0, slot)) < 0.5
-                     for slot in range(2)]
-            if hangs == [False, True]:
-                plan = cand
-                break
-        assert plan is not None, "no seed hangs exactly the second arm"
-        with faults.injected(plan):
-            results = solve_all([query], jobs=2, cache=False, portfolio=2)
-        outcome = results[0]
-        assert outcome.verdict.value == "sat"
-        assert "budget_axis" not in outcome.stats
-        port = outcome.stats["portfolio"]
-        assert port["arms"][1]["killed"] is True
-        assert not port["arms"][1].get("budget_axis")
