@@ -86,12 +86,9 @@ class _Run:
     deadline: float | None
     inputs: dict[str, Term]
     input_arrays: dict[str, Term]
-    outcome_stats: dict = field(default_factory=dict)
-    vcs: int = 0
+    outcome: CheckOutcome
     incomplete: list[str] = field(default_factory=list)
     unconfirmed: list[str] = field(default_factory=list)
-    solver_time: float = 0.0
-    outcome: CheckOutcome | None = None
 
     def budget(self) -> float | None:
         if self.deadline is None:
@@ -102,10 +99,11 @@ class _Run:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def account(self, response: QueryResult) -> None:
-        self.solver_time += response.solver_time
-        self.vcs += 1
-        if self.outcome is not None:
-            self.outcome.merge_solver_stats(response.stats)
+        """Count a solved VC on the outcome as it lands, so a run that
+        ends in BUG or TIMEOUT reports the work it did."""
+        self.outcome.solver_time += response.solver_time
+        self.outcome.vcs_checked += 1
+        self.outcome.merge_solver_stats(response.stats)
 
     def solve(self, terms: list[Term]) -> tuple[CheckResult, QueryResult]:
         response = solve_query(
@@ -277,8 +275,6 @@ def _check(src_info: KernelInfo, tgt_info: KernelInfo, width: int,
         verified_common |= compared
         group_id += 1
 
-    outcome.vcs_checked = run.vcs
-    outcome.solver_time = run.solver_time
     outcome.complete = not run.incomplete
     if run.incomplete:
         outcome.stats["incomplete"] = run.incomplete

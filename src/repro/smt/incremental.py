@@ -46,7 +46,6 @@ from .bitblast import BitBlaster
 from .cnf import ClauseDB, GateBuilder
 from .model import Model
 from .preprocess import Preprocessor
-from .rewrite import Facts
 from .sat import SATResult, SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
 from .simplify import harvest_facts, propagate, simplify
@@ -155,22 +154,19 @@ def solve_group(prefix: Sequence[Term],
     # facts hold in its member query alone: ``simp`` applies them to that
     # residual only, on a private copy of the shared cache, so a member
     # never rewrites the shared prefix.
-    facts = harvest_facts(prefix)
     smemo: dict[tuple[Term, Term], int | None] = {}
     if do_simplify:
-        prefix_s, scache, units = propagate(list(prefix), facts=facts,
-                                            memo=smemo)
+        prefix_s, scache, units = propagate(list(prefix), memo=smemo)
         pinned = units.subst.keys()
+        facts = harvest_facts(prefix_s)
     else:
         prefix_s = list(prefix)
 
     def simp(residual: Sequence[Term]) -> list[Term]:
         if not do_simplify:
             return list(residual)
-        own = harvest_facts(residual)
-        fb = Facts(facts.zpow2 | own.zpow2) if own else facts
-        return propagate(list(residual), facts=fb, cache=scache, memo=smemo,
-                         pinned=pinned)[0]
+        return propagate(list(residual), facts=facts, cache=scache,
+                         memo=smemo, pinned=pinned)[0]
 
     base_stats: dict = {"incremental": True, "group_size": n,
                         "prefix_terms": len(prefix)}

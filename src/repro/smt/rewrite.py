@@ -35,6 +35,21 @@ clauses.  This module holds the *contextual* rewrite layer that
     branch comparison folds to a constant the equality distributes over
     the ite.  These discharge the barrier-round case splits the encoders
     emit without ever reaching the CNF.
+  - **Mixed radix.**  Two more fact kinds come from the conjuncts:
+    strict bounds ``a < b`` (keyed by the polynomial normal form of
+    ``a``) and *radix pairs* ``(u, v)`` with ``u * v <= 2^w`` computed
+    without wraparound — the shapes of ``Geometry.extent_fits``
+    (``zext(u) * zext(v) <= 2^w``) and ``Geometry.covering``
+    (``zext(s) == zext(u) * zext(v)``).  When ``x = q*v + r`` as
+    polynomials with ``r < v`` and ``q < u`` both among the facts, then
+    ``q*v + r <= (u-1)*v + v-1 < u*v <= 2^w``: the sum does not wrap and
+    ``(q, r)`` is ``x``'s unique mixed-radix representation.  So
+    ``udiv(x, v) -> q``, ``urem(x, v) -> r``, and ``x == y`` for two such
+    ``x``, ``y`` becomes ``q_x == q_y & r_x == r_y`` (recursively split).
+    A side with no ``v`` term (``q = 0``) needs only ``r < v``.  This
+    removes the multipliers and dividers of the row-major address
+    obligations (``X*height + Y``) the Transpose kernels emit; like the
+    zpow2 rule it preserves models because the facts stay asserted.
 
 Every rule is model-preserving on the query it was harvested from; a
 :class:`Facts` base must therefore only be applied to terms asserted in
@@ -54,14 +69,16 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Sequence
 
-from .poly import normalize_arith, normalize_eq, poly_add, poly_neg, poly_of
+from .poly import (
+    normalize_arith, normalize_eq, poly_add, poly_neg, poly_of, split_linear,
+)
 from .sorts import BitVecSort
 from .terms import (
-    BVAnd, BVConst, BVSub, Eq, FALSE, Ite, Kind, Not, Or, TRUE, Term,
+    And, BVAnd, BVConst, BVSub, Eq, FALSE, Ite, Kind, Not, Or, TRUE, Term,
 )
 
 __all__ = ["Facts", "Units", "harvest_facts", "harvest_units",
-           "rewrite_node"]
+           "fact_conjuncts", "rewrite_node"]
 
 
 class Facts:
@@ -71,16 +88,40 @@ class Facts:
     top-level conjunct.  :meth:`is_zpow2` extends it through the closure
     rules (constants, products, shifts, doubling) with an identity-keyed
     memo, so repeated queries over a shared modulus term cost one walk.
+
+    ``less`` holds the asserted strict bounds ``(a, b)`` meaning
+    ``a < b``; ``radix`` maps a non-constant ``v`` to every ``u`` with
+    ``u * v <= 2^w`` asserted without wraparound.  Together they license
+    the mixed-radix rules (:meth:`split`), which index the bounds by the
+    polynomial normal form of ``a`` on first use — so a query without a
+    radix pair never pays for normalizing them.
     """
 
-    __slots__ = ("zpow2", "_memo")
+    __slots__ = ("zpow2", "less", "radix", "_memo", "_splits", "_bounds")
 
-    def __init__(self, zpow2: Iterable[Term] = ()) -> None:
+    def __init__(self, zpow2: Iterable[Term] = (),
+                 less: Sequence[tuple[Term, Term]] = (),
+                 radix: dict[Term, frozenset[Term]] | None = None) -> None:
         self.zpow2: frozenset[Term] = frozenset(zpow2)
+        self.less: tuple[tuple[Term, Term], ...] = tuple(less)
+        self.radix: dict[Term, frozenset[Term]] = radix or {}
         self._memo: dict[Term, bool] = {}
+        self._splits: dict[tuple[Term, Term], tuple[Term, Term] | None] = {}
+        self._bounds: dict[Term, set[Term]] | None = None
 
     def __bool__(self) -> bool:
-        return bool(self.zpow2)
+        # Bounds alone license nothing: they only qualify a radix pair.
+        return bool(self.zpow2 or self.radix)
+
+    def __or__(self, other: "Facts") -> "Facts":
+        if not (other.zpow2 or other.less or other.radix):
+            return self
+        if not (self.zpow2 or self.less or self.radix):
+            return other
+        radix = dict(self.radix)
+        for v, us in other.radix.items():
+            radix[v] = radix[v] | us if v in radix else us
+        return Facts(self.zpow2 | other.zpow2, self.less + other.less, radix)
 
     def is_zpow2(self, t: Term) -> bool:
         """Is ``t`` provably zero or a power of two under these facts?"""
@@ -105,6 +146,29 @@ class Facts:
         if k == Kind.BVADD and len(t.args) == 2 and t.args[0] is t.args[1]:
             return self.is_zpow2(t.args[0])  # t + t == 2*t
         return False
+
+    def split(self, x: Term, v: Term) -> tuple[Term, Term] | None:
+        """``(q, r)`` with ``x = q*v + r`` as polynomials, ``r < v`` and
+        ``q < u`` for a radix partner ``u`` of ``v`` (or ``q = 0``) — the
+        unique mixed-radix digits of ``x`` — else ``None``.  Normalized
+        terms in, normalized terms out."""
+        key = (x, v)
+        if key in self._splits:
+            return self._splits[key]
+        if self._bounds is None:
+            self._bounds = {}
+            for a, b in self.less:
+                self._bounds.setdefault(normalize_arith(a), set()).add(
+                    normalize_arith(b))
+        out = split_linear(x, v) if x.sort is v.sort else None
+        if out is not None:
+            q, r = out
+            q_fits = _is_zero(q) or not self.radix.get(
+                v, frozenset()).isdisjoint(self._bounds.get(q, ()))
+            if not q_fits or v not in self._bounds.get(r, ()):
+                out = None
+        self._splits[key] = out
+        return out
 
 
 #: Shared empty fact base (used when harvesting finds nothing).
@@ -159,6 +223,66 @@ def _zpow2_of_conjunct(f: Term) -> Term | None:
     return None
 
 
+def _narrow(t: Term) -> Term | None:
+    """``a`` when ``t`` is ``zext(a)`` widened by at least ``a``'s own
+    width — a factor whose products cannot wrap at ``t``'s width."""
+    if t.kind == Kind.ZEXT and t.payload >= t.args[0].sort.width:
+        return t.args[0]
+    return None
+
+
+def _product_factors(t: Term) -> tuple[Term, Term] | None:
+    """``(u, v)`` when ``t`` is ``zext(u) * zext(v)`` computed without
+    wraparound."""
+    if t.kind != Kind.BVMUL or len(t.args) != 2:
+        return None
+    u, v = (_narrow(a) for a in t.args)
+    if u is None or v is None or u.sort is not v.sort:
+        return None
+    return u, v
+
+
+def _radix_of_conjunct(f: Term) -> tuple[Term, Term] | None:
+    """The factors ``(u, v)`` of a conjunct proving ``u * v <= 2^w``.
+
+    Matches ``zext(u) * zext(v) <= c`` (or ``< c``) with ``c <= 2^w`` —
+    :meth:`Geometry.extent_fits` — and ``zext(s) == zext(u) * zext(v)``
+    with ``s`` of ``u``'s width, or a constant below ``2^w`` in place of
+    ``zext(s)`` — :meth:`Geometry.covering`.
+    """
+    k = f.kind
+    if k in (Kind.BVULE, Kind.BVULT):
+        prod, c = f.args
+        pair = _product_factors(prod)
+        if pair and c.kind == Kind.BVCONST and \
+                c.payload <= 1 << pair[0].sort.width:
+            return pair
+        return None
+    if k != Kind.EQ or not isinstance(f.args[0].sort, BitVecSort):
+        return None
+    a, b = f.args
+    for prod, s in ((a, b), (b, a)):
+        pair = _product_factors(prod)
+        if pair is None:
+            continue
+        w = pair[0].sort.width
+        inner = _narrow(s)
+        if (inner is not None and inner.sort.width <= w) or \
+                (s.kind == Kind.BVCONST and s.payload < 1 << w):
+            return pair
+    return None
+
+
+def fact_conjuncts(terms: Sequence[Term]) -> list[Term]:
+    """The positive top-level conjuncts of ``terms`` that could contribute
+    to :func:`harvest_facts`."""
+    return [f for f in _iter_conjuncts(terms)
+            if f.kind == Kind.BVULT
+            or (f.kind in (Kind.EQ, Kind.BVULE)
+                and (_radix_of_conjunct(f) is not None
+                     or _zpow2_of_conjunct(f) is not None))]
+
+
 def harvest_facts(terms: Sequence[Term]) -> Facts:
     """Scan a query's assertion list for rewrite-enabling facts.
 
@@ -167,21 +291,35 @@ def harvest_facts(terms: Sequence[Term]) -> Facts:
     query and must not license a rewrite.
     """
     zpow2 = []
+    less = []
+    radix: dict[Term, set[Term]] = {}
     for f in _iter_conjuncts(terms):
         t = _zpow2_of_conjunct(f)
         if t is not None:
             zpow2.append(t)
-    return Facts(zpow2) if zpow2 else NO_FACTS
+            continue
+        pair = _radix_of_conjunct(f)
+        if pair is not None:
+            u, v = pair
+            for p, q in ((u, v), (v, u)):
+                if q.kind != Kind.BVCONST:
+                    radix.setdefault(q, set()).add(p)
+        elif f.kind == Kind.BVULT:
+            less.append(f.args)
+    if not zpow2 and not less and not radix:
+        return NO_FACTS
+    return Facts(zpow2, less, {k: frozenset(v) for k, v in radix.items()})
 
 
 class Units:
-    """The variables a query pins to a constant by a top-level conjunct.
+    """The variables a query pins by a top-level conjunct.
 
-    ``subst`` maps each pinned variable to its value; ``defs`` holds, in
-    assertion order, the conjuncts that define them (a dict used as an
-    ordered set).  A variable keeps the value of its first definition: a
-    later, conflicting one is left out of ``defs`` so that substitution
-    folds it to FALSE.
+    ``subst`` maps each pinned variable to its value: a constant, or —
+    for variables only equated with each other — the lowest-``tid``
+    variable of their class.  ``defs`` holds the conjuncts that define
+    them (a dict used as an ordered set).  A class keeps the value of its
+    first constant definition: a later, conflicting one is left out of
+    ``defs`` so that substitution folds it to FALSE.
     """
 
     __slots__ = ("subst", "defs")
@@ -194,10 +332,11 @@ class Units:
 def _unit_of(f: Term) -> tuple[Term, Term] | None:
     """``(var, value)`` when conjunct ``f`` pins a variable, else ``None``.
 
-    Recognizes a Bool ``v``, ``not v``, and ``v == c`` in either
-    orientation — plus ``v + k == c``, which is how the polynomial
-    normalizer spells ``v == c`` when ``c`` lies in the upper half of the
-    word (``v == 200`` at 8 bits becomes ``v + 56 == 0``).
+    Recognizes a Bool ``v``, ``not v``, ``v == c`` in either orientation
+    — plus ``v + k == c``, which is how the polynomial normalizer spells
+    ``v == c`` when ``c`` lies in the upper half of the word (``v == 200``
+    at 8 bits becomes ``v + 56 == 0``) — and ``v1 == v2`` between two
+    bit-vector variables (the value is then ``v2``).
     """
     k = f.kind
     if k == Kind.VAR:
@@ -208,6 +347,9 @@ def _unit_of(f: Term) -> tuple[Term, Term] | None:
     if k != Kind.EQ:
         return None
     a, b = f.args
+    if a.kind == Kind.VAR and b.kind == Kind.VAR and \
+            isinstance(a.sort, BitVecSort):
+        return a, b
     for v, c in ((a, b), (b, a)):
         if c.kind != Kind.BVCONST:
             continue
@@ -227,14 +369,54 @@ def harvest_units(terms: Sequence[Term], *,
     """Collect the unit definitions among a query's positive top-level
     conjuncts — as for :func:`harvest_facts`, a unit under a negation,
     disjunction or ite does not hold in every model and is ignored.
-    Variables in ``pinned`` already have a value and are skipped."""
+    Variables in ``pinned`` already have a value and are skipped.
+
+    Variable–variable equalities merge classes (union-find, the lowest
+    ``tid`` as root); each class maps to its constant if one of its
+    members is pinned to one, else to its root, so chains such as
+    ``a == b & b == 3`` fold every member to the constant.  Constant
+    units are taken first, so that under ``a == b & a == 3 & b == 3``
+    the cheap constant pins, not ``a == b``, stay as definitions."""
+    parent: dict[Term, Term] = {}
+    value: dict[Term, Term] = {}  # class root -> constant
+
+    def find(v: Term) -> Term:
+        root = parent.setdefault(v, v)
+        while root is not parent[root]:
+            root = parent[root]
+        while v is not root:
+            parent[v], v = root, parent[v]
+        return root
+
     units = Units()
+    hits = []
     for f in _iter_conjuncts(terms):
         hit = _unit_of(f)
-        if (hit is not None and hit[0] not in units.subst
-                and hit[0] not in pinned):
-            units.subst[hit[0]] = hit[1]
-            units.defs[f] = None
+        if hit is None or hit[0] in pinned or hit[1] in pinned:
+            continue
+        if hit[1].kind == Kind.VAR:
+            hits.append((f, hit))
+            continue
+        root = find(hit[0])
+        if root in value:
+            continue  # redundant, or conflicting: substitution folds it
+        value[root] = hit[1]
+        units.defs[f] = None
+    for f, (a, b) in hits:
+        root, other = find(a), find(b)
+        if other is root or (root in value and other in value):
+            continue  # implied, or joins two constants: folds either way
+        if other.tid < root.tid:
+            root, other = other, root
+        parent[other] = root
+        if other in value:
+            value[root] = value.pop(other)
+        units.defs[f] = None
+    for v in parent:
+        root = find(v)
+        target = value.get(root, root)
+        if target is not v:
+            units.subst[v] = target
     return units
 
 
@@ -256,17 +438,43 @@ def _norm_eq(a: Term, b: Term) -> Term:
     return Eq(a, b)
 
 
+def _radix_eq(a: Term, b: Term, facts: Facts) -> Term | None:
+    """``q_a == q_b & r_a == r_b`` when ``a`` and ``b`` split over one
+    radix (:meth:`Facts.split`) and at least one has a ``v`` digit."""
+    for v in facts.radix:
+        sa = facts.split(a, v)
+        if sa is None:
+            continue
+        sb = facts.split(b, v)
+        if sb is None or (_is_zero(sa[0]) and _is_zero(sb[0])):
+            continue
+        return And(_rewrite_eq(_norm_eq(sa[0], sb[0]), facts),
+                   _rewrite_eq(_norm_eq(sa[1], sb[1]), facts))
+    return None
+
+
+def _is_zero(t: Term) -> bool:
+    return t.kind == Kind.BVCONST and t.payload == 0
+
+
+def _rewrite_eq(t: Term, facts: Facts) -> Term:
+    return rewrite_node(t, facts) if t.kind == Kind.EQ else t
+
+
 def rewrite_node(t: Term, facts: Facts) -> Term:
     """Apply the word-level rules to one node whose children are already
     simplified.  Returns ``t`` itself when no rule fires; rewritten
     results are built with smart constructors from already-simplified,
     pre-normalized parts, so the caller needs no second pass."""
     k = t.kind
-    if k == Kind.BVUREM:
+    if k == Kind.BVUREM or k == Kind.BVUDIV:
         x, m = t.args
-        if facts.is_zpow2(m):
+        if k == Kind.BVUREM and facts.is_zpow2(m):
             return BVAnd(x, _mask_of(m))
-        return t
+        parts = facts.split(x, m) if m in facts.radix else None
+        if parts is None:
+            return t
+        return parts[0] if k == Kind.BVUDIV else parts[1]
     if k == Kind.EQ:
         a, b = t.args
         for ite, other in ((a, b), (b, a)):
@@ -281,5 +489,9 @@ def rewrite_node(t: Term, facts: Facts) -> Term:
             els_eq = _norm_eq(els, other)
             if then_eq.is_const() or els_eq.is_const():
                 return Ite(cond, then_eq, els_eq)
+        if facts.radix and isinstance(a.sort, BitVecSort):
+            out = _radix_eq(a, b, facts)
+            if out is not None:
+                return out
         return t
     return t

@@ -13,10 +13,12 @@ Composes four layers:
    normalizes to a non-zero constant;
 4. word-level unit propagation (:func:`simplify_all`): a positive top-level
    conjunct that pins a variable — ``v == c`` in either orientation, a Bool
-   ``v``, ``not v`` — seeds the memo with ``v -> c``, so one bottom-up pass
-   both substitutes and folds.  The ``+C`` configurations pin every block,
-   grid and scalar value, so their double-width geometry products fold to
-   constants here instead of being bit-blasted as multipliers.  The pass
+   ``v``, ``not v``, or ``v1 == v2`` (each class of equal variables maps to
+   its constant or its lowest-``tid`` member) — seeds the memo with
+   ``v -> c``, so one bottom-up pass both substitutes and folds.  The
+   ``+C`` configurations pin every block, grid and scalar value, so their
+   double-width geometry products fold to constants here instead of being
+   bit-blasted as multipliers.  The pass
    repeats only when it exposes a new unit (``x + 1 == 3`` normalizes to
    ``x == 2``).  Each defining conjunct stays asserted, so the pinned
    variables keep their values in every model, and two conflicting units
@@ -38,7 +40,8 @@ from typing import Container
 
 from .poly import normalize_arith, normalize_eq, poly_of, poly_add, poly_neg
 from .rewrite import (
-    Facts, NO_FACTS, Units, harvest_facts, harvest_units, rewrite_node,
+    Facts, NO_FACTS, Units, fact_conjuncts, harvest_facts, harvest_units,
+    rewrite_node,
 )
 from .sorts import BitVecSort
 from .substitute import rebuild
@@ -51,7 +54,7 @@ _ARITH_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG, Kind.BVMUL, Kind.B
 
 #: Kinds the word-level rewriter (:mod:`repro.smt.rewrite`) has rules for —
 #: gating on kind keeps the per-node overhead to one frozenset probe.
-_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.EQ})
+_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ})
 
 
 def _diff_const(ip, jneg, modulus: int) -> int | None:
@@ -197,9 +200,16 @@ def _pass(terms: list[Term], units: Units, facts: Facts,
           cache: dict[Term, Term],
           memo: dict[tuple[Term, Term], int | None]) -> list[Term]:
     """One simplification pass under ``units`` (``cache`` is seeded with
-    ``units.subst``).  Defining conjuncts are kept as they are; those
-    nested in a top-level AND are appended, since the AND folds them."""
+    ``units.subst``).  The fact-shaped conjuncts go first; the facts
+    harvested from *their* output — in the units' substituted space,
+    where ``tid.y < bdim.y`` reads ``tid.y < bdim.x`` once
+    ``bdim.y == bdim.x`` is a unit — join ``facts`` for the rest.
+    Defining conjuncts are kept as they are; those nested in a top-level
+    AND are appended, since the AND folds them."""
     defs = units.defs
+    shaped = [simplify(f, cache, index_memo=memo, facts=facts)
+              for f in fact_conjuncts(terms)]
+    facts = facts | harvest_facts(shaped)
     out = [t if t in defs else simplify(t, cache, index_memo=memo,
                                          facts=facts)
            for t in terms]
@@ -209,7 +219,7 @@ def _pass(terms: list[Term], units: Units, facts: Facts,
     return out
 
 
-def propagate(terms: list[Term], *, facts: Facts | None = None,
+def propagate(terms: list[Term], *, facts: Facts = NO_FACTS,
               cache: dict[Term, Term] | None = None,
               memo: dict[tuple[Term, Term], int | None] | None = None,
               pinned: Container[Term] = ()
@@ -223,10 +233,10 @@ def propagate(terms: list[Term], *, facts: Facts | None = None,
     propagates the units of such further terms on top: each pass starts
     from a private copy of ``cache``, so the caller's cache is never
     changed.  The incremental solver does this for each member's residual
-    on top of a group's shared prefix.  ``memo`` (the index-difference
-    memo) does not depend on units or facts and is shared."""
-    if facts is None:
-        facts = harvest_facts(terms)
+    on top of a group's shared prefix, passing the prefix's facts as
+    ``facts``; each pass adds the facts of ``terms`` itself (see
+    :func:`_pass`).  ``memo`` (the index-difference memo) does not depend
+    on units or facts and is shared."""
     if memo is None:
         memo = {}
     units = harvest_units(terms, pinned=pinned)
@@ -240,15 +250,13 @@ def propagate(terms: list[Term], *, facts: Facts | None = None,
         terms, units = out, more
 
 
-def simplify_all(terms: list[Term], *,
-                 facts: Facts | None = None) -> list[Term]:
+def simplify_all(terms: list[Term]) -> list[Term]:
     """Simplify one query's assertion list with shared caches (the
     assertions of one query overlap heavily, so the term cache and the
     index-difference memo are shared across the batch), propagating its
     unit conjuncts (module docstring, layer 4).
 
-    Unless a pre-harvested ``facts`` base is supplied, the word-level
-    rewriter's facts are harvested from ``terms`` itself — the list must
-    therefore be one conjunction (one query), which is how every caller
-    uses it; the units are always harvested from ``terms``."""
-    return propagate(terms, facts=facts)[0]
+    The word-level rewriter's facts are harvested from ``terms`` itself —
+    the list must therefore be one conjunction (one query), which is how
+    every caller uses it."""
+    return propagate(terms)[0]

@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from repro.check.configs import reduction_assumptions, transpose_assumptions
+from repro.check.replay import replay_equivalence
 from repro.check.result import Verdict
 from repro.kernels import address_mutants, guard_mutants, load, load_pair
 from repro.lang import check_kernel, parse_kernel
@@ -144,12 +145,45 @@ class TestAlignmentFailures:
         assert "carried" in out.reason or "symbolic" in out.reason
 
 
+class TestFullySymbolicTranspose:
+    """Table II's param -C rows for Transpose, which the paper reports as
+    T.O: the word-level mixed-radix rules decide them."""
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_square_verifies_with_every_proof_checked(self, width):
+        si, ti, _ = transpose_pair()
+        out = check_equivalence_param(
+            si, ti, width, assumption_builder=transpose_assumptions,
+            options=ParamOptions(timeout=60, certify=True, cache=False))
+        assert out.verdict is Verdict.VERIFIED, out.reason
+        assert out.complete
+        cert = out.stats["certify"]
+        assert out.vcs_checked > 0
+        assert cert["checked"] == out.vcs_checked
+        assert cert["rejected"] == 0
+
+    def test_nonsquare_is_a_replayed_bug_with_its_counts(self):
+        si, ti, _ = transpose_pair()
+        out = check_equivalence_param(
+            si, ti, 8,
+            assumption_builder=partial(transpose_assumptions, square=False),
+            options=ParamOptions(timeout=60))
+        assert out.verdict is Verdict.BUG
+        cex = out.counterexample
+        assert cex.bdim[0] != cex.bdim[1]
+        assert replay_equivalence(si, ti, cex, 8).confirmed
+        # The VCs solved before the bug count, as on the VERIFIED path.
+        assert out.vcs_checked > 0 and out.solver_time > 0
+
+
 class TestBudget:
-    def test_fully_symbolic_transpose_times_out(self):
-        """Table II's param -C rows for Transpose are T.O — the fully
-        symbolic nonlinear VCs exceed any small budget."""
+    def test_budget_exhaustion_times_out_with_its_counts(self):
+        """Without the word-level rewriter the fully symbolic VCs keep
+        their multipliers and outlast a small budget: the paper's T.O,
+        still reporting the VCs it spent the budget on."""
         si, ti, _ = transpose_pair()
         out = check_equivalence_param(
             si, ti, 8, assumption_builder=transpose_assumptions,
-            options=ParamOptions(timeout=3))
+            options=ParamOptions(timeout=1, cache=False, simplify=False))
         assert out.verdict is Verdict.TIMEOUT
+        assert out.vcs_checked > 0 and out.solver_time > 0

@@ -17,24 +17,29 @@ from repro.kernels import address_mutants, load_pair
 from repro.lang import check_kernel
 from repro.param.equivalence import ParamOptions, check_equivalence_param
 
-#: pair -> (assumption builder, concretization, interpreter launch).  The
-#: launch lies inside the family the checker is asked about, so a divergence
-#: there refutes any VERIFIED.
+_TRANSPOSE_LAUNCH = Counterexample(bdim=(2, 2, 1), gdim=(2, 2),
+                                   scalars={"width": 4, "height": 4})
+
+#: family -> (pair, assumption builder, concretization, interpreter launch).
+#: The launch lies inside the family the checker is asked about, so a
+#: divergence there refutes any VERIFIED.  ``Transpose-symbolic`` is the
+#: paper's param -C: geometry and sizes stay free.
 FAMILIES = {
-    "Transpose": (transpose_assumptions,
+    "Transpose": ("Transpose", transpose_assumptions,
                   {"bdim": (2, 2, 1), "gdim": (2, 2),
                    "scalars": {"width": 4, "height": 4}},
-                  Counterexample(bdim=(2, 2, 1), gdim=(2, 2),
-                                 scalars={"width": 4, "height": 4})),
-    "Reduction": (reduction_assumptions, None,
+                  _TRANSPOSE_LAUNCH),
+    "Transpose-symbolic": ("Transpose", transpose_assumptions, None,
+                           _TRANSPOSE_LAUNCH),
+    "Reduction": ("Reduction", reduction_assumptions, None,
                   Counterexample(bdim=(8, 1, 1), gdim=(1, 1))),
 }
 
 
 @pytest.mark.parametrize("bughunt", [True, False], ids=["bughunt", "full"])
-@pytest.mark.parametrize("pair", sorted(FAMILIES))
-def test_no_diverging_mutant_verifies(pair, bughunt):
-    builder, concretize, launch = FAMILIES[pair]
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_no_diverging_mutant_verifies(family, bughunt):
+    pair, builder, concretize, launch = FAMILIES[family]
     (_, src), (target, _) = load_pair(pair)
     diverging = 0
     for mutant in address_mutants(target):

@@ -19,13 +19,14 @@ from repro.kernels import load
 from repro.param.ca import LoopModel, PlainModel, extract_model
 from repro.param.geometry import Geometry
 from repro.smt import (
-    BVAnd, BVConst, BVVar, CheckResult, Eq, Ite, Solver, fresh_scope,
+    BVAnd, BVConst, BVVar, BoolVar, CheckResult, Eq, Ite, Not, Or, Solver,
+    ZeroExt, fresh_scope,
 )
 from repro.smt.rewrite import Facts, harvest_facts, rewrite_node
 from repro.smt.simplify import simplify
 from repro.smt.substitute import evaluate
 from repro.smt.terms import (
-    BVAdd, BVLshr, BVMul, BVShl, BVSub, BVURem, Kind, Term, ULt,
+    BVAdd, BVLshr, BVMul, BVShl, BVSub, BVUDiv, BVURem, Kind, Term, ULe, ULt,
 )
 
 W = 4  # property-test width: exhaustive over 2 vars is 256 assignments
@@ -83,6 +84,102 @@ class TestRewriteRules:
         assert out.kind == Kind.OR
         out2 = rewrite_node(Eq(Ite(cond, a, b), b), Facts())
         assert out2.kind in (Kind.OR, Kind.NOT)
+
+
+# ------------------------------------------------------------ mixed radix
+#
+# At W bits: ``u * v <= 2^W`` (extent_fits) or ``s == u * v`` (covering)
+# makes (u, v) a radix pair; with ``q < u`` and ``r < v``, ``q*v + r`` has
+# the unique digits (q, r).
+
+RU, RV, RS = BVVar("mr.u", W), BVVar("mr.v", W), BVVar("mr.s", W)
+RQ, RR = BVVar("mr.q", W), BVVar("mr.r", W)
+RQ2, RR2 = BVVar("mr.q2", W), BVVar("mr.r2", W)
+RX = BVAdd(BVMul(RQ, RV), RR)
+RX2 = BVAdd(BVMul(RQ2, RV), RR2)
+EXTENT = ULe(BVMul(ZeroExt(RU, W), ZeroExt(RV, W)), BVConst(1 << W, 2 * W))
+COVERING = Eq(ZeroExt(RS, W), BVMul(ZeroExt(RU, W), ZeroExt(RV, W)))
+DIGITS = [ULt(RQ, RU), ULt(RR, RV), ULt(RQ2, RU), ULt(RR2, RV)]
+
+
+def _radix_models(pair: Term):
+    """Every assignment satisfying ``pair`` and DIGITS (enumerated by
+    construction, each checked against the facts by evaluation)."""
+    for u in range(1 << W):
+        for v in range(1 << W):
+            s = u * v
+            if s > 1 << W or (pair is COVERING and s == 1 << W):
+                continue
+            for q in range(u):
+                for r in range(v):
+                    for q2 in range(u):
+                        for r2 in range(v):
+                            env = {RU: u, RV: v, RS: s, RQ: q, RR: r,
+                                   RQ2: q2, RR2: r2}
+                            assert all(evaluate(f, env)
+                                       for f in (pair, *DIGITS))
+                            yield env
+
+
+@pytest.mark.parametrize("pair", [EXTENT, COVERING],
+                         ids=["extent_fits", "covering"])
+def test_mixed_radix_rules_valid_on_fact_models(pair):
+    """Brute force at 4 bits: on every model of the facts, each rewritten
+    ==, udiv and urem evaluates like the original."""
+    facts = harvest_facts([pair, *DIGITS])
+    x, x2 = simplify(RX), simplify(RX2)
+    cases = [Eq(x, x2), Eq(RR, x2), BVUDiv(x, RV), BVURem(x, RV),
+             BVUDiv(RR, RV)]
+    rewritten = [rewrite_node(t, facts) for t in cases]
+    assert rewritten[0].kind == Kind.AND
+    assert rewritten[1].kind == Kind.AND
+    assert rewritten[2] is RQ and rewritten[3] is RR
+    assert rewritten[4] is BVConst(0, W)
+    n = 0
+    for env in _radix_models(pair):
+        n += 1
+        for t, r in zip(cases, rewritten):
+            assert evaluate(t, env) == evaluate(r, env), (t, r, env)
+    assert n > 1000
+
+
+class TestMixedRadixGuards:
+    """The rule must not fire without every fact it rests on."""
+
+    @staticmethod
+    def _fires(conjuncts) -> bool:
+        facts = harvest_facts(conjuncts)
+        x = simplify(RX)
+        return rewrite_node(BVUDiv(x, RV), facts) is not BVUDiv(x, RV)
+
+    def test_fires_with_all_facts(self):
+        assert self._fires([EXTENT, *DIGITS])
+
+    def test_fact_under_or_is_ignored(self):
+        flag = BoolVar("mr.flag")
+        assert not self._fires([Or(EXTENT, flag), *DIGITS])
+        assert not self._fires([EXTENT, Or(ULt(RR, RV), flag),
+                                ULt(RQ, RU)])
+
+    def test_fact_under_not_is_ignored(self):
+        # not (v <= r) means r < v, but only positive conjuncts count.
+        assert not self._fires([EXTENT, Not(ULe(RV, RR)), ULt(RQ, RU)])
+        prod = BVMul(ZeroExt(RU, W), ZeroExt(RV, W))
+        assert not self._fires([Not(ULt(BVConst(1 << W, 2 * W), prod)),
+                                *DIGITS])
+
+    def test_no_radix_pair_without_extent_or_covering(self):
+        assert not self._fires(DIGITS)
+        # A product that may wrap at double width is no radix pair.
+        narrow = ULe(BVMul(ZeroExt(RU, 2), ZeroExt(RV, 2)),
+                     BVConst(1 << W, W + 2))
+        assert not self._fires([narrow, *DIGITS])
+
+    def test_missing_low_digit_bound(self):
+        assert not self._fires([EXTENT, ULt(RQ, RU)])
+
+    def test_missing_high_digit_bound(self):
+        assert not self._fires([EXTENT, ULt(RR, RV)])
 
 
 # ----------------------------------------- differential: example kernels

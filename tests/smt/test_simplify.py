@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
     And, ArrayVar, BVAdd, BVConst, BVMul, BVSub, BVVar, BoolVar, CheckResult,
-    Eq, FALSE, Implies, Ite, Kind, Not, Or, Select, Solver, Store, TRUE, UGe,
-    ULt, ZeroExt,
+    BVUDiv, BVURem, Eq, FALSE, Implies, Ite, Kind, Not, Or, Select, Solver,
+    Store, TRUE, UGe, ULe, ULt, ZeroExt,
 )
+from repro.smt.rewrite import harvest_units
 from repro.smt.simplify import index_difference, simplify, simplify_all
 from repro.smt.terms import iter_dag
 
@@ -161,6 +162,40 @@ def test_units_under_or_not_ite_are_not_used():
     other = ULt(x, BVMul(u, _const(3)))
     out = simplify_all(guarded + [other])
     assert out[-1] is simplify(other)             # nothing substituted
+
+
+def test_variable_chain_ending_in_constant_folds_to_it():
+    # a == b & b == 3: both fold to 3, whichever order they come in.
+    for chain in ([Eq(x, y), Eq(y, _const(3))],
+                  [Eq(y, _const(3)), Eq(x, y)]):
+        units = harvest_units(chain)
+        assert units.subst == {x: _const(3), y: _const(3)}
+        out = simplify_all(chain + [ULt(u, BVAdd(x, y))])
+        assert out[-1] is ULt(u, _const(6))
+        assert all(d in out for d in chain)       # definitions stay
+
+
+def test_variable_equalities_map_to_lowest_tid():
+    units = harvest_units([Eq(u, y), Eq(y, x)])
+    rep = min((x, y, u), key=lambda t: t.tid)
+    assert all(units.subst.get(v, v) is rep for v in (x, y, u))
+    # A second, conflicting constant leaves its class through FALSE.
+    out = simplify_all([Eq(x, y), Eq(x, _const(1)), Eq(y, _const(2))])
+    assert FALSE in out
+
+
+def test_facts_reharvested_in_substituted_space():
+    """r < w licenses a radix of v only once v == w is propagated: the
+    udiv and urem of the row-major index disappear."""
+    v, w, n, q, r = (BVVar(f"sr.{s}", 8) for s in "vwnqr")
+    terms = [Eq(v, w), ULe(BVMul(ZeroExt(n, 8), ZeroExt(v, 8)),
+                           BVConst(256, 16)),
+             ULt(q, n), ULt(r, w),
+             Eq(BVUDiv(BVAdd(BVMul(q, v), r), v), y),
+             Eq(BVURem(BVAdd(BVMul(q, w), r), w), x)]
+    out = simplify_all(terms)
+    kinds = {t.kind for f in out for t in iter_dag(f)}
+    assert Kind.BVUDIV not in kinds and Kind.BVUREM not in kinds
 
 
 def test_double_width_geometry_product_folds():
