@@ -50,6 +50,16 @@ clauses.  This module holds the *contextual* rewrite layer that
     removes the multipliers and dividers of the row-major address
     obligations (``X*height + Y``) the Transpose kernels emit; like the
     zpow2 rule it preserves models because the facts stay asserted.
+  - **Switch normal form** (:func:`_switch_ite`, no facts needed).  A
+    non-Bool ite chain whose guards are ``x == c`` on one selector ``x``
+    with constants ``c`` — either orientation, or ``x + k == c`` — is a
+    switch: distinct constants make its guards pairwise exclusive, so
+    each maximal run of such links is kept sorted by decreasing
+    constant, a duplicate constant keeping its first (outermost) case.
+    The serialized encoding reads its output at a symbolic cell as
+    exactly such a chain, one link per write in thread order; two kernels
+    that write the same cells in different orders then read as one
+    interned term.
 
 Every rule is model-preserving on the query it was harvested from; a
 :class:`Facts` base must therefore only be applied to terms asserted in
@@ -350,18 +360,32 @@ def _unit_of(f: Term) -> tuple[Term, Term] | None:
     if a.kind == Kind.VAR and b.kind == Kind.VAR and \
             isinstance(a.sort, BitVecSort):
         return a, b
-    for v, c in ((a, b), (b, a)):
-        if c.kind != Kind.BVCONST:
-            continue
-        if v.kind == Kind.VAR:
-            return v, c
-        if v.kind == Kind.BVADD and len(v.args) == 2:
-            p, q = v.args
-            if q.kind == Kind.VAR:
-                p, q = q, p
-            if p.kind == Kind.VAR and q.kind == Kind.BVCONST:
-                return p, BVConst(c.payload - q.payload, c.sort.width)
-    return None
+    case = _case_of(f)
+    if case is None or case[0].kind != Kind.VAR:
+        return None
+    v, c = case
+    return v, BVConst(c, v.sort.width)
+
+
+def _case_of(guard: Term) -> tuple[Term, int] | None:
+    """``(x, c)`` when ``guard`` pins the bit-vector term ``x`` to the
+    constant value ``c``: ``x == c`` in either orientation, or
+    ``x + k == c`` (for ``x == c - k``), the polynomial normalizer's
+    spelling when ``c - k`` lies in the upper half of the word."""
+    if guard.kind != Kind.EQ:
+        return None
+    a, b = guard.args
+    if b.kind != Kind.BVCONST:
+        a, b = b, a
+        if b.kind != Kind.BVCONST:
+            return None
+    if a.kind == Kind.BVADD and len(a.args) == 2:
+        p, q = a.args
+        if p.kind == Kind.BVCONST:
+            p, q = q, p
+        if q.kind == Kind.BVCONST:
+            return p, (b.payload - q.payload) % b.sort.modulus
+    return a, b.payload
 
 
 def harvest_units(terms: Sequence[Term], *,
@@ -494,4 +518,46 @@ def rewrite_node(t: Term, facts: Facts) -> Term:
             if out is not None:
                 return out
         return t
+    if k == Kind.ITE and not t.sort.is_bool():
+        return _switch_ite(t)
     return t
+
+
+def _switch_ite(t: Term) -> Term:
+    """Put the head case of ``ite(x == c, v, rest)`` into switch normal
+    form: the maximal run of links guarded by ``x == c_i`` on the same
+    selector ``x`` (:func:`_case_of`) sorted by strictly decreasing
+    ``c_i``.
+
+    ``rest`` is already in normal form (the simplifier works bottom-up),
+    so the head only has to be inserted into its run: below the links
+    with a larger constant, replacing a link with the same one — which
+    the head's guard shadows.  Distinct constants make the guards
+    pairwise exclusive, so moving a case across them preserves every
+    model.  The walk stops at the first link of any other guard shape and
+    never moves a case across it.  A head already in place returns ``t``
+    after one comparison; a kernel that writes ascending addresses in
+    thread order serializes to exactly that shape, the last write
+    outermost."""
+    cond, then, els = t.args
+    head = _case_of(cond)
+    if head is None:
+        return t
+    x, c = head
+    above = []
+    node = els
+    while node.kind == Kind.ITE:
+        case = _case_of(node.args[0])
+        if case is None or case[0] is not x or case[1] < c:
+            break
+        if case[1] == c:
+            node = node.args[2]
+            break
+        above.append(node)
+        node = node.args[2]
+    if node is els:
+        return t
+    out = Ite(cond, then, node)
+    for link in reversed(above):
+        out = Ite(link.args[0], link.args[1], out)
+    return out

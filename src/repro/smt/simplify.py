@@ -1,6 +1,6 @@
 """Bottom-up term simplification.
 
-Composes four layers:
+Composes five layers:
 
 1. the smart constructors of :mod:`repro.smt.terms` (constant folding and
    cheap local identities, re-applied on rebuilt nodes);
@@ -11,7 +11,15 @@ Composes four layers:
    index (dis)equality syntactically: ``select(store(a, i, v), j)`` collapses
    to ``v`` when ``i - j`` normalizes to 0, and skips the store when ``i - j``
    normalizes to a non-zero constant;
-4. word-level unit propagation (:func:`simplify_all`): a positive top-level
+4. the word-level rewrite rules of :mod:`repro.smt.rewrite`, applied to
+   each rebuilt ``urem``/``udiv``/``==``/``ite`` node: the fact-licensed
+   divider and multiplier eliminations, and the *switch normal form* — an
+   ite chain whose guards pin one selector to distinct constants keeps
+   its cases sorted by constant, so two serializations of one
+   cell->value map (the naive and optimized Transpose output read at a
+   symbolic cell after array elimination) become one interned term and
+   their disequality folds to FALSE;
+5. word-level unit propagation (:func:`simplify_all`): a positive top-level
    conjunct that pins a variable — ``v == c`` in either orientation, a Bool
    ``v``, ``not v``, or ``v1 == v2`` (each class of equal variables maps to
    its constant or its lowest-``tid`` member) — seeds the memo with
@@ -54,7 +62,7 @@ _ARITH_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG, Kind.BVMUL, Kind.B
 
 #: Kinds the word-level rewriter (:mod:`repro.smt.rewrite`) has rules for —
 #: gating on kind keeps the per-node overhead to one frozenset probe.
-_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ})
+_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ, Kind.ITE})
 
 
 def _diff_const(ip, jneg, modulus: int) -> int | None:
@@ -254,7 +262,7 @@ def simplify_all(terms: list[Term]) -> list[Term]:
     """Simplify one query's assertion list with shared caches (the
     assertions of one query overlap heavily, so the term cache and the
     index-difference memo are shared across the batch), propagating its
-    unit conjuncts (module docstring, layer 4).
+    unit conjuncts (module docstring, layer 5).
 
     The word-level rewriter's facts are harvested from ``terms`` itself —
     the list must therefore be one conjunction (one query), which is how

@@ -113,12 +113,15 @@ class TestExitCodeContract:
     contract scripts and CI key off (2 is argparse's usage error)."""
 
     def test_unknown_exit_code_on_timeout(self, kernel_files, capsys):
+        # The non-square Transpose differs, so its query reaches the SAT
+        # loop, which polls the deadline; the square launch verifies in
+        # the simplifier before any deadline poll.
         from repro.cli import EXIT_UNKNOWN
         rc = main(["equiv", kernel_files["naiveTranspose"],
                    kernel_files["optimizedTranspose"],
-                   "--method", "nonparam", "--width", "8",
-                   "--bdim", "4,4,1", "--gdim", "2,2",
-                   "--set", "width=8", "--set", "height=8",
+                   "--method", "nonparam", "--width", "16",
+                   "--bdim", "4,2,1", "--gdim", "2,2",
+                   "--set", "width=8", "--set", "height=4",
                    "--timeout", "0.0001", "--no-cache"])
         out = capsys.readouterr().out
         assert rc == EXIT_UNKNOWN

@@ -18,11 +18,18 @@ class TestNonParam:
         assert out.verdict is Verdict.VERIFIED
 
     def test_transpose_multi_block(self):
+        """Both kernels write every output cell once, in different thread
+        orders: the switch normal form of the serialized output maps makes
+        them one term, so the query never reaches CDCL."""
         (_, si), (_, ti) = load_pair("Transpose")
-        out = check_equivalence_nonparam(
-            si, ti, LaunchConfig(bdim=(2, 2, 1), gdim=(2, 2), width=8),
-            scalar_values={"width": 4, "height": 4}, timeout=120)
-        assert out.verdict is Verdict.VERIFIED
+        for side, width in ((2, 8), (4, 16)):
+            out = check_equivalence_nonparam(
+                si, ti, LaunchConfig(bdim=(side, side, 1), gdim=(2, 2),
+                                     width=width),
+                scalar_values={"width": 2 * side, "height": 2 * side},
+                timeout=120)
+            assert out.verdict is Verdict.VERIFIED, (side, width)
+            assert out.stats["solver"]["conflicts"] == 0, (side, width)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_reduction_verified(self, n):

@@ -317,3 +317,99 @@ def test_urem_mask_rule_valid_on_fact_models(x, m):
     env = {X: x, mv: m}
     if evaluate(_zpow2_fact(mv), env):
         assert evaluate(rewritten, env) == evaluate(BVURem(X, mv), env)
+
+
+# ------------------------------------------------- switch normal form
+#
+# An ite chain whose guards pin one selector to distinct constants is a
+# switch: its cases are pairwise exclusive, so the simplifier sorts them.
+
+SEL, SEL2 = BVVar("sw.x", W), BVVar("sw.y", W)
+SW_VALS = [BVVar(f"sw.v{i}", W) for i in range(4)]
+SW_REST = BVVar("sw.rest", W)
+SW_BOOLS = [BoolVar(f"sw.b{i}") for i in range(4)]
+#: Lower- and upper-half constants: the normalizer spells ``x == 12`` at
+#: 4 bits as ``x + 4 == 0``.
+SW_CONSTS = [0, 1, 5, 8, 12, 15]
+FOREIGN = [ULt(SEL, SEL2), Eq(SEL2, BVConst(3, W)),
+           Eq(BVAdd(SEL, SEL2), BVConst(1, W))]
+
+
+def _chain(cases, rest=SW_REST):
+    """``ite(g_1, v_1, ite(g_2, v_2, ... rest))`` from ``(guard, value)``
+    pairs, outermost first."""
+    out = rest
+    for guard, value in reversed(cases):
+        out = Ite(guard, value, out)
+    return out
+
+
+def _switch(consts, values, sel=SEL):
+    return [(Eq(sel, BVConst(c, W)), v) for c, v in zip(consts, values)]
+
+
+def _links(t: Term):
+    while t.kind == Kind.ITE:
+        yield t
+        t = t.args[2]
+
+
+_cases = st.lists(st.tuples(st.sampled_from(SW_CONSTS),
+                            st.sampled_from(SW_VALS)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(top=_cases, foreign=st.sampled_from([None, *FOREIGN]),
+       bottom=_cases,
+       values=st.lists(st.integers(0, (1 << W) - 1), min_size=6,
+                       max_size=6))
+def test_switch_form_preserves_semantics_and_is_idempotent(
+        top, foreign, bottom, values):
+    """Duplicate constants (the first case wins) and a foreign guard in
+    the middle: the sorted chain agrees with the input on every selector
+    value, and simplifying it again changes nothing."""
+    cases = [(Eq(SEL, BVConst(c, W)), v) for c, v in top]
+    if foreign is not None:
+        cases.append((foreign, SW_REST))
+    cases += [(Eq(SEL, BVConst(c, W)), v) for c, v in bottom]
+    t = _chain(cases, rest=BVConst(values[-1], W))
+    s = simplify(t)
+    env = dict(zip([SEL2, *SW_VALS, SW_REST], values))
+    for x in range(1 << W):
+        env[SEL] = x
+        assert evaluate(t, env) == evaluate(s, env), (t, s, env)
+    assert simplify(s) is s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_switch_form_is_order_independent(data):
+    """Two serializations of one cell->value map — the same disjoint
+    cases in different orders — simplify to one interned term."""
+    consts = data.draw(st.lists(st.sampled_from(range(1 << W)), min_size=2,
+                                max_size=8, unique=True))
+    values = data.draw(st.lists(st.sampled_from(SW_VALS),
+                                min_size=len(consts), max_size=len(consts)))
+    cases = _switch(consts, values)
+    shuffled = data.draw(st.permutations(cases))
+    assert simplify(_chain(cases)) is simplify(_chain(shuffled))
+
+
+@settings(max_examples=100, deadline=None)
+@given(consts=st.lists(st.sampled_from(SW_CONSTS), min_size=2, max_size=6))
+def test_switch_rule_leaves_bool_ites_and_mixed_selectors_alone(consts):
+    bools = _chain(_switch(consts, SW_BOOLS * 2), rest=SW_BOOLS[-1])
+    sels = [SEL, SEL2] * len(consts)
+    mixed = _chain([(Eq(s, BVConst(c, W)), v) for s, c, v in
+                    zip(sels, consts, SW_VALS * 2)])
+    for t in (bools, mixed):
+        assert t.kind == Kind.ITE
+        for link in _links(t):
+            assert rewrite_node(link, Facts()) is link
+
+
+def test_switch_duplicate_constant_keeps_the_first_case():
+    a, b = SW_VALS[:2]
+    t = _chain(_switch([4, 9, 4], [a, SW_VALS[2], b]))
+    s = simplify(t)
+    assert [link.args[1] for link in _links(s)] == [SW_VALS[2], a]
