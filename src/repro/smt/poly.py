@@ -164,11 +164,23 @@ def normalize_eq(a: Term, b: Term) -> tuple[Term, Term]:
     negated negative part, yielding the canonical pair ``(lhs, rhs)`` with
     ``lhs == rhs  <=>  a == b``.  If the difference is empty the equality is
     trivially true — callers detect this by getting two identical terms back.
+
+    A coefficient of ``2**(w-1)`` is its own negation and always lands on
+    the right; so that the result does not depend on which side of the
+    equality ``a`` was (``Eq`` orders its arguments by ``tid``), such a
+    difference is first negated if needed to make its first other
+    monomial positive.
     """
     sort = a.sort
     assert isinstance(sort, BitVecSort)
     modulus = sort.modulus
     diff = poly_add(poly_of(a), poly_neg(poly_of(b), modulus), modulus)
+    half = modulus // 2
+    if half in diff.values():
+        lead = min((item for item in diff.items() if item[1] != half),
+                   key=_mono_key, default=None)
+        if lead is not None and lead[1] > half:
+            diff = poly_neg(diff, modulus)
     pos: Poly = {}
     neg: Poly = {}
     for mono, coeff in diff.items():

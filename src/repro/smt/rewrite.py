@@ -61,6 +61,12 @@ clauses.  This module holds the *contextual* rewrite layer that
     that write the same cells in different orders then read as one
     interned term.
 
+* **Unit harvesting** (:func:`harvest_units`) finds the variables a
+  query defines by a positive top-level conjunct — ``v == c``, ``v1 ==
+  v2``, a Bool literal, or ``v == t`` for a term ``t`` not mentioning
+  ``v`` once the earlier definitions are substituted into it — for the
+  simplifier to substitute them away (:mod:`repro.smt.simplify`, layer 5).
+
 Every rule is model-preserving on the query it was harvested from; a
 :class:`Facts` base must therefore only be applied to terms asserted in
 the *same* conjunction (the incremental group solver harvests from the
@@ -83,6 +89,7 @@ from .poly import (
     normalize_arith, normalize_eq, poly_add, poly_neg, poly_of, split_linear,
 )
 from .sorts import BitVecSort
+from .substitute import substitute, var_mask
 from .terms import (
     And, BVAnd, BVConst, BVSub, Eq, FALSE, Ite, Kind, Not, Or, TRUE, Term,
 )
@@ -322,21 +329,27 @@ def harvest_facts(terms: Sequence[Term]) -> Facts:
 
 
 class Units:
-    """The variables a query pins by a top-level conjunct.
+    """The variables a query defines by a top-level conjunct.
 
-    ``subst`` maps each pinned variable to its value: a constant, or —
-    for variables only equated with each other — the lowest-``tid``
-    variable of their class.  ``defs`` holds the conjuncts that define
-    them (a dict used as an ordered set).  A class keeps the value of its
-    first constant definition: a later, conflicting one is left out of
-    ``defs`` so that substitution folds it to FALSE.
+    ``subst`` maps each defined variable to its value: a constant; for
+    variables only equated with each other, the lowest-``tid`` variable
+    of their class; or, for a variable defined by a term (``v == t``),
+    that term with every earlier value substituted into it, so that no
+    value mentions a variable of ``subst``.  ``defs`` holds the constant
+    and variable conjuncts that define them (a dict used as an ordered
+    set), which stay asserted as they are; ``terms`` maps each term
+    definition to its variable, and is asserted as ``v == value``
+    simplified.  A variable keeps its first definition: a later,
+    conflicting constant is left out of ``defs`` so that substitution
+    folds it to FALSE, and a later ``v == t2`` becomes ``t1 == t2``.
     """
 
-    __slots__ = ("subst", "defs")
+    __slots__ = ("subst", "defs", "terms")
 
     def __init__(self) -> None:
         self.subst: dict[Term, Term] = {}
         self.defs: dict[Term, None] = {}
+        self.terms: dict[Term, Term] = {}
 
 
 def _unit_of(f: Term) -> tuple[Term, Term] | None:
@@ -388,6 +401,39 @@ def _case_of(guard: Term) -> tuple[Term, int] | None:
     return a, b.payload
 
 
+def _definition_of(f: Term) -> tuple[Term, Term] | None:
+    """``(v, t)`` when conjunct ``f`` is ``v == t`` in either orientation,
+    ``v`` a bit-vector variable and ``t`` neither a constant nor a
+    variable."""
+    if f.kind != Kind.EQ:
+        return None
+    v, t = f.args
+    if t.kind == Kind.VAR:
+        v, t = t, v
+    if v.kind != Kind.VAR or t.kind in (Kind.VAR, Kind.BVCONST) or \
+            not isinstance(v.sort, BitVecSort):
+        return None
+    return v, t
+
+
+def _occurs(v: Term, t: Term) -> bool:
+    """Whether variable ``v`` occurs in ``t``: a walk pruned by the
+    variable bloom masks memoized on the nodes, so a subterm that cannot
+    mention ``v`` is never entered."""
+    bit = var_mask(v)
+    if not var_mask(t) & bit:
+        return False
+    stack, seen = [t], set()
+    while stack:
+        s = stack.pop()
+        if s is v:
+            return True
+        if s not in seen and s._vm & bit:
+            seen.add(s)
+            stack.extend(s.args)
+    return False
+
+
 def harvest_units(terms: Sequence[Term], *,
                   pinned: Container[Term] = ()) -> Units:
     """Collect the unit definitions among a query's positive top-level
@@ -400,7 +446,16 @@ def harvest_units(terms: Sequence[Term], *,
     members is pinned to one, else to its root, so chains such as
     ``a == b & b == 3`` fold every member to the constant.  Constant
     units are taken first, so that under ``a == b & a == 3 & b == 3``
-    the cheap constant pins, not ``a == b``, stay as definitions."""
+    the cheap constant pins, not ``a == b``, stay as definitions.
+
+    Then each ``v == t`` with ``t`` neither a constant nor a variable
+    defines ``v`` by ``t`` — in assertion order, when ``v`` takes part in
+    no constant or variable unit and has no definition yet.  ``t`` gets
+    the values found so far substituted into it, and the definition is
+    taken only if ``v`` does not occur in the result (``x == x + 1``
+    defines nothing).  ``v``'s value is then substituted into the earlier
+    term values that mention it, so no value mentions a defined
+    variable."""
     parent: dict[Term, Term] = {}
     value: dict[Term, Term] = {}  # class root -> constant
 
@@ -414,9 +469,15 @@ def harvest_units(terms: Sequence[Term], *,
 
     units = Units()
     hits = []
+    definitions = []
     for f in _iter_conjuncts(terms):
         hit = _unit_of(f)
-        if hit is None or hit[0] in pinned or hit[1] in pinned:
+        if hit is None:
+            d = _definition_of(f)
+            if d is not None and d[0] not in pinned:
+                definitions.append((f, d))
+            continue
+        if hit[0] in pinned or hit[1] in pinned:
             continue
         if hit[1].kind == Kind.VAR:
             hits.append((f, hit))
@@ -441,6 +502,17 @@ def harvest_units(terms: Sequence[Term], *,
         target = value.get(root, root)
         if target is not v:
             units.subst[v] = target
+    subst = units.subst
+    for f, (v, t) in definitions:
+        if v in parent or v in subst:
+            continue  # a unit, or defined already: substitution folds f
+        t = substitute(t, subst)
+        if _occurs(v, t):
+            continue
+        for w in units.terms.values():
+            subst[w] = substitute(subst[w], {v: t})
+        subst[v] = t
+        units.terms[f] = v
     return units
 
 

@@ -19,18 +19,24 @@ Composes five layers:
    cell->value map (the naive and optimized Transpose output read at a
    symbolic cell after array elimination) become one interned term and
    their disequality folds to FALSE;
-5. word-level unit propagation (:func:`simplify_all`): a positive top-level
-   conjunct that pins a variable — ``v == c`` in either orientation, a Bool
-   ``v``, ``not v``, or ``v1 == v2`` (each class of equal variables maps to
-   its constant or its lowest-``tid`` member) — seeds the memo with
-   ``v -> c``, so one bottom-up pass both substitutes and folds.  The
-   ``+C`` configurations pin every block, grid and scalar value, so their
-   double-width geometry products fold to constants here instead of being
-   bit-blasted as multipliers.  The pass
-   repeats only when it exposes a new unit (``x + 1 == 3`` normalizes to
-   ``x == 2``).  Each defining conjunct stays asserted, so the pinned
-   variables keep their values in every model, and two conflicting units
-   fold to FALSE.
+5. word-level unit propagation and variable elimination
+   (:func:`simplify_all`): a positive top-level conjunct that pins a
+   variable — ``v == c`` in either orientation, a Bool ``v``, ``not v``,
+   or ``v1 == v2`` (each class of equal variables maps to its constant or
+   its lowest-``tid`` member) — seeds the memo with ``v -> c``, so one
+   bottom-up pass both substitutes and folds.  The ``+C`` configurations
+   pin every block, grid and scalar value, so their double-width geometry
+   products fold to constants here instead of being bit-blasted as
+   multipliers.  A conjunct ``v == t`` that defines ``v`` by a term
+   (occurs-checked, composed with the earlier definitions — see
+   :func:`~repro.smt.rewrite.harvest_units`) seeds ``v -> simplify(t)``:
+   the Reduction sdata VCs assert ``s.tid == 2*(k*t.tid)``, and the
+   substitution makes both sides of their data equality one term.  The
+   pass repeats only when it exposes a new unit (``x + 1 == 3``
+   normalizes to ``x == 2``).  Each constant or variable definition stays
+   asserted as it is and each term definition as ``v == simplify(t)``,
+   so every eliminated variable keeps its value in every model, and two
+   conflicting units fold to FALSE.
 
 Simplification is idempotent on its output in all cases exercised by the test
 suite (a property-based test checks this) and is *model-preserving*: it never
@@ -52,7 +58,7 @@ from .rewrite import (
     rewrite_node,
 )
 from .sorts import BitVecSort
-from .substitute import rebuild
+from .substitute import rebuild, var_mask
 from .terms import FALSE, TRUE, Ite, Kind, Select, Term, Eq
 
 __all__ = ["simplify", "simplify_all", "propagate", "index_difference",
@@ -207,23 +213,44 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
 def _pass(terms: list[Term], units: Units, facts: Facts,
           cache: dict[Term, Term],
           memo: dict[tuple[Term, Term], int | None]) -> list[Term]:
-    """One simplification pass under ``units`` (``cache`` is seeded with
-    ``units.subst``).  The fact-shaped conjuncts go first; the facts
-    harvested from *their* output — in the units' substituted space,
-    where ``tid.y < bdim.y`` reads ``tid.y < bdim.x`` once
-    ``bdim.y == bdim.x`` is a unit — join ``facts`` for the rest.
-    Defining conjuncts are kept as they are; those nested in a top-level
-    AND are appended, since the AND folds them."""
-    defs = units.defs
-    shaped = [simplify(f, cache, index_memo=memo, facts=facts)
-              for f in fact_conjuncts(terms)]
+    """One simplification pass under ``units``, which seeds ``cache``.
+    The fact-shaped conjuncts go first; the facts harvested from *their*
+    output — in the units' substituted space, where ``tid.y < bdim.y``
+    reads ``tid.y < bdim.x`` once ``bdim.y == bdim.x`` is a unit — join
+    ``facts`` for the rest.  A term-defined variable is seeded with its
+    value simplified under those facts (so a kept definition blasts no
+    ``udiv`` the facts remove); when a fact-shaped conjunct mentions one,
+    the shaped conjuncts use a copy of the cache seeded under ``facts``
+    alone.  Constant and variable definitions are kept as they are, a
+    term definition as ``v == value``; those nested in a top-level AND
+    are appended, since the AND folds them."""
+    defs, named, subst = units.defs, units.terms, units.subst
+    cache.update(subst)
+    shaped_terms = fact_conjuncts(terms)
+    shaped_cache = cache
+    if named:
+        mask = 0
+        for v in named.values():
+            del cache[v]  # seeded below, once the facts are known
+            mask |= var_mask(v)
+        if any(var_mask(f) & mask for f in shaped_terms):
+            shaped_cache = dict(cache)
+            for v in named.values():
+                shaped_cache[v] = simplify(subst[v], shaped_cache,
+                                           index_memo=memo, facts=facts)
+    shaped = [simplify(f, shaped_cache, index_memo=memo, facts=facts)
+              for f in shaped_terms]
     facts = facts | harvest_facts(shaped)
-    out = [t if t in defs else simplify(t, cache, index_memo=memo,
-                                         facts=facts)
+    for v in named.values():
+        cache[v] = simplify(subst[v], cache, index_memo=memo, facts=facts)
+    out = [t if t in defs
+           else Eq(named[t], cache[named[t]]) if t in named
+           else simplify(t, cache, index_memo=memo, facts=facts)
            for t in terms]
-    if defs:
+    if defs or named:
         top = set(terms)
         out += [d for d in defs if d not in top]
+        out += [Eq(v, cache[v]) for f, v in named.items() if f not in top]
     return out
 
 
@@ -250,7 +277,6 @@ def propagate(terms: list[Term], *, facts: Facts = NO_FACTS,
     units = harvest_units(terms, pinned=pinned)
     while True:
         run = dict(cache) if cache else {}
-        run.update(units.subst)
         out = _pass(terms, units, facts, run, memo)
         more = harvest_units(out, pinned=pinned)
         if more.subst.keys() <= units.subst.keys():

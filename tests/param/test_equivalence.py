@@ -176,6 +176,36 @@ class TestFullySymbolicTranspose:
         assert out.vcs_checked > 0 and out.solver_time > 0
 
 
+class TestDefinedThreadRelations:
+    """Reduction param -C: each sdata VC asserts ``s.tid == 2*(k*t.tid)``,
+    and eliminating ``s.tid`` through that definition makes both sides of
+    its data equality one term before bit-blasting."""
+
+    def test_reduction_param_verifies_with_few_conflicts(self):
+        si, ti, _ = reduction_pair()
+        out = check_equivalence_param(
+            si, ti, 8, assumption_builder=reduction_assumptions,
+            options=ParamOptions(timeout=120, cache=False))
+        assert out.verdict is Verdict.VERIFIED
+        assert out.complete
+        assert out.stats["solver"]["conflicts"] < 120
+
+    def test_bughunt_mutants_keep_their_verdicts(self):
+        si, ti, tk = reduction_pair()
+        infos = {m.label: check_kernel(m.kernel) for m in address_mutants(tk)}
+
+        def hunt(label):
+            return check_equivalence_param(
+                si, infos[label], 8, assumption_builder=reduction_assumptions,
+                options=ParamOptions(timeout=60, bughunt=True, cache=False))
+
+        assert hunt("addr4").verdict is Verdict.UNKNOWN
+        bug = hunt("addr5")
+        assert bug.verdict is Verdict.BUG
+        assert replay_equivalence(si, infos["addr5"], bug.counterexample,
+                                  8).confirmed
+
+
 class TestBudget:
     def test_budget_exhaustion_times_out_with_its_counts(self):
         """Without the word-level rewriter the fully symbolic VCs keep

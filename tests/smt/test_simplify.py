@@ -4,12 +4,13 @@ polynomially-decided index (dis)equality."""
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
-    And, ArrayVar, BVAdd, BVConst, BVMul, BVSub, BVVar, BoolVar, CheckResult,
-    BVUDiv, BVURem, Eq, FALSE, Implies, Ite, Kind, Not, Or, Select, Solver,
-    Store, TRUE, UGe, ULe, ULt, ZeroExt,
+    And, ArrayVar, BVAdd, BVAnd, BVConst, BVMul, BVSub, BVVar, BoolVar,
+    CheckResult, BVUDiv, BVURem, Eq, FALSE, Implies, Ite, Kind, Not, Or,
+    Select, Solver, Store, TRUE, UGe, ULe, ULt, ZeroExt,
 )
 from repro.smt.rewrite import harvest_units
 from repro.smt.simplify import index_difference, simplify, simplify_all
+from repro.smt.substitute import evaluate
 from repro.smt.terms import iter_dag
 
 x = BVVar("sx", 8)
@@ -82,6 +83,9 @@ def test_simplify_is_idempotent_on_examples():
         Select(Store(a, y, x), BVAdd(y, BVConst(1, 8))),
         And(ULt(x, y), Or(Eq(x, y), Not(Eq(x, y)))),
         Implies(ULt(x, y), ULt(x, BVAdd(y, BVConst(0, 8)))),
+        # A coefficient 128 is its own negation at 8 bits: its side of the
+        # normalized equality must not depend on the argument order.
+        Eq(BVMul(x, BVConst(128, 8)), BVAdd(x, BVConst(128, 8))),
     ]
     for e in examples:
         once = simplify(e)
@@ -208,6 +212,71 @@ def test_double_width_geometry_product_folds():
     assert out[0] is simplify(Eq(ZeroExt(n, 8), BVConst(32, 16)))
 
 
+# ------------------------------------------------- term definitions (v == t)
+
+da, db, dc, dd = (BVVar(f"sd.{s}", 8) for s in "abcd")
+
+
+def _mentions(t, v):
+    return any(n is v for n in iter_dag(t))
+
+
+def test_occurs_check_keeps_self_reference():
+    f = Eq(x, BVAdd(x, _const(1)))
+    assert harvest_units([f]).subst == {}
+    assert simplify_all([f]) == [FALSE]
+
+
+def test_definition_cycle_eliminates_one_variable():
+    # a == b*c, then b == a + 1 reads b == b*c + 1: the occurs check
+    # refuses the second definition.
+    terms = [Eq(da, BVMul(db, dc)), Eq(db, BVAdd(da, _const(1)))]
+    units = harvest_units(terms)
+    assert list(units.terms.values()) == [da]
+    out = simplify_all(terms)
+    assert not any(_mentions(t, da) for t in out[1:])
+
+
+def test_definitions_compose():
+    terms = [Eq(da, BVAdd(db, dc)), Eq(db, BVMul(_const(2), dd)),
+             ULt(x, BVAdd(da, db))]
+    units = harvest_units(terms)
+    assert units.subst.keys() == {da, db}
+    assert not any(_mentions(t, v) for t in units.subst.values()
+                   for v in (da, db))
+    out = simplify_all(terms)
+    assert out[0] is Eq(da, simplify(BVAdd(BVMul(_const(2), dd), dc)))
+    assert not any(_mentions(t, db) for t in out if t is not out[1])
+
+
+def test_duplicate_definition_becomes_equation_of_values():
+    t1, t2 = BVAdd(db, dc), BVMul(dd, _const(3))
+    out = simplify_all([Eq(da, t1), Eq(da, t2)])
+    assert out == [Eq(da, simplify(t1)), simplify(Eq(t1, t2))]
+
+
+def test_pinned_variables_are_not_defined():
+    f = Eq(da, BVAdd(db, dc))
+    assert harvest_units([f], pinned={da}).subst == {}
+    assert harvest_units([f]).subst == {da: BVAdd(db, dc)}
+
+
+def test_kept_definition_is_simplified():
+    # The definition is asserted as v == value simplified under the
+    # query's units and facts: here b's constant and the zpow2 fact on
+    # c turn b * (x urem c) + b into 3 * (x & (c - 1)) + 3.
+    zpow2 = Eq(BVAnd(dc, BVSub(dc, _const(1))), _const(0))
+    terms = [Eq(db, _const(3)), zpow2,
+             Eq(da, BVAdd(BVMul(db, BVURem(x, dc)), db)), ULt(y, da)]
+    out = simplify_all(terms)
+    kinds = {n.kind for t in out for n in iter_dag(t)}
+    assert Kind.BVUREM not in kinds
+    value = simplify(BVAdd(BVMul(_const(3), BVAnd(x, BVSub(dc, _const(1)))),
+                           _const(3)))
+    assert Eq(da, value) in out
+    assert ULt(y, value) in out
+
+
 _leaf = st.sampled_from([x, y, u, _const(0), _const(1), _const(3),
                          _const(200)])
 _bv = st.recursive(_leaf, lambda s: st.one_of(
@@ -231,6 +300,25 @@ def test_simplify_all_idempotent_and_model_preserving(terms):
     ref = Solver(do_simplify=False)
     ref.add(*terms)
     assert r is ref.check()
+
+
+_definition = st.builds(Eq, st.sampled_from([x, y, u]), _bv)
+_env = st.fixed_dictionaries({x: st.integers(0, 255), y: st.integers(0, 255),
+                              u: st.integers(0, 255), b: st.booleans(),
+                              c: st.booleans()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_definition, _formula), min_size=1, max_size=5),
+       st.lists(_env, min_size=1, max_size=8))
+def test_definitions_preserve_truth_and_stay_idempotent(terms, envs):
+    """With ``v == t`` conjuncts among them, the simplified conjunction
+    has the input's truth value under every total assignment, and
+    simplifying it again changes nothing."""
+    out = simplify_all(terms)
+    assert simplify_all(out) == out
+    for env in envs:
+        assert evaluate(And(*out), env) == evaluate(And(*terms), env)
 
 
 def test_validated_models_bind_pinned_variables():
