@@ -10,7 +10,7 @@ two kernels take the same inputs…then they produce the same outputs").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 from ..encode.nonparam import concretize_inputs, encode_kernel
 from ..errors import EncodingError, AlignmentError
@@ -38,8 +38,6 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                jobs: int | None = None,
                                cache=None,
                                policy=None,
-                               incremental: bool | None = None,
-                               preprocess: bool | None = None,
                                certify: bool | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
@@ -54,16 +52,14 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
             src_info, tgt_info, config, scalar_values=scalar_values,
             concretize_extent=concretize_extent, timeout=timeout,
             do_simplify=do_simplify, validate=validate, jobs=jobs,
-            cache=cache, policy=policy, incremental=incremental,
-            preprocess=preprocess, certify=certify)
+            cache=cache, policy=policy, certify=certify)
 
 
 def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                 config: LaunchConfig, *, scalar_values,
                                 concretize_extent, timeout, do_simplify,
                                 validate, jobs, cache,
-                                policy=None, incremental=None,
-                                preprocess=None,
+                                policy=None,
                                 certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -112,8 +108,7 @@ def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
     response = solve_query(
         Query([*constraints, Or(*differs)], timeout=timeout,
               do_simplify=do_simplify),
-        cache=cache, policy=policy, incremental=incremental,
-        preprocess=preprocess, certify=certify)
+        cache=cache, policy=policy, certify=certify)
     result = response.verdict
     outcome.vcs_checked = 1
     outcome.solver_time = response.solver_time
@@ -167,35 +162,24 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
                       jobs: int | None = None,
                       cache=None,
                       policy=None,
-                      incremental: bool | None = None,
-                      preprocess: bool | None = None,
                       certify: bool | None = None) -> CheckOutcome:
     """Unified entry point.
 
     ``method="param"`` — the paper's parameterized checker: needs ``width``
-    and optionally ``assumption_builder``/``concretize``.
+    and optionally ``assumption_builder``/``concretize``.  The keyword
+    overrides go into a copy of ``options``; the caller's object is left
+    as it was.
 
     ``method="nonparam"`` — the Section III baseline: needs a concrete
     ``config`` (geometry fixes the thread count ``n``).
     """
     if method == "param":
-        opts = options or ParamOptions()
-        if timeout is not None:
-            opts.timeout = timeout
-        if jobs is not None:
-            opts.jobs = jobs
-        if cache is not None:
-            opts.cache = cache
-        if policy is not None:
-            opts.policy = policy
-        if incremental is not None:
-            opts.incremental = incremental
-        if preprocess is not None:
-            opts.preprocess = preprocess
-        if certify is not None:
-            opts.certify = certify
+        overrides = {k: v for k, v in (
+            ("timeout", timeout), ("jobs", jobs), ("cache", cache),
+            ("policy", policy), ("certify", certify)) if v is not None}
         if not validate:
-            opts.validate = False
+            overrides["validate"] = False
+        opts = replace(options or ParamOptions(), **overrides)
         return check_equivalence_param(
             src_info, tgt_info, width,
             assumption_builder=assumption_builder,
@@ -208,6 +192,5 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             scalar_values=scalar_values,
             concretize_extent=concretize_extent,
             timeout=timeout, validate=validate, jobs=jobs, cache=cache,
-            policy=policy, incremental=incremental, preprocess=preprocess,
-            certify=certify)
+            policy=policy, certify=certify)
     raise ValueError(f"unknown method {method!r}")

@@ -161,8 +161,6 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               jobs: int | None = None,
                               cache=None,
                               policy=None,
-                              incremental: bool | None = None,
-                              preprocess: bool | None = None,
                               certify: bool | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
@@ -170,14 +168,12 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
         return _check_functional_nonparam(
             info, config, scalar_values=scalar_values, timeout=timeout,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
-            incremental=incremental, preprocess=preprocess,
             certify=certify)
 
 
 def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                                scalar_values, timeout, validate, jobs,
-                               cache, policy=None, incremental=None,
-                               preprocess=None,
+                               cache, policy=None,
                                certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -214,9 +210,7 @@ def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
     # Per-obligation VCs are independent; streamed by default so the
     # first verdict lands before the last obligation is encoded, and an
     # early return below abandons (never solves) the tail.
-    dispatch = dict(jobs=jobs, cache=cache, policy=policy,
-                    incremental=incremental, preprocess=preprocess,
-                    certify=certify)
+    dispatch = dict(jobs=jobs, cache=cache, policy=policy, certify=certify)
     lat: dict = {}
     if default_stream():
         record_encode_stats(outcome, mode="stream")
@@ -294,8 +288,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                            jobs: int | None = None,
                            cache=None,
                            policy=None,
-                           incremental: bool | None = None,
-                           preprocess: bool | None = None,
                            certify: bool | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
@@ -308,15 +300,13 @@ def check_functional_param(info: KernelInfo, width: int, *,
             info, width, assumption_builder=assumption_builder,
             concretize=concretize, timeout=timeout, bughunt=bughunt,
             validate=validate, jobs=jobs, cache=cache, policy=policy,
-            incremental=incremental, preprocess=preprocess,
             certify=certify)
 
 
 def _check_functional_param(info: KernelInfo, width: int, *,
                             assumption_builder, concretize, timeout,
                             bughunt, validate, jobs, cache,
-                            policy=None, incremental=None,
-                            preprocess=None,
+                            policy=None,
                             certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
@@ -431,9 +421,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
             responses = solve_all(
                 [Query([*assumptions, *case.constraints, Not(case.value)],
                        timeout=budget()) for case in cases],
-                jobs=jobs, cache=cache, policy=policy,
-                incremental=incremental, preprocess=preprocess,
-            certify=certify)
+                jobs=jobs, cache=cache, policy=policy, certify=certify)
             for response in responses:
                 outcome.vcs_checked += 1
                 outcome.solver_time += response.solver_time

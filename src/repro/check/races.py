@@ -112,8 +112,6 @@ def check_races(info: KernelInfo, width: int = 16, *,
                 jobs: int | None = None,
                 cache=None,
                 policy=None,
-                incremental: bool | None = None,
-                preprocess: bool | None = None,
                 certify: bool | None = None) -> CheckOutcome:
     """Check the kernel race-free for any thread count.
 
@@ -131,14 +129,12 @@ def check_races(info: KernelInfo, width: int = 16, *,
                             assumption_builder=assumption_builder,
                             concretize=concretize, timeout=timeout,
                             validate=validate, jobs=jobs, cache=cache,
-                            policy=policy, incremental=incremental,
-                            preprocess=preprocess, certify=certify)
+                            policy=policy, certify=certify)
 
 
 def _check_races(info: KernelInfo, width: int, *, assumption_builder,
                  concretize, timeout, validate, jobs, cache,
-                 policy=None, incremental=None,
-                 preprocess=None, certify=None) -> CheckOutcome:
+                 policy=None, certify=None) -> CheckOutcome:
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -241,9 +237,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     # on a conclusive result cancels the unsolved tail.  Per-query
     # verdicts are identical either way — consumption below walks
     # generation order in both modes.
-    dispatch = dict(jobs=jobs, cache=cache, policy=policy,
-                    incremental=incremental, preprocess=preprocess,
-                    certify=certify)
+    dispatch = dict(jobs=jobs, cache=cache, policy=policy, certify=certify)
     if default_stream():
         lat: dict = {}
         bounded = []

@@ -88,8 +88,6 @@ class CheckOutcome:
         agg["queries"] = agg.get("queries", 0) + 1
         if query_stats.get("cache_hit"):
             agg["cache_hits"] = agg.get("cache_hits", 0) + 1
-        if query_stats.get("incremental"):
-            agg["incremental"] = agg.get("incremental", 0) + 1
         axis = query_stats.get("budget_axis")
         if axis in ("time", "conflicts"):
             # Which budget axis actually expired on an UNKNOWN — lets
@@ -201,9 +199,6 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
     lines = ["solver stats:"]
     lines.append(f"  queries      {agg.get('queries', 0)}"
                  f"  (cache hits: {agg.get('cache_hits', 0)})")
-    if agg.get("incremental"):
-        lines.append(f"  incremental  {agg['incremental']} "
-                     "(solved under assumptions in shared-prefix groups)")
     if agg.get("budget_time") or agg.get("budget_conflicts"):
         lines.append(f"  budgets hit  time: {agg.get('budget_time', 0)}, "
                      f"conflicts: {agg.get('budget_conflicts', 0)}")

@@ -69,8 +69,6 @@ front-end environment knobs (defaults in parentheses):
   PUGPARA_STREAM        encode/solve pipelining (1); 0 restores batch
                         solve_all semantics
   PUGPARA_STREAM_CHUNK  queries per streamed chunk (max(4, 2*jobs))
-  PUGPARA_INTERN        compound-term hash-consing (1); 0 disables DAG
-                        sharing (leaves stay interned); diagnostic only
 """
 
 
@@ -170,18 +168,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--cache-dir", metavar="DIR",
                        help="persist the query cache on disk under DIR "
                             "(e.g. .pugpara_cache)")
-        p.add_argument("--incremental",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="group batched VCs by shared antecedent prefix "
-                            "and solve each group incrementally under "
-                            "assumption literals (default: "
-                            "PUGPARA_INCREMENTAL, off)")
-        p.add_argument("--preprocess",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="run the SatELite-style CNF preprocessor on "
-                            "incremental groups (default: "
-                            "PUGPARA_PREPROCESS, on); --no-preprocess "
-                            "disables it")
         p.add_argument("--certify",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="require a checked DRAT proof for every UNSAT "
@@ -350,8 +336,6 @@ def _dispatch(args) -> int:
         cache = None  # the shared in-memory default
     policy = _policy(args) if hasattr(args, "retries") else None
     validate = getattr(args, "validate_cex", True)
-    incremental = getattr(args, "incremental", None)
-    preprocess = getattr(args, "preprocess", None)
     certify = getattr(args, "certify", None)
 
     def report(outcome) -> int:
@@ -388,16 +372,13 @@ def _dispatch(args) -> int:
                                      validate=validate,
                                      jobs=jobs, cache=cache,
                                      policy=policy,
-                                     incremental=incremental,
-                                     preprocess=preprocess,
                                      certify=certify))
         else:
             outcome = check_equivalence(
                 src, tgt, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, certify=certify)
+                cache=cache, policy=policy, certify=certify)
         return report(outcome)
 
     if args.command == "func":
@@ -407,15 +388,13 @@ def _dispatch(args) -> int:
                 info, method="param", width=args.width,
                 assumption_builder=builder, concretize=_concretize(args),
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, certify=certify)
+                cache=cache, policy=policy, certify=certify)
         else:
             outcome = check_functional(
                 info, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
                 timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, incremental=incremental,
-                preprocess=preprocess, certify=certify)
+                cache=cache, policy=policy, certify=certify)
         return report(outcome)
 
     if args.command == "races":
@@ -425,8 +404,7 @@ def _dispatch(args) -> int:
                               concretize=_concretize(args),
                               timeout=args.timeout, validate=validate,
                               jobs=jobs, cache=cache, policy=policy,
-                              incremental=incremental,
-                              preprocess=preprocess, certify=certify)
+                              certify=certify)
         return report(outcome)
 
     if args.command == "run":

@@ -72,8 +72,6 @@ class ParamOptions:
     jobs: int | None = None             # VC dispatch worker processes
     cache: object = None                # canonical query cache (False = off)
     policy: object = None               # UNKNOWN retry policy (None = env)
-    incremental: bool | None = None     # shared-prefix batch solving
-    preprocess: bool | None = None      # CNF preprocessing in groups
     certify: bool | None = None         # DRAT-check every UNSAT verdict
 
 
@@ -352,10 +350,7 @@ class _GroupChecker:
                        do_simplify=run.options.simplify)
                  for terms in term_lists],
                 jobs=run.options.jobs, cache=run.options.cache,
-                policy=run.options.policy,
-                incremental=run.options.incremental,
-                preprocess=run.options.preprocess,
-                certify=run.options.certify)
+                policy=run.options.policy, certify=run.options.certify)
             for response in responses:
                 run.account(response)
             return responses

@@ -9,8 +9,8 @@ that reuse is the point of serving.  Three layers stay warm per worker:
   directory (:func:`~repro.smt.dispatch.set_default_cache`), so every
   checker call reads and warms the same store, and N server processes on
   one cache directory share results through the shard locks;
-* the **blast template cache** and **interned term tables** — module
-  globals of the solver core, warm across requests automatically;
+* the **interned term table** — a module global of the term layer, warm
+  across requests automatically;
 * the **parsed-module state** — imports, keywords, the works.
 
 Workers inherit the dispatcher's hygiene (:func:`worker_init`: SIGINT

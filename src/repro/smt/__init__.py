@@ -16,8 +16,8 @@ Layers (bottom-up):
   — hash-consed terms and algebraic normalization;
 - :mod:`repro.smt.preprocess` — SatELite-style CNF preprocessing;
 - :mod:`repro.smt.solver` — the one-shot facade tying it together;
-- :mod:`repro.smt.incremental` / :mod:`repro.smt.dispatch` — shared-prefix
-  incremental batch solving and the resilient parallel runtime.
+- :mod:`repro.smt.dispatch` — the resilient parallel runtime that sends
+  each query through its own one-shot ``Solver``.
 """
 
 from .sorts import ARRAY, BOOL, BV, ArraySort, BitVecSort, Sort
@@ -29,8 +29,7 @@ from .terms import (
     ULt, Var, Xor, ZeroExt, collect, fresh_name, fresh_scope, fresh_var,
     iter_dag, term_size,
 )
-from .terms import (common_prefix_length, fingerprint, intern_stats,
-                    interning_enabled, prefix_fingerprint)
+from .terms import intern_stats
 from .simplify import simplify, simplify_all
 from .substitute import evaluate, substitute
 from .printer import script_smtlib, to_smtlib, to_str
@@ -39,11 +38,10 @@ from .sat import SATConfig
 from .sat.proof import CheckedProof, ProofLog, check_proof
 from .solver import CheckResult, Solver, check_valid, is_satisfiable
 from .preprocess import Preprocessor, preprocess
-from .incremental import GroupResult, plan_groups, solve_group
 from .qcache import QueryCache, canonical_key, canonicalize
 from .dispatch import (
-    Query, QueryResult, default_cache, default_certify, default_incremental,
-    default_jobs, default_preprocess, default_stream, default_stream_chunk,
+    Query, QueryResult, default_cache, default_certify, default_jobs,
+    default_stream, default_stream_chunk,
     resolve_cache, solve_all, solve_query, solve_stream,
 )
 from .resilience import ESCALATIONS, RetryPolicy, default_policy
@@ -59,9 +57,8 @@ __all__ = [
     "Distinct", "Eq", "Extract", "Iff", "Implies", "Ite", "Kind", "Ne", "Not",
     "Or", "Select", "SGe", "SGt", "SignExt", "SLe", "SLt", "Store", "Term",
     "UGe", "UGt", "ULe", "ULt", "Var", "Xor", "ZeroExt", "collect",
-    "common_prefix_length", "fingerprint", "fresh_name", "fresh_scope",
-    "fresh_var", "intern_stats", "interning_enabled", "iter_dag",
-    "prefix_fingerprint", "term_size",
+    "fresh_name", "fresh_scope", "fresh_var", "intern_stats", "iter_dag",
+    "term_size",
     # transforms
     "simplify", "simplify_all", "substitute", "evaluate",
     # printing
@@ -71,13 +68,12 @@ __all__ = [
     "is_satisfiable",
     # proof certification
     "CheckedProof", "ProofLog", "check_proof", "default_certify",
-    # preprocessing + incremental batches
+    # preprocessing
     "Preprocessor", "preprocess",
-    "GroupResult", "plan_groups", "solve_group",
     # caching + dispatch
     "QueryCache", "canonical_key", "canonicalize",
-    "Query", "QueryResult", "default_cache", "default_incremental",
-    "default_jobs", "default_preprocess", "default_stream",
+    "Query", "QueryResult", "default_cache", "default_jobs",
+    "default_stream",
     "default_stream_chunk", "resolve_cache", "solve_all",
     "solve_query", "solve_stream",
     # resilience

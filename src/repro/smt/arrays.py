@@ -18,14 +18,6 @@ Two passes:
    share one variable; reads whose indices provably differ skip their
    constraint.
 
-The work lives in :class:`ArrayEliminator`, which is *resumable*: after
-eliminating a batch's shared prefix once, :meth:`ArrayEliminator.fork`
-clones the caches so each query's residual assertions extend the same
-reduction without re-deriving the prefix — and without sharing the fresh
-element variables a sibling query introduces (sharing them would let one
-query's guarded consistency constraints leak into another's).
-:func:`eliminate_arrays` keeps the original one-shot interface.
-
 The returned :class:`ArrayInfo` lets the model layer reconstruct concrete
 array contents for counterexample replay.
 """
@@ -42,7 +34,7 @@ from .substitute import rebuild
 from .terms import Eq, Implies, Ite, Kind, Select, Term, fresh_var
 from ..errors import SolverError
 
-__all__ = ["ArrayInfo", "ArrayEliminator", "eliminate_arrays"]
+__all__ = ["ArrayInfo", "eliminate_arrays"]
 
 
 @dataclass
@@ -65,15 +57,8 @@ def _canonical_index(index: Term) -> Term:
     return poly_to_term(poly_of(index), sort)
 
 
-class ArrayEliminator:
-    """Incremental write-chain expansion + Ackermann reduction.
-
-    Each :meth:`extend` call rewrites a batch of assertions into
-    array-free form and returns the functional-consistency constraints for
-    every read pair not yet covered — constraints pairing a new read with
-    any earlier read land in the *later* call, so a forked eliminator emits
-    exactly the constraints its own residual assertions are responsible for.
-    """
+class _Eliminator:
+    """Write-chain expansion + Ackermann reduction over one query."""
 
     def __init__(self) -> None:
         self._select_cache: dict[tuple[Term, Term], Term] = {}
@@ -83,22 +68,6 @@ class ArrayEliminator:
         self._replacement: dict[Term, Term] = {}
         self._index_memo: dict[tuple[Term, Term], int | None] = {}
         self.info = ArrayInfo()
-
-    def fork(self) -> "ArrayEliminator":
-        """An independent continuation sharing all work done so far.
-
-        The clone sees every cached rewrite and every element variable the
-        parent introduced, but fresh variables it mints stay its own.
-        """
-        clone = ArrayEliminator.__new__(ArrayEliminator)
-        clone._select_cache = dict(self._select_cache)
-        clone._rewrite_cache = dict(self._rewrite_cache)
-        clone._assigned = dict(self._assigned)
-        clone._replacement = dict(self._replacement)
-        clone._index_memo = dict(self._index_memo)
-        clone.info = ArrayInfo(
-            {a: list(p) for a, p in self.info.reads.items()})
-        return clone
 
     # --------------------------------------------------- write-chain expansion
 
@@ -177,23 +146,20 @@ class ArrayEliminator:
 
     # --------------------------------------------------------------- driving
 
-    def extend(self, assertions: list[Term]) -> tuple[list[Term], list[Term]]:
+    def run(self, assertions: list[Term]) -> tuple[list[Term], list[Term]]:
         """Rewrite ``assertions``; returns ``(rewritten, constraints)`` where
-        ``constraints`` are the functional-consistency implications covering
-        every read pair involving at least one read new to this call."""
+        ``constraints`` are the functional-consistency implications over
+        every pair of reads."""
         if sys.getrecursionlimit() < 100_000:
             sys.setrecursionlimit(100_000)
-        mark = {array: len(pairs)
-                for array, pairs in self.info.reads.items()}
         expanded = [self._expand(t) for t in assertions]
         rewritten = [self._ackermann(t) for t in expanded]
 
         constraints: list[Term] = []
-        for array, pairs in self.info.reads.items():
-            start = mark.get(array, 0)
+        for pairs in self.info.reads.values():
             for j in range(len(pairs)):
                 idx_j, var_j = pairs[j]
-                for k in range(max(j + 1, start), len(pairs)):
+                for k in range(j + 1, len(pairs)):
                     idx_k, var_k = pairs[k]
                     d = index_difference(idx_j, idx_k, self._index_memo)
                     if d is not None:
@@ -212,6 +178,6 @@ def eliminate_arrays(assertions: list[Term]) -> tuple[list[Term], ArrayInfo]:
     the paper's encodings never produce — outputs are always compared
     element-wise at a symbolic index.
     """
-    eliminator = ArrayEliminator()
-    rewritten, constraints = eliminator.extend(assertions)
+    eliminator = _Eliminator()
+    rewritten, constraints = eliminator.run(assertions)
     return rewritten + constraints, eliminator.info

@@ -14,8 +14,6 @@ blasting; encountering one here is a programming error.
 
 from __future__ import annotations
 
-from .blastcache import BlastCache, blast_cache_enabled, global_blast_cache, \
-    input_signature
 from .cnf import GateBuilder
 from .sorts import ArraySort
 from .terms import Kind, Term
@@ -27,24 +25,15 @@ __all__ = ["BitBlaster"]
 class BitBlaster:
     """Translates Bool terms to literals and BV terms to bit lists.
 
-    Expensive circuit nodes (multipliers, dividers, adders, comparators,
-    barrel shifters) go through the cross-query template cache
-    (:mod:`repro.smt.blastcache`): the first construction is recorded, and
-    later blasts of the same interned term — in this or any other
-    ``BitBlaster`` — replay the clauses by substitution.  Pass
-    ``cache=None`` (or set ``PUGPARA_BLAST_CACHE=0``) to force direct
-    construction everywhere.
+    Every circuit is built directly on the query's own gate cache, so
+    sibling circuits share gates.
     """
 
-    def __init__(self, builder: GateBuilder | None = None,
-                 cache: BlastCache | None | str = "global") -> None:
+    def __init__(self, builder: GateBuilder | None = None) -> None:
         self.gb = builder if builder is not None else GateBuilder()
-        if cache == "global":
-            cache = global_blast_cache() if blast_cache_enabled() else None
-        self.cache: BlastCache | None = cache  # type: ignore[assignment]
         # Backends that track assignments (SATSolver) expose root-forced
         # literals; treating those as constants folds circuits at build
-        # time and specializes templates per root-assignment shape.
+        # time.
         self._root_value = getattr(self.gb.sat, "root_value", None)
         self._bool_cache: dict[Term, int] = {}
         self._bits_cache: dict[Term, list[int]] = {}
@@ -68,44 +57,24 @@ class BitBlaster:
                 out[i] = gb.true_lit if v == 0 else gb.false_lit
         return out
 
-    def _via_cache(self, t: Term, inputs: list[int], build) -> list[int]:
-        """Build a circuit node through the template cache: replay when a
-        template for ``(term, input shape)`` exists, else build directly
-        while recording one.  ``inputs`` must already be blasted — the
-        recording must only capture this node's own clauses.
-
-        Root-forced input literals are first replaced by the builder
-        constants, so ``build`` receives (and must construct from) the
-        substituted vector — the cache key, the recorded template, and the
-        emitted circuit all see the same folded shape.
-        """
-        inputs = self._root_subst(inputs)
-        cache = self.cache
-        if cache is None:
-            return build(inputs)
-        gb = self.gb
-        key = (t, input_signature(inputs, gb.is_const))
-        out = cache.replay(key, inputs, gb)
-        if out is not None:
-            return out
-        return cache.record(key, inputs, gb, build)
+    def _operand_bits(self, t: Term) -> tuple[list[int], list[int]]:
+        """The bits of ``t``'s two operands, root-forced literals replaced
+        by the builder constants (:meth:`_root_subst`), so the circuit
+        built on them folds."""
+        a, b = t.args
+        return (self._root_subst(self.bits_of(a)),
+                self._root_subst(self.bits_of(b)))
 
     # ------------------------------------------------------------- interface
 
-    def assert_term(self, term: Term, guard: int | None = None) -> None:
+    def assert_term(self, term: Term) -> None:
         """Assert a Bool term, splitting top-level conjunctions into separate
-        unit assertions (better propagation than one big AND gate).
-
-        With a ``guard`` literal, each resulting top-level assertion is
-        emitted as ``guard -> lit`` so it only takes effect when ``guard``
-        is assumed; the gate definitions underneath stay unguarded and can
-        be shared between queries (see :mod:`repro.smt.incremental`).
-        """
+        unit assertions (better propagation than one big AND gate)."""
         if term.kind == Kind.AND:
             for arg in term.args:
-                self.assert_term(arg, guard)
+                self.assert_term(arg)
             return
-        self.gb.assert_lit(self.lit_of(term), guard)
+        self.gb.assert_lit(self.lit_of(term))
 
     def lit_of(self, term: Term) -> int:
         """The literal representing a Bool-sorted term."""
@@ -162,33 +131,20 @@ class BitBlaster:
                 return gb.IFF(self.lit_of(a), self.lit_of(b))
             if isinstance(a.sort, ArraySort):
                 raise SolverError("array extensionality is not supported")
-            xs, ys = self.bits_of(a), self.bits_of(b)
-            w = len(xs)
-            return self._via_cache(t, xs + ys, lambda ins: [
-                gb.AND([gb.IFF(x, y)
-                        for x, y in zip(ins[:w], ins[w:])])])[0]
+            xs, ys = self._operand_bits(t)
+            return gb.AND([gb.IFF(x, y) for x, y in zip(xs, ys)])
         if k == Kind.BVULT:
-            xs, ys = self.bits_of(t.args[0]), self.bits_of(t.args[1])
-            w = len(xs)
-            return self._via_cache(
-                t, xs + ys, lambda ins: [self._ult(ins[:w], ins[w:])])[0]
+            xs, ys = self._operand_bits(t)
+            return self._ult(xs, ys)
         if k == Kind.BVULE:
-            xs, ys = self.bits_of(t.args[0]), self.bits_of(t.args[1])
-            w = len(xs)
-            return self._via_cache(
-                t, xs + ys,
-                lambda ins: [self._ult(ins[w:], ins[:w]) ^ 1])[0]
+            xs, ys = self._operand_bits(t)
+            return self._ult(ys, xs) ^ 1
         if k == Kind.BVSLT:
-            xs, ys = self.bits_of(t.args[0]), self.bits_of(t.args[1])
-            w = len(xs)
-            return self._via_cache(
-                t, xs + ys, lambda ins: [self._slt(ins[:w], ins[w:])])[0]
+            xs, ys = self._operand_bits(t)
+            return self._slt(xs, ys)
         if k == Kind.BVSLE:
-            xs, ys = self.bits_of(t.args[0]), self.bits_of(t.args[1])
-            w = len(xs)
-            return self._via_cache(
-                t, xs + ys,
-                lambda ins: [self._slt(ins[w:], ins[:w]) ^ 1])[0]
+            xs, ys = self._operand_bits(t)
+            return self._slt(ys, xs) ^ 1
         raise SolverError(f"cannot bit-blast Bool term kind {k.name}")
 
     # -------------------------------------------------------------------- bv
@@ -223,23 +179,17 @@ class BitBlaster:
             xs = self.bits_of(t.args[0])
             if t.args[0] is t.args[1]:  # x + x == x << 1: pure wiring
                 return [gb.false_lit, *xs[:-1]]
-            ys = self.bits_of(t.args[1])
-            return self._via_cache(
-                t, xs + ys,
-                lambda ins: self._adder(ins[:w], ins[w:], gb.false_lit))
+            xs, ys = self._operand_bits(t)
+            return self._adder(xs, ys, gb.false_lit)
         if k == Kind.BVSUB:
-            xs = self.bits_of(t.args[0])
-            ys = [b ^ 1 for b in self.bits_of(t.args[1])]
-            return self._via_cache(
-                t, xs + ys,
-                lambda ins: self._adder(ins[:w], ins[w:], gb.true_lit))
+            xs, ys = self._operand_bits(t)
+            return self._adder(xs, [b ^ 1 for b in ys], gb.true_lit)
         if k == Kind.BVNEG:
             xs = [b ^ 1 for b in self.bits_of(t.args[0])]
             zero = [gb.false_lit] * w
             return self._adder(zero, xs, gb.true_lit)
         if k == Kind.BVMUL:
-            xs = self._root_subst(self.bits_of(t.args[0]))
-            ys = self._root_subst(self.bits_of(t.args[1]))
+            xs, ys = self._operand_bits(t)
             vx, vy = self._const_value(xs), self._const_value(ys)
             if vy is None and vx is not None:
                 xs, ys, vy = ys, xs, vx
@@ -251,17 +201,10 @@ class BitBlaster:
             zy = sum(1 for b in ys if gb.is_const(b) is False)
             if zx > zy:
                 xs, ys = ys, xs
-            return self._via_cache(
-                t, xs + ys, lambda ins: self._multiplier(ins[:w], ins[w:]))
+            return self._multiplier(xs, ys)
         if k in (Kind.BVUDIV, Kind.BVUREM):
-            xs = self.bits_of(t.args[0])
-            ys = self.bits_of(t.args[1])
-
-            def build_div(ins: list[int]) -> list[int]:
-                q, r = self._divider(ins[:w], ins[w:])
-                return [*q, *r]
-            both = self._via_cache(t, xs + ys, build_div)
-            return both[:w] if k == Kind.BVUDIV else both[w:]
+            q, r = self._divider(*self._operand_bits(t))
+            return q if k == Kind.BVUDIV else r
         if k == Kind.BVSHL:
             return self._shifter(t, left=True, arith=False)
         if k == Kind.BVLSHR:
@@ -374,9 +317,7 @@ class BitBlaster:
             if left:
                 return [gb.false_lit] * av + xs[: w - av]
             return xs[av:] + [fill] * av
-        return self._via_cache(
-            t, xs + amount,
-            lambda ins: self._barrel(ins[:w], ins[w:], left, arith))
+        return self._barrel(self._root_subst(xs), amount, left, arith)
 
     def _barrel(self, xs: list[int], amount: list[int],
                 left: bool, arith: bool) -> list[int]:

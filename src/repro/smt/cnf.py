@@ -12,8 +12,7 @@ constant bits uniformly as literals.
 
 The backend only needs ``new_var``/``add_clause``: a :class:`SATSolver` for
 direct solving, or a :class:`ClauseDB` when the clauses are destined for the
-preprocessor (:mod:`repro.smt.preprocess`) or an incremental group instance
-(:mod:`repro.smt.incremental`).
+preprocessor (:mod:`repro.smt.preprocess`).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class ClauseDB:
     Unlike :class:`SATSolver.add_clause` it performs no level-0
     simplification — tautology removal and unit propagation are the
     preprocessor's job — so the recorded CNF is exactly what the gates
-    emitted and can be replayed into any number of solver instances.
+    emitted.
     """
 
     def __init__(self) -> None:
@@ -57,36 +56,6 @@ class ClauseDB:
             return False
         self.clauses.append(clause)
         return True
-
-    def new_vars(self, n: int) -> int:
-        """Allocate ``n`` fresh variables at once; returns the first index
-        (the bulk counterpart of :meth:`new_var`, used by template replay)."""
-        first = self.num_vars
-        if n > 0:
-            self.num_vars += n
-        return first
-
-    def add_clauses(self, clause_iter: Iterable[list[int]]) -> bool:
-        """Bulk :meth:`add_clause` without per-literal validation — the
-        replay path feeds machine-generated clauses over this DB's own
-        variable counter."""
-        self.clauses.extend(clause_iter)
-        return self.ok
-
-    # The DB records clauses verbatim either way; pre-sanitized bulk input
-    # needs no separate treatment.
-    add_clauses_raw = add_clauses
-
-    def add_clauses_flat(self, sizes: list[int], flat: list[int]) -> bool:
-        """Bulk-load from a flat literal buffer (see the
-        :class:`~repro.smt.sat.SATSolver` counterpart)."""
-        clauses = self.clauses
-        pos = 0
-        for n in sizes:
-            end = pos + n
-            clauses.append(flat[pos:end])
-            pos = end
-        return self.ok
 
 
 class GateBuilder:
@@ -235,16 +204,6 @@ class GateBuilder:
         carry = self.OR([self.AND([a, b]), self.AND([cin, axb])])
         return s, carry
 
-    def assert_lit(self, lit: int, guard: int | None = None) -> None:
-        """Assert ``lit``, optionally only under an assumption ``guard``.
-
-        Guarding emits ``guard -> lit`` instead of the unit clause, so the
-        assertion is inert until the guard literal is assumed.  Only these
-        top-level assertions need guarding: Tseitin gate definitions are
-        satisfiable under any input assignment, so sharing them between
-        differently-guarded queries is sound.
-        """
-        if guard is None:
-            self.add_clause([lit])
-        else:
-            self.add_clause([guard ^ 1, lit])
+    def assert_lit(self, lit: int) -> None:
+        """Assert ``lit`` as a unit clause."""
+        self.add_clause([lit])

@@ -9,16 +9,8 @@ independence into throughput:
   (canonical key), satisfy what it can from the cache, and fan the rest out
   to ``jobs`` worker processes.
 
-With ``incremental=True`` (or ``PUGPARA_INCREMENTAL=1``) a batch is first
-partitioned into shared-prefix groups (:mod:`repro.smt.incremental`): each
-group's common antecedent run is bit-blasted once and its queries answered
-under assumption literals on one persistent CDCL instance, optionally after
-a SatELite-style CNF preprocessing pass (``preprocess=False`` or
-``PUGPARA_PREPROCESS=0`` disables it).  A group travels to *one* worker as
-a unit — per-group affinity — so the prefix is never blasted twice; the
-verdicts are identical to the one-shot path, and both the query cache and
-the retry policy see per-query results exactly as before (UNKNOWN is still
-never cached; retries re-dispatch through the same grouping).
+Every leader is solved one-shot: a fresh :class:`~repro.smt.solver.Solver`
+simplifies, blasts and searches it alone, in-process or on a worker.
 
 Workers receive queries as flat term blobs (:mod:`repro.smt.qcache`'s
 encoding — hash-consed terms do not pickle) and return the verdict, a
@@ -69,7 +61,6 @@ from typing import Any, Sequence
 
 from . import faults
 from .faults import FaultPlan
-from .incremental import plan_groups, solve_group
 from .model import Model
 from .qcache import (
     QueryCache, canonicalize, decode_terms, encode_terms,
@@ -84,8 +75,7 @@ from ..errors import SolverError
 __all__ = ["Query", "QueryResult", "solve_query", "solve_all",
            "solve_stream", "default_cache", "default_certify",
            "default_jobs", "default_stream", "default_stream_chunk",
-           "resolve_cache", "default_incremental", "default_preprocess",
-           "set_default_cache", "teardown_pool",
+           "resolve_cache", "set_default_cache", "teardown_pool",
            "worker_init"]
 
 log = logging.getLogger("repro.smt.dispatch")
@@ -192,18 +182,6 @@ def _env_flag(name: str, default: bool) -> bool:
     if raw is None or raw == "":
         return default
     return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-def default_incremental() -> bool:
-    """Whether batches group for incremental solving by default
-    (``PUGPARA_INCREMENTAL``, off unless set)."""
-    return _env_flag("PUGPARA_INCREMENTAL", False)
-
-
-def default_preprocess() -> bool:
-    """Whether incremental groups run the CNF preprocessor
-    (``PUGPARA_PREPROCESS``, on unless disabled)."""
-    return _env_flag("PUGPARA_PREPROCESS", True)
 
 
 def default_stream() -> bool:
@@ -428,61 +406,6 @@ def _worker_solve(payload: tuple) -> tuple[str, dict | None, dict]:
     return verdict.value, model_blob, dict(solver.stats)
 
 
-def _worker_solve_group(payload: tuple) -> list[tuple[str, str, dict | None,
-                                                      dict]]:
-    """Executed in a worker process: solve one shared-prefix group.
-
-    The whole group lives and dies with this worker — per-group affinity.
-    Fault decisions key off the group leader so a crash spec that targets
-    the leader takes the unit down as one (and requeues as one).
-    """
-    (blob, plen, lens, timeouts, conflict_budgets, do_simplify,
-     validate_models, preprocess, keys, fault_spec, salt,
-     certify) = payload
-    plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
-    faults.maybe_crash(plan, keys[0], salt)
-    faults.maybe_delay(plan, "worker", keys[0], salt)
-    faults.maybe_raise(plan, "worker", keys[0], salt)
-    try:
-        terms = decode_terms(blob)
-        prefix = terms[:plen]
-        residuals: list[list[Term]] = []
-        pos = plen
-        for length in lens:
-            residuals.append(terms[pos:pos + length])
-            pos += length
-        group = solve_group(prefix, residuals, timeouts=timeouts,
-                            conflict_budgets=conflict_budgets,
-                            do_simplify=do_simplify, preprocess=preprocess,
-                            validate_models=validate_models,
-                            certify=certify)
-    except MemoryError:
-        return [(key, CheckResult.UNKNOWN.value, None,
-                 {"error": "memory exhausted"}) for key in keys]
-    out: list[tuple[str, str, dict | None, dict]] = []
-    for key, (verdict, model, stats) in zip(keys, group):
-        model_blob = (_project_model(model)
-                      if verdict is CheckResult.SAT and model is not None
-                      else None)
-        out.append((key, verdict.value, model_blob, stats))
-    return out
-
-
-def _group_payload(preps: list[_Prepared], plen: int,
-                   budgets: dict[str, tuple[float | None, int | None]],
-                   preprocess: bool, spec: Any, salt: int,
-                   certify: bool) -> tuple:
-    """Flatten a shared-prefix group into one picklable worker payload."""
-    prefix = list(preps[0].query.assertions[:plen])
-    residuals = [list(p.query.assertions[plen:]) for p in preps]
-    flat = prefix + [t for residual in residuals for t in residual]
-    return (encode_terms(flat), plen, [len(r) for r in residuals],
-            [budgets[p.key][0] for p in preps],
-            [budgets[p.key][1] for p in preps],
-            preps[0].query.do_simplify, preps[0].query.validate_models,
-            preprocess, [p.key for p in preps], spec, salt, certify)
-
-
 def _model_from_names(blob: dict | None,
                       varmap: dict[Term, int]) -> Model | None:
     """Rebind a worker's name-keyed model to this query's variable terms."""
@@ -629,215 +552,6 @@ def _solve_wave_pool(wave: list[_Prepared],
     return results
 
 
-def _solve_group_local_guarded(
-        preps: list[_Prepared], plen: int,
-        budgets: dict[str, tuple[float | None, int | None]],
-        plan: FaultPlan | None, salt: int,
-        preprocess: bool, certify: bool = False) -> dict[str, _Outcome]:
-    """Solve a shared-prefix group in-process; failures degrade every
-    member to UNKNOWN with the error recorded."""
-    leader_key = preps[0].key
-    start = time.monotonic()
-    try:
-        faults.maybe_delay(plan, "local", leader_key, salt)
-        faults.maybe_raise(plan, "local", leader_key, salt)
-        group = solve_group(
-            list(preps[0].query.assertions[:plen]),
-            [list(p.query.assertions[plen:]) for p in preps],
-            timeouts=[budgets[p.key][0] for p in preps],
-            conflict_budgets=[budgets[p.key][1] for p in preps],
-            do_simplify=preps[0].query.do_simplify,
-            preprocess=preprocess,
-            validate_models=preps[0].query.validate_models,
-            originals=[list(p.query.assertions) for p in preps],
-            certify=certify)
-        return {p.key: outcome for p, outcome in zip(preps, group)}
-    except MemoryError:
-        error = {"error": "memory exhausted",
-                 "time": time.monotonic() - start}
-    except Exception as exc:
-        error = {"error": f"{type(exc).__name__}: {exc}",
-                 "time": time.monotonic() - start}
-    return {p.key: (CheckResult.UNKNOWN, None, dict(error)) for p in preps}
-
-
-#: A dispatch unit in incremental mode: either ``("single", prep)`` or
-#: ``("group", preps, prefix_len)``.  A group unit travels to one worker.
-_Unit = tuple
-
-
-def _unit_keys(unit: _Unit) -> list[str]:
-    if unit[0] == "single":
-        return [unit[1].key]
-    return [p.key for p in unit[1]]
-
-
-def _solve_pool_mixed(units: list[_Unit],
-                      budgets: dict[str, tuple[float | None, int | None]],
-                      jobs: int, plan: FaultPlan | None, events: dict,
-                      attempt: int, preprocess: bool,
-                      certify: bool = False) -> dict[str, _Outcome]:
-    """Solve a mix of singleton queries and shared-prefix groups on one
-    worker pool, surviving crashes.
-
-    Each group is submitted as *one* task, so all of its queries land on
-    the same worker (per-group affinity) and the shared prefix is blasted
-    exactly once.  Crash recovery mirrors :func:`_solve_wave_pool`: a
-    broken unit requeues whole with a bumped fault salt, and after
-    ``PUGPARA_POOL_RETRIES`` consecutive failures the survivors degrade to
-    in-process solving.
-    """
-    results: dict[str, _Outcome] = {}
-    pending: list[tuple[_Unit, int]] = [(u, 0) for u in units]
-    spec = plan.to_spec() if plan is not None else None
-    failures = 0
-    max_failures = _pool_retries()
-    backoff = _pool_backoff()
-    rlimit = _worker_rlimit_mb()
-
-    while pending:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            initializer=_worker_init, initargs=(rlimit,))
-        requeued: list[tuple[_Unit, int]] = []
-        try:
-            futures = {}
-            for unit, requeue in pending:
-                salt = _attempt_salt(attempt, requeue)
-                if unit[0] == "single":
-                    prep = unit[1]
-                    timeout, conflicts = budgets[prep.key]
-                    payload = (encode_terms(prep.work), timeout, conflicts,
-                               prep.query.do_simplify,
-                               prep.query.validate_models,
-                               prep.key, spec, salt, certify)
-                    future = pool.submit(_worker_solve, payload)
-                else:
-                    future = pool.submit(
-                        _worker_solve_group,
-                        _group_payload(unit[1], unit[2], budgets,
-                                       preprocess, spec, salt, certify))
-                futures[future] = (unit, requeue)
-            for future, (unit, requeue) in futures.items():
-                try:
-                    value = future.result()
-                except BrokenExecutor:
-                    requeued.append((unit, requeue + 1))
-                    continue
-                except Exception as exc:
-                    error = {"error": f"{type(exc).__name__}: {exc}",
-                             "time": 0.0}
-                    for key in _unit_keys(unit):
-                        results[key] = (CheckResult.UNKNOWN, None,
-                                        dict(error))
-                    continue
-                if unit[0] == "single":
-                    verdict_str, model_blob, stats = value
-                    prep = unit[1]
-                    results[prep.key] = (
-                        CheckResult(verdict_str),
-                        _model_from_names(model_blob, prep.varmap), stats)
-                else:
-                    by_key = {p.key: p for p in unit[1]}
-                    for key, verdict_str, model_blob, stats in value:
-                        prep = by_key[key]
-                        results[key] = (
-                            CheckResult(verdict_str),
-                            _model_from_names(model_blob, prep.varmap),
-                            stats)
-        finally:
-            _teardown_pool(pool)
-        if not requeued:
-            break
-        failures += 1
-        events["worker_restarts"] = events.get("worker_restarts", 0) + 1
-        if failures >= max_failures:
-            events["degraded"] = True
-            log.warning(
-                "worker pool failed %d times in a row; degrading %d "
-                "dispatch units to in-process solving",
-                failures, len(requeued))
-            for unit, requeue in requeued:
-                salt = _attempt_salt(attempt, requeue)
-                if unit[0] == "single":
-                    prep = unit[1]
-                    results[prep.key] = _solve_local_guarded(
-                        prep.query, *budgets[prep.key], plan, prep.key,
-                        salt, certify)
-                else:
-                    results.update(_solve_group_local_guarded(
-                        unit[1], unit[2], budgets, plan, salt, preprocess,
-                        certify))
-            break
-        sleep = min(1.0, backoff * (2 ** (failures - 1)))
-        log.warning(
-            "worker pool broke (%d in-flight dispatch units requeued); "
-            "rebuilding after %.2fs backoff (failure %d/%d)",
-            len(requeued), sleep, failures, max_failures)
-        if sleep > 0:
-            time.sleep(sleep)
-        pending = requeued
-    return results
-
-
-def _solve_wave_incremental(
-        wave: list[_Prepared],
-        budgets: dict[str, tuple[float | None, int | None]],
-        jobs: int, plan: FaultPlan | None, events: dict, attempt: int,
-        preprocess: bool,
-        certify: bool = False) -> dict[str, _Outcome] | None:
-    """Partition a wave into shared-prefix groups and solve incrementally.
-
-    Returns ``None`` when no viable group exists — the caller falls back
-    to the one-shot wave paths.  Queries whose budgets or flags differ
-    from their group's consensus are demoted to singletons so a group is
-    always solved under one (do_simplify, validate_models) regime.
-
-    Groups are planned and solved on the *raw* assertions, not on the
-    simplified ``work``: simplification propagates a query's own units,
-    so a unit in one member's residual would rewrite the shared prefix
-    for that member alone.  :func:`solve_group` propagates only the units
-    of the prefix.
-    """
-    planned, single_idx = plan_groups([p.query.assertions for p in wave])
-    singles: list[_Prepared] = [wave[i] for i in single_idx]
-    groups: list[tuple[list[_Prepared], int]] = []
-    for plen, indices in planned:
-        by_flags: dict[tuple[bool, bool], list[_Prepared]] = {}
-        for i in indices:
-            prep = wave[i]
-            flags = (prep.query.do_simplify, prep.query.validate_models)
-            by_flags.setdefault(flags, []).append(prep)
-        for members in by_flags.values():
-            if len(members) < 2:
-                singles.extend(members)
-            else:
-                groups.append((members, plen))
-    if not groups:
-        return None
-    events["incremental_groups"] = (
-        events.get("incremental_groups", 0) + len(groups))
-    units: list[_Unit] = [("group", members, plen)
-                          for members, plen in groups]
-    units.extend(("single", prep) for prep in singles)
-    if jobs > 1 and len(units) > 1 and not events.get("degraded"):
-        return _solve_pool_mixed(units, budgets, jobs, plan, events,
-                                 attempt, preprocess, certify)
-    results: dict[str, _Outcome] = {}
-    salt = _attempt_salt(attempt, 0)
-    for unit in units:
-        if unit[0] == "single":
-            prep = unit[1]
-            results[prep.key] = _solve_local_guarded(
-                prep.query, *budgets[prep.key], plan, prep.key, salt,
-                certify)
-        else:
-            results.update(_solve_group_local_guarded(
-                unit[1], unit[2], budgets, plan, salt, preprocess,
-                certify))
-    return results
-
-
 def _attempt_record(attempt: int, timeout: float | None,
                     conflicts: int | None, verdict: CheckResult,
                     stats: dict) -> dict:
@@ -857,8 +571,7 @@ def _attempt_record(attempt: int, timeout: float | None,
 
 def _solve_batch(leaders: list[_Prepared], *, jobs: int,
                  policy: RetryPolicy, plan: FaultPlan | None,
-                 events: dict, incremental: bool = False,
-                 preprocess: bool = True,
+                 events: dict,
                  certify: bool = False) -> dict[str, _Outcome]:
     """Solve every leader, retrying UNKNOWNs under escalated budgets."""
     outcomes: dict[str, _Outcome] = {}
@@ -870,18 +583,10 @@ def _solve_batch(leaders: list[_Prepared], *, jobs: int,
             p.key: policy.budgets(p.query.timeout, p.query.conflict_budget,
                                   attempt)
             for p in wave}
-        solved = None
-        if incremental and len(wave) > 1:
-            # Retries re-enter the same grouping each attempt; the salt
-            # advances with the attempt so faults draw fresh decisions.
-            solved = _solve_wave_incremental(wave, budgets, jobs, plan,
-                                             events, attempt, preprocess,
-                                             certify)
-        if solved is None and jobs > 1 and len(wave) > 1 \
-                and not events.get("degraded"):
+        if jobs > 1 and len(wave) > 1 and not events.get("degraded"):
             solved = _solve_wave_pool(wave, budgets, jobs, plan, events,
                                       attempt, certify)
-        if solved is None:
+        else:
             solved = {
                 p.key: _solve_local_guarded(
                     p.query, *budgets[p.key], plan, p.key,
@@ -932,24 +637,15 @@ def _solve_batch(leaders: list[_Prepared], *, jobs: int,
 def solve_query(query: Query,
                 cache: QueryCache | bool | None = None,
                 policy: RetryPolicy | None = None,
-                incremental: bool | None = None,
-                preprocess: bool | None = None,
                 certify: bool | None = None) -> QueryResult:
-    """Solve one query in-process, through the canonical cache.
-
-    A single query never forms a shared-prefix group, so ``incremental``
-    is accepted only for interface symmetry with :func:`solve_all`.
-    """
+    """Solve one query in-process, through the canonical cache."""
     return solve_all([query], jobs=1, cache=cache, policy=policy,
-                     incremental=incremental, preprocess=preprocess,
                      certify=certify)[0]
 
 
 def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
               cache: QueryCache | bool | None = None,
               policy: RetryPolicy | None = None,
-              incremental: bool | None = None,
-              preprocess: bool | None = None,
               certify: bool | None = None) -> list[QueryResult]:
     """Solve every query; results come back in input order.
 
@@ -959,13 +655,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     their own variables.  ``policy`` (default: the environment's
     :func:`~repro.smt.resilience.default_policy`) retries UNKNOWN verdicts
     under escalated budgets.
-
-    ``incremental`` groups the batch by shared antecedent prefix and solves
-    each group on one persistent SAT instance under assumption literals
-    (default: :func:`default_incremental`, i.e. ``PUGPARA_INCREMENTAL``);
-    ``preprocess`` additionally runs the CNF preprocessor over each group
-    (default: :func:`default_preprocess`, i.e. ``PUGPARA_PREPROCESS``).
-    Verdicts are identical either way; only wall-clock changes.
 
     ``certify`` (default: :func:`default_certify`, i.e.
     ``PUGPARA_CERTIFY``) requires every UNSAT verdict to carry a checked
@@ -979,10 +668,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
         jobs = default_jobs()
     if policy is None:
         policy = default_policy()
-    if incremental is None:
-        incremental = default_incremental()
-    if preprocess is None:
-        preprocess = default_preprocess()
     if certify is None:
         certify = default_certify()
     cache_obj = resolve_cache(cache)
@@ -1014,8 +699,7 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     # under the policy's escalation schedule.
     events: dict = {}
     solved = _solve_batch(leaders, jobs=jobs, policy=policy, plan=plan,
-                          events=events, incremental=incremental,
-                          preprocess=preprocess, certify=certify)
+                          events=events, certify=certify)
     entries: dict[str, dict] = {}
     leader_models: dict[str, Model | None] = {}
     for prep in leaders:
@@ -1068,8 +752,6 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
 def solve_stream(queries, *, jobs: int | None = None,
                  cache: QueryCache | bool | None = None,
                  policy: RetryPolicy | None = None,
-                 incremental: bool | None = None,
-                 preprocess: bool | None = None,
                  certify: bool | None = None,
                  chunk: int | None = None,
                  latency: dict | None = None):
@@ -1079,9 +761,8 @@ def solve_stream(queries, *, jobs: int | None = None,
     ``queries`` may be any iterable (typically a generator that *encodes*
     each VC on demand); it is pulled ``chunk`` queries at a time, each
     chunk solved through the full :func:`solve_all` machinery — canonical
-    cache, duplicate folding, retry policy, worker pool, incremental
-    grouping — and yielded before the next chunk is
-    even pulled.  Two consequences:
+    cache, duplicate folding, retry policy, worker pool — and yielded
+    before the next chunk is even pulled.  Two consequences:
 
     * **time-to-first-verdict drops** from "encode everything, then
       solve everything" to one chunk's worth of work, which is what a
@@ -1120,8 +801,7 @@ def solve_stream(queries, *, jobs: int | None = None,
         if latency is not None:
             latency["chunks"] = chunks
         for result in solve_all(block, jobs=jobs, cache=cache,
-                                policy=policy, incremental=incremental,
-                                preprocess=preprocess, certify=certify):
+                                policy=policy, certify=certify):
             if first:
                 first = False
                 if latency is not None:

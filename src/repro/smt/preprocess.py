@@ -14,17 +14,16 @@ CDCL core:
   larger than the clauses it replaces is eliminated by distribution.
 
 Every transformation preserves satisfiability *projected onto the frozen
-variables*: callers freeze the constant variable and all assumption
-literals (see :mod:`repro.smt.incremental`), so UNSAT/SAT answers — also
-under assumptions — are unchanged.  Eliminated variables are recorded on a
+variables*: callers freeze the constant variable (see
+:class:`repro.smt.solver.Solver`), so UNSAT/SAT answers are unchanged.  Eliminated variables are recorded on a
 reconstruction stack; :meth:`Preprocessor.reconstruct` replays it in
 reverse to extend a model of the reduced CNF to a full model of the
 original clauses, which is what the bit-blaster's term-model extraction
 consumes.
 
 Frozen variables are never eliminated, and any root-level unit on a frozen
-variable is re-emitted in the output CNF so a later
-``solve(assumptions=[...])`` on the reduced instance still observes it.
+variable is re-emitted in the output CNF, so the reduced instance still
+observes it.
 """
 
 from __future__ import annotations
@@ -394,8 +393,8 @@ class Preprocessor:
         return self
 
     def output_clauses(self) -> list[list[int]]:
-        """The reduced CNF, plus re-emitted units for frozen variables so an
-        incremental solve under assumptions still sees their forced values."""
+        """The reduced CNF, plus re-emitted units for frozen variables so the
+        reduced instance still sees their forced values."""
         out = [list(c) for c in self.clauses if c is not None]
         for var in range(self.n):
             if self.frozen[var] and self.assign[var] != 2:

@@ -69,21 +69,19 @@ clauses.  This module holds the *contextual* rewrite layer that
 
 Every rule is model-preserving on the query it was harvested from; a
 :class:`Facts` base must therefore only be applied to terms asserted in
-the *same* conjunction (the incremental group solver harvests from the
-shared prefix only, which is part of every member query).
+the *same* conjunction.
 
 Structural hashing of repeated subterms is inherited from the interned
 term DAG (:mod:`repro.smt.terms`): identical subterms are identical Python
 objects, so every cache in this layer is an identity-keyed dict.  The
 corresponding blast-level strength reductions (constant shifts as wire
 slices, constant multipliers as shift-adds) live in
-:mod:`repro.smt.bitblast`; the cross-query circuit reuse lives in the
-shared blast cache (:mod:`repro.smt.blastcache`).
+:mod:`repro.smt.bitblast`.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .poly import (
     normalize_arith, normalize_eq, poly_add, poly_neg, poly_of, split_linear,
@@ -434,12 +432,10 @@ def _occurs(v: Term, t: Term) -> bool:
     return False
 
 
-def harvest_units(terms: Sequence[Term], *,
-                  pinned: Container[Term] = ()) -> Units:
+def harvest_units(terms: Sequence[Term]) -> Units:
     """Collect the unit definitions among a query's positive top-level
     conjuncts — as for :func:`harvest_facts`, a unit under a negation,
     disjunction or ite does not hold in every model and is ignored.
-    Variables in ``pinned`` already have a value and are skipped.
 
     Variable–variable equalities merge classes (union-find, the lowest
     ``tid`` as root); each class maps to its constant if one of its
@@ -474,10 +470,8 @@ def harvest_units(terms: Sequence[Term], *,
         hit = _unit_of(f)
         if hit is None:
             d = _definition_of(f)
-            if d is not None and d[0] not in pinned:
+            if d is not None:
                 definitions.append((f, d))
-            continue
-        if hit[0] in pinned or hit[1] in pinned:
             continue
         if hit[1].kind == Kind.VAR:
             hits.append((f, hit))

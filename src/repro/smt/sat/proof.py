@@ -32,12 +32,8 @@ a clause cannot make a satisfiable formula unsatisfiable).
    the most recently added active clause with the same literal multiset;
    an unmatched deletion is skipped (the DRAT convention — harmless, the
    clause simply stays active, which can only make later checks easier).
-2. *Final check* — the claimed consequence (the empty clause by default;
-   for assumption-core proofs the negated failed-assumption set) must be
-   RUP with respect to the clauses active at the end of the log.  RUP
-   only: RAT merely preserves satisfiability, which is too weak for a
-   consequence claim (and for the same reason interior RAT steps may not
-   pivot on a variable of the claimed clause).
+2. *Final check* — the empty clause must be RUP with respect to the
+   clauses active at the end of the log.
 3. *Backward walk* — steps are undone in reverse (deletions reactivate,
    additions deactivate).  Only additions *needed* by some later check are
    verified; need is discovered by tracking each propagation's reason
@@ -105,11 +101,9 @@ def _clause_key(lits: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(set(lits)))
 
 
-def check_proof(log: ProofLog,
-                final: Sequence[int] = ()) -> CheckedProof:
-    """Validate ``log`` as a DRAT-style proof that ``final`` follows from
-    the axioms.  ``final`` defaults to the empty clause (plain UNSAT); an
-    assumption-core proof passes the negated failed-assumption literals.
+def check_proof(log: ProofLog) -> CheckedProof:
+    """Validate ``log`` as a DRAT-style proof that the axioms are
+    unsatisfiable (the empty clause follows from them).
 
     Returns a :class:`CheckedProof`; never raises on a malformed log —
     any irregularity (bad literal, underivable clause) is a rejection.
@@ -159,13 +153,6 @@ def check_proof(log: ProofLog,
         else:
             step_cid.append(_new_instance(tuple(lits)))
 
-    for lit in final:
-        if not isinstance(lit, int) or lit < 0:
-            return CheckedProof(False, f"malformed final literal {lit!r}",
-                                len(axioms), len(steps))
-        if lit > max_lit:
-            max_lit = lit
-
     n_insts = len(lits_of)
     nvars = (max_lit >> 1) + 1 if max_lit >= 0 else 0
 
@@ -185,7 +172,6 @@ def check_proof(log: ProofLog,
     _UNSET = 2
     value_of = bytearray([_UNSET]) * nvars if nvars else bytearray()
     needed = bytearray(n_insts)
-    final_vars = frozenset(lit >> 1 for lit in final)
 
     _ASSUMED = -2  # reason marker for literals assumed false
 
@@ -301,17 +287,8 @@ def check_proof(log: ProofLog,
     def _rat(clause: Sequence[int]) -> bool:
         """Resolution asymmetric tautology on the clause's first literal:
         every resolvent with an active occurrence of the negated pivot must
-        be a tautology or RUP.
-
-        RAT preserves satisfiability by (possibly) flipping the pivot
-        variable in a model — so for an assumption-core proof a RAT step
-        whose pivot is one of the core's variables could alter exactly the
-        literals the claim is about.  Such pivots are refused; every other
-        pivot leaves the core variables' values intact, keeping the
-        stronger consequence claim sound."""
+        be a tautology or RUP."""
         pivot = clause[0]
-        if pivot >> 1 in final_vars:
-            return False
         rest = [lit for lit in clause if lit != pivot]
         for cid in occ[pivot ^ 1]:
             if not active[cid]:
@@ -327,13 +304,8 @@ def check_proof(log: ProofLog,
         return True
 
     # -------------------------------------------------------- final check
-    # The claimed consequence must be RUP — never RAT.  RAT only preserves
-    # satisfiability, so a RAT-only ``final`` (e.g. a fabricated
-    # assumption core) would be accepted despite not being a consequence
-    # of the axioms.
-    if not _rup(final, final, mark=True):
-        what = "empty clause" if not final else "assumption core"
-        return CheckedProof(False, f"claimed {what} is not RUP against "
+    if not _rup((), (), mark=True):
+        return CheckedProof(False, "claimed empty clause is not RUP against "
                             "the final clause set", len(axioms), len(steps))
     verified = 1
 

@@ -33,20 +33,14 @@ The solver maintains three inprocessing mechanisms on top of CDCL:
 Deleted clauses become tombstones; once tombstones exceed a third of the
 arena it is compacted in place (offsets in watches/reasons remapped).
 All inprocessing is budgeted, runs only at decision level 0, and derives
-only clauses implied by the database, so incremental-assumption semantics
-are untouched.  ``SATConfig.inprocess`` (or ``PUGPARA_INPROCESS=0`` in
-the environment) turns it off for differential testing.
+only clauses implied by the database.  ``SATConfig.inprocess`` (or
+``PUGPARA_INPROCESS=0`` in the environment) turns it off for differential
+testing.
 
-The solver supports MiniSat-style *incremental* use: :meth:`SATSolver.solve`
-takes an optional sequence of assumption literals, established as forced
-decisions at successive levels before any branching.  Learned clauses,
-variable activities, and saved phases persist across calls on the same
-instance, so a batch of queries sharing a clause prefix pays for the hard
-parts once.  An UNSAT answer under assumptions does not poison the instance
-(``ok`` stays True); :attr:`SATSolver.conflict_assumptions` then holds the
-subset of assumptions the final conflict depends on.  Time and conflict
-budgets return ``UNKNOWN`` and record which axis was binding in
-``stats["budget_axis"]``; the checkers report that as the paper's ``T.O``.
+Each instance answers one query: :meth:`SATSolver.solve` decides the
+clauses loaded into it.  Time and conflict budgets return ``UNKNOWN`` and
+record which axis was binding in ``stats["budget_axis"]``; the checkers
+report that as the paper's ``T.O``.
 
 The branching heuristics are fixed: VSIDS with activity decay
 ``_VAR_DECAY``, Luby restarts scaled by ``_RESTART_BASE`` conflicts, and
@@ -70,8 +64,8 @@ from ...errors import SolverError
 __all__ = ["SATSolver", "SATResult", "SATConfig", "STAT_COUNTER_KEYS"]
 
 #: Monotone per-solve counters in ``SATSolver.stats`` — the keys the facade
-#: and the incremental group loop copy (as deltas) into query stats, and that
-#: :mod:`repro.check.result` aggregates into ``stats["solver"]``.
+#: copies into query stats, and that :mod:`repro.check.result` aggregates
+#: into ``stats["solver"]``.
 STAT_COUNTER_KEYS = (
     "conflicts", "decisions", "propagations", "restarts", "learned",
     "deleted", "glue2", "glue_low", "glue_high",
@@ -207,12 +201,6 @@ class SATSolver:
                           os.environ.get("PUGPARA_INPROCESS", "1") != "0")
         self._next_vivify = _VIVIFY_PERIOD
         self._vivify_cursor = 0
-        # Assumption state for the current/most recent incremental solve.
-        self._assumptions: list[int] = []
-        #: After an UNSAT answer under assumptions: the subset of assumption
-        #: literals the final conflict depends on (empty when the instance
-        #: is unsatisfiable regardless of assumptions).
-        self.conflict_assumptions: list[int] = []
         #: DRAT-style proof log (None when certification is off).  When
         #: ``_proof_adopt`` is set the axioms were logged upstream (e.g. by
         #: the preprocessor's owner) and the clause loaders must not log
@@ -301,7 +289,7 @@ class SATSolver:
         return ok
 
     def add_clauses(self, clause_iter: Iterable[Iterable[int]]) -> bool:
-        """Bulk clause loading (the blast/preprocess/replay path).
+        """Bulk clause loading (the preprocess path).
 
         Semantically a loop of :meth:`add_clause` minus the per-literal
         range validation — callers feed machine-generated clauses whose
@@ -375,8 +363,7 @@ class SATSolver:
 
         The caller guarantees every clause has size >= 2, no duplicate or
         complementary literals, no literal assigned at level 0, and only
-        declared variables — the blast-template replay path proves this
-        per template at encode time.  Loading is then a pure arena append
+        declared variables.  Loading is then a pure arena append
         plus two watcher entries per clause."""
         arena = self.arena
         watches = self.watches
@@ -400,41 +387,6 @@ class SATSolver:
             w.append(a)
             n_added += 1
         self.n_orig += n_added
-        return self.ok
-
-    def add_clauses_flat(self, sizes: list[int], flat: list[int]) -> bool:
-        """Bulk-load pre-sanitized clauses from a flat literal buffer.
-
-        ``flat`` holds the concatenated literals of ``len(sizes)`` clauses
-        with the same guarantees as :meth:`add_clauses_raw`.  The flat
-        shape lets the blast-template replay decode a whole template in
-        one list comprehension and load it here with one slice per clause.
-        """
-        arena = self.arena
-        watches = self.watches
-        if self.proof is not None and not self._proof_adopt:
-            p = 0
-            for n in sizes:
-                self.proof.axioms.append(tuple(flat[p:p + n]))
-                p += n
-        off = len(arena)
-        pos = 0
-        for n in sizes:
-            arena.append(n)
-            arena.append(0)
-            end = pos + n
-            arena += flat[pos:end]
-            a = flat[pos]
-            b = flat[pos + 1]
-            w = watches[a ^ 1]
-            w.append(off)
-            w.append(b)
-            w = watches[b ^ 1]
-            w.append(off)
-            w.append(a)
-            pos = end
-            off += n + 2
-        self.n_orig += len(sizes)
         return self.ok
 
     def _flush_units(self) -> bool:
@@ -523,8 +475,8 @@ class SATSolver:
         """0 / 1 when ``lit`` is forced at decision level 0, else 2.
 
         Root facts are permanent (never unwound by backtracking), so the
-        bit-blaster may treat such literals as constants when keying and
-        building circuit templates."""
+        bit-blaster may treat such literals as constants when building
+        circuits."""
         var = lit >> 1
         v = self.assigns[var]
         if v >= 2 or self.levels[var] != 0:
@@ -955,25 +907,16 @@ class SATSolver:
     # ------------------------------------------------------------------ solve
 
     def solve(self, deadline: float | None = None,
-              conflict_budget: int | None = None,
-              assumptions: Iterable[int] = ()) -> SATResult:
-        """Decide satisfiability, optionally under assumption literals.
+              conflict_budget: int | None = None) -> SATResult:
+        """Decide satisfiability.
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp;
         ``conflict_budget`` caps the conflicts of *this call*.  Exceeding
         either yields :data:`SATResult.UNKNOWN` and records the binding axis
         in ``stats["budget_axis"]`` (``"time"`` or ``"conflicts"``).
-
-        ``assumptions`` are established as forced decisions before any
-        branching; an UNSAT answer caused by them leaves ``ok`` True,
-        populates :attr:`conflict_assumptions`, and the instance may be
-        queried again.  State from a previous call (a satisfying trail) is
-        unwound first; learned clauses persist.
         """
         self.stats.pop("budget_axis", None)
         self._backtrack(0)
-        self._assumptions = list(assumptions)
-        self.conflict_assumptions = []
         if not self.ok:
             return SATResult.UNSAT
         self._pending_prop = False  # the root pass below drains the queue
@@ -1010,55 +953,11 @@ class SATSolver:
                 self._reduce_db()
                 max_learnts = int(max_learnts * 1.3)
 
-    def solve_under_assumptions(self, assumptions: Iterable[int],
-                                deadline: float | None = None,
-                                conflict_budget: int | None = None
-                                ) -> SATResult:
-        """:meth:`solve` with the assumption argument first, for callers
-        whose primary axis is the per-query assumption literal."""
-        return self.solve(deadline=deadline, conflict_budget=conflict_budget,
-                          assumptions=assumptions)
-
-    def reset_to_root(self) -> None:
-        """Unwind all decisions (e.g. a satisfying trail) so clauses may be
-        added again.  Root-level facts and learned clauses are kept."""
-        self._backtrack(0)
-
-    def _analyze_final(self, p: int) -> list[int]:
-        """The subset of the current assumptions responsible for literal
-        ``p`` being false (MiniSat's ``analyzeFinal``).
-
-        Called at the point where assumption ``p`` was found falsified, i.e.
-        every decision level on the trail is an assumption level, so every
-        reason-less literal above the root is an assumption decision.
-        """
-        arena = self.arena
-        seen = bytearray(self.num_vars)
-        seen[p >> 1] = 1
-        out: list[int] = [p]
-        bound = self.trail_lim[0] if self.trail_lim else len(self.trail)
-        for lit in reversed(self.trail[bound:]):
-            var = lit >> 1
-            if not seen[var]:
-                continue
-            seen[var] = 0
-            roff = self.reasons[var]
-            if roff < 0:
-                if var != p >> 1:
-                    out.append(lit)
-            else:
-                for k in range(roff + 3, roff + 2 + arena[roff]):
-                    q = arena[k]
-                    if self.levels[q >> 1] > 0:
-                        seen[q >> 1] = 1
-        return out
-
     def _search(self, budget: int,
                 deadline: float | None) -> SATResult | None:
         """CDCL until SAT/UNSAT, ``budget`` conflicts (``None`` = restart)
         or the deadline (``UNKNOWN``)."""
         conflicts = 0
-        n_assumptions = len(self._assumptions)
         stats = self.stats
         while True:
             conflict = self._propagate()
@@ -1096,19 +995,6 @@ class SATSolver:
             if stats["decisions"] & 255 == 0 and deadline is not None and \
                     time.monotonic() > deadline:
                 return SATResult.UNKNOWN
-            if len(self.trail_lim) < n_assumptions:
-                # Establish the next assumption as a forced decision.
-                p = self._assumptions[len(self.trail_lim)]
-                val = self._value(p)
-                if val == 1:
-                    # Falsified by the clauses plus earlier assumptions:
-                    # UNSAT under assumptions, instance stays usable.
-                    self.conflict_assumptions = self._analyze_final(p)
-                    return SATResult.UNSAT
-                self.trail_lim.append(len(self.trail))
-                if val != 0:
-                    self._enqueue(p, -1)
-                continue
             var = self._pick_branch_var()
             if var is None:
                 return SATResult.SAT

@@ -50,8 +50,6 @@ simplified once per call no matter how many paths reach it.
 
 from __future__ import annotations
 
-from typing import Container
-
 from .poly import normalize_arith, normalize_eq, poly_of, poly_add, poly_neg
 from .rewrite import (
     Facts, NO_FACTS, Units, fact_conjuncts, harvest_facts, harvest_units,
@@ -61,8 +59,7 @@ from .sorts import BitVecSort
 from .substitute import rebuild, var_mask
 from .terms import FALSE, TRUE, Ite, Kind, Select, Term, Eq
 
-__all__ = ["simplify", "simplify_all", "propagate", "index_difference",
-           "harvest_facts"]
+__all__ = ["simplify", "simplify_all", "index_difference", "harvest_facts"]
 
 _ARITH_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG, Kind.BVMUL, Kind.BVSHL})
 
@@ -210,22 +207,20 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
     return cache[term]
 
 
-def _pass(terms: list[Term], units: Units, facts: Facts,
-          cache: dict[Term, Term],
+def _pass(terms: list[Term], units: Units,
           memo: dict[tuple[Term, Term], int | None]) -> list[Term]:
-    """One simplification pass under ``units``, which seeds ``cache``.
+    """One simplification pass under ``units``, which seed its cache.
     The fact-shaped conjuncts go first; the facts harvested from *their*
     output — in the units' substituted space, where ``tid.y < bdim.y``
-    reads ``tid.y < bdim.x`` once ``bdim.y == bdim.x`` is a unit — join
-    ``facts`` for the rest.  A term-defined variable is seeded with its
-    value simplified under those facts (so a kept definition blasts no
-    ``udiv`` the facts remove); when a fact-shaped conjunct mentions one,
-    the shaped conjuncts use a copy of the cache seeded under ``facts``
-    alone.  Constant and variable definitions are kept as they are, a
+    reads ``tid.y < bdim.x`` once ``bdim.y == bdim.x`` is a unit — apply
+    to the rest.  A term-defined variable is seeded with its value
+    simplified under those facts (so a kept definition blasts no ``udiv``
+    the facts remove); when a fact-shaped conjunct mentions one, the
+    shaped conjuncts use a copy of the cache seeded without facts.  Constant and variable definitions are kept as they are, a
     term definition as ``v == value``; those nested in a top-level AND
     are appended, since the AND folds them."""
     defs, named, subst = units.defs, units.terms, units.subst
-    cache.update(subst)
+    cache: dict[Term, Term] = dict(subst)
     shaped_terms = fact_conjuncts(terms)
     shaped_cache = cache
     if named:
@@ -237,10 +232,10 @@ def _pass(terms: list[Term], units: Units, facts: Facts,
             shaped_cache = dict(cache)
             for v in named.values():
                 shaped_cache[v] = simplify(subst[v], shaped_cache,
-                                           index_memo=memo, facts=facts)
-    shaped = [simplify(f, shaped_cache, index_memo=memo, facts=facts)
+                                           index_memo=memo)
+    shaped = [simplify(f, shaped_cache, index_memo=memo)
               for f in shaped_terms]
-    facts = facts | harvest_facts(shaped)
+    facts = harvest_facts(shaped)
     for v in named.values():
         cache[v] = simplify(subst[v], cache, index_memo=memo, facts=facts)
     out = [t if t in defs
@@ -254,43 +249,22 @@ def _pass(terms: list[Term], units: Units, facts: Facts,
     return out
 
 
-def propagate(terms: list[Term], *, facts: Facts = NO_FACTS,
-              cache: dict[Term, Term] | None = None,
-              memo: dict[tuple[Term, Term], int | None] | None = None,
-              pinned: Container[Term] = ()
-              ) -> tuple[list[Term], dict[Term, Term], Units]:
-    """:func:`simplify_all`, also returning the term cache of its last
-    pass and the units it propagated.
-
-    The returned cache is seeded with the units' substitution, so further
-    terms of the *same* conjunction can be simplified under it.  Passing
-    it back as ``cache`` (with ``pinned`` = those units' variables)
-    propagates the units of such further terms on top: each pass starts
-    from a private copy of ``cache``, so the caller's cache is never
-    changed.  The incremental solver does this for each member's residual
-    on top of a group's shared prefix, passing the prefix's facts as
-    ``facts``; each pass adds the facts of ``terms`` itself (see
-    :func:`_pass`).  ``memo`` (the index-difference memo) does not depend
-    on units or facts and is shared."""
-    if memo is None:
-        memo = {}
-    units = harvest_units(terms, pinned=pinned)
-    while True:
-        run = dict(cache) if cache else {}
-        out = _pass(terms, units, facts, run, memo)
-        more = harvest_units(out, pinned=pinned)
-        if more.subst.keys() <= units.subst.keys():
-            return out, run, units
-        terms, units = out, more
-
-
 def simplify_all(terms: list[Term]) -> list[Term]:
     """Simplify one query's assertion list with shared caches (the
     assertions of one query overlap heavily, so the term cache and the
     index-difference memo are shared across the batch), propagating its
-    unit conjuncts (module docstring, layer 5).
+    unit conjuncts (module docstring, layer 5).  The pass repeats while
+    it exposes a new unit; the index-difference memo does not depend on
+    units or facts and is shared between passes.
 
     The word-level rewriter's facts are harvested from ``terms`` itself —
     the list must therefore be one conjunction (one query), which is how
     every caller uses it."""
-    return propagate(terms)[0]
+    memo: dict[tuple[Term, Term], int | None] = {}
+    units = harvest_units(terms)
+    while True:
+        out = _pass(terms, units, memo)
+        more = harvest_units(out)
+        if more.subst.keys() <= units.subst.keys():
+            return out
+        terms, units = out, more

@@ -11,14 +11,11 @@ Pipeline per ``check()``:
 5. on SAT, model reconstruction back up through the pipeline (bit values →
    scalar values → array contents via the recorded read indices).
 
-The facade itself is one-shot: each ``check()`` rebuilds the CNF, which
-keeps every layer stateless and testable.  Batches of related queries go
-faster through :mod:`repro.smt.incremental` (shared-prefix grouping under
-assumption literals) — the dispatcher routes them there when incremental
-mode is on; this facade stays the semantic reference those paths are
-differentially tested against.  ``preprocess=True`` inserts the SatELite
-CNF preprocessing pass between steps 3 and 4, with model reconstruction
-undoing its eliminations.
+The facade is one-shot: each ``check()`` rebuilds the CNF on a fresh SAT
+instance, which keeps every layer stateless and testable.  It is the only
+path from the dispatcher (:mod:`repro.smt.dispatch`) to the CDCL core.
+``preprocess=True`` inserts the SatELite CNF preprocessing pass between
+steps 3 and 4, with model reconstruction undoing its eliminations.
 """
 
 from __future__ import annotations
@@ -234,14 +231,13 @@ class Solver:
                                      "trivial": 1, "steps": 0, "axioms": 0,
                                      "verified": 0, "time": 0.0}
 
-    def _certify_unsat(self, log: ProofLog | None,
-                       final: tuple[int, ...] = ()) -> bool:
+    def _certify_unsat(self, log: ProofLog | None) -> bool:
         """Re-derive the UNSAT verdict from its proof log; ``False`` means
         the proof was rejected and the caller must answer UNKNOWN."""
         if log is None:
             return True
         t0 = time.monotonic()
-        res = check_proof(log, final)
+        res = check_proof(log)
         self.stats["certify"] = {
             "checked": 1, "rejected": 0 if res.ok else 1, "trivial": 0,
             "steps": res.steps, "axioms": res.axioms,

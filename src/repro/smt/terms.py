@@ -19,7 +19,6 @@ tool scripted against.
 from __future__ import annotations
 
 import itertools
-import os
 from enum import IntEnum
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -37,31 +36,8 @@ __all__ = [
     "Concat", "Extract", "ZeroExt", "SignExt",
     "Select", "Store",
     "fresh_var", "fresh_name", "fresh_scope", "iter_dag", "term_size",
-    "collect", "fingerprint", "prefix_fingerprint", "common_prefix_length",
-    "intern_stats", "interning_enabled",
+    "collect", "intern_stats",
 ]
-
-
-def interning_enabled() -> bool:
-    """Whether the global intern table is consulted (``PUGPARA_INTERN``).
-
-    ``PUGPARA_INTERN=0`` is the differential-CI kill switch: compound
-    constructor calls allocate fresh nodes, so structurally equal
-    non-leaf terms are distinct objects.  Leaves (variables, constants)
-    stay interned regardless — a variable's identity must follow its
-    name, or scope dictionaries and substitution maps would silently
-    miss.  Everything downstream stays correct with the switch off — the
-    canonical query hash walks structure, and the identity-keyed memo
-    tables simply stop sharing — but the blast-template and VC-template
-    caches lose their identity hits, so this mode is strictly slower.
-    Read once at import: flipping it mid-process would split the world
-    into pre- and post-flip term identities.
-    """
-    return _INTERN_ENABLED
-
-
-_INTERN_ENABLED = (os.environ.get("PUGPARA_INTERN") or "1").strip().lower() \
-    not in ("0", "false", "off", "no")
 
 
 class Kind(IntEnum):
@@ -136,15 +112,13 @@ class Term:
         argument ordering of commutative operators.
     """
 
-    # ``_fp`` caches the structural fingerprint (:func:`fingerprint`);
     # ``_vm`` caches the variable-occurrence bloom mask used by
     # :func:`repro.smt.substitute.substitute` to skip key-free subtrees.
-    # Both are derived purely from the node (structure, or the node's own
-    # ``tid``), so sharing them across every context that reaches the
-    # same interned node — including different ``fresh_scope``s — is
-    # sound; keeping them on the node (not in module-global dicts) means
-    # they cannot outlive the term.
-    __slots__ = ("kind", "sort", "args", "payload", "tid", "_fp", "_vm")
+    # It is derived purely from the node's own ``tid``s, so sharing it
+    # across every context that reaches the same interned node —
+    # including different ``fresh_scope``s — is sound; keeping it on the
+    # node (not in a module-global dict) means it cannot outlive the term.
+    __slots__ = ("kind", "sort", "args", "payload", "tid", "_vm")
 
     _intern: dict[tuple, "Term"] = {}
     _counter = itertools.count()
@@ -153,28 +127,20 @@ class Term:
 
     def __new__(cls, kind: Kind, sort: Sort, args: tuple["Term", ...] = (),
                 payload: Any = None) -> "Term":
-        # Leaves (variables, constants) are ALWAYS interned: a variable's
-        # identity must follow its name — scope dictionaries and
-        # substitution maps key on the term a second construction of the
-        # same name returns.  The kill switch only disables *structural*
-        # sharing of compound nodes, which is the optimization part.
-        if _INTERN_ENABLED or not args:
-            key = (kind, sort, args, payload)
-            cached = cls._intern.get(key)
-            if cached is not None:
-                cls._hits += 1
-                return cached
+        key = (kind, sort, args, payload)
+        cached = cls._intern.get(key)
+        if cached is not None:
+            cls._hits += 1
+            return cached
         obj = super().__new__(cls)
         obj.kind = kind
         obj.sort = sort
         obj.args = args
         obj.payload = payload
         obj.tid = next(cls._counter)
-        obj._fp = None
         obj._vm = None
         cls._misses += 1
-        if _INTERN_ENABLED or not args:
-            cls._intern[key] = obj
+        cls._intern[key] = obj
         return obj
 
     # No ``__hash__``/``__eq__`` overrides: ``object``'s C-level identity
@@ -339,10 +305,9 @@ class fresh_scope:
     Interaction with interning: a term minted in one scope and re-minted
     (same structure) in a later scope is the *same object* — that sharing
     is what the VC-template cache and the canonical query cache rely on.
-    It is sound only because every per-node cache slot (the ``_fp``
-    fingerprint) is a pure function of structure; nothing scope-local may
-    ever be stored on a term.  ``tests/smt/test_interning.py`` pins this
-    invariant.
+    It is sound only because every per-node cache slot is a pure function
+    of the node; nothing scope-local may ever be stored on a term.
+    ``tests/smt/test_interning.py`` pins this invariant.
     """
 
     def __init__(self, start: int = 0) -> None:
@@ -877,70 +842,12 @@ def collect(predicate, *roots: Term) -> list[Term]:
     return [t for t in iter_dag(*roots) if predicate(t)]
 
 
-# -- structural fingerprints ------------------------------------------------------------
-
-
-def fingerprint(term: Term) -> int:
-    """A stable 128-bit structural digest of a term DAG.
-
-    Unlike ``tid`` (an interning order, different from process to process),
-    the fingerprint depends only on the term's structure — kind, sort,
-    payload, and child fingerprints — so it is comparable across processes
-    and runs.  The batch dispatcher uses it to group verification
-    conditions that share a leading assertion (the common transition-relation
-    prefix) for incremental solving.
-
-    The digest memoizes into the node's ``_fp`` slot: earlier revisions
-    kept a module-global ``dict[Term, int]`` beside the intern table,
-    which a long-lived ``repro.serve`` process could only grow.  The
-    slot dies with the term and costs one pointer per node.
-    """
-    hit = term._fp
-    if hit is not None:
-        return hit
-    from hashlib import blake2b
-    for t in iter_dag(term):
-        if t._fp is not None:
-            continue
-        h = blake2b(digest_size=16)
-        h.update(t.kind.name.encode())
-        h.update(repr(t.sort).encode())
-        if t.payload is not None:
-            h.update(repr(t.payload).encode())
-        for child in t.args:
-            h.update(child._fp.to_bytes(16, "little"))
-        t._fp = int.from_bytes(h.digest(), "little")
-    return term._fp
-
-
-def prefix_fingerprint(terms: Sequence[Term]) -> int:
-    """Digest of an ordered assertion sequence (a candidate shared prefix)."""
-    from hashlib import blake2b
-    h = blake2b(digest_size=16)
-    for t in terms:
-        h.update(fingerprint(t).to_bytes(16, "little"))
-    return int.from_bytes(h.digest(), "little")
-
-
-def common_prefix_length(seqs: Sequence[Sequence[Term]]) -> int:
-    """Length of the longest common leading run of identical assertions."""
-    if not seqs:
-        return 0
-    limit = min(len(s) for s in seqs)
-    first = seqs[0]
-    n = 0
-    while n < limit and all(s[n] is first[n] for s in seqs[1:]):
-        n += 1
-    return n
-
-
 def intern_stats() -> dict[str, int]:
     """Intern-table health counters for ``stats["encode"]`` / benches.
 
     ``live`` is the current table size (distinct nodes alive), ``hits``
     and ``misses`` count constructor calls since process start that were
-    answered from the table versus allocated.  With interning disabled
-    (``PUGPARA_INTERN=0``) ``live`` stays 0 and every call is a miss.
+    answered from the table versus allocated.
     """
     return {"live": len(Term._intern), "hits": Term._hits,
             "misses": Term._misses}

@@ -94,6 +94,24 @@ class TestUnifiedEntry:
             timeout=120)
         assert out.verdict is Verdict.VERIFIED
 
+    def test_param_overrides_leave_callers_options_alone(self):
+        from dataclasses import replace
+        from repro.check.configs import transpose_assumptions
+        from repro.param.equivalence import ParamOptions
+        (_, si), (_, ti) = load_pair("Transpose")
+        opts = ParamOptions(minimize=False)
+        before = replace(opts)
+        out = check_equivalence(
+            si, ti, method="param", width=8,
+            assumption_builder=transpose_assumptions,
+            concretize={"bdim": (2, 2, 1), "gdim": (2, 2),
+                        "scalars": {"width": 4, "height": 4}},
+            options=opts, timeout=120, jobs=1, cache=False, certify=True,
+            validate=False)
+        assert out.verdict is Verdict.VERIFIED
+        assert out.stats["certify"]["rejected"] == 0
+        assert opts == before
+
     def test_nonparam_dispatch(self):
         (_, si), (_, ti) = load_pair("Reduction")
         out = check_equivalence(

@@ -1,4 +1,4 @@
-"""End-to-end proof certification: facade, incremental and dispatch,
+"""End-to-end proof certification: facade and dispatch,
 plus the lying-solver fault and the cache gating rules.
 
 The contract under test: with ``certify`` on, every UNSAT verdict that
@@ -14,7 +14,6 @@ from repro.smt import (
 )
 from repro.smt import faults
 from repro.smt.faults import FaultPlan
-from repro.smt.incremental import solve_group
 from repro.smt.qcache import QueryCache, canonical_key
 from repro.smt.terms import BoolConst
 
@@ -74,27 +73,6 @@ class TestFacade:
             assert honest.check() is CheckResult.UNKNOWN  # caught
             cert = honest.stats["certify"]
             assert cert["rejected"] == 1 and "reason" in cert
-
-
-class TestIncremental:
-    def test_assumption_core_proofs_check(self):
-        for preprocess in (False, True):
-            results = solve_group(
-                _opaque_unsat("ic"), [[BoolConst(True)]],
-                timeouts=[None], conflict_budgets=[None],
-                preprocess=preprocess, certify=True)
-            verdict, _, stats = results[0]
-            assert verdict is CheckResult.UNSAT
-            assert stats["certify"]["rejected"] == 0
-
-    def test_flip_unsat_caught_in_group(self):
-        with faults.injected(FaultPlan(seed=3, flip_unsat=1.0)):
-            results = solve_group(
-                _sat_terms("ig"), [[BoolConst(True)]],
-                timeouts=[None], conflict_budgets=[None], certify=True)
-        verdict, _, stats = results[0]
-        assert verdict is CheckResult.UNKNOWN
-        assert stats["certify"]["rejected"] == 1
 
 
 class TestDispatch:

@@ -19,15 +19,15 @@ def _unsat_query(prefix: str, width: int = 8) -> Query:
     return Query([ULt(x, BVConst(3, width)), UGt(x, BVConst(5, width))])
 
 
-def _factoring_query(timeout, width: int = 16) -> Query:
+def _factoring_query(timeout, width: int = 16, product: int = 143) -> Query:
     """``x * y == 143  /\\  x > 1  /\\  y > 1`` — SAT (11 * 13) but needs
     real CDCL search through a blasted multiplier, so a sub-millisecond
     budget expires mid-search."""
     x = BVVar("fq.x", width)
     y = BVVar("fq.y", width)
     one = BVConst(1, width)
-    return Query([Eq(x * y, BVConst(143, width)), UGt(x, one), UGt(y, one)],
-                 timeout=timeout)
+    return Query([Eq(x * y, BVConst(product, width)), UGt(x, one),
+                  UGt(y, one)], timeout=timeout)
 
 
 class TestSolveAll:
@@ -140,6 +140,14 @@ class TestBudgets:
         x, y = BVVar("fq.x", 16), BVVar("fq.y", 16)
         product = int(model[x]) * int(model[y])  # type: ignore[arg-type]
         assert product % (1 << 16) == 143  # bit-vector multiply wraps
+        # The same holds when the worker pool solves the batch (jobs=2),
+        # and the expired budget axis reaches each result.
+        starved = solve_all([_factoring_query(1e-6, product=187),
+                             _factoring_query(1e-6, product=221)],
+                            jobs=2, cache=cache)
+        assert [r.verdict for r in starved] == [CheckResult.UNKNOWN] * 2
+        assert all(r.stats.get("budget_axis") == "time" for r in starved)
+        assert cache.stats["stores"] == 1
 
     def test_parallel_timeout_reports_unknown(self):
         queries = [_factoring_query(timeout=1e-6),

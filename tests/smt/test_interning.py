@@ -5,22 +5,18 @@ The front end leans on two properties of :mod:`repro.smt.terms`:
 * **identity semantics** — structurally equal constructions return the
   *same* object, so ``is``, ``id()``-keyed memo tables, and C-slot
   dict/set probes are all structural equality;
-* **scope independence of per-node metadata** — the ``_fp`` / ``_vm``
-  memo slots cache structural facts only, so sharing one interned node
-  across different ``fresh_scope``s can never leak scope-local state.
+* **scope independence of per-node metadata** — the ``_vm`` memo slot
+  caches node-derived facts only, so sharing one interned node across
+  different ``fresh_scope``s can never leak scope-local state.
 
 The second property is the regression this file pins: an earlier design
-kept fingerprints in a module-level dict keyed by term, which aliased
-entries across scopes *and* leaked in long-lived servers.
+kept per-node metadata in a module-level dict keyed by term, which
+aliased entries across scopes *and* leaked in long-lived servers.
 """
 
-import os
-import subprocess
-import sys
-
 from repro.smt import (
-    And, BVAdd, BVConst, BVVar, Eq, Not, fingerprint, fresh_scope,
-    fresh_var, intern_stats, interning_enabled, substitute,
+    And, BVAdd, BVConst, BVVar, Eq, Not, fresh_scope, fresh_var,
+    intern_stats, substitute,
 )
 from repro.smt.sorts import BV
 from repro.smt.substitute import var_mask
@@ -56,7 +52,6 @@ class TestIdentity:
         after = intern_stats()
         assert after["hits"] > before["hits"]
         assert after["live"] >= before["live"]
-        assert interning_enabled()
 
 
 class TestScopeMetadata:
@@ -70,20 +65,6 @@ class TestScopeMetadata:
             b = BVAdd(fresh_var("sc", BV(8)), BVConst(3, 8))
         # Same counter value, same name, same interned object.
         assert a is b
-
-    def test_fingerprint_memo_is_scope_stable(self):
-        with fresh_scope():
-            a = BVAdd(fresh_var("fpm", BV(8)), BVConst(9, 8))
-            fp1 = fingerprint(a)
-        with fresh_scope():
-            b = BVAdd(fresh_var("fpm", BV(8)), BVConst(9, 8))
-            fp2 = fingerprint(b)
-        assert a is b
-        # The memoized _fp answers for both scopes and is purely
-        # structural, so re-deriving it can't disagree.
-        assert fp1 == fp2
-        object.__setattr__(a, "_fp", None)  # force a recompute
-        assert fingerprint(a) == fp1
 
     def test_var_mask_memo_is_scope_stable(self):
         with fresh_scope():
@@ -100,24 +81,3 @@ class TestScopeMetadata:
         # be pruned away by the bloom filter.
         out = substitute(a, {v: BVConst(4, 8)})
         assert out.value == 5
-
-
-class TestKillSwitch:
-    def test_intern_disabled_keeps_leaf_identity(self):
-        """PUGPARA_INTERN=0 drops *compound* sharing only: leaves keep
-        nominal identity (checkers key dicts by variable object)."""
-        code = (
-            "from repro.smt import BVVar, BVAdd, interning_enabled\n"
-            "assert not interning_enabled()\n"
-            "x = BVVar('ks.x', 8)\n"
-            "assert x is BVVar('ks.x', 8)\n"          # leaves: still interned
-            "a, b = BVAdd(x, x), BVAdd(x, x)\n"
-            "assert a is not b\n"                      # compounds: fresh
-        )
-        env = dict(os.environ, PUGPARA_INTERN="0",
-                   PYTHONPATH="src")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True,
-                              cwd=os.path.dirname(os.path.dirname(
-                                  os.path.dirname(__file__))))
-        assert proc.returncode == 0, proc.stderr

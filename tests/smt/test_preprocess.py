@@ -1,8 +1,8 @@
 """Tests for the SatELite-style CNF preprocessor.
 
 The load-bearing property is differential: for random CNFs the reduced
-instance has the same satisfiability as the original (also under
-assumptions on frozen variables), and models of the reduced instance
+instance has the same satisfiability as the original (also with a
+frozen variable pinned afterwards), and models of the reduced instance
 reconstruct to models of the *original* clauses.
 """
 
@@ -138,9 +138,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_equisatisfiable_under_frozen_assumptions(self, seed):
-        """Preprocess with var 0 frozen, then solve under each polarity of
-        var 0 as an assumption: verdicts match brute force with the value
-        pinned."""
+        """Preprocess with var 0 frozen, then pin each polarity of var 0
+        with a unit clause on the reduced instance: verdicts match brute
+        force with the value pinned."""
         rng = random.Random(1000 + seed)
         n = rng.randint(3, 8)
         clauses = random_cnf(rng, n, rng.randint(2, 24))
@@ -148,9 +148,9 @@ class TestDifferential:
         if not pre.ok:
             assert not brute_force_sat(n, clauses)
             return
-        s = solve_clauses(n, pre.output_clauses())
         for positive in (True, False):
-            got = s.solve(assumptions=[lit(0, positive)])
+            s = solve_clauses(n, pre.output_clauses() + [[lit(0, positive)]])
+            got = s.solve()
             want = brute_force_sat(n, clauses, fixed={0: positive})
             assert (got is SATResult.SAT) == want
             if got is SATResult.SAT:

@@ -1,8 +1,8 @@
 """The DRAT proof log and the independent backward RUP/RAT checker.
 
 Positive direction: every UNSAT run of the CDCL core under ``certify``
-must leave a log the checker accepts — across inprocessing, preprocessing
-and assumption solving.  Negative direction: a proof whose axioms are
+must leave a log the checker accepts — across inprocessing and
+preprocessing.  Negative direction: a proof whose axioms are
 satisfiable must *always* be rejected (acceptance would certify a lie),
 and structural mutations of a valid log (dropped, duplicated, reordered
 steps; flipped literals) must never crash the checker and never certify
@@ -38,8 +38,8 @@ def php_clauses(holes: int) -> tuple[int, list[list[int]]]:
     return pigeons * holes, clauses
 
 
-def solve_certified(num_vars, clauses, config=None,
-                    assumptions=()) -> tuple[SATResult, SATSolver]:
+def solve_certified(num_vars, clauses,
+                    config=None) -> tuple[SATResult, SATSolver]:
     solver = SATSolver(config or SATConfig(certify=True))
     if solver.config.certify is False:
         solver.attach_proof(ProofLog())
@@ -48,7 +48,7 @@ def solve_certified(num_vars, clauses, config=None,
     for c in clauses:
         if not solver.add_clause(c):
             break
-    res = solver.solve(assumptions=list(assumptions))
+    res = solver.solve()
     return res, solver
 
 
@@ -83,20 +83,6 @@ class TestAccepts:
         res, solver = solve_certified(nv, clauses)
         assert res is SATResult.UNSAT
         checked = check_proof(solver.proof)
-        assert checked.ok, checked.reason
-
-    def test_assumption_core_final_clause(self):
-        # (a -> b), (a -> ~b); assume a: UNSAT with core {a}.  The proof
-        # obligation is the negated failed-assumption set, i.e. (~a).
-        clauses = [[lit(0, False), lit(1, True)],
-                   [lit(0, False), lit(1, False)]]
-        res, solver = solve_certified(2, clauses,
-                                      assumptions=[lit(0, True)])
-        assert res is SATResult.UNSAT
-        core = solver.conflict_assumptions
-        assert core
-        checked = check_proof(solver.proof,
-                              tuple(a ^ 1 for a in core))
         assert checked.ok, checked.reason
 
     def test_random_unsat_formulas_round_trip(self):
@@ -163,19 +149,6 @@ class TestRejects:
         log.extend_axioms([[lit(0, True)]])
         log.add([bad])
         assert not check_proof(log).ok
-        checked = check_proof(ProofLog(), final=(-3,))
-        assert not checked.ok
-
-    def test_wrong_assumption_core_rejected(self):
-        # Claiming a core the derivation does not support must fail.
-        clauses = [[lit(0, False), lit(1, True)],
-                   [lit(0, False), lit(1, False)]]
-        res, solver = solve_certified(2, clauses,
-                                      assumptions=[lit(0, True)])
-        assert res is SATResult.UNSAT
-        # (b) is not a consequence: a=false, b=false satisfies the axioms.
-        checked = check_proof(solver.proof, (lit(1, True),))
-        assert not checked.ok
 
 
 class TestMutationFuzz:

@@ -137,6 +137,33 @@ class TestBudgets:
         assert s.solve(deadline=time.monotonic() + 0.05) in \
             (SATResult.UNKNOWN, SATResult.UNSAT)
 
+    def test_budget_axis_recorded(self):
+        s = SATSolver()
+        vs = [s.new_var() for _ in range(8)]
+        # PHP 8 pigeons / 7 holes is hard enough to hit a 1-conflict budget
+        for p in range(8):
+            s.add_clause([lit(vs[p], True)])
+        s2 = SATSolver()
+        n_p, n_h = 7, 6
+        grid = [[s2.new_var() for _ in range(n_h)] for _ in range(n_p)]
+        for p in range(n_p):
+            s2.add_clause([lit(grid[p][h], True) for h in range(n_h)])
+        for h in range(n_h):
+            for p1 in range(n_p):
+                for p2 in range(p1 + 1, n_p):
+                    s2.add_clause([lit(grid[p1][h], False),
+                                   lit(grid[p2][h], False)])
+        assert s2.solve(conflict_budget=1) is SATResult.UNKNOWN
+        assert s2.stats["budget_axis"] == "conflicts"
+        assert s2.solve(deadline=0.0) is SATResult.UNKNOWN
+        assert s2.stats["budget_axis"] == "time"
+        # a successful solve clears the marker
+        s3 = SATSolver()
+        v = s3.new_var()
+        s3.add_clause([lit(v, True)])
+        assert s3.solve() is SATResult.SAT
+        assert "budget_axis" not in s3.stats
+
 
 def _random_instance(rng: random.Random, n_vars: int, n_clauses: int):
     clauses = []
@@ -210,118 +237,3 @@ class TestDimacs:
     def test_clause_spanning_lines(self):
         n, clauses = parse_dimacs("p cnf 2 1\n1\n2 0\n")
         assert clauses == [[0, 2]]
-
-
-class TestAssumptions:
-    """solve(assumptions=...): MiniSat-style incremental queries."""
-
-    def test_sat_under_assumption(self):
-        s = SATSolver()
-        v, w = s.new_var(), s.new_var()
-        s.add_clause([lit(v, False), lit(w, True)])  # v -> w
-        assert s.solve(assumptions=[lit(v, True)]) is SATResult.SAT
-        assert s.model_value(v) is True
-        assert s.model_value(w) is True
-
-    def test_unsat_under_assumption_not_permanent(self):
-        s = SATSolver()
-        v, w = s.new_var(), s.new_var()
-        s.add_clause([lit(v, False), lit(w, True)])
-        s.add_clause([lit(v, False), lit(w, False)])  # v -> bottom
-        assert s.solve(assumptions=[lit(v, True)]) is SATResult.UNSAT
-        assert s.ok  # the instance itself stays satisfiable
-        assert s.solve(assumptions=[lit(v, False)]) is SATResult.SAT
-        assert s.solve() is SATResult.SAT
-
-    def test_conflict_assumptions_subset(self):
-        s = SATSolver()
-        a, b, c = s.new_var(), s.new_var(), s.new_var()
-        s.add_clause([lit(a, False), lit(b, False)])  # ~(a & b)
-        res = s.solve(assumptions=[lit(c, True), lit(a, True), lit(b, True)])
-        assert res is SATResult.UNSAT
-        core = {l >> 1 for l in s.conflict_assumptions}
-        assert core <= {a, b}
-        assert core  # non-empty
-
-    def test_failed_assumption_after_learned_unit(self):
-        # Once ~a is learned at the root, re-assuming a must still report
-        # UNSAT with a in the final conflict (regression: empty core).
-        s = SATSolver()
-        a, b = s.new_var(), s.new_var()
-        s.add_clause([lit(a, False), lit(b, True)])
-        s.add_clause([lit(a, False), lit(b, False)])
-        assert s.solve(assumptions=[lit(a, True)]) is SATResult.UNSAT
-        assert s.solve(assumptions=[lit(a, True)]) is SATResult.UNSAT
-        assert s.conflict_assumptions == [lit(a, True)]
-
-    def test_learned_clauses_persist_across_queries(self):
-        rng = random.Random(5)
-        s = SATSolver()
-        vs = [s.new_var() for _ in range(30)]
-        for _ in range(120):
-            clause = [lit(rng.choice(vs), rng.random() < 0.5)
-                      for _ in range(3)]
-            s.add_clause(clause)
-        first = s.solve(assumptions=[lit(vs[0], True)])
-        learned_after_first = s.stats["learned"]
-        second = s.solve(assumptions=[lit(vs[0], False)])
-        assert first in (SATResult.SAT, SATResult.UNSAT)
-        assert second in (SATResult.SAT, SATResult.UNSAT)
-        # learned clauses were not thrown away between the queries
-        assert s.stats["learned"] >= learned_after_first
-
-    def test_budget_axis_recorded(self):
-        s = SATSolver()
-        vs = [s.new_var() for _ in range(8)]
-        # PHP 8 pigeons / 7 holes is hard enough to hit a 1-conflict budget
-        for p in range(8):
-            s.add_clause([lit(vs[p], True)])
-        s2 = SATSolver()
-        n_p, n_h = 7, 6
-        grid = [[s2.new_var() for _ in range(n_h)] for _ in range(n_p)]
-        for p in range(n_p):
-            s2.add_clause([lit(grid[p][h], True) for h in range(n_h)])
-        for h in range(n_h):
-            for p1 in range(n_p):
-                for p2 in range(p1 + 1, n_p):
-                    s2.add_clause([lit(grid[p1][h], False),
-                                   lit(grid[p2][h], False)])
-        assert s2.solve(conflict_budget=1) is SATResult.UNKNOWN
-        assert s2.stats["budget_axis"] == "conflicts"
-        assert s2.solve(deadline=0.0) is SATResult.UNKNOWN
-        assert s2.stats["budget_axis"] == "time"
-        # a successful solve clears the marker
-        s3 = SATSolver()
-        v = s3.new_var()
-        s3.add_clause([lit(v, True)])
-        assert s3.solve() is SATResult.SAT
-        assert "budget_axis" not in s3.stats
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_assumption_verdicts_match_fresh_solver(self, seed):
-        """Differential: persistent-instance assumptions vs one-shot."""
-        rng = random.Random(seed)
-        n_vars, n_clauses = 12, 44
-        clauses = []
-        for _ in range(n_clauses):
-            vs = rng.sample(range(n_vars), 3)
-            clauses.append([lit(v, rng.random() < 0.5) for v in vs])
-        inc = SATSolver()
-        for _ in range(n_vars):
-            inc.new_var()
-        for c in clauses:
-            if not inc.add_clause(list(c)):
-                break
-        for trial in range(8):
-            assumption = lit(rng.randrange(n_vars), rng.random() < 0.5)
-            got = inc.solve(assumptions=[assumption])
-            ref = SATSolver()
-            for _ in range(n_vars):
-                ref.new_var()
-            ok = True
-            for c in clauses + [[assumption]]:
-                if not ref.add_clause(list(c)):
-                    ok = False
-                    break
-            want = ref.solve() if ok else SATResult.UNSAT
-            assert got is want, f"trial {trial}: {got} != {want}"

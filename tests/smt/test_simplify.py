@@ -255,12 +255,6 @@ def test_duplicate_definition_becomes_equation_of_values():
     assert out == [Eq(da, simplify(t1)), simplify(Eq(t1, t2))]
 
 
-def test_pinned_variables_are_not_defined():
-    f = Eq(da, BVAdd(db, dc))
-    assert harvest_units([f], pinned={da}).subst == {}
-    assert harvest_units([f]).subst == {da: BVAdd(db, dc)}
-
-
 def test_kept_definition_is_simplified():
     # The definition is asserted as v == value simplified under the
     # query's units and facts: here b's constant and the zpow2 fact on

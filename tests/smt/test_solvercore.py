@@ -1,7 +1,7 @@
 """Arena CDCL core internals: clause-DB reduction, vivification,
 on-the-fly subsumption, compaction and the raw bulk-load path.
 
-The public solver behaviour (verdicts, assumptions, budgets) is covered
+The public solver behaviour (verdicts, budgets) is covered
 by ``test_sat.py``; this module reaches into the arena representation to
 pin the inprocessing mechanics and their stats counters.
 """
@@ -82,12 +82,6 @@ class TestArena:
         s2.add_clauses_raw([list(cl) for cl in clauses])
         assert len(s2.clauses) == len(clauses)
         assert s1.solve() is s2.solve() is SATResult.SAT
-        # agree on every assumption-forced verdict too
-        for v in range(4):
-            for phase in (0, 1):
-                r1 = s1.solve(assumptions=[lit(v, phase == 0)])
-                r2 = s2.solve(assumptions=[lit(v, phase == 0)])
-                assert r1 is r2
 
     def test_new_vars_bulk_allocation_keeps_heap_usable(self):
         # bulk allocation after activity bumps must preserve the branch
@@ -96,15 +90,14 @@ class TestArena:
         a, b = lit(s.new_var()), lit(s.new_var())
         s.add_clause([a, b])
         assert s.solve() is SATResult.SAT
-        s.reset_to_root()
+        s._backtrack(0)  # unwind the satisfying trail to add clauses again
         first = s.new_vars(5)
         assert s.num_vars == first + 5
-        x, y = lit(first), lit(first + 4)
-        s.add_clause([x, y])
-        s.add_clause([x ^ 1, y ^ 1])
+        x, y = first, first + 4
+        s.add_clause([lit(x), lit(y)])
+        s.add_clause([lit(x) ^ 1, lit(y) ^ 1])
         assert s.solve() is SATResult.SAT
-        assert s.solve(assumptions=[x, y]) is SATResult.UNSAT
-        assert s.solve(assumptions=[x, y ^ 1]) is SATResult.SAT
+        assert s.model_value(x) != s.model_value(y)
 
     def test_kill_and_compact_remap_offsets(self):
         s = SATSolver()
