@@ -4,9 +4,12 @@ Each bit-vector term maps to a list of SAT literals, LSB first.  Circuits are
 the standard ones — ripple-carry adders, shift-add multipliers, barrel
 shifters, borrow-chain comparators, restoring division — built on the gate
 cache of :class:`~repro.smt.cnf.GateBuilder`, so shared subterms share
-circuitry.  The per-blaster memo tables (``_bool_cache``, ``_bits_cache``)
-are keyed on term identity — hash-consing makes that structural — and each
-DAG node is walked exactly once per blast.
+circuitry.  Adder cells are ``(XOR3, MAJ)`` pairs, and each comparator
+step is one ``MAJ``: the borrow out of ``x - y`` at a bit is the majority
+of ``~x``, ``y`` and the borrow in.  The per-blaster memo tables
+(``_bool_cache``, ``_bits_cache``) are keyed on term identity —
+hash-consing makes that structural — and each DAG node is walked exactly
+once per blast.
 
 Array terms must have been eliminated (:mod:`repro.smt.arrays`) before
 blasting; encountering one here is a programming error.
@@ -354,9 +357,8 @@ class BitBlaster:
         gb = self.gb
         borrow = gb.false_lit
         for x, y in zip(xs, ys):
-            # borrow' = (~x & y) | ((~x | y) & borrow) = (~x & y) | ((x iff y) & borrow)
-            nx = x ^ 1
-            borrow = gb.OR([gb.AND([nx, y]), gb.AND([gb.IFF(x, y), borrow])])
+            # The borrow out of x - y: at least two of ~x, y, borrow.
+            borrow = gb.MAJ(x ^ 1, y, borrow)
         return borrow
 
     def _slt(self, xs: list[int], ys: list[int]) -> int:

@@ -1,10 +1,14 @@
 """Tseitin transformation primitives.
 
 :class:`GateBuilder` wraps a :class:`~repro.smt.sat.SATSolver` and offers
-gate-level constructors (`AND`, `OR`, `XOR`, `ITE`, `IFF`) that allocate a
-fresh output literal and emit the defining clauses.  Gates are cached by
-their (operator, sorted inputs) signature, so the circuit stays a DAG even
-when the term DAG is re-traversed.
+gate-level constructors (`AND`, `OR`, `XOR`, `ITE`, `IFF`, and the
+three-input `MAJ` and `XOR3` that adders and comparators are built from)
+that allocate a fresh output literal and emit the defining clauses.  A full
+adder is one `XOR3` and one `MAJ`: two variables and 14 clauses.  Gates
+fold constant, equal and complementary inputs, and are cached by their
+(operator, sorted inputs) signature with input signs moved to the output
+where the gate allows it (`XOR`, `XOR3`, and `MAJ` by self-duality), so
+the circuit stays a DAG even when the term DAG is re-traversed.
 
 The constant literals ``true_lit``/``false_lit`` are two polarities of one
 reserved variable forced at level 0, which lets the bit-blaster treat
@@ -195,14 +199,66 @@ class GateBuilder:
         self.gates += 1
         return g
 
+    def MAJ(self, a: int, b: int, c: int) -> int:
+        """Majority of three: one variable, six clauses."""
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            cx = self.is_const(x)
+            if cx is True:
+                return self.OR([y, z])
+            if cx is False:
+                return self.AND([y, z])
+            if x == y:
+                return x
+            if x == y ^ 1:
+                return z
+        # Canonicalize: MAJ(~a,~b,~c) == ~MAJ(a,b,c), so keep at most one
+        # negated input and fold the flip into the output; inputs sorted.
+        sign = 1 if (a & 1) + (b & 1) + (c & 1) >= 2 else 0
+        a, b, c = sorted((a ^ sign, b ^ sign, c ^ sign))
+        key = ("maj", a, b, c)
+        hit = self._cache.get(key)
+        if hit is None:
+            g = self.new_lit()
+            for x, y in ((a, b), (a, c), (b, c)):
+                self.add_clause([g ^ 1, x, y])
+                self.add_clause([g, x ^ 1, y ^ 1])
+            self._cache[key] = g
+            self.gates += 1
+            hit = g
+        return hit ^ sign
+
+    def XOR3(self, a: int, b: int, c: int) -> int:
+        """Parity of three: one variable, eight clauses."""
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            cx = self.is_const(x)
+            if cx is not None:
+                return self.XOR(y, z) ^ cx
+            if x == y:
+                return z
+            if x == y ^ 1:
+                return z ^ 1
+        # Canonicalize: inputs positive, sorted; signs folded into the output.
+        sign = (a ^ b ^ c) & 1
+        a, b, c = sorted((a & ~1, b & ~1, c & ~1))
+        key = ("xor3", a, b, c)
+        hit = self._cache.get(key)
+        if hit is None:
+            g = self.new_lit()
+            # Forbid every assignment whose parity disagrees with g.
+            for m in range(8):
+                fa, fb, fc = m & 1, (m >> 1) & 1, (m >> 2) & 1
+                self.add_clause([g ^ (fa ^ fb ^ fc ^ 1),
+                                 a ^ fa, b ^ fb, c ^ fc])
+            self._cache[key] = g
+            self.gates += 1
+            hit = g
+        return hit ^ sign
+
     # ----------------------------------------------------- adder primitives
 
     def full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
         """Returns ``(sum, carry_out)`` of a 1-bit full adder."""
-        axb = self.XOR(a, b)
-        s = self.XOR(axb, cin)
-        carry = self.OR([self.AND([a, b]), self.AND([cin, axb])])
-        return s, carry
+        return self.XOR3(a, b, cin), self.MAJ(a, b, cin)
 
     def assert_lit(self, lit: int) -> None:
         """Assert ``lit`` as a unit clause."""

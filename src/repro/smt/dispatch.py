@@ -9,8 +9,10 @@ independence into throughput:
   (canonical key), satisfy what it can from the cache, and fan the rest out
   to ``jobs`` worker processes.
 
-Every leader is solved one-shot: a fresh :class:`~repro.smt.solver.Solver`
-simplifies, blasts and searches it alone, in-process or on a worker.
+Every query is simplified once, while it is prepared: the simplified
+assertions give the canonical cache key, and a leader is solved from them
+one-shot — a fresh :class:`~repro.smt.solver.Solver` eliminates arrays,
+blasts and searches it alone, in-process or on a worker.
 
 Workers receive queries as flat term blobs (:mod:`repro.smt.qcache`'s
 encoding — hash-consed terms do not pickle) and return the verdict, a
@@ -320,28 +322,32 @@ class _Prepared:
     work: list[Term]          # simplified assertion set
     key: str
     varmap: dict[Term, int]
+    simplify_time: float      # seconds spent simplifying ``work``
 
 
 def _prepare(index: int, query: Query) -> _Prepared:
+    start = time.monotonic()
     work = list(query.assertions)
     if query.do_simplify:
         work = simplify_all(work)
+    simplify_time = time.monotonic() - start
     key, varmap = canonicalize(work)
     return _Prepared(index=index, query=query, work=work, key=key,
-                     varmap=varmap)
+                     varmap=varmap, simplify_time=simplify_time)
 
 
 #: One leader's outcome: (verdict, model, stats).
 _Outcome = tuple[CheckResult, Model | None, dict]
 
 
-def _solve_local_guarded(query: Query, timeout: float | None,
+def _solve_local_guarded(prep: _Prepared, timeout: float | None,
                          conflict_budget: int | None,
-                         plan: FaultPlan | None, key: str,
+                         plan: FaultPlan | None,
                          salt: int, certify: bool = False) -> _Outcome:
     """Solve in-process; any failure degrades to UNKNOWN with the error
     recorded — the parent process must survive every query."""
     start = time.monotonic()
+    query, key = prep.query, prep.key
     try:
         faults.maybe_delay(plan, "local", key, salt)
         faults.maybe_raise(plan, "local", key, salt)
@@ -350,7 +356,7 @@ def _solve_local_guarded(query: Query, timeout: float | None,
                         validate_models=query.validate_models,
                         certify=certify)
         solver.add(*query.assertions)
-        verdict = solver.check()
+        verdict = solver.check(simplified=prep.work)
         model = solver.model() if verdict is CheckResult.SAT else None
         return verdict, model, dict(solver.stats)
     except MemoryError:
@@ -378,9 +384,14 @@ def _project_model(model: Model) -> dict:
 
 
 def _worker_solve(payload: tuple) -> tuple[str, dict | None, dict]:
-    """Executed in a worker process: decode, solve, project the model."""
-    (blob, timeout, conflict_budget, do_simplify, validate_models,
-     key, fault_spec, salt, certify) = payload
+    """Executed in a worker process: decode, solve, project the model.
+
+    ``blob`` holds the prepared (already simplified) assertions;
+    ``original_blob`` the query's own assertions when the model is to be
+    validated against them, else ``None``.
+    """
+    (blob, original_blob, timeout, conflict_budget, do_simplify,
+     validate_models, key, fault_spec, salt, certify) = payload
     plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
     # Injection points: a crash kills this worker abruptly (the parent sees
     # BrokenProcessPool); a raised fault propagates through the future (the
@@ -394,8 +405,9 @@ def _worker_solve(payload: tuple) -> tuple[str, dict | None, dict]:
                         do_simplify=do_simplify,
                         validate_models=validate_models,
                         certify=certify)
-        solver.add(*terms)
-        verdict = solver.check()
+        solver.add(*(decode_terms(original_blob)
+                     if original_blob is not None else terms))
+        verdict = solver.check(simplified=terms)
     except MemoryError:
         # The rlimit fired: report a contained budget failure instead of
         # letting the allocator kill the process.
@@ -492,9 +504,12 @@ def _solve_wave_pool(wave: list[_Prepared],
             futures = {}
             for prep, requeue in pending:
                 timeout, conflicts = budgets[prep.key]
-                payload = (encode_terms(prep.work), timeout, conflicts,
-                           prep.query.do_simplify,
-                           prep.query.validate_models,
+                validate = prep.query.validate_models
+                payload = (encode_terms(prep.work),
+                           (encode_terms(prep.query.assertions)
+                            if validate else None),
+                           timeout, conflicts, prep.query.do_simplify,
+                           validate,
                            prep.key, spec, _attempt_salt(attempt, requeue),
                            certify)
                 futures[pool.submit(_worker_solve, payload)] = (prep,
@@ -538,7 +553,7 @@ def _solve_wave_pool(wave: list[_Prepared],
             for prep, requeue in requeued:
                 timeout, conflicts = budgets[prep.key]
                 results[prep.key] = _solve_local_guarded(
-                    prep.query, timeout, conflicts, plan, prep.key,
+                    prep, timeout, conflicts, plan,
                     _attempt_salt(attempt, requeue), certify)
             break
         sleep = min(1.0, backoff * (2 ** (failures - 1)))
@@ -589,7 +604,7 @@ def _solve_batch(leaders: list[_Prepared], *, jobs: int,
         else:
             solved = {
                 p.key: _solve_local_guarded(
-                    p.query, *budgets[p.key], plan, p.key,
+                    p, *budgets[p.key], plan,
                     _attempt_salt(attempt, 0), certify)
                 for p in wave}
         retry: list[_Prepared] = []
@@ -704,6 +719,10 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     leader_models: dict[str, Model | None] = {}
     for prep in leaders:
         verdict, model, stats = solved[prep.key]
+        # The solver started from the prepared assertions: the time spent
+        # simplifying them belongs to this query.
+        stats = {**stats, "simplify_time": prep.simplify_time,
+                 "time": stats.get("time", 0.0) + prep.simplify_time}
         entry = _cache_entry(verdict, model, prep.varmap, stats)
         entry["stats"] = stats  # keep the full stat set
         entries[prep.key] = entry

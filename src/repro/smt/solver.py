@@ -4,8 +4,11 @@ Pipeline per ``check()``:
 
 1. term-level simplification (polynomial normalization, read-over-write,
    word-level rewriting, and unit propagation of top-level ``v == c``
-   conjuncts — see :mod:`repro.smt.simplify`);
-2. array elimination (write-chain expansion + Ackermann reduction);
+   conjuncts — see :mod:`repro.smt.simplify`).  It runs once per query:
+   the dispatcher (:mod:`repro.smt.dispatch`) simplifies each query while
+   preparing its cache key and hands the result to ``check(simplified=)``;
+2. array elimination (write-chain expansion + Ackermann reduction),
+   simplifying again only when it introduced read variables;
 3. bit-blasting to CNF;
 4. CDCL SAT solving under a time/conflict budget;
 5. on SAT, model reconstruction back up through the pipeline (bit values →
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
+from typing import Sequence
 from . import faults
 from .arrays import eliminate_arrays
 from .bitblast import BitBlaster
@@ -98,16 +102,24 @@ class Solver:
             else:
                 raise SolverError(f"assertion must be Bool-sorted, got {t.sort!r}")
 
-    def check(self) -> CheckResult:
-        """Decide satisfiability of the conjunction of all assertions."""
+    def check(self, simplified: Sequence[Term] | None = None) -> CheckResult:
+        """Decide satisfiability of the conjunction of all assertions.
+
+        ``simplified`` is the output of step 1 when the caller has already
+        run it on these assertions; the solver then starts from it.  Model
+        validation still checks the added assertions.
+        """
         self._model = None
         self.stats = {}
         start = time.monotonic()
         deadline = start + self.timeout if self.timeout is not None else None
 
-        work = list(self.assertions)
-        if self.do_simplify:
-            work = simplify_all(work)
+        if simplified is not None:
+            work = list(simplified)
+        elif self.do_simplify:
+            work = simplify_all(list(self.assertions))
+        else:
+            work = list(self.assertions)
         self.stats["simplify_time"] = time.monotonic() - start
         work = [t for t in work if t is not TRUE]
         if any(t is FALSE for t in work):
@@ -121,7 +133,7 @@ class Solver:
 
         elim_start = time.monotonic()
         flat, info = eliminate_arrays(work)
-        if self.do_simplify:
+        if self.do_simplify and info.reads:
             flat = simplify_all(flat)
             flat = [t for t in flat if t is not TRUE]
             if any(t is FALSE for t in flat):

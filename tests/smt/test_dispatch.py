@@ -1,6 +1,8 @@
 """Parallel dispatch: verdict identity, dedup, caching, budgets, and
 the streaming (pipelined) mode of ``solve_stream``."""
 
+import pytest
+
 from repro.smt import (
     BVConst, BVVar, CheckResult, Eq, Query, UGt, ULt,
     fresh_scope, solve_all, solve_query, solve_stream,
@@ -160,6 +162,62 @@ class TestBudgets:
         res = solve_query(_sat_query("st.a", 2, 9), cache=False)
         assert res.stats.get("time", 0.0) > 0.0
         assert "sat_time" in res.stats
+
+
+class TestSimplifyOnce:
+    """The dispatcher simplifies each query once, to build its cache key;
+    the solver starts from that result on every attempt."""
+
+    @staticmethod
+    def _count_simplify(monkeypatch) -> list:
+        import repro.smt.dispatch as dispatch_mod
+        import repro.smt.solver as solver_mod
+        calls = []
+        real = solver_mod.simplify_all
+
+        def counting(terms):
+            calls.append(len(terms))
+            return real(terms)
+        monkeypatch.setattr(dispatch_mod, "simplify_all", counting)
+        monkeypatch.setattr(solver_mod, "simplify_all", counting)
+        return calls
+
+    def test_one_simplify_per_miss(self, monkeypatch):
+        calls = self._count_simplify(monkeypatch)
+        res = solve_query(_sat_query("so.a", 2, 9), cache=False)
+        assert res.verdict is CheckResult.SAT
+        assert len(calls) == 1
+
+    def test_one_simplify_across_retries(self, monkeypatch):
+        from repro.smt import RetryPolicy
+        calls = self._count_simplify(monkeypatch)
+        res = solve_query(_factoring_query(timeout=1e-6), cache=False,
+                          policy=RetryPolicy(retries=1))
+        assert res.verdict is CheckResult.UNKNOWN
+        assert len(res.stats["resilience"]["attempts"]) == 2
+        assert len(calls) == 1
+
+    def test_miss_reports_its_simplify_time(self):
+        res = solve_query(_sat_query("so.t", 2, 9), cache=False)
+        assert res.stats["simplify_time"] > 0.0
+        assert res.stats["time"] >= res.stats["simplify_time"]
+
+    def test_validation_checks_the_original_assertions(self):
+        from repro.errors import SolverError
+        from repro.smt import TRUE, Solver
+        x = BVVar("so.v", 8)
+        s = Solver(validate_models=True)
+        s.add(UGt(x, BVConst(5, 8)))
+        # A wrong "simplified" form is solved, but its model is checked
+        # against what was added.
+        with pytest.raises(SolverError, match="model validation failed"):
+            s.check(simplified=[TRUE, ULt(x, BVConst(3, 8))])
+
+    def test_pool_workers_validate_the_original_assertions(self):
+        queries = [Query(_sat_query(f"so.p{i}", 2, 9).assertions,
+                         validate_models=True) for i in range(2)]
+        results = solve_all(queries, jobs=2, cache=False)
+        assert [r.verdict for r in results] == [CheckResult.SAT] * 2
 
 
 class TestSolveStream:
