@@ -45,6 +45,7 @@ from repro.check.equivalence import check_equivalence
 from repro.check.races import check_races
 from repro.kernels import load
 from repro.lang import LaunchConfig
+from repro.smt import SolveConfig
 
 TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
                   "scalars": {"width": 4, "height": 4}}
@@ -52,8 +53,8 @@ REDUCE_CONC = {"bdim": (8, 1, 1), "gdim": (1, 1)}
 TIMEOUT = 300.0
 
 MODES = (
-    ("plain", {"certify": False}),
-    ("certified", {"certify": True}),
+    ("plain", {"solve": SolveConfig(cache=False)}),
+    ("certified", {"solve": SolveConfig(cache=False, certify=True)}),
 )
 
 #: Regression gate: certified must not exceed ``RATIO * plain + SLACK``
@@ -79,19 +80,18 @@ def _suite(smoke: bool):
     def races(info, width, builder, conc):
         return lambda **kw: check_races(
             info, width, assumption_builder=builder, concretize=conc,
-            timeout=TIMEOUT, jobs=1, cache=False, **kw)
+            timeout=TIMEOUT, **kw)
 
     def equiv_param(src, tgt, width, builder, conc):
         return lambda **kw: check_equivalence(
             src, tgt, method="param", width=width,
             assumption_builder=builder, concretize=conc,
-            timeout=TIMEOUT, jobs=1, cache=False, **kw)
+            timeout=TIMEOUT, **kw)
 
     def equiv_nonparam(src, tgt, config, scalars):
         return lambda **kw: check_equivalence(
             src, tgt, method="nonparam", config=config,
-            scalar_values=scalars, timeout=TIMEOUT, jobs=1, cache=False,
-            **kw)
+            scalar_values=scalars, timeout=TIMEOUT, **kw)
 
     cells = [
         ("races/optimizedTranspose/w8",

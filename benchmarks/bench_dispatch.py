@@ -35,6 +35,7 @@ from repro.check.equivalence import check_equivalence
 from repro.check.races import check_races
 from repro.kernels import load
 from repro.lang import LaunchConfig
+from repro.smt import SolveConfig
 from repro.smt.qcache import QueryCache
 
 TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
@@ -44,27 +45,27 @@ TIMEOUT = 300.0
 
 
 def _suite():
-    """(name, callable(jobs, cache)) pairs — the benchmark workload."""
+    """(name, callable(solve)) pairs — the benchmark workload."""
     _, naive_t = load("naiveTranspose")
     _, opt_t = load("optimizedTranspose")
     _, naive_r = load("naiveReduce")
     _, opt_r = load("optimizedReduce")
 
     def races(info, builder, conc):
-        return lambda jobs, cache: check_races(
+        return lambda solve: check_races(
             info, 8, assumption_builder=builder, concretize=conc,
-            timeout=TIMEOUT, jobs=jobs, cache=cache)
+            timeout=TIMEOUT, solve=solve)
 
     def equiv_nonparam(src, tgt, scalars, gdim=(1, 1)):
         config = LaunchConfig(bdim=(2, 2, 1), gdim=gdim, width=8)
-        return lambda jobs, cache: check_equivalence(
+        return lambda solve: check_equivalence(
             src, tgt, method="nonparam", config=config,
-            scalar_values=scalars, timeout=TIMEOUT, jobs=jobs, cache=cache)
+            scalar_values=scalars, timeout=TIMEOUT, solve=solve)
 
     def equiv_param(src, tgt, builder, conc):
-        return lambda jobs, cache: check_equivalence(
+        return lambda solve: check_equivalence(
             src, tgt, method="param", width=8, assumption_builder=builder,
-            concretize=conc, timeout=TIMEOUT, jobs=jobs, cache=cache)
+            concretize=conc, timeout=TIMEOUT, solve=solve)
 
     return [
         ("races/naiveTranspose",
@@ -85,12 +86,12 @@ def _suite():
     ]
 
 
-def _run(suite, jobs, cache):
+def _run(suite, solve: SolveConfig):
     cells = {}
     total = 0.0
     for name, fn in suite:
         start = time.monotonic()
-        outcome = fn(jobs, cache)
+        outcome = fn(solve)
         elapsed = time.monotonic() - start
         total += elapsed
         cells[name] = {"verdict": outcome.verdict.name,
@@ -114,19 +115,21 @@ def main(argv=None) -> int:
               "suite_size": len(suite)}
 
     print(f"serial pass (jobs=1, no cache) ...", flush=True)
-    serial_cells, serial_total = _run(suite, jobs=1, cache=False)
+    serial_cells, serial_total = _run(suite, SolveConfig(cache=False))
 
     print(f"parallel pass (jobs={args.jobs}, no cache) ...", flush=True)
-    parallel_cells, parallel_total = _run(suite, jobs=args.jobs, cache=False)
+    parallel_cells, parallel_total = _run(
+        suite, SolveConfig(jobs=args.jobs, cache=False))
 
     cache_dir = tempfile.mkdtemp(prefix="pugpara_bench_cache_")
     try:
         print("cold pass (jobs=1, populating disk cache) ...", flush=True)
-        _, cold_total = _run(suite, jobs=1, cache=QueryCache(disk_dir=cache_dir))
+        _, cold_total = _run(
+            suite, SolveConfig(cache=QueryCache(disk_dir=cache_dir)))
         print("warm pass (jobs=1, fresh process-level cache, disk warm) ...",
               flush=True)
-        warm_cells, warm_total = _run(suite, jobs=1,
-                                      cache=QueryCache(disk_dir=cache_dir))
+        warm_cells, warm_total = _run(
+            suite, SolveConfig(cache=QueryCache(disk_dir=cache_dir)))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 

@@ -47,6 +47,7 @@ from repro.check.configs import reduction_assumptions, transpose_assumptions
 from repro.check.races import check_races
 from repro.encode.templates import TemplateStore, set_default_template_store
 from repro.kernels import load
+from repro.smt import SolveConfig
 from repro.smt.terms import intern_stats
 
 TIMEOUT = 300.0
@@ -84,7 +85,7 @@ def _suite(smoke: bool):
     def races(info, width, builder, conc):
         return lambda: check_races(
             info, width, assumption_builder=builder, concretize=conc,
-            timeout=TIMEOUT, jobs=1, cache=False)
+            timeout=TIMEOUT, solve=SolveConfig(cache=False))
 
     cells = []
     for i, conc in enumerate(REDUCE_CONCS):
@@ -156,7 +157,7 @@ def _stream_section(repeats: int):
                 out = check_races(opt_r, 16,
                                   assumption_builder=reduction_assumptions,
                                   concretize=conc, timeout=TIMEOUT,
-                                  jobs=1, cache=False)
+                                  solve=SolveConfig(cache=False))
                 first = out.stats.get("encode", {}).get("first_verdict_s")
                 if first is not None:
                     best = first if best is None else min(best, first)

@@ -18,8 +18,8 @@ from ..lang.interp import LaunchConfig
 from ..lang.typecheck import KernelInfo
 from ..param.equivalence import ParamOptions, check_equivalence_param
 from ..smt import (
-    ArrayVar, BVVar, CheckResult, Eq, Ne, Or, Query, Select, Term,
-    fresh_scope, fresh_var, solve_query,
+    ArrayVar, BVVar, CheckResult, Eq, Ne, Or, Query, Select, SolveConfig,
+    Term, fresh_scoped, fresh_var, solve_query,
 )
 from ..smt.sorts import BV
 from .replay import replay_equivalence
@@ -28,6 +28,7 @@ from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
 __all__ = ["check_equivalence", "check_equivalence_nonparam", "ParamOptions"]
 
 
+@fresh_scoped
 def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                config: LaunchConfig, *,
                                scalar_values: dict[str, int] | None = None,
@@ -35,32 +36,19 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                timeout: float | None = None,
                                do_simplify: bool = True,
                                validate: bool = True,
-                               jobs: int | None = None,
-                               cache=None,
-                               policy=None,
-                               certify: bool | None = None
+                               solve: SolveConfig | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
     solver for an input on which the outputs differ.
 
     ``scalar_values`` pins scalar parameters (width/height...; usually
     implied by the geometry); ``concretize_extent`` is the paper's ``+C.``
-    flag — pin that many input-array cells to concrete values.
+    flag — pin that many input-array cells to concrete values.  ``solve``
+    (default: :meth:`~repro.smt.dispatch.SolveConfig.from_env`) says how
+    the query is solved.
     """
-    with fresh_scope():
-        return _check_equivalence_nonparam(
-            src_info, tgt_info, config, scalar_values=scalar_values,
-            concretize_extent=concretize_extent, timeout=timeout,
-            do_simplify=do_simplify, validate=validate, jobs=jobs,
-            cache=cache, policy=policy, certify=certify)
-
-
-def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
-                                config: LaunchConfig, *, scalar_values,
-                                concretize_extent, timeout, do_simplify,
-                                validate, jobs, cache,
-                                policy=None,
-                                certify=None) -> CheckOutcome:
+    if solve is None:
+        solve = SolveConfig.from_env()
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     width = config.width
@@ -107,8 +95,7 @@ def _check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
 
     response = solve_query(
         Query([*constraints, Or(*differs)], timeout=timeout,
-              do_simplify=do_simplify),
-        cache=cache, policy=policy, certify=certify)
+              do_simplify=do_simplify), solve)
     result = response.verdict
     outcome.vcs_checked = 1
     outcome.solver_time = response.solver_time
@@ -159,10 +146,7 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
                       timeout: float | None = None,
                       options: ParamOptions | None = None,
                       validate: bool = True,
-                      jobs: int | None = None,
-                      cache=None,
-                      policy=None,
-                      certify: bool | None = None) -> CheckOutcome:
+                      solve: SolveConfig | None = None) -> CheckOutcome:
     """Unified entry point.
 
     ``method="param"`` — the paper's parameterized checker: needs ``width``
@@ -175,8 +159,7 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
     """
     if method == "param":
         overrides = {k: v for k, v in (
-            ("timeout", timeout), ("jobs", jobs), ("cache", cache),
-            ("policy", policy), ("certify", certify)) if v is not None}
+            ("timeout", timeout), ("solve", solve)) if v is not None}
         if not validate:
             overrides["validate"] = False
         opts = replace(options or ParamOptions(), **overrides)
@@ -191,6 +174,5 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             src_info, tgt_info, config,
             scalar_values=scalar_values,
             concretize_extent=concretize_extent,
-            timeout=timeout, validate=validate, jobs=jobs, cache=cache,
-            policy=policy, certify=certify)
+            timeout=timeout, validate=validate, solve=solve)
     raise ValueError(f"unknown method {method!r}")

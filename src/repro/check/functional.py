@@ -34,7 +34,8 @@ from ..param.resolve import GroupContext, PrestateStore, resolve_value
 from ..param.ca import Read
 from ..smt import (
     And, ArrayVar, BVConst, BVVar, CheckResult, Implies, Not, Query,
-    Select, Term, fresh_scope, fresh_var, solve_all,
+    Select, SolveConfig, Term, fresh_scoped, fresh_var, solve_all,
+    solve_query,
 )
 from ..smt.dispatch import default_stream, solve_stream
 from ..smt.sorts import BV
@@ -154,27 +155,16 @@ def _exec_ghost(stmts: tuple[Stmt, ...], scope: _GhostScope,
                 f"{type(s).__name__}")
 
 
+@fresh_scoped
 def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               scalar_values: dict[str, int] | None = None,
                               timeout: float | None = None,
                               validate: bool = True,
-                              jobs: int | None = None,
-                              cache=None,
-                              policy=None,
-                              certify: bool | None = None
+                              solve: SolveConfig | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
-    with fresh_scope():
-        return _check_functional_nonparam(
-            info, config, scalar_values=scalar_values, timeout=timeout,
-            validate=validate, jobs=jobs, cache=cache, policy=policy,
-            certify=certify)
-
-
-def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
-                               scalar_values, timeout, validate, jobs,
-                               cache, policy=None,
-                               certify=None) -> CheckOutcome:
+    if solve is None:
+        solve = SolveConfig.from_env()
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     width = config.width
@@ -210,18 +200,17 @@ def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
     # Per-obligation VCs are independent; streamed by default so the
     # first verdict lands before the last obligation is encoded, and an
     # early return below abandons (never solves) the tail.
-    dispatch = dict(jobs=jobs, cache=cache, policy=policy, certify=certify)
     lat: dict = {}
     if default_stream():
         record_encode_stats(outcome, mode="stream")
         responses = solve_stream(
             (Query([*constraints, Not(obligation)], timeout=budget)
-             for obligation, _ in obligations), latency=lat, **dispatch)
+             for obligation, _ in obligations), config=solve, latency=lat)
     else:
         solve_start = time.monotonic()
         responses = solve_all(
             [Query([*constraints, Not(obligation)], timeout=budget)
-             for obligation, _ in obligations], **dispatch)
+             for obligation, _ in obligations], config=solve)
         if responses:
             record_encode_stats(
                 outcome, mode="batch",
@@ -279,35 +268,22 @@ def _check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
 # ------------------------------------------------------------------- param
 
 
+@fresh_scoped
 def check_functional_param(info: KernelInfo, width: int, *,
                            assumption_builder=None,
                            concretize: dict | None = None,
                            timeout: float | None = None,
                            bughunt: bool = False,
                            validate: bool = True,
-                           jobs: int | None = None,
-                           cache=None,
-                           policy=None,
-                           certify: bool | None = None) -> CheckOutcome:
+                           solve: SolveConfig | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
     The post-condition's array reads are resolved through the kernel's CAs
     with fresh-thread instantiation (Section IV-A's computation of
     ``odata[k]``), so the proof covers every thread count.
     """
-    with fresh_scope():
-        return _check_functional_param(
-            info, width, assumption_builder=assumption_builder,
-            concretize=concretize, timeout=timeout, bughunt=bughunt,
-            validate=validate, jobs=jobs, cache=cache, policy=policy,
-            certify=certify)
-
-
-def _check_functional_param(info: KernelInfo, width: int, *,
-                            assumption_builder, concretize, timeout,
-                            bughunt, validate, jobs, cache,
-                            policy=None,
-                            certify=None) -> CheckOutcome:
+    if solve is None:
+        solve = SolveConfig.from_env()
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -346,11 +322,9 @@ def _check_functional_param(info: KernelInfo, width: int, *,
         return max(deadline - time.monotonic(), 0.01)
 
     def prove(premises: list[Term], obligations: list[Term]) -> bool:
-        from ..smt import solve_query
         response = solve_query(
             Query([*assumptions, *premises, Not(And(*obligations))],
-                  timeout=budget()),
-            cache=cache, policy=policy, certify=certify)
+                  timeout=budget()), solve)
         outcome.vcs_checked += 1
         outcome.solver_time += response.solver_time
         outcome.merge_solver_stats(response.stats)
@@ -421,7 +395,7 @@ def _check_functional_param(info: KernelInfo, width: int, *,
             responses = solve_all(
                 [Query([*assumptions, *case.constraints, Not(case.value)],
                        timeout=budget()) for case in cases],
-                jobs=jobs, cache=cache, policy=policy, certify=certify)
+                config=solve)
             for response in responses:
                 outcome.vcs_checked += 1
                 outcome.solver_time += response.solver_time

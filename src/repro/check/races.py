@@ -33,7 +33,7 @@ from ..param.geometry import Geometry, ThreadInstance
 from ..param.resolve import instantiate
 from ..smt import (
     And, ArrayVar, BVVar, CheckResult, Eq, Ne, Not, Or, Query, QueryResult,
-    Term, fresh_scope, solve_all, solve_stream,
+    SolveConfig, Term, fresh_scoped, solve_all, solve_stream,
 )
 from ..smt.dispatch import default_stream
 from ..lang.interp import LaunchConfig, run_kernel
@@ -104,15 +104,13 @@ def _interval_queries(model: KernelModel, plain: PlainModel,
     return queries
 
 
+@fresh_scoped
 def check_races(info: KernelInfo, width: int = 16, *,
                 assumption_builder=None,
                 concretize: dict | None = None,
                 timeout: float | None = None,
                 validate: bool = True,
-                jobs: int | None = None,
-                cache=None,
-                policy=None,
-                certify: bool | None = None) -> CheckOutcome:
+                solve: SolveConfig | None = None) -> CheckOutcome:
     """Check the kernel race-free for any thread count.
 
     A ``VERIFIED`` verdict means no two distinct threads can conflict on any
@@ -120,21 +118,13 @@ def check_races(info: KernelInfo, width: int = 16, *,
     satisfying the assumptions.
 
     All interval-pair queries are independent; they are batched through
-    :func:`repro.smt.dispatch.solve_all` (``jobs`` worker processes, shared
-    canonical query ``cache``).  Results are consumed in generation order,
-    so verdicts are identical to a serial run.
+    :func:`repro.smt.dispatch.solve_all` under ``solve`` (default:
+    :meth:`~repro.smt.dispatch.SolveConfig.from_env`).  Results are
+    consumed in generation order, so verdicts are identical to a serial
+    run.
     """
-    with fresh_scope():
-        return _check_races(info, width,
-                            assumption_builder=assumption_builder,
-                            concretize=concretize, timeout=timeout,
-                            validate=validate, jobs=jobs, cache=cache,
-                            policy=policy, certify=certify)
-
-
-def _check_races(info: KernelInfo, width: int, *, assumption_builder,
-                 concretize, timeout, validate, jobs, cache,
-                 policy=None, certify=None) -> CheckOutcome:
+    if solve is None:
+        solve = SolveConfig.from_env()
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     geometry = Geometry.create(width)
@@ -237,13 +227,12 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
     # on a conclusive result cancels the unsolved tail.  Per-query
     # verdicts are identical either way — consumption below walks
     # generation order in both modes.
-    dispatch = dict(jobs=jobs, cache=cache, policy=policy, certify=certify)
     if default_stream():
         lat: dict = {}
         bounded = []
         for res in solve_stream(
                 (Query([*assumptions, *q.terms, *bounds], timeout=budget())
-                 for q in queries), latency=lat, **dispatch):
+                 for q in queries), config=solve, latency=lat):
             bounded.append(res)
             if res.verdict is CheckResult.SAT:
                 # Conclusive: consumption below can never pass this index,
@@ -256,7 +245,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
                      if r.verdict is not CheckResult.SAT]
         full_iter = zip(need_full, solve_stream(
             (Query([*assumptions, *queries[i].terms], timeout=budget())
-             for i in need_full), **dispatch))
+             for i in need_full), config=solve))
         full: dict[int, QueryResult] = {}
 
         def full_result(i: int) -> QueryResult:
@@ -270,7 +259,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
         bounded = solve_all(
             [Query([*assumptions, *q.terms, *bounds], timeout=budget())
              for q in queries],
-            **dispatch)
+            config=solve)
         if bounded:
             record_encode_stats(outcome, mode="batch",
                                 first_verdict_s=(time.monotonic()
@@ -280,7 +269,7 @@ def _check_races(info: KernelInfo, width: int, *, assumption_builder,
         full = dict(zip(need_full, solve_all(
             [Query([*assumptions, *queries[i].terms], timeout=budget())
              for i in need_full],
-            **dispatch)))
+            config=solve)))
 
         def full_result(i: int) -> QueryResult:
             return full[i]

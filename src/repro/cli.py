@@ -35,9 +35,7 @@ from .check import (
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from .param.equivalence import ParamOptions
-from .smt import (
-    QueryCache, RetryPolicy, default_cache, default_jobs, resolve_cache,
-)
+from .smt import QueryCache, RetryPolicy, SolveConfig, resolve_cache
 from .smt.resilience import ESCALATIONS
 
 __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
@@ -68,7 +66,6 @@ front-end environment knobs (defaults in parentheses):
                         in-memory only; repro.serve sets its own)
   PUGPARA_STREAM        encode/solve pipelining (1); 0 restores batch
                         solve_all semantics
-  PUGPARA_STREAM_CHUNK  queries per streamed chunk (max(4, 2*jobs))
 """
 
 
@@ -128,15 +125,23 @@ def _concretize(args) -> dict | None:
     return out
 
 
-def _policy(args) -> RetryPolicy | None:
-    """The retry policy the flags describe, or None (environment default)."""
-    if (args.retries is None and args.escalation is None
-            and args.max_budget is None):
-        return None
-    return RetryPolicy(
+def _solve_config(args) -> SolveConfig:
+    """The one :class:`SolveConfig` of a check command: the environment's
+    settings with the flags on top.  A bad flag value (``--jobs 0``,
+    ``--retries -1``) raises ``ValueError``."""
+    fields: dict = {"policy": RetryPolicy(
         retries=args.retries if args.retries is not None else 0,
         escalation=args.escalation or "geometric",
-        max_timeout=args.max_budget)
+        max_timeout=args.max_budget)}
+    if args.jobs is not None:
+        fields["jobs"] = args.jobs
+    if args.certify is not None:
+        fields["certify"] = args.certify
+    if args.no_cache:
+        fields["cache"] = False
+    elif args.cache_dir:
+        fields["cache"] = QueryCache(disk_dir=args.cache_dir)
+    return SolveConfig.from_env(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--retries", type=int, default=None, metavar="N",
                        help="retry UNKNOWN solver verdicts up to N times "
                             "under escalated budgets "
-                            "(default: $PUGPARA_RETRIES or 0)")
+                            "(default 0)")
         p.add_argument("--escalation", choices=ESCALATIONS, default=None,
                        help="budget escalation schedule for retries: "
                             "geometric doubles the budget each attempt, "
@@ -241,8 +246,14 @@ def main(argv: list[str] | None = None) -> int:
                            "(default: read from stdin)")
 
     args = parser.parse_args(argv)
+    solve = None
+    if args.command in ("equiv", "func", "races"):
+        try:
+            solve = _solve_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))  # exit 2, like any usage error
     try:
-        return _dispatch(args)
+        return _dispatch(args, solve)
     except Exception as exc:
         # An internal failure must be distinguishable from a refutation
         # (1) and from honest degradation (3).
@@ -305,7 +316,7 @@ def _attach_cache_health(outcome, cache) -> None:
         outcome.stats["cache"] = health
 
 
-def _dispatch(args) -> int:
+def _dispatch(args, solve: SolveConfig | None) -> int:
     if args.command == "serve":
         from .serve import main as serve_main
         serve_args = list(args.serve_args)
@@ -327,20 +338,11 @@ def _dispatch(args) -> int:
         return EXIT_VERIFIED
 
     builder = suite_assumptions(args.pair) if args.pair else None
-    jobs = args.jobs if getattr(args, "jobs", None) else default_jobs()
-    if getattr(args, "no_cache", False):
-        cache = False
-    elif getattr(args, "cache_dir", None):
-        cache = QueryCache(disk_dir=args.cache_dir)
-    else:
-        cache = None  # the shared in-memory default
-    policy = _policy(args) if hasattr(args, "retries") else None
     validate = getattr(args, "validate_cex", True)
-    certify = getattr(args, "certify", None)
 
     def report(outcome) -> int:
         if getattr(args, "stats", False) or getattr(args, "stats_json", None):
-            _attach_cache_health(outcome, cache)
+            _attach_cache_health(outcome, solve.cache)
         print(outcome)
         if getattr(args, "stats", False):
             print(format_solver_stats(outcome))
@@ -369,16 +371,12 @@ def _dispatch(args) -> int:
                 assumption_builder=builder, concretize=_concretize(args),
                 options=ParamOptions(timeout=args.timeout,
                                      bughunt=args.bughunt,
-                                     validate=validate,
-                                     jobs=jobs, cache=cache,
-                                     policy=policy,
-                                     certify=certify))
+                                     validate=validate, solve=solve))
         else:
             outcome = check_equivalence(
                 src, tgt, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
-                timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, certify=certify)
+                timeout=args.timeout, validate=validate, solve=solve)
         return report(outcome)
 
     if args.command == "func":
@@ -387,14 +385,12 @@ def _dispatch(args) -> int:
             outcome = check_functional(
                 info, method="param", width=args.width,
                 assumption_builder=builder, concretize=_concretize(args),
-                timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, certify=certify)
+                timeout=args.timeout, validate=validate, solve=solve)
         else:
             outcome = check_functional(
                 info, method="nonparam", config=_config(args),
                 scalar_values=_parse_sets(args.set) or None,
-                timeout=args.timeout, validate=validate, jobs=jobs,
-                cache=cache, policy=policy, certify=certify)
+                timeout=args.timeout, validate=validate, solve=solve)
         return report(outcome)
 
     if args.command == "races":
@@ -403,8 +399,7 @@ def _dispatch(args) -> int:
                               assumption_builder=builder,
                               concretize=_concretize(args),
                               timeout=args.timeout, validate=validate,
-                              jobs=jobs, cache=cache, policy=policy,
-                              certify=certify)
+                              solve=solve)
         return report(outcome)
 
     if args.command == "run":

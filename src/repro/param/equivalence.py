@@ -37,13 +37,13 @@ skipped any obligation and found no bug therefore reports UNKNOWN with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import AlignmentError, EncodingError
 from ..lang.typecheck import KernelInfo
 from ..smt import (
     And, ArrayVar, BVVar, CheckResult, Eq, FALSE, Not, Query, QueryResult,
-    Term, fresh_scope, solve_all, solve_query, substitute,
+    SolveConfig, Term, fresh_scope, solve_all, solve_query, substitute,
 )
 from ..check.replay import extract_launch, replay_equivalence
 from ..check.result import (
@@ -69,10 +69,7 @@ class ParamOptions:
     validate: bool = True               # replay-confirm counterexamples
     minimize: bool = True               # prefer small counterexamples
     simplify: bool = True               # term-level simplification ablation
-    jobs: int | None = None             # VC dispatch worker processes
-    cache: object = None                # canonical query cache (False = off)
-    policy: object = None               # UNKNOWN retry policy (None = env)
-    certify: bool | None = None         # DRAT-check every UNSAT verdict
+    solve: SolveConfig | None = None    # how VCs are solved (None = env)
 
 
 @dataclass
@@ -107,8 +104,7 @@ class _Run:
         response = solve_query(
             Query(terms, timeout=self.budget(),
                   do_simplify=self.options.simplify),
-            cache=self.options.cache, policy=self.options.policy,
-            certify=self.options.certify)
+            self.options.solve)
         self.account(response)
         return response.verdict, response
 
@@ -184,6 +180,8 @@ def check_equivalence_param(src_info: KernelInfo, tgt_info: KernelInfo,
     quantities to concrete values.
     """
     options = options or ParamOptions()
+    if options.solve is None:
+        options = replace(options, solve=SolveConfig.from_env())
     start = time.monotonic()
     outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
     try:
@@ -349,8 +347,7 @@ class _GroupChecker:
                 [Query(terms, timeout=run.budget(),
                        do_simplify=run.options.simplify)
                  for terms in term_lists],
-                jobs=run.options.jobs, cache=run.options.cache,
-                policy=run.options.policy, certify=run.options.certify)
+                config=run.options.solve)
             for response in responses:
                 run.account(response)
             return responses

@@ -45,7 +45,8 @@ import signal
 import sys
 from typing import Any
 
-from ..smt.resilience import ESCALATIONS, RetryPolicy, default_policy
+from ..smt.dispatch import SolveConfig
+from ..smt.resilience import ESCALATIONS, RetryPolicy
 from .protocol import (
     HTTP_INTERNAL, HTTP_OVERLOAD, HTTP_USAGE, ProtocolError,
     canonical_request_key, parse_request, translate_counterexample,
@@ -84,11 +85,12 @@ def _conflicts_of(body: dict) -> int:
 class Server:
     """Transport-independent request processing plus the two listeners."""
 
-    def __init__(self, session: Session, ledger: QuotaLedger,
-                 policy: RetryPolicy | None = None) -> None:
+    def __init__(self, session: Session, ledger: QuotaLedger) -> None:
         self.session = session
         self.ledger = ledger
-        self.policy = policy or default_policy()
+        # Admission charges for every attempt of the policy the session's
+        # checks run under.
+        self.policy = session.solve.policy
         self._inflight: dict[str, tuple[asyncio.Future, list]] = {}
         self.stats: dict[str, Any] = {
             "requests": 0, "deduped": 0, "rejected": 0, "usage_errors": 0,
@@ -384,7 +386,7 @@ def default_drain_seconds() -> float:
     return value if value >= 0 else 5.0
 
 
-async def _amain(args) -> int:
+async def _amain(args, solve: SolveConfig) -> int:
     cache_report = None
     if args.cache_dir:
         cache_report = ensure_layout(args.cache_dir)
@@ -393,16 +395,12 @@ async def _amain(args) -> int:
                   f"{cache_report['quarantined']} quarantined",
                   file=sys.stderr)
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
-                      rlimit_mb=args.rlimit_mb)
+                      rlimit_mb=args.rlimit_mb, solve=solve)
     ledger = QuotaLedger(seconds_per_window=args.quota_seconds,
                          conflicts_per_window=args.quota_conflicts,
                          window=args.quota_window,
                          max_inflight=args.max_inflight)
-    policy = None
-    if args.retries is not None or args.escalation is not None:
-        policy = RetryPolicy(retries=args.retries or 0,
-                             escalation=args.escalation or "geometric")
-    server = Server(session, ledger, policy)
+    server = Server(session, ledger)
     server.cache_report = cache_report
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -501,10 +499,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-inflight", type=int, default=None,
                         metavar="N",
                         help="per-tenant concurrent request cap")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="retry UNKNOWN verdicts up to N times under "
-                             "escalated budgets")
-    parser.add_argument("--escalation", choices=ESCALATIONS, default=None)
+                             "escalated budgets (default 0)")
+    parser.add_argument("--escalation", choices=ESCALATIONS,
+                        default="geometric")
     parser.add_argument("--drain-seconds", type=float, default=None,
                         metavar="S",
                         help="on shutdown, let in-flight checks finish "
@@ -517,7 +516,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("pick at least one transport: --port, --stdio, "
                      "or --socket")
     try:
-        return asyncio.run(_amain(args))
+        solve = SolveConfig.from_env(policy=RetryPolicy(
+            retries=args.retries, escalation=args.escalation))
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return asyncio.run(_amain(args, solve))
     except KeyboardInterrupt:  # pragma: no cover
         return 0
 

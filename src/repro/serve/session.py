@@ -28,8 +28,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import asdict
-from typing import Any
+from dataclasses import asdict, replace
 
 import os
 
@@ -41,7 +40,9 @@ from ..encode.templates import TemplateStore, set_default_template_store
 from ..errors import ParseError, ReproError, SortError, TypeCheckError
 from ..lang import LaunchConfig, check_kernel, parse_kernel
 from ..param.equivalence import ParamOptions
-from ..smt.dispatch import set_default_cache, teardown_pool, worker_init
+from ..smt.dispatch import (
+    SolveConfig, set_default_cache, teardown_pool, worker_init,
+)
 from ..smt.qcache import QueryCache
 from .protocol import CheckRequest
 
@@ -82,11 +83,10 @@ def _concretize(req: CheckRequest) -> dict | None:
     return out or None
 
 
-def _run_check(req: CheckRequest):
+def _run_check(req: CheckRequest, solve: SolveConfig):
     builder = suite_assumptions(req.pair) if req.pair else None
-    common: dict[str, Any] = dict(
-        timeout=req.timeout, validate=req.validate, cache=None,
-        certify=req.certify)
+    solve = replace(solve, certify=req.certify)
+    common = dict(timeout=req.timeout, validate=req.validate, solve=solve)
     if req.command == "races":
         info = check_kernel(parse_kernel(req.source))
         return check_races(info, req.width, assumption_builder=builder,
@@ -112,8 +112,7 @@ def _run_check(req: CheckRequest):
             assumption_builder=builder, concretize=_concretize(req),
             options=ParamOptions(timeout=req.timeout,
                                  bughunt=req.bughunt,
-                                 validate=req.validate, cache=None,
-                                 certify=req.certify))
+                                 validate=req.validate, solve=solve))
     config = LaunchConfig(bdim=req.bdim, gdim=req.gdim or (1, 1),
                           width=req.width)
     return check_equivalence(
@@ -121,14 +120,16 @@ def _run_check(req: CheckRequest):
         scalar_values=dict(req.scalars) or None, **common)
 
 
-def execute_check(fields: dict) -> dict:
-    """Run one request to a response body.  Executes inside a worker
-    process (or in-process at ``workers=0``); must stay picklable
-    end-to-end, hence the plain-dict request and response."""
+def execute_check(fields: dict, solve: SolveConfig | None = None) -> dict:
+    """Run one request to a response body under the server's ``solve``
+    settings (default: :meth:`SolveConfig.from_env`; the request's own
+    ``certify`` replaces the setting's).  Executes inside a worker process
+    (or in-process at ``workers=0``); must stay picklable end-to-end,
+    hence the plain-dict request and response."""
     req = CheckRequest(**fields)
     start = time.monotonic()
     try:
-        outcome = _run_check(req)
+        outcome = _run_check(req, solve or SolveConfig.from_env())
     except (ParseError, SortError, TypeCheckError) as exc:
         return {"status": "usage",
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -154,13 +155,18 @@ class Session:
     ``workers >= 1`` keeps that many warmed processes alive for the
     server's lifetime; ``workers=0`` runs checks on the event loop's
     default thread executor (in-process — the solver releases no GIL, so
-    this mode is for tests and tiny deployments).
+    this mode is for tests and tiny deployments).  Every check runs under
+    ``solve`` (default: :meth:`SolveConfig.from_env`), whose retry policy
+    is also the one the server charges quota for.  Its ``cache`` must stay
+    ``None``: the workers' default cache is the server's shared store.
     """
 
     def __init__(self, workers: int = 1, cache_dir: str | None = None,
-                 rlimit_mb: int | None = None) -> None:
+                 rlimit_mb: int | None = None,
+                 solve: SolveConfig | None = None) -> None:
         self.workers = max(0, int(workers))
         self.cache_dir = cache_dir
+        self.solve = solve or SolveConfig.from_env()
         self._pool: ProcessPoolExecutor | None = None
         self._rlimit = rlimit_mb
         if self.workers:
@@ -181,14 +187,15 @@ class Session:
         if self._pool is not None:
             try:
                 return await loop.run_in_executor(
-                    self._pool, execute_check, fields)
+                    self._pool, execute_check, fields, self.solve)
             except BrokenExecutor:
                 teardown_pool(self._pool)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=serve_worker_init,
                     initargs=(self._rlimit, self.cache_dir))
-        return await loop.run_in_executor(None, execute_check, fields)
+        return await loop.run_in_executor(None, execute_check, fields,
+                                          self.solve)
 
     def close(self) -> None:
         """Tear the pool down through the no-orphan funnel."""

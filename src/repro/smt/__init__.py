@@ -26,8 +26,8 @@ from .terms import (
     BVConst, BVLshr, BVMul, BVNeg, BVNot, BVOr, BVShl, BVSub, BVUDiv, BVURem,
     BVVar, BVXor, Concat, Distinct, Eq, Extract, Iff, Implies, Ite, Kind, Ne,
     Not, Or, Select, SGe, SGt, SignExt, SLe, SLt, Store, Term, UGe, UGt, ULe,
-    ULt, Var, Xor, ZeroExt, collect, fresh_name, fresh_scope, fresh_var,
-    iter_dag, term_size,
+    ULt, Var, Xor, ZeroExt, collect, fresh_name, fresh_scope, fresh_scoped,
+    fresh_var, iter_dag, term_size,
 )
 from .terms import intern_stats
 from .simplify import simplify, simplify_all
@@ -40,11 +40,10 @@ from .solver import CheckResult, Solver, check_valid, is_satisfiable
 from .preprocess import Preprocessor, preprocess
 from .qcache import QueryCache, canonical_key, canonicalize
 from .dispatch import (
-    Query, QueryResult, default_cache, default_certify, default_jobs,
-    default_stream, default_stream_chunk,
+    Query, QueryResult, SolveConfig, default_cache, default_stream,
     resolve_cache, solve_all, solve_query, solve_stream,
 )
-from .resilience import ESCALATIONS, RetryPolicy, default_policy
+from .resilience import ESCALATIONS, RetryPolicy
 from .faults import FaultPlan, InjectedFault
 
 __all__ = [
@@ -57,8 +56,8 @@ __all__ = [
     "Distinct", "Eq", "Extract", "Iff", "Implies", "Ite", "Kind", "Ne", "Not",
     "Or", "Select", "SGe", "SGt", "SignExt", "SLe", "SLt", "Store", "Term",
     "UGe", "UGt", "ULe", "ULt", "Var", "Xor", "ZeroExt", "collect",
-    "fresh_name", "fresh_scope", "fresh_var", "intern_stats", "iter_dag",
-    "term_size",
+    "fresh_name", "fresh_scope", "fresh_scoped", "fresh_var", "intern_stats",
+    "iter_dag", "term_size",
     # transforms
     "simplify", "simplify_all", "substitute", "evaluate",
     # printing
@@ -67,16 +66,15 @@ __all__ = [
     "CheckResult", "Model", "SATConfig", "Solver", "check_valid",
     "is_satisfiable",
     # proof certification
-    "CheckedProof", "ProofLog", "check_proof", "default_certify",
+    "CheckedProof", "ProofLog", "check_proof",
     # preprocessing
     "Preprocessor", "preprocess",
     # caching + dispatch
     "QueryCache", "canonical_key", "canonicalize",
-    "Query", "QueryResult", "default_cache", "default_jobs",
-    "default_stream",
-    "default_stream_chunk", "resolve_cache", "solve_all",
-    "solve_query", "solve_stream",
+    "Query", "QueryResult", "SolveConfig", "default_cache",
+    "default_stream", "resolve_cache", "solve_all", "solve_query",
+    "solve_stream",
     # resilience
-    "ESCALATIONS", "RetryPolicy", "default_policy",
+    "ESCALATIONS", "RetryPolicy",
     "FaultPlan", "InjectedFault",
 ]

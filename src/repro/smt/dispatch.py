@@ -7,7 +7,13 @@ independence into throughput:
 * :func:`solve_query` — solve one query through the canonical cache;
 * :func:`solve_all` — solve a batch: dedup structurally identical queries
   (canonical key), satisfy what it can from the cache, and fan the rest out
-  to ``jobs`` worker processes.
+  to ``jobs`` worker processes;
+* :func:`solve_stream` — the same, pulled from a producer chunk by chunk.
+
+All three take one :class:`SolveConfig` — worker count, query cache, retry
+policy, certification — that a caller builds once and hands down unchanged;
+``None`` means :meth:`SolveConfig.from_env`, the only reader of
+``PUGPARA_JOBS`` and ``PUGPARA_CERTIFY``.
 
 Every query is simplified once, while it is prepared: the simplified
 assertions give the canonical cache key, and a leader is solved from them
@@ -30,7 +36,7 @@ it never reports what it cannot defend:
   per-attempt record travels back in ``stats["resilience"]``.
 * **Worker-crash recovery.** A dead worker (``BrokenProcessPool``) requeues
   its in-flight queries, the pool is rebuilt under capped exponential
-  backoff, and after ``PUGPARA_POOL_RETRIES`` consecutive pool failures the
+  backoff, and after :data:`POOL_RETRIES` consecutive pool failures the
   remaining queries degrade to in-process serial solving — logged, never
   fatal.  ``PUGPARA_WORKER_RLIMIT_MB`` optionally caps each worker's
   address space so one OOM query cannot take the run down; workers ignore
@@ -68,15 +74,14 @@ from .qcache import (
     QueryCache, canonicalize, decode_terms, encode_terms,
     model_from_canonical, model_to_canonical,
 )
-from .resilience import RetryPolicy, default_policy
+from .resilience import RetryPolicy
 from .simplify import simplify_all
 from .solver import CheckResult, Solver
 from .terms import Term
 from ..errors import SolverError
 
-__all__ = ["Query", "QueryResult", "solve_query", "solve_all",
-           "solve_stream", "default_cache", "default_certify",
-           "default_jobs", "default_stream", "default_stream_chunk",
+__all__ = ["Query", "QueryResult", "SolveConfig", "solve_query", "solve_all",
+           "solve_stream", "default_cache", "default_stream",
            "resolve_cache", "set_default_cache", "teardown_pool",
            "worker_init"]
 
@@ -113,7 +118,59 @@ class QueryResult:
         return float(self.stats.get("time", 0.0))
 
 
-# ------------------------------------------------------------- defaults
+# ------------------------------------------------------------- settings
+
+#: Consecutive pool failures tolerated before degrading to serial solving.
+POOL_RETRIES = 3
+
+
+@dataclass(frozen=True)
+class SolveConfig:
+    """How a batch is solved: the one settings value every checker, the CLI
+    and the server hand down to :func:`solve_all`.
+
+    ``jobs`` worker processes solve the cache misses (1 = in-process).
+    ``cache`` is the canonical query cache: ``None`` the process-wide
+    default, ``False`` off, or a :class:`QueryCache`.  ``policy`` retries
+    UNKNOWN verdicts under escalated budgets.  ``certify`` requires every
+    UNSAT verdict to carry a checked DRAT proof.
+    """
+    jobs: int = 1
+    cache: QueryCache | bool | None = None
+    policy: RetryPolicy = RetryPolicy()
+    certify: bool = False
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(
+                f"jobs must be a positive worker count, got {self.jobs!r}")
+
+    @classmethod
+    def from_env(cls, **fields: Any) -> "SolveConfig":
+        """The environment's settings, with ``fields`` set on top.
+
+        ``PUGPARA_JOBS`` gives ``jobs`` (default 1) and ``PUGPARA_CERTIFY``
+        gives ``certify`` (default off).  A non-numeric or non-positive
+        ``PUGPARA_JOBS`` warns and falls back to 1: a misconfigured
+        environment degrades to serial solving, it does not crash or spin
+        up a bad pool.
+        """
+        if "jobs" not in fields:
+            raw = os.environ.get("PUGPARA_JOBS", "1")
+            try:
+                jobs = int(raw)
+            except ValueError:
+                jobs = 0
+            if jobs < 1:
+                warnings.warn(f"PUGPARA_JOBS={raw!r} is not a positive "
+                              "worker count; falling back to 1",
+                              RuntimeWarning, stacklevel=2)
+                jobs = 1
+            fields["jobs"] = jobs
+        if "certify" not in fields:
+            fields["certify"] = _env_flag("PUGPARA_CERTIFY", False)
+        return cls(**fields)
+
 
 _default_cache: QueryCache | None = None
 
@@ -126,7 +183,6 @@ def default_cache() -> QueryCache:
     global _default_cache
     if _default_cache is None:
         _default_cache = QueryCache(
-            maxsize=int(os.environ.get("PUGPARA_CACHE_SIZE", "4096")),
             disk_dir=os.environ.get("PUGPARA_CACHE_DIR") or None)
     return _default_cache
 
@@ -136,14 +192,15 @@ def set_default_cache(cache: QueryCache | None) -> None:
 
     Long-lived processes — the ``repro.serve`` workers — point the default
     at a shared sharded disk directory once at startup, so every checker
-    invocation that passes ``cache=None`` reads and warms the same store.
+    invocation whose :class:`SolveConfig` has ``cache=None`` reads and
+    warms the same store.
     """
     global _default_cache
     _default_cache = cache
 
 
 def resolve_cache(cache: QueryCache | bool | None) -> QueryCache | None:
-    """Map the checkers' ``cache`` argument onto an actual cache.
+    """Map a :attr:`SolveConfig.cache` value onto an actual cache.
 
     ``None`` -> the shared default cache, ``False`` -> caching off, a
     :class:`QueryCache` -> itself.
@@ -154,29 +211,6 @@ def resolve_cache(cache: QueryCache | bool | None) -> QueryCache | None:
         return None
     assert isinstance(cache, QueryCache)
     return cache
-
-
-def default_jobs() -> int:
-    """Worker count from ``PUGPARA_JOBS`` (default 1 = in-process).
-
-    Non-numeric or non-positive values are rejected with a warning and
-    fall back to 1 — a misconfigured environment degrades to serial
-    solving, it does not crash or silently spin up a bad pool.
-    """
-    raw = os.environ.get("PUGPARA_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        warnings.warn(f"PUGPARA_JOBS={raw!r} is not an integer; "
-                      "falling back to 1 worker", RuntimeWarning,
-                      stacklevel=2)
-        return 1
-    if jobs < 1:
-        warnings.warn(f"PUGPARA_JOBS={raw!r} must be a positive worker "
-                      "count; falling back to 1", RuntimeWarning,
-                      stacklevel=2)
-        return 1
-    return jobs
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -196,41 +230,6 @@ def default_stream() -> bool:
     ``frontend`` differential CI job pins.
     """
     return _env_flag("PUGPARA_STREAM", True)
-
-
-def default_stream_chunk(jobs: int) -> int:
-    """Queries per streaming chunk (``PUGPARA_STREAM_CHUNK``).
-
-    The default balances pipelining granularity against per-chunk
-    dispatch overhead: enough work to feed every worker twice, never
-    fewer than four queries.  Non-numeric or non-positive values fall
-    back to the default with a warning, mirroring ``PUGPARA_JOBS``.
-    """
-    raw = os.environ.get("PUGPARA_STREAM_CHUNK", "")
-    if raw:
-        try:
-            chunk = int(raw)
-            if chunk >= 1:
-                return chunk
-        except ValueError:
-            pass
-        warnings.warn(f"ignoring invalid PUGPARA_STREAM_CHUNK={raw!r}",
-                      RuntimeWarning, stacklevel=2)
-    return max(4, 2 * jobs)
-
-
-def default_certify() -> bool:
-    """Whether UNSAT verdicts require a checked DRAT proof by default
-    (``PUGPARA_CERTIFY``, off unless set)."""
-    return _env_flag("PUGPARA_CERTIFY", False)
-
-
-def _pool_retries() -> int:
-    """Consecutive pool failures tolerated before degrading to serial."""
-    try:
-        return max(1, int(os.environ.get("PUGPARA_POOL_RETRIES", "3")))
-    except ValueError:
-        return 3
 
 
 def _pool_backoff() -> float:
@@ -479,19 +478,17 @@ def _attempt_salt(attempt: int, requeue: int) -> int:
 def _solve_wave_pool(wave: list[_Prepared],
                      budgets: dict[str, tuple[float | None, int | None]],
                      jobs: int, plan: FaultPlan | None, events: dict,
-                     attempt: int,
-                     certify: bool = False) -> dict[str, _Outcome]:
+                     attempt: int, certify: bool) -> dict[str, _Outcome]:
     """Solve one wave of leaders on worker processes, surviving crashes.
 
     A broken pool requeues the unfinished queries and is rebuilt under
-    capped exponential backoff; after ``PUGPARA_POOL_RETRIES`` consecutive
+    capped exponential backoff; after :data:`POOL_RETRIES` consecutive
     failures the survivors degrade to in-process serial solving.
     """
     results: dict[str, _Outcome] = {}
     pending: list[tuple[_Prepared, int]] = [(p, 0) for p in wave]
     spec = plan.to_spec() if plan is not None else None
     failures = 0
-    max_failures = _pool_retries()
     backoff = _pool_backoff()
     rlimit = _worker_rlimit_mb()
 
@@ -541,7 +538,7 @@ def _solve_wave_pool(wave: list[_Prepared],
             break
         failures += 1
         events["worker_restarts"] = events.get("worker_restarts", 0) + 1
-        if failures >= max_failures:
+        if failures >= POOL_RETRIES:
             # Bottom of the degradation ladder: solve the survivors
             # serially in-process.  Crash faults cannot fire here (no
             # worker), so this rung always terminates.
@@ -560,7 +557,7 @@ def _solve_wave_pool(wave: list[_Prepared],
         log.warning(
             "worker pool broke (%d in-flight queries requeued); "
             "rebuilding after %.2fs backoff (failure %d/%d)",
-            len(requeued), sleep, failures, max_failures)
+            len(requeued), sleep, failures, POOL_RETRIES)
         if sleep > 0:
             time.sleep(sleep)
         pending = requeued
@@ -584,11 +581,11 @@ def _attempt_record(attempt: int, timeout: float | None,
     return record
 
 
-def _solve_batch(leaders: list[_Prepared], *, jobs: int,
-                 policy: RetryPolicy, plan: FaultPlan | None,
-                 events: dict,
-                 certify: bool = False) -> dict[str, _Outcome]:
+def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
+                 plan: FaultPlan | None,
+                 events: dict) -> dict[str, _Outcome]:
     """Solve every leader, retrying UNKNOWNs under escalated budgets."""
+    jobs, policy, certify = config.jobs, config.policy, config.certify
     outcomes: dict[str, _Outcome] = {}
     records: dict[str, list[dict]] = {p.key: [] for p in leaders}
     wave = list(leaders)
@@ -650,42 +647,33 @@ def _solve_batch(leaders: list[_Prepared], *, jobs: int,
 
 
 def solve_query(query: Query,
-                cache: QueryCache | bool | None = None,
-                policy: RetryPolicy | None = None,
-                certify: bool | None = None) -> QueryResult:
+                config: SolveConfig | None = None) -> QueryResult:
     """Solve one query in-process, through the canonical cache."""
-    return solve_all([query], jobs=1, cache=cache, policy=policy,
-                     certify=certify)[0]
+    return solve_all([query], config=config)[0]
 
 
-def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
-              cache: QueryCache | bool | None = None,
-              policy: RetryPolicy | None = None,
-              certify: bool | None = None) -> list[QueryResult]:
+def solve_all(queries: Sequence[Query], *,
+              config: SolveConfig | None = None) -> list[QueryResult]:
     """Solve every query; results come back in input order.
 
+    ``config`` (default: :meth:`SolveConfig.from_env`) says how.
     ``jobs > 1`` fans cache misses out to that many worker processes.
     Structurally identical queries (canonical-key equal) are solved once per
     batch; the followers receive the leader's verdict and a model rebound to
-    their own variables.  ``policy`` (default: the environment's
-    :func:`~repro.smt.resilience.default_policy`) retries UNKNOWN verdicts
-    under escalated budgets.
+    their own variables.  ``policy`` retries UNKNOWN verdicts under
+    escalated budgets.
 
-    ``certify`` (default: :func:`default_certify`, i.e.
-    ``PUGPARA_CERTIFY``) requires every UNSAT verdict to carry a checked
-    DRAT proof; a rejected proof surfaces as UNKNOWN with
+    ``certify`` requires every UNSAT verdict to carry a checked DRAT
+    proof; a rejected proof surfaces as UNKNOWN with
     ``stats["certify"]["rejected"]`` set and — like every UNKNOWN — is
     never cached.  Certified runs also refuse *uncertified* cached UNSAT
     entries (treated as misses and re-proved), so a certified answer is
     never laundered through an uncertified cache line.
     """
-    if jobs is None:
-        jobs = default_jobs()
-    if policy is None:
-        policy = default_policy()
-    if certify is None:
-        certify = default_certify()
-    cache_obj = resolve_cache(cache)
+    if config is None:
+        config = SolveConfig.from_env()
+    certify = config.certify
+    cache_obj = resolve_cache(config.cache)
     plan = faults.active()
     results: list[QueryResult | None] = [None] * len(queries)
 
@@ -713,8 +701,7 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     # (worker pool with crash recovery, or in-process), retrying UNKNOWNs
     # under the policy's escalation schedule.
     events: dict = {}
-    solved = _solve_batch(leaders, jobs=jobs, policy=policy, plan=plan,
-                          events=events, certify=certify)
+    solved = _solve_batch(leaders, config, plan, events)
     entries: dict[str, dict] = {}
     leader_models: dict[str, Model | None] = {}
     for prep in leaders:
@@ -768,17 +755,15 @@ def solve_all(queries: Sequence[Query], *, jobs: int | None = None,
     return [r for r in results if r is not None]
 
 
-def solve_stream(queries, *, jobs: int | None = None,
-                 cache: QueryCache | bool | None = None,
-                 policy: RetryPolicy | None = None,
-                 certify: bool | None = None,
+def solve_stream(queries, *, config: SolveConfig | None = None,
                  chunk: int | None = None,
                  latency: dict | None = None):
     """Producer/consumer variant of :func:`solve_all`: results stream
     back in input order while later queries are still being produced.
 
     ``queries`` may be any iterable (typically a generator that *encodes*
-    each VC on demand); it is pulled ``chunk`` queries at a time, each
+    each VC on demand); it is pulled ``chunk`` queries at a time (default
+    ``max(4, 2 * jobs)``: enough work to feed every worker twice), each
     chunk solved through the full :func:`solve_all` machinery — canonical
     cache, duplicate folding, retry policy, worker pool — and yielded
     before the next chunk is even pulled.  Two consequences:
@@ -800,10 +785,10 @@ def solve_stream(queries, *, jobs: int | None = None,
     ``first_verdict_s`` — seconds from the first pull to the first
     yielded result — and ``chunks``.
     """
-    if jobs is None:
-        jobs = default_jobs()
+    if config is None:
+        config = SolveConfig.from_env()
     if chunk is None:
-        chunk = default_stream_chunk(jobs)
+        chunk = max(4, 2 * config.jobs)
     start = time.monotonic()
     first = True
     chunks = 0
@@ -819,8 +804,7 @@ def solve_stream(queries, *, jobs: int | None = None,
         chunks += 1
         if latency is not None:
             latency["chunks"] = chunks
-        for result in solve_all(block, jobs=jobs, cache=cache,
-                                policy=policy, certify=certify):
+        for result in solve_all(block, config=config):
             if first:
                 first = False
                 if latency is not None:

@@ -17,19 +17,18 @@ return ``UNKNOWN`` for budget reasons, but is still retried on
 *infrastructure* failures (injected or genuine solver exceptions), which
 the dispatcher also surfaces as ``UNKNOWN``.
 
-The default policy performs no retries (``PUGPARA_RETRIES`` overrides),
-so the resilient dispatcher is bit-compatible with the PR-2 behaviour
-until a caller opts in.
+The default policy performs no retries, so a caller opts in through the
+``policy`` of its :class:`~repro.smt.dispatch.SolveConfig` (the CLI's and
+the server's ``--retries``/``--escalation``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .sat.luby import luby
 
-__all__ = ["ESCALATIONS", "RetryPolicy", "default_policy"]
+__all__ = ["ESCALATIONS", "RetryPolicy"]
 
 #: The recognised escalation schedules.
 ESCALATIONS = ("geometric", "luby")
@@ -93,15 +92,3 @@ class RetryPolicy:
                 scaled_conflicts = min(scaled_conflicts, self.max_conflicts)
         return scaled_timeout, scaled_conflicts
 
-
-def default_policy() -> RetryPolicy:
-    """The environment-driven policy (``PUGPARA_RETRIES`` /
-    ``PUGPARA_ESCALATION``); retries default to 0."""
-    try:
-        retries = max(0, int(os.environ.get("PUGPARA_RETRIES", "0")))
-    except ValueError:
-        retries = 0
-    escalation = os.environ.get("PUGPARA_ESCALATION", "geometric")
-    if escalation not in ESCALATIONS:
-        escalation = "geometric"
-    return RetryPolicy(retries=retries, escalation=escalation)

@@ -18,6 +18,7 @@ tool scripted against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import IntEnum
 from typing import Any, Iterable, Iterator, Sequence
@@ -35,7 +36,8 @@ __all__ = [
     "ULt", "ULe", "UGt", "UGe", "SLt", "SLe", "SGt", "SGe",
     "Concat", "Extract", "ZeroExt", "SignExt",
     "Select", "Store",
-    "fresh_var", "fresh_name", "fresh_scope", "iter_dag", "term_size",
+    "fresh_var", "fresh_name", "fresh_scope", "fresh_scoped", "iter_dag",
+    "term_size",
     "collect", "intern_stats",
 ]
 
@@ -323,6 +325,19 @@ class fresh_scope:
     def __exit__(self, *exc) -> None:
         global _fresh_counter
         _fresh_counter = self._saved
+
+
+def fresh_scoped(fn):
+    """Run every call of ``fn`` inside its own :class:`fresh_scope`.
+
+    Each call enters a new scope object, so checks running concurrently on
+    server threads never share one scope's saved counter.
+    """
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        with fresh_scope():
+            return fn(*args, **kwargs)
+    return scoped
 
 
 def fresh_var(hint: str, sort: Sort) -> Term:

@@ -146,6 +146,17 @@ class TestExitCodeContract:
                   "--portfolio=2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--retries", "-1"],
+                                       ["--jobs", "0"], ["--jobs", "-3"]])
+    def test_bad_solve_setting_is_usage_error(self, kernel_files, flags,
+                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["races", kernel_files["optimizedTranspose"], *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "must be" in err
+
     def test_bughunt_with_skipped_frames_exits_3(self, tmp_path, capsys):
         """Reduction ``addr2`` hides in a frame bughunt skips: no bug is
         found, so the run is inconclusive, not verified."""

@@ -10,6 +10,7 @@ from repro.check.result import Verdict, format_solver_stats
 from repro.cli import main
 from repro.kernels import KERNELS, load
 from repro.lang import LaunchConfig
+from repro.smt import SolveConfig
 from repro.smt.qcache import QueryCache
 
 TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
@@ -17,16 +18,21 @@ TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
 REDUCE_CONC = {"bdim": (8, 1, 1), "gdim": (1, 1)}
 
 
+def _uncached(**fields) -> SolveConfig:
+    """The environment's solve settings with the query cache off."""
+    return SolveConfig.from_env(cache=False, **fields)
+
+
 class TestParallelMatchesSerial:
     def test_races_verified(self):
         _, info = load("optimizedTranspose")
         serial = check_races(info, 8, assumption_builder=transpose_assumptions,
                              concretize=TRANSPOSE_CONC, timeout=120,
-                             jobs=1, cache=False)
+                             solve=_uncached(jobs=1))
         parallel = check_races(info, 8,
                                assumption_builder=transpose_assumptions,
                                concretize=TRANSPOSE_CONC, timeout=120,
-                               jobs=2, cache=False)
+                               solve=_uncached(jobs=2))
         assert serial.verdict is parallel.verdict is Verdict.VERIFIED
         assert serial.vcs_checked == parallel.vcs_checked
 
@@ -34,11 +40,11 @@ class TestParallelMatchesSerial:
         _, info = load("scanRacy")
         serial = check_races(info, 8, assumption_builder=reduction_assumptions,
                              concretize=REDUCE_CONC, timeout=120,
-                             jobs=1, cache=False)
+                             solve=_uncached(jobs=1))
         parallel = check_races(info, 8,
                                assumption_builder=reduction_assumptions,
                                concretize=REDUCE_CONC, timeout=120,
-                               jobs=2, cache=False)
+                               solve=_uncached(jobs=2))
         assert serial.verdict is parallel.verdict is Verdict.BUG
         assert serial.counterexample.detail == parallel.counterexample.detail
 
@@ -48,9 +54,31 @@ class TestParallelMatchesSerial:
         kwargs = dict(method="param", width=8,
                       assumption_builder=reduction_assumptions,
                       concretize=REDUCE_CONC, timeout=180)
-        serial = check_equivalence(src, tgt, jobs=1, cache=False, **kwargs)
-        parallel = check_equivalence(src, tgt, jobs=2, cache=False, **kwargs)
+        serial = check_equivalence(src, tgt, solve=_uncached(jobs=1),
+                                   **kwargs)
+        parallel = check_equivalence(src, tgt, solve=_uncached(jobs=2),
+                                     **kwargs)
         assert serial.verdict is parallel.verdict is Verdict.VERIFIED
+
+
+class TestSolveConfigResolvedOnce:
+    @pytest.mark.parametrize("stream", ["1", "0"])
+    def test_race_check_reads_the_environment_once(self, monkeypatch,
+                                                     stream):
+        monkeypatch.setenv("PUGPARA_STREAM", stream)
+        real = SolveConfig.from_env.__func__
+        calls = []
+
+        def counting(cls, **fields):
+            calls.append(fields)
+            return real(cls, **fields)
+        monkeypatch.setattr(SolveConfig, "from_env", classmethod(counting))
+        _, info = load("optimizedTranspose")
+        out = check_races(info, 8, assumption_builder=transpose_assumptions,
+                          concretize=TRANSPOSE_CONC, timeout=120)
+        assert out.verdict is Verdict.VERIFIED
+        assert out.vcs_checked >= 2
+        assert calls == [{}]
 
 
 class TestWarmCache:
@@ -62,7 +90,7 @@ class TestWarmCache:
             return check_races(info, 8,
                                assumption_builder=transpose_assumptions,
                                concretize=TRANSPOSE_CONC, timeout=120,
-                               cache=cache)
+                               solve=SolveConfig.from_env(cache=cache))
 
         cold = run()
         warm = run()
@@ -83,7 +111,7 @@ class TestWarmCache:
             return check_equivalence(
                 src, tgt, method="nonparam", config=config,
                 scalar_values={"width": 2, "height": 2}, timeout=120,
-                cache=cache)
+                solve=SolveConfig.from_env(cache=cache))
 
         cold = run()
         warm = run()
@@ -95,7 +123,8 @@ class TestOutcomeStats:
     def test_races_outcome_carries_solver_stats(self):
         _, info = load("optimizedTranspose")
         out = check_races(info, 8, assumption_builder=transpose_assumptions,
-                          concretize=TRANSPOSE_CONC, timeout=120, cache=False)
+                          concretize=TRANSPOSE_CONC, timeout=120,
+                          solve=_uncached())
         solver = out.stats.get("solver", {})
         assert solver.get("queries", 0) == out.vcs_checked > 0
         assert solver.get("time", 0.0) > 0.0
@@ -109,7 +138,7 @@ class TestOutcomeStats:
         out = check_equivalence(src, tgt, method="param", width=8,
                                 assumption_builder=reduction_assumptions,
                                 concretize=REDUCE_CONC, timeout=180,
-                                cache=False)
+                                solve=_uncached())
         assert out.verdict is Verdict.VERIFIED
         assert out.stats.get("solver", {}).get("queries", 0) > 0
 

@@ -7,6 +7,7 @@ from repro.check.equivalence import check_equivalence, check_equivalence_nonpara
 from repro.check.result import Verdict
 from repro.kernels import address_mutants, load_pair
 from repro.lang import LaunchConfig, check_kernel
+from repro.smt import SolveConfig
 
 
 class TestNonParam:
@@ -106,7 +107,8 @@ class TestUnifiedEntry:
             assumption_builder=transpose_assumptions,
             concretize={"bdim": (2, 2, 1), "gdim": (2, 2),
                         "scalars": {"width": 4, "height": 4}},
-            options=opts, timeout=120, jobs=1, cache=False, certify=True,
+            options=opts, timeout=120,
+            solve=SolveConfig(jobs=1, cache=False, certify=True),
             validate=False)
         assert out.verdict is Verdict.VERIFIED
         assert out.stats["certify"]["rejected"] == 0

@@ -12,7 +12,9 @@ from repro.check.races import check_races
 from repro.check.replay import ReplayResult
 from repro.check.result import Verdict, format_solver_stats
 from repro.lang import LaunchConfig, check_kernel, parse_kernel
-from repro.smt import FaultPlan, QueryCache, RetryPolicy, faults
+from repro.smt import (
+    FaultPlan, QueryCache, RetryPolicy, SolveConfig, faults,
+)
 
 
 def one_d(geo, inputs):
@@ -44,22 +46,27 @@ CONFIG = LaunchConfig(bdim=(2, 1, 1), gdim=(1, 1), width=8)
 INCONCLUSIVE = (Verdict.UNKNOWN, Verdict.TIMEOUT)
 
 
+def _uncached(**fields) -> SolveConfig:
+    """The environment's solve settings with the query cache off."""
+    return SolveConfig.from_env(cache=False, **fields)
+
+
 class TestFaultClassesNeverWrong:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_races_under_solver_exceptions(self, seed):
         baseline = check_races(_racefree_info(), 8,
                                assumption_builder=one_d, timeout=60,
-                               cache=False)
+                               solve=_uncached())
         assert baseline.verdict is Verdict.VERIFIED
         with faults.injected(FaultPlan(seed=seed, solver_exception=0.5)):
             out = check_races(_racefree_info(), 8, assumption_builder=one_d,
-                              timeout=60, cache=False)
+                              timeout=60, solve=_uncached())
         assert out.verdict in (baseline.verdict, *INCONCLUSIVE), out.reason
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_racy_kernel_under_solver_exceptions(self, seed):
         with faults.injected(FaultPlan(seed=seed, solver_exception=0.5)):
-            out = check_races(_racy_info(), 8, timeout=60, cache=False)
+            out = check_races(_racy_info(), 8, timeout=60, solve=_uncached())
         assert out.verdict in (Verdict.BUG, *INCONCLUSIVE)
         if out.verdict is Verdict.BUG:
             # a reported bug is still replay-confirmed under faults
@@ -70,7 +77,7 @@ class TestFaultClassesNeverWrong:
         with faults.injected(FaultPlan(seed=4, delay=1.0,
                                        delay_seconds=0.001)):
             out = check_equivalence_nonparam(src, tgt, CONFIG, timeout=60,
-                                             cache=False)
+                                             solve=_uncached())
         assert out.verdict is Verdict.BUG
         assert out.counterexample is not None
 
@@ -78,7 +85,7 @@ class TestFaultClassesNeverWrong:
         src, tgt = _pair()
         with faults.injected(FaultPlan(seed=4, solver_exception=1.0)):
             out = check_equivalence_nonparam(src, tgt, CONFIG, timeout=60,
-                                             cache=False)
+                                             solve=_uncached())
         assert out.verdict in INCONCLUSIVE
 
     def test_transient_exception_recovered_by_policy(self):
@@ -86,8 +93,8 @@ class TestFaultClassesNeverWrong:
         plan = FaultPlan(seed=4, solver_exception=1.0, max_triggers=1)
         with faults.injected(plan):
             out = check_equivalence_nonparam(
-                src, tgt, CONFIG, timeout=60, cache=False,
-                policy=RetryPolicy(retries=2))
+                src, tgt, CONFIG, timeout=60, solve=_uncached(
+                    policy=RetryPolicy(retries=2)))
         assert out.verdict is Verdict.BUG
         res = out.stats["resilience"]
         assert res["recovered"] == 1 and res["errors"] >= 1
@@ -101,13 +108,15 @@ class TestCorruptCacheSurvival:
         with faults.injected(FaultPlan(seed=7, corrupt_cache=1.0)):
             cache = QueryCache(disk_dir=tmp_path)
             out = check_races(_racefree_info(), 8, assumption_builder=one_d,
-                              timeout=60, cache=cache)
+                              timeout=60,
+                              solve=SolveConfig.from_env(cache=cache))
         assert out.verdict is Verdict.VERIFIED
         # a fresh process (new cache over the same dir) must re-solve, not
         # trust the garbled files
         reader = QueryCache(disk_dir=tmp_path)
         out2 = check_races(_racefree_info(), 8, assumption_builder=one_d,
-                           timeout=60, cache=reader)
+                           timeout=60,
+                           solve=SolveConfig.from_env(cache=reader))
         assert out2.verdict is Verdict.VERIFIED
         assert reader.stats["quarantined"] >= 1
 
@@ -122,7 +131,7 @@ class TestReplayValidationGate:
             lambda *a, **k: ReplayResult(False, "forced replay mismatch"))
         src, tgt = _pair()
         out = check_equivalence_nonparam(src, tgt, CONFIG, timeout=60,
-                                         cache=False)
+                                         solve=_uncached())
         assert out.verdict is Verdict.UNKNOWN
         assert "did not replay" in out.reason
         assert out.counterexample is None
@@ -134,5 +143,5 @@ class TestReplayValidationGate:
             lambda *a, **k: ReplayResult(False, "forced replay mismatch"))
         src, tgt = _pair()
         out = check_equivalence_nonparam(src, tgt, CONFIG, timeout=60,
-                                         cache=False, validate=False)
+                                         solve=_uncached(), validate=False)
         assert out.verdict is Verdict.BUG  # caller opted out of the gate

@@ -12,6 +12,7 @@ from repro.check.result import Verdict
 from repro.kernels import address_mutants, guard_mutants, load, load_pair
 from repro.lang import check_kernel, parse_kernel
 from repro.param.equivalence import ParamOptions, check_equivalence_param
+from repro.smt import SolveConfig
 
 TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
                   "scalars": {"width": 4, "height": 4}}
@@ -25,6 +26,11 @@ def transpose_pair():
 def reduction_pair():
     (sk, si), (tk, ti) = load_pair("Reduction")
     return si, ti, tk
+
+
+def _uncached(**fields) -> SolveConfig:
+    """The environment's solve settings with the query cache off."""
+    return SolveConfig.from_env(cache=False, **fields)
 
 
 class TestBugFreeVerification:
@@ -154,7 +160,7 @@ class TestFullySymbolicTranspose:
         si, ti, _ = transpose_pair()
         out = check_equivalence_param(
             si, ti, width, assumption_builder=transpose_assumptions,
-            options=ParamOptions(timeout=60, certify=True, cache=False))
+            options=ParamOptions(timeout=60, solve=_uncached(certify=True)))
         assert out.verdict is Verdict.VERIFIED, out.reason
         assert out.complete
         cert = out.stats["certify"]
@@ -185,7 +191,7 @@ class TestDefinedThreadRelations:
         si, ti, _ = reduction_pair()
         out = check_equivalence_param(
             si, ti, 8, assumption_builder=reduction_assumptions,
-            options=ParamOptions(timeout=120, cache=False))
+            options=ParamOptions(timeout=120, solve=_uncached()))
         assert out.verdict is Verdict.VERIFIED
         assert out.complete
         assert out.stats["solver"]["conflicts"] < 120
@@ -197,7 +203,8 @@ class TestDefinedThreadRelations:
         def hunt(label):
             return check_equivalence_param(
                 si, infos[label], 8, assumption_builder=reduction_assumptions,
-                options=ParamOptions(timeout=60, bughunt=True, cache=False))
+                options=ParamOptions(timeout=60, bughunt=True,
+                                     solve=_uncached()))
 
         assert hunt("addr4").verdict is Verdict.UNKNOWN
         bug = hunt("addr5")
@@ -214,6 +221,6 @@ class TestBudget:
         si, ti, _ = transpose_pair()
         out = check_equivalence_param(
             si, ti, 8, assumption_builder=transpose_assumptions,
-            options=ParamOptions(timeout=1, cache=False, simplify=False))
+            options=ParamOptions(timeout=1, solve=_uncached(), simplify=False))
         assert out.verdict is Verdict.TIMEOUT
         assert out.vcs_checked > 0 and out.solver_time > 0

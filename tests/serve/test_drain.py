@@ -13,6 +13,7 @@ import asyncio
 
 from repro.serve.app import Server, default_drain_seconds
 from repro.serve.quotas import QuotaLedger
+from repro.smt import SolveConfig
 
 
 class StubSession:
@@ -20,6 +21,7 @@ class StubSession:
 
     workers = 0
     cache_dir = None
+    solve = SolveConfig()
 
     def __init__(self):
         self.release = asyncio.Event()

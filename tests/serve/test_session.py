@@ -12,6 +12,7 @@ from repro.kernels import KERNELS
 from repro.serve.app import Server
 from repro.serve.quotas import QuotaLedger
 from repro.serve.session import Session, execute_check
+from repro.smt import RetryPolicy, SolveConfig
 from repro.smt.qcache import QueryCache
 
 SRC = KERNELS["optimizedTranspose"].source
@@ -93,10 +94,59 @@ class TestServerCore:
         assert b_over["retry_after"] > 0
 
 
+class TestRetryPolicyReachesChecks:
+    """The policy the server charges quota for is the one its checks run
+    under (``--retries`` used to stop at admission)."""
+
+    #: The non-square serialized Transpose reaches the SAT loop, so a
+    #: starved budget leaves its one query UNKNOWN on every attempt.
+    STARVED = {"command": "equiv", "method": "nonparam",
+               "source": KERNELS["naiveTranspose"].source,
+               "target": KERNELS["optimizedTranspose"].source,
+               "width": 16, "bdim": [4, 2, 1], "gdim": [2, 2],
+               "scalars": {"width": 8, "height": 4}, "timeout": 0.0001}
+
+    def test_session_checks_receive_the_policy(self, monkeypatch):
+        import repro.serve.session as session_mod
+        from repro.check.result import CheckOutcome, Verdict
+        seen = []
+
+        def fake_check_races(info, width, **kwargs):
+            seen.append(kwargs["solve"])
+            return CheckOutcome(verdict=Verdict.VERIFIED)
+        monkeypatch.setattr(session_mod, "check_races", fake_check_races)
+        policy = RetryPolicy(retries=1)
+
+        async def scenario():
+            session = Session(workers=0, solve=SolveConfig(policy=policy))
+            server = Server(session, QuotaLedger())
+            try:
+                return server, await server.handle(dict(RACES))
+            finally:
+                session.close()
+
+        server, (status, _) = _run(scenario())
+        assert status == 200
+        assert server.policy is policy
+        assert [s.policy for s in seen] == [policy]
+
+    def test_starved_request_is_retried(self):
+        from dataclasses import asdict
+        from repro.serve.protocol import parse_request
+        fields = asdict(parse_request(self.STARVED))
+        solve = SolveConfig(cache=False, policy=RetryPolicy(retries=1))
+        body = execute_check(fields, solve)
+        assert body["verdict"] == "timeout"
+        assert body["stats"]["resilience"]["attempts"] == 2
+        assert execute_check(fields, SolveConfig(cache=False))[
+            "stats"].get("resilience") is None
+
+
 class _StubSession:
     """A Session stand-in with a gate, so dedup timing is deterministic."""
     workers = 0
     cache_dir = None
+    solve = SolveConfig()
 
     def __init__(self, body):
         self.body = body

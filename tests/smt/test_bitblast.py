@@ -13,8 +13,8 @@ import pytest
 
 from repro.smt import (
     And, BoolConst, BVConst, BVAdd, BVMul, BVNeg, BVSub, BVUDiv, BVURem, BVVar,
-    CheckResult, Eq, Ite, Ne, Query, SLe, SLt, ULe, ULt, Xor, ZeroExt,
-    evaluate, solve_query,
+    CheckResult, Eq, Ite, Ne, Query, SLe, SLt, SolveConfig, ULe, ULt, Xor,
+    ZeroExt, evaluate, solve_query,
 )
 from repro.smt.cnf import ClauseDB, GateBuilder
 
@@ -173,7 +173,8 @@ def _table(t, flip=None):
 def _check(t, flip=None):
     table = _table(t, flip)
     differs = Xor(t, table) if t.sort.is_bool() else Ne(t, table)
-    return solve_query(Query([differs], do_simplify=False), cache=False)
+    return solve_query(Query([differs], do_simplify=False),
+                       SolveConfig.from_env(cache=False))
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])

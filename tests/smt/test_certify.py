@@ -9,8 +9,8 @@ re-proved rather than trusted.
 """
 
 from repro.smt import (
-    BVAnd, BVConst, BVOr, BVVar, CheckResult, Eq, Not, Query, Solver, UGt,
-    ULt, solve_all,
+    BVAnd, BVConst, BVOr, BVVar, CheckResult, Eq, Not, Query, SolveConfig,
+    Solver, UGt, ULt, solve_all,
 )
 from repro.smt import faults
 from repro.smt.faults import FaultPlan
@@ -37,6 +37,10 @@ def _sat_terms(prefix: str, width: int = 8):
 
 
 FLIP_ALL = FaultPlan(seed=1, flip_unsat=1.0)
+
+# Caching off, so every call really solves.
+PLAIN = SolveConfig(cache=False)
+CERTIFIED = SolveConfig(cache=False, certify=True)
 
 
 class TestFacade:
@@ -77,8 +81,7 @@ class TestFacade:
 
 class TestDispatch:
     def test_solve_all_certifies_unsat(self):
-        results = solve_all([Query(_opaque_unsat("da"))], jobs=1,
-                            cache=False, certify=True)
+        results = solve_all([Query(_opaque_unsat("da"))], config=CERTIFIED)
         assert results[0].verdict is CheckResult.UNSAT
         assert results[0].stats["certify"]["rejected"] == 0
 
@@ -86,7 +89,8 @@ class TestDispatch:
         cache = QueryCache()
         query = Query(_sat_terms("dr"))
         with faults.injected(FaultPlan(seed=7, flip_unsat=1.0)):
-            results = solve_all([query], jobs=1, cache=cache, certify=True)
+            results = solve_all([query], config=SolveConfig(
+                cache=cache, certify=True))
         assert results[0].verdict is CheckResult.UNKNOWN
         assert results[0].stats["certify"]["rejected"] == 1
         key = canonical_key(list(query.assertions))
@@ -95,39 +99,38 @@ class TestDispatch:
     def test_uncertified_cache_hits_are_reproved(self):
         cache = QueryCache()
         # Warm the cache without certification...
-        first = solve_all([Query(_unsat_terms("dc"))], jobs=1, cache=cache,
-                          certify=False)
+        plain = SolveConfig(cache=cache)
+        certified = SolveConfig(cache=cache, certify=True)
+        first = solve_all([Query(_unsat_terms("dc"))], config=plain)
         assert first[0].verdict is CheckResult.UNSAT
         key = canonical_key(list(_unsat_terms("dc")))
         entry = cache.lookup(key)
         assert entry is not None and not entry.get("certified")
         # ...a certified run must not trust the uncertified entry.
-        second = solve_all([Query(_unsat_terms("dc"))], jobs=1, cache=cache,
-                           certify=True)
+        second = solve_all([Query(_unsat_terms("dc"))], config=certified)
         assert second[0].verdict is CheckResult.UNSAT
         assert not second[0].cached
         assert second[0].stats["certify"]["checked"] >= 1
         assert cache.lookup(key).get("certified") is True
         # ...and a later certified run may then hit, marked as certified.
-        third = solve_all([Query(_unsat_terms("dc"))], jobs=1, cache=cache,
-                          certify=True)
+        third = solve_all([Query(_unsat_terms("dc"))], config=certified)
         assert third[0].cached
         assert third[0].stats.get("certified") is True
 
     def test_certify_env_default(self, monkeypatch):
-        from repro.smt.dispatch import default_certify
         monkeypatch.delenv("PUGPARA_CERTIFY", raising=False)
-        assert default_certify() is False
+        assert SolveConfig.from_env().certify is False
         monkeypatch.setenv("PUGPARA_CERTIFY", "1")
-        assert default_certify() is True
+        assert SolveConfig.from_env().certify is True
+        assert SolveConfig.from_env(certify=False).certify is False
         monkeypatch.setenv("PUGPARA_CERTIFY", "0")
-        assert default_certify() is False
+        assert SolveConfig.from_env().certify is False
 
     def test_certified_and_plain_verdicts_agree(self):
         batch = [Query(_unsat_terms("dv.a")), Query(_sat_terms("dv.b")),
                  Query(_opaque_unsat("dv.c"))]
-        plain = solve_all(batch, jobs=1, cache=False, certify=False)
+        plain = solve_all(batch, config=PLAIN)
         again = [Query(_unsat_terms("dv.a")), Query(_sat_terms("dv.b")),
                  Query(_opaque_unsat("dv.c"))]
-        certified = solve_all(again, jobs=1, cache=False, certify=True)
+        certified = solve_all(again, config=CERTIFIED)
         assert [r.verdict for r in plain] == [r.verdict for r in certified]

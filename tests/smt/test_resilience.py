@@ -14,9 +14,12 @@ import pytest
 
 from repro.smt import (
     BVConst, BVVar, CheckResult, Distinct, Eq, FaultPlan, Query, QueryCache,
-    RetryPolicy, ULt, UGt, default_policy, faults, solve_all, solve_query,
+    RetryPolicy, SolveConfig, ULt, UGt, faults, solve_all, solve_query,
 )
-from repro.smt.resilience import ESCALATIONS
+
+# Caching off, so every call really solves.
+SERIAL = SolveConfig(cache=False)
+PARALLEL = SolveConfig(jobs=2, cache=False)
 
 
 # --------------------------------------------------------------- queries
@@ -75,17 +78,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
 
-    def test_default_policy_reads_env(self, monkeypatch):
-        monkeypatch.setenv("PUGPARA_RETRIES", "3")
-        monkeypatch.setenv("PUGPARA_ESCALATION", "luby")
-        p = default_policy()
-        assert p.retries == 3 and p.escalation == "luby"
-
-    def test_default_policy_survives_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("PUGPARA_RETRIES", "many")
-        monkeypatch.setenv("PUGPARA_ESCALATION", "sideways")
-        p = default_policy()
-        assert p.retries == 0 and p.escalation in ESCALATIONS
 
 
 # ------------------------------------------------- escalation acceptance
@@ -96,11 +88,11 @@ class TestEscalationRecovery:
         """The ISSUE acceptance case, deterministic via conflict budgets:
         budget 50 is exhausted (UNKNOWN), geometric escalation reaches a
         sufficient budget and recovers the real verdict."""
-        starved = solve_query(_pigeonhole_query(50), cache=False)
+        starved = solve_query(_pigeonhole_query(50), config=SERIAL)
         assert starved.verdict is CheckResult.UNKNOWN
 
-        result = solve_query(_pigeonhole_query(50), cache=False,
-                             policy=RetryPolicy(retries=4))
+        result = solve_query(_pigeonhole_query(50), SolveConfig(
+            cache=False, policy=RetryPolicy(retries=4)))
         assert result.verdict is CheckResult.UNSAT
         res = result.stats["resilience"]
         assert res["recovered"] is True
@@ -114,25 +106,25 @@ class TestEscalationRecovery:
         assert budgets == sorted(budgets) and budgets[-1] > budgets[0]
 
     def test_retries_exhausted_stays_unknown(self):
-        result = solve_query(_pigeonhole_query(1), cache=False,
-                             policy=RetryPolicy(retries=1))
+        result = solve_query(_pigeonhole_query(1), SolveConfig(
+            cache=False, policy=RetryPolicy(retries=1)))
         assert result.verdict is CheckResult.UNKNOWN
         assert len(result.stats["resilience"]["attempts"]) == 2
 
     def test_no_retry_without_policy(self):
-        result = solve_query(_pigeonhole_query(50), cache=False)
+        result = solve_query(_pigeonhole_query(50), config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
         assert "resilience" not in result.stats
 
     def test_unknown_never_cached_across_retries(self):
         cache = QueryCache()
-        result = solve_query(_pigeonhole_query(1), cache=cache,
-                             policy=RetryPolicy(retries=1))
+        result = solve_query(_pigeonhole_query(1), SolveConfig(
+            cache=cache, policy=RetryPolicy(retries=1)))
         assert result.verdict is CheckResult.UNKNOWN
         assert len(cache) == 0
         # and the recovered verdict IS cached
-        result = solve_query(_pigeonhole_query(50), cache=cache,
-                             policy=RetryPolicy(retries=4))
+        result = solve_query(_pigeonhole_query(50), SolveConfig(
+            cache=cache, policy=RetryPolicy(retries=4)))
         assert result.verdict is CheckResult.UNSAT
         assert len(cache) == 1
 
@@ -143,27 +135,27 @@ class TestEscalationRecovery:
 class TestSolverExceptionFaults:
     def test_exception_becomes_unknown(self):
         with faults.injected(FaultPlan(seed=3, solver_exception=1.0)):
-            result = solve_query(_easy_queries()[0], cache=False)
+            result = solve_query(_easy_queries()[0], config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
         assert "InjectedFault" in result.stats["error"]
 
     def test_batch_never_wrong_under_exceptions(self):
         baseline = [r.verdict for r in
-                    solve_all(_easy_queries(), jobs=1, cache=False)]
+                    solve_all(_easy_queries(), config=SERIAL)]
         assert baseline == _EASY_VERDICTS
         for seed in range(5):
             with faults.injected(FaultPlan(seed=seed,
                                            solver_exception=0.5)):
                 got = [r.verdict for r in
-                       solve_all(_easy_queries(), jobs=1, cache=False)]
+                       solve_all(_easy_queries(), config=SERIAL)]
             for g, b in zip(got, baseline):
                 assert g is b or g is CheckResult.UNKNOWN
 
     def test_transient_exception_recovered_by_retry(self):
         plan = FaultPlan(seed=3, solver_exception=1.0, max_triggers=1)
         with faults.injected(plan):
-            result = solve_query(_easy_queries()[0], cache=False,
-                                 policy=RetryPolicy(retries=2))
+            result = solve_query(_easy_queries()[0], SolveConfig(
+                cache=False, policy=RetryPolicy(retries=2)))
         assert result.verdict is CheckResult.SAT
         res = result.stats["resilience"]
         assert res["recovered"] is True
@@ -175,7 +167,7 @@ class TestDelayFaults:
         with faults.injected(FaultPlan(seed=8, delay=1.0,
                                        delay_seconds=0.001)):
             got = [r.verdict for r in
-                   solve_all(_easy_queries(), jobs=1, cache=False)]
+                   solve_all(_easy_queries(), config=SERIAL)]
         assert got == _EASY_VERDICTS
 
 
@@ -189,10 +181,10 @@ class TestWorkerCrashRecovery:
         produces verdicts identical to the serial fault-free run."""
         monkeypatch.setenv("PUGPARA_POOL_BACKOFF", "0.01")
         serial = [r.verdict for r in
-                  solve_all(_easy_queries(), jobs=1, cache=False)]
+                  solve_all(_easy_queries(), config=SERIAL)]
         with faults.injected(FaultPlan(seed=5, worker_crash=0.6)):
             crashed = [r.verdict for r in
-                       solve_all(_easy_queries(), jobs=2, cache=False)]
+                       solve_all(_easy_queries(), config=PARALLEL)]
         assert crashed == serial
 
     def test_total_crash_degrades_to_serial(self, monkeypatch):
@@ -200,7 +192,7 @@ class TestWorkerCrashRecovery:
         bottoms out at in-process solving and still answers correctly."""
         monkeypatch.setenv("PUGPARA_POOL_BACKOFF", "0.01")
         with faults.injected(FaultPlan(seed=5, worker_crash=1.0)):
-            results = solve_all(_easy_queries(), jobs=2, cache=False)
+            results = solve_all(_easy_queries(), config=PARALLEL)
         assert [r.verdict for r in results] == _EASY_VERDICTS
         pool = results[0].stats["resilience"]["pool"]
         assert pool["degraded"] is True
@@ -236,22 +228,27 @@ class TestWorkerInit:
 
 
 class TestDefaultJobsHardening:
+    """``PUGPARA_JOBS`` is read by ``SolveConfig.from_env`` alone."""
+
     def test_rejects_non_integer(self, monkeypatch):
-        from repro.smt import default_jobs
         monkeypatch.setenv("PUGPARA_JOBS", "lots")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert default_jobs() == 1
+        with pytest.warns(RuntimeWarning, match="'lots'.*falling back to 1"):
+            assert SolveConfig.from_env().jobs == 1
 
     def test_rejects_non_positive(self, monkeypatch):
-        from repro.smt import default_jobs
-        monkeypatch.setenv("PUGPARA_JOBS", "0")
-        with pytest.warns(RuntimeWarning, match="positive"):
-            assert default_jobs() == 1
-        monkeypatch.setenv("PUGPARA_JOBS", "-3")
-        with pytest.warns(RuntimeWarning):
-            assert default_jobs() == 1
+        for raw in ("0", "-3"):
+            monkeypatch.setenv("PUGPARA_JOBS", raw)
+            with pytest.warns(RuntimeWarning, match="positive"):
+                assert SolveConfig.from_env().jobs == 1
 
     def test_accepts_valid(self, monkeypatch):
-        from repro.smt import default_jobs
         monkeypatch.setenv("PUGPARA_JOBS", "4")
-        assert default_jobs() == 4
+        assert SolveConfig.from_env().jobs == 4
+        # An explicit field wins over the environment without reading it.
+        monkeypatch.setenv("PUGPARA_JOBS", "lots")
+        assert SolveConfig.from_env(jobs=2).jobs == 2
+
+    def test_explicit_jobs_must_be_positive(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                SolveConfig(jobs=jobs)

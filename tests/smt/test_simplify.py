@@ -340,12 +340,14 @@ def test_concretized_check_certifies():
     from repro.check.result import Verdict
     from repro.kernels import load_pair
     from repro.param.equivalence import ParamOptions, check_equivalence_param
+    from repro.smt import SolveConfig
     (_, si), (_, ti) = load_pair("Transpose")
     out = check_equivalence_param(
         si, ti, 8, assumption_builder=transpose_assumptions,
         concretize={"bdim": (2, 2, 1), "gdim": (2, 2),
                     "scalars": {"width": 4, "height": 4}},
-        options=ParamOptions(timeout=120, cache=False, certify=True))
+        options=ParamOptions(timeout=120, solve=SolveConfig.from_env(
+            cache=False, certify=True)))
     assert out.verdict is Verdict.VERIFIED
     cert = out.stats["certify"]
     assert cert["checked"] > 0 and cert["rejected"] == 0
