@@ -19,7 +19,7 @@ from repro.kernels import load
 from repro.lang import LaunchConfig
 from repro.smt import ArrayVar, BVConst, BVVar, Select, term_size
 from repro.smt.arrays import eliminate_arrays
-from repro.smt.simplify import simplify_all
+from repro.smt.simplify import QueryMemo, simplify
 
 
 def _encode_size(name: str, config: LaunchConfig,
@@ -34,8 +34,14 @@ def _encode_size(name: str, config: LaunchConfig,
     cell = BVVar("sc.cell", width)
     outputs = [Select(arr, cell) for arr in model.final_globals.values()]
     raw = term_size(*outputs)
-    flat, _ = eliminate_arrays(simplify_all(list(outputs)))
-    flat = simplify_all(flat)
+    # The outputs are bit-vector terms, not assertions: simplify them one
+    # by one, sharing the caches.
+    memo = QueryMemo()
+    cache: dict = {}
+    flat, _ = eliminate_arrays([simplify(t, cache, memo=memo)
+                                for t in outputs], memo.polys)
+    cache = {}
+    flat = [simplify(t, cache, memo=memo) for t in flat]
     reduced = term_size(*flat) if flat else 0
     return {"raw_nodes": raw, "reduced_nodes": reduced}
 

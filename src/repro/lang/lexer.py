@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -24,9 +24,23 @@ _OPERATORS = [
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
 
+# One alternative per lexeme class, tried in order at each position; the
+# operators keep their longest-first order, and ``bad`` catches the rest.
+_LEXEME = re.compile("|".join([
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<newline>\n)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<block>/\*[\s\S]*?\*/)",
+    r"(?P<open>/\*)",
+    r"(?P<hex>0[xX][0-9a-fA-F]*)",
+    r"(?P<dec>\d+\.?)",
+    r"(?P<word>[^\W\d]\w*)",
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    r"(?P<bad>[\s\S])",
+]))
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str          # 'int', 'ident', 'kw', 'op', 'eof'
     text: str
     line: int
@@ -40,70 +54,46 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize DSL source.  Supports ``//`` and ``/* */`` comments, decimal
     and hex integer literals, identifiers, keywords, and the operator set."""
     tokens: list[Token] = []
+    append = tokens.append
     line, col = 1, 1
-    i, n = 0, len(source)
-
-    def error(msg: str):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "space":
+            col += len(text)
+            continue
+        if kind == "newline":
             line += 1
             col = 1
-            i += 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                error("unterminated block comment")
-            skipped = source[i:end + 2]
-            line += skipped.count("\n")
-            col = (len(skipped) - skipped.rfind("\n")) if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        if c.isdigit():
-            start = i
-            if source.startswith(("0x", "0X"), i):
-                i += 2
-                while i < n and source[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                if i == start + 2:
-                    error("malformed hex literal")
+        if kind == "comment":
+            continue  # the newline that ends it resets the column
+        if kind == "block":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rfind("\n")
             else:
-                while i < n and source[i].isdigit():
-                    i += 1
-                # reject float literals explicitly (unsupported, like the paper)
-                if i < n and source[i] == ".":
-                    error("floating-point literals are not supported")
-            text = source[start:i]
-            tokens.append(Token("int", text, line, col))
-            col += i - start
+                col += len(text)
             continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+        if kind == "word":
+            append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "op":
+            append(Token("op", text, line, col))
+        elif kind == "dec":
+            # reject float literals explicitly (unsupported, like the paper)
+            if text[-1] == ".":
+                raise ParseError("floating-point literals are not supported",
+                                 line, col)
+            append(Token("int", text, line, col))
+        elif kind == "hex":
+            if len(text) == 2:
+                raise ParseError("malformed hex literal", line, col)
+            append(Token("int", text, line, col))
+        elif kind == "open":
+            raise ParseError("unterminated block comment", line, col)
         else:
-            error(f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        col += len(text)
+    append(Token("eof", "", line, col))
     return tokens

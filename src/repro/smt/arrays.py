@@ -16,7 +16,11 @@ Two passes:
    functional-consistency constraints ``i_j = i_k  =>  r_j = r_k``.  Reads
    whose indices are syntactically equal modulo the polynomial normal form
    share one variable; reads whose indices provably differ skip their
-   constraint.
+   constraint.  Those are found by *index class*: two indices differ by a
+   constant exactly when their polynomials agree on every non-constant
+   monomial, so the reads of one array are put into classes by that
+   non-constant part — one polynomial per read — and only pairs from
+   different classes get a constraint, emitted in pair order.
 
 The returned :class:`ArrayInfo` lets the model layer reconstruct concrete
 array contents for counterexample replay.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .poly import poly_of, poly_to_term
+from .poly import PolyMemo, normalize_arith, poly_of
 from .simplify import index_difference
 from .sorts import ArraySort
 from .substitute import rebuild
@@ -51,22 +55,16 @@ class ArrayInfo:
         return [var for pairs in self.reads.values() for _, var in pairs]
 
 
-def _canonical_index(index: Term) -> Term:
-    """Polynomial-canonical form of an index, used as the dedup key."""
-    sort = index.sort
-    return poly_to_term(poly_of(index), sort)
-
-
 class _Eliminator:
     """Write-chain expansion + Ackermann reduction over one query."""
 
-    def __init__(self) -> None:
+    def __init__(self, polys: PolyMemo) -> None:
         self._select_cache: dict[tuple[Term, Term], Term] = {}
         self._rewrite_cache: dict[Term, Term] = {}
         # (array_var, canonical_index) -> element var
         self._assigned: dict[tuple[Term, Term], Term] = {}
         self._replacement: dict[Term, Term] = {}
-        self._index_memo: dict[tuple[Term, Term], int | None] = {}
+        self._polys = polys
         self.info = ArrayInfo()
 
     # --------------------------------------------------- write-chain expansion
@@ -80,7 +78,7 @@ class _Eliminator:
         k = array.kind
         if k == Kind.STORE:
             base, widx, wval = array.args
-            d = index_difference(widx, index, self._index_memo)
+            d = index_difference(widx, index, self._polys)
             if d == 0:
                 out = wval
             elif d is not None:
@@ -130,8 +128,7 @@ class _Eliminator:
             if t.kind == Kind.SELECT:
                 array, index = new_args
                 assert array.kind == Kind.VAR
-                canon = _canonical_index(index)
-                key = (array, canon)
+                key = (array, normalize_arith(index, self._polys))
                 var = self._assigned.get(key)
                 if var is None:
                     var = fresh_var(f"{array.payload}@",
@@ -149,7 +146,7 @@ class _Eliminator:
     def run(self, assertions: list[Term]) -> tuple[list[Term], list[Term]]:
         """Rewrite ``assertions``; returns ``(rewritten, constraints)`` where
         ``constraints`` are the functional-consistency implications over
-        every pair of reads."""
+        every pair of reads from different index classes."""
         if sys.getrecursionlimit() < 100_000:
             sys.setrecursionlimit(100_000)
         expanded = [self._expand(t) for t in assertions]
@@ -157,27 +154,34 @@ class _Eliminator:
 
         constraints: list[Term] = []
         for pairs in self.info.reads.values():
-            for j in range(len(pairs)):
-                idx_j, var_j = pairs[j]
+            # Index class: the non-constant part of the polynomial.  The
+            # reads are deduplicated, so two of one class differ by a
+            # non-zero constant and never alias.
+            classes: dict[frozenset, int] = {}
+            cls = []
+            for idx, _ in pairs:
+                poly = poly_of(idx, self._polys)
+                key = frozenset(item for item in poly.items() if item[0])
+                cls.append(classes.setdefault(key, len(classes)))
+            for j, (idx_j, var_j) in enumerate(pairs):
                 for k in range(j + 1, len(pairs)):
-                    idx_k, var_k = pairs[k]
-                    d = index_difference(idx_j, idx_k, self._index_memo)
-                    if d is not None:
-                        # 0 cannot happen (deduped); non-zero constant:
-                        # no aliasing.
-                        continue
-                    constraints.append(
-                        Implies(Eq(idx_j, idx_k), Eq(var_j, var_k)))
+                    if cls[k] != cls[j]:
+                        idx_k, var_k = pairs[k]
+                        constraints.append(
+                            Implies(Eq(idx_j, idx_k), Eq(var_j, var_k)))
         return rewritten, constraints
 
 
-def eliminate_arrays(assertions: list[Term]) -> tuple[list[Term], ArrayInfo]:
+def eliminate_arrays(assertions: list[Term], polys: PolyMemo | None = None
+                     ) -> tuple[list[Term], ArrayInfo]:
     """Rewrite ``assertions`` into an equisatisfiable array-free form.
 
-    Raises :class:`SolverError` on array equalities (extensionality), which
-    the paper's encodings never produce — outputs are always compared
-    element-wise at a symbolic index.
+    ``polys`` (optional) is the query's polynomial memo, shared with the
+    simplification passes around this one.  Raises :class:`SolverError`
+    on array equalities (extensionality), which the paper's encodings
+    never produce — outputs are always compared element-wise at a
+    symbolic index.
     """
-    eliminator = _Eliminator()
+    eliminator = _Eliminator(polys if polys is not None else PolyMemo())
     rewritten, constraints = eliminator.run(assertions)
     return rewritten + constraints, eliminator.info

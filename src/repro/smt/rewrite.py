@@ -84,7 +84,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .poly import (
-    normalize_arith, normalize_eq, poly_add, poly_neg, poly_of, split_linear,
+    PolyMemo, normalize_arith, normalize_eq, poly_of, poly_offset,
+    split_linear,
 )
 from .sorts import BitVecSort
 from .substitute import substitute, var_mask
@@ -162,20 +163,22 @@ class Facts:
             return self.is_zpow2(t.args[0])  # t + t == 2*t
         return False
 
-    def split(self, x: Term, v: Term) -> tuple[Term, Term] | None:
+    def split(self, x: Term, v: Term, polys: PolyMemo | None = None
+              ) -> tuple[Term, Term] | None:
         """``(q, r)`` with ``x = q*v + r`` as polynomials, ``r < v`` and
         ``q < u`` for a radix partner ``u`` of ``v`` (or ``q = 0``) — the
         unique mixed-radix digits of ``x`` — else ``None``.  Normalized
-        terms in, normalized terms out."""
+        terms in, normalized terms out; ``polys`` is the query's
+        polynomial memo."""
         key = (x, v)
         if key in self._splits:
             return self._splits[key]
         if self._bounds is None:
             self._bounds = {}
             for a, b in self.less:
-                self._bounds.setdefault(normalize_arith(a), set()).add(
-                    normalize_arith(b))
-        out = split_linear(x, v) if x.sort is v.sort else None
+                self._bounds.setdefault(normalize_arith(a, polys), set()).add(
+                    normalize_arith(b, polys))
+        out = split_linear(x, v, polys) if x.sort is v.sort else None
         if out is not None:
             q, r = out
             q_fits = _is_zero(q) or not self.radix.get(
@@ -211,9 +214,8 @@ def _is_decrement(y: Term, x: Term) -> bool:
         return False
     if y.kind == Kind.BVSUB and y.args == (x, BVConst(1, sort.width)):
         return True
-    diff = poly_add(poly_of(y), poly_neg(poly_of(x), sort.modulus),
-                    sort.modulus)
-    return diff == {(): sort.modulus - 1}
+    return poly_offset(poly_of(y), poly_of(x), sort.modulus) == \
+        sort.modulus - 1
 
 
 def _zpow2_of_conjunct(f: Term) -> Term | None:
@@ -361,7 +363,7 @@ def _unit_of(f: Term) -> tuple[Term, Term] | None:
     """
     k = f.kind
     if k == Kind.VAR:
-        return f, TRUE
+        return (f, TRUE) if f.sort.is_bool() else None
     if k == Kind.NOT:
         v = f.args[0]
         return (v, FALSE) if v.kind == Kind.VAR else None
@@ -513,33 +515,34 @@ def harvest_units(terms: Sequence[Term]) -> Units:
 # --------------------------------------------------------------------- rules
 
 
-def _mask_of(m: Term) -> Term:
+def _mask_of(m: Term, polys: PolyMemo | None) -> Term:
     """``m - 1`` — the AND mask for a zpow2 modulus, pre-normalized so the
     rewriter's output matches what a re-simplification would produce
     (keeps the simplifier idempotent on rewritten terms)."""
-    return normalize_arith(BVSub(m, BVConst(1, m.sort.width)))
+    return normalize_arith(BVSub(m, BVConst(1, m.sort.width)), polys)
 
 
-def _norm_eq(a: Term, b: Term) -> Term:
+def _norm_eq(a: Term, b: Term, polys: PolyMemo | None) -> Term:
     """An equality in the simplifier's canonical form."""
     if isinstance(a.sort, BitVecSort):
-        lhs, rhs = normalize_eq(a, b)
+        lhs, rhs = normalize_eq(a, b, polys)
         return Eq(lhs, rhs)
     return Eq(a, b)
 
 
-def _radix_eq(a: Term, b: Term, facts: Facts) -> Term | None:
+def _radix_eq(a: Term, b: Term, facts: Facts,
+              polys: PolyMemo | None) -> Term | None:
     """``q_a == q_b & r_a == r_b`` when ``a`` and ``b`` split over one
     radix (:meth:`Facts.split`) and at least one has a ``v`` digit."""
     for v in facts.radix:
-        sa = facts.split(a, v)
+        sa = facts.split(a, v, polys)
         if sa is None:
             continue
-        sb = facts.split(b, v)
+        sb = facts.split(b, v, polys)
         if sb is None or (_is_zero(sa[0]) and _is_zero(sb[0])):
             continue
-        return And(_rewrite_eq(_norm_eq(sa[0], sb[0]), facts),
-                   _rewrite_eq(_norm_eq(sa[1], sb[1]), facts))
+        return And(_rewrite_eq(_norm_eq(sa[0], sb[0], polys), facts, polys),
+                   _rewrite_eq(_norm_eq(sa[1], sb[1], polys), facts, polys))
     return None
 
 
@@ -547,21 +550,23 @@ def _is_zero(t: Term) -> bool:
     return t.kind == Kind.BVCONST and t.payload == 0
 
 
-def _rewrite_eq(t: Term, facts: Facts) -> Term:
-    return rewrite_node(t, facts) if t.kind == Kind.EQ else t
+def _rewrite_eq(t: Term, facts: Facts, polys: PolyMemo | None) -> Term:
+    return rewrite_node(t, facts, polys) if t.kind == Kind.EQ else t
 
 
-def rewrite_node(t: Term, facts: Facts) -> Term:
+def rewrite_node(t: Term, facts: Facts,
+                 polys: PolyMemo | None = None) -> Term:
     """Apply the word-level rules to one node whose children are already
     simplified.  Returns ``t`` itself when no rule fires; rewritten
     results are built with smart constructors from already-simplified,
-    pre-normalized parts, so the caller needs no second pass."""
+    pre-normalized parts, so the caller needs no second pass.  ``polys``
+    is the query's polynomial memo (optional)."""
     k = t.kind
     if k == Kind.BVUREM or k == Kind.BVUDIV:
         x, m = t.args
         if k == Kind.BVUREM and facts.is_zpow2(m):
-            return BVAnd(x, _mask_of(m))
-        parts = facts.split(x, m) if m in facts.radix else None
+            return BVAnd(x, _mask_of(m, polys))
+        parts = facts.split(x, m, polys) if m in facts.radix else None
         if parts is None:
             return t
         return parts[0] if k == Kind.BVUDIV else parts[1]
@@ -572,15 +577,15 @@ def rewrite_node(t: Term, facts: Facts) -> Term:
                 continue
             cond, then, els = ite.args
             if other is then:
-                return Or(cond, _norm_eq(els, other))
+                return Or(cond, _norm_eq(els, other, polys))
             if other is els:
-                return Or(Not(cond), _norm_eq(then, other))
-            then_eq = _norm_eq(then, other)
-            els_eq = _norm_eq(els, other)
+                return Or(Not(cond), _norm_eq(then, other, polys))
+            then_eq = _norm_eq(then, other, polys)
+            els_eq = _norm_eq(els, other, polys)
             if then_eq.is_const() or els_eq.is_const():
                 return Ite(cond, then_eq, els_eq)
         if facts.radix and isinstance(a.sort, BitVecSort):
-            out = _radix_eq(a, b, facts)
+            out = _radix_eq(a, b, facts, polys)
             if out is not None:
                 return out
         return t

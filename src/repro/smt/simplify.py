@@ -45,12 +45,25 @@ strengthens or weakens a formula.
 All passes memoize on DAG node identity (``dict[Term, Term]`` — one
 C-level pointer hash per probe, since :class:`~repro.smt.terms.Term`
 relies on ``object``'s identity semantics), so a shared subterm is
-simplified once per call no matter how many paths reach it.
+simplified once per call no matter how many paths reach it.  What does
+not depend on a pass's units and facts lives for the whole
+:func:`simplify_all` call in one :class:`QueryMemo`: the polynomial of
+each term (:class:`~repro.smt.poly.PolyMemo`, seeded with every
+normalized output, so normalizing ``a + b`` walks only its top node;
+the solver hands the same memo to array elimination and the pass after
+it) and the resolution of each ``(array, index)`` read, so a DAG of
+array ites is resolved node by node, not expanded as a tree.  A ``+``/``-``
+node whose every parent is one too gets no canonical term at all — only
+its polynomial, which the sum above it reads — so a chain of ``k``
+additions builds one canonical sum, not ``k`` ever longer ones.
 """
 
 from __future__ import annotations
 
-from .poly import normalize_arith, normalize_eq, poly_of, poly_add, poly_neg
+from functools import partial
+from typing import Collection
+
+from .poly import PolyMemo, normalize_arith, normalize_eq, poly_of, poly_offset
 from .rewrite import (
     Facts, NO_FACTS, Units, fact_conjuncts, harvest_facts, harvest_units,
     rewrite_node,
@@ -59,116 +72,112 @@ from .sorts import BitVecSort
 from .substitute import rebuild, var_mask
 from .terms import FALSE, TRUE, Ite, Kind, Select, Term, Eq
 
-__all__ = ["simplify", "simplify_all", "index_difference", "harvest_facts"]
+__all__ = ["simplify", "simplify_all", "index_difference", "harvest_facts",
+           "QueryMemo"]
 
 _ARITH_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG, Kind.BVMUL, Kind.BVSHL})
+_SUM_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG})
 
 #: Kinds the word-level rewriter (:mod:`repro.smt.rewrite`) has rules for —
 #: gating on kind keeps the per-node overhead to one frozenset probe.
 _REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ, Kind.ITE})
 
 
-def _diff_const(ip, jneg, modulus: int) -> int | None:
-    """Constant value of the polynomial sum ``ip + jneg``, else ``None``."""
-    diff = poly_add(ip, jneg, modulus)
-    if not diff:
-        return 0
-    if len(diff) == 1 and () in diff:
-        return diff[()]
-    return None
+class QueryMemo:
+    """The memos of one query that do not depend on its units or facts:
+    ``polys``, the polynomial of each term (:class:`~repro.smt.poly.PolyMemo`,
+    which array elimination shares), and ``selects``, the resolution of
+    each ``(array, index)`` read (:func:`_resolve_select`)."""
+
+    __slots__ = ("polys", "selects")
+
+    def __init__(self, polys: PolyMemo | None = None) -> None:
+        self.polys = polys if polys is not None else PolyMemo()
+        self.selects: dict[tuple[Term, Term], Term] = {}
 
 
 def index_difference(i: Term, j: Term,
-                     memo: dict[tuple[Term, Term], int | None] | None = None
-                     ) -> int | None:
+                     polys: PolyMemo | None = None) -> int | None:
     """If ``i - j`` is a constant modulo ``2**w``, return it, else ``None``.
 
     This is the syntactic disequality test used for read-over-write: a
-    constant non-zero difference proves the indices never alias.  ``memo``
-    (optional) caches the answer per ``(i, j)`` pair — one shared dict per
-    :func:`simplify_all` call keeps long store chains from re-deriving the
-    same polynomial differences query after query.
+    constant non-zero difference proves the indices never alias.
+    ``polys`` (optional) is the query's polynomial memo.
     """
     if i is j:
         return 0
-    if memo is not None:
-        hit = memo.get((i, j), _MISS)
-        if hit is not _MISS:
-            return hit
     sort = i.sort
     if not isinstance(sort, BitVecSort) or j.sort is not sort:
-        d = None
-    else:
-        d = _diff_const(poly_of(i), poly_neg(poly_of(j), sort.modulus),
-                        sort.modulus)
-    if memo is not None:
-        memo[(i, j)] = d
-    return d
+        return None
+    return poly_offset(poly_of(i, polys), poly_of(j, polys), sort.modulus)
 
 
-_MISS = object()
-
-
-def _resolve_select(array: Term, index: Term,
-                    memo: dict[tuple[Term, Term], int | None]) -> Term:
+def _resolve_select(array: Term, index: Term, memo: QueryMemo) -> Term:
     """Push a select through store chains and array-ites as far as syntactic
     index comparison allows.
 
-    The polynomial of ``index`` is derived once and reused against every
-    store in the chain (the walk is linear in chain length, not quadratic in
-    polynomial work), and each ``(write_index, index)`` verdict lands in
-    ``memo`` for the rest of the :func:`simplify_all` call.
+    Every ``(array, index)`` pair on the way — each store skipped, each
+    ite branch — lands in ``memo.selects`` with its result, so a DAG of
+    array ites is resolved once per node and not expanded as a tree, and
+    chains sharing a suffix resolve it once.
     """
-    sort = index.sort
-    jneg = None
-    pcache: dict[Term, object] = {}
+    selects = memo.selects
+    key = (array, index)
+    out = selects.get(key)
+    if out is not None:
+        return out
+    skipped = [key]
     while True:
         if array.kind == Kind.STORE:
             base, widx, wval = array.args
-            if widx is index:
-                d = 0
-            else:
-                d = memo.get((widx, index), _MISS)
-                if d is _MISS:
-                    if not isinstance(sort, BitVecSort) or \
-                            widx.sort is not sort:
-                        d = None
-                    else:
-                        if jneg is None:
-                            jneg = poly_neg(poly_of(index, pcache),
-                                            sort.modulus)
-                        d = _diff_const(poly_of(widx, pcache), jneg,
-                                        sort.modulus)
-                    memo[(widx, index)] = d
+            d = index_difference(widx, index, memo.polys)
             if d == 0:
-                return wval
-            if d is not None:  # provably different cell
+                out = wval
+            elif d is not None:  # provably different cell
                 array = base
-                continue
-            return Select(array, index)
-        if array.kind == Kind.ITE:
+                key = (array, index)
+                out = selects.get(key)
+                if out is None:
+                    skipped.append(key)
+                    continue
+            else:
+                out = Select(array, index)
+        elif array.kind == Kind.ITE:
             cond, then, els = array.args
-            return Ite(cond,
-                       _resolve_select(then, index, memo),
-                       _resolve_select(els, index, memo))
-        return Select(array, index)
+            out = Ite(cond,
+                      _resolve_select(then, index, memo),
+                      _resolve_select(els, index, memo))
+        else:
+            out = Select(array, index)
+        break
+    for key in skipped:
+        selects[key] = out
+    return out
 
 
 def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
-             index_memo: dict[tuple[Term, Term], int | None] | None = None,
-             facts: Facts | None = None) -> Term:
+             memo: QueryMemo | None = None,
+             facts: Facts | None = None,
+             sum_only: Collection[Term] = ()) -> Term:
     """Return an equivalent, normalized term (see module docstring).
 
     ``facts`` supplies the harvested per-query context for the word-level
     rewrite layer (:mod:`repro.smt.rewrite`); pass the same fact base for
     every term sharing a ``cache`` — cached results are only valid under
-    the facts they were rewritten with.
+    the facts they were rewritten with.  ``memo`` holds no such context
+    and may be shared by every call over one query.
+
+    A node of ``sum_only`` (:func:`_sum_only`) — a ``+``/``-`` node that
+    only feeds other ones — keeps its rebuilt node in the cache, with its
+    polynomial memoized, and no canonical term: the sum above it reads
+    the polynomial, so a chain of ``k`` sums builds one canonical chain,
+    not ``k`` ever longer ones.
     """
     if cache is None:
         cache = {}
-    if index_memo is None:
-        index_memo = {}
-    memo = index_memo
+    if memo is None:
+        memo = QueryMemo()
+    polys = memo.polys
     fb = facts if facts is not None else NO_FACTS
 
     def finish(t: Term) -> Term:
@@ -181,14 +190,17 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
         out = rebuild(t, tuple(cache[a] for a in t.args)) if t.args else t
         k = out.kind
         if k in _ARITH_KINDS:
-            out = normalize_arith(out)
+            if k in _SUM_KINDS and t in sum_only:
+                poly_of(out, polys)
+            else:
+                out = normalize_arith(out, polys)
         elif k == Kind.EQ and isinstance(out.args[0].sort, BitVecSort):
-            lhs, rhs = normalize_eq(out.args[0], out.args[1])
+            lhs, rhs = normalize_eq(out.args[0], out.args[1], polys)
             out = Eq(lhs, rhs)
         elif k == Kind.SELECT:
             out = _resolve_select(out.args[0], out.args[1], memo)
         if out.kind in _REWRITE_KINDS:
-            out = rewrite_node(out, fb)
+            out = rewrite_node(out, fb, polys)
         return out
 
     # Explicit stack: deep store chains overflow the C stack otherwise.
@@ -207,8 +219,24 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
     return cache[term]
 
 
-def _pass(terms: list[Term], units: Units,
-          memo: dict[tuple[Term, Term], int | None]) -> list[Term]:
+def _sum_only(roots: list[Term]) -> set[Term]:
+    """The ``+``/``-`` nodes under ``roots`` whose every parent is a
+    ``+``/``-`` node: only their polynomials are ever read back, by the
+    normalization of the sum above them."""
+    seen: set[Term] = set()
+    read = set(roots)  # nodes whose term is read: roots, non-sum args
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        if t.args and t not in seen:
+            seen.add(t)
+            if t.kind not in _SUM_KINDS:
+                read.update(t.args)
+            stack.extend(t.args)
+    return {t for t in seen if t.kind in _SUM_KINDS and t not in read}
+
+
+def _pass(terms: list[Term], units: Units, memo: QueryMemo) -> list[Term]:
     """One simplification pass under ``units``, which seed its cache.
     The fact-shaped conjuncts go first; the facts harvested from *their*
     output — in the units' substituted space, where ``tid.y < bdim.y``
@@ -216,10 +244,15 @@ def _pass(terms: list[Term], units: Units,
     to the rest.  A term-defined variable is seeded with its value
     simplified under those facts (so a kept definition blasts no ``udiv``
     the facts remove); when a fact-shaped conjunct mentions one, the
-    shaped conjuncts use a copy of the cache seeded without facts.  Constant and variable definitions are kept as they are, a
-    term definition as ``v == value``; those nested in a top-level AND
-    are appended, since the AND folds them."""
+    shaped conjuncts use a copy of the cache seeded without facts.
+    Constant and variable definitions are kept as they are, a term
+    definition as ``v == value``; those nested in a top-level AND are
+    appended, since the AND folds them.  The sums that only feed sums
+    are found over the pass's roots: its terms and the definitions'
+    values."""
     defs, named, subst = units.defs, units.terms, units.subst
+    simp = partial(simplify, memo=memo,
+                   sum_only=_sum_only(terms + [subst[v] for v in named.values()]))
     cache: dict[Term, Term] = dict(subst)
     shaped_terms = fact_conjuncts(terms)
     shaped_cache = cache
@@ -231,16 +264,14 @@ def _pass(terms: list[Term], units: Units,
         if any(var_mask(f) & mask for f in shaped_terms):
             shaped_cache = dict(cache)
             for v in named.values():
-                shaped_cache[v] = simplify(subst[v], shaped_cache,
-                                           index_memo=memo)
-    shaped = [simplify(f, shaped_cache, index_memo=memo)
-              for f in shaped_terms]
+                shaped_cache[v] = simp(subst[v], shaped_cache)
+    shaped = [simp(f, shaped_cache) for f in shaped_terms]
     facts = harvest_facts(shaped)
     for v in named.values():
-        cache[v] = simplify(subst[v], cache, index_memo=memo, facts=facts)
+        cache[v] = simp(subst[v], cache, facts=facts)
     out = [t if t in defs
            else Eq(named[t], cache[named[t]]) if t in named
-           else simplify(t, cache, index_memo=memo, facts=facts)
+           else simp(t, cache, facts=facts)
            for t in terms]
     if defs or named:
         top = set(terms)
@@ -249,18 +280,21 @@ def _pass(terms: list[Term], units: Units,
     return out
 
 
-def simplify_all(terms: list[Term]) -> list[Term]:
+def simplify_all(terms: list[Term],
+                 polys: PolyMemo | None = None) -> list[Term]:
     """Simplify one query's assertion list with shared caches (the
     assertions of one query overlap heavily, so the term cache and the
-    index-difference memo are shared across the batch), propagating its
+    :class:`QueryMemo` are shared across the batch), propagating its
     unit conjuncts (module docstring, layer 5).  The pass repeats while
-    it exposes a new unit; the index-difference memo does not depend on
-    units or facts and is shared between passes.
+    it exposes a new unit; the :class:`QueryMemo` does not depend on
+    units or facts and is shared between passes.  ``polys`` (optional)
+    is a polynomial memo to share with the query's other passes (array
+    elimination and the simplification after it).
 
     The word-level rewriter's facts are harvested from ``terms`` itself —
     the list must therefore be one conjunction (one query), which is how
     every caller uses it."""
-    memo: dict[tuple[Term, Term], int | None] = {}
+    memo = QueryMemo(polys)
     units = harvest_units(terms)
     while True:
         out = _pass(terms, units, memo)

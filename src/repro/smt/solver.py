@@ -31,6 +31,7 @@ from .arrays import eliminate_arrays
 from .bitblast import BitBlaster
 from .cnf import ClauseDB, GateBuilder
 from .model import Model
+from .poly import PolyMemo
 from .preprocess import Preprocessor
 from .sat import SATSolver, STAT_COUNTER_KEYS
 from .sat.proof import ProofLog, check_proof
@@ -114,10 +115,11 @@ class Solver:
         start = time.monotonic()
         deadline = start + self.timeout if self.timeout is not None else None
 
+        polys = PolyMemo()
         if simplified is not None:
             work = list(simplified)
         elif self.do_simplify:
-            work = simplify_all(list(self.assertions))
+            work = simplify_all(list(self.assertions), polys)
         else:
             work = list(self.assertions)
         self.stats["simplify_time"] = time.monotonic() - start
@@ -132,9 +134,9 @@ class Solver:
             return CheckResult.SAT
 
         elim_start = time.monotonic()
-        flat, info = eliminate_arrays(work)
+        flat, info = eliminate_arrays(work, polys)
         if self.do_simplify and info.reads:
-            flat = simplify_all(flat)
+            flat = simplify_all(flat, polys)
             flat = [t for t in flat if t is not TRUE]
             if any(t is FALSE for t in flat):
                 self._certify_trivial()

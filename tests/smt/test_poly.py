@@ -1,7 +1,12 @@
 """Unit tests for the polynomial normalizer (repro.smt.poly)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.smt import BVAdd, BVConst, BVMul, BVNeg, BVShl, BVSub, BVVar, Select, ArrayVar
-from repro.smt.poly import normalize_arith, normalize_eq, poly_of, poly_to_term, split_linear
+from repro.smt.poly import (
+    PolyMemo, normalize_arith, normalize_eq, poly_of, poly_to_term,
+    split_linear,
+)
 from repro.smt.sorts import BV
 
 x = BVVar("px", 8)
@@ -107,3 +112,48 @@ class TestSplitLinear:
     def test_var_inside_atom_rejected(self):
         a = ArrayVar("pa2", 8, 8)
         assert split_linear(Select(a, x), x) is None
+
+
+def test_shared_sums_are_weighted_not_rewalked():
+    """``x_{k+1} = x_k + x_k``: the sum DAG has 2**k paths; the weights
+    make it one visit per node."""
+    w = BVVar("pw", 64)
+    t = w
+    for _ in range(40):
+        t = BVAdd(t, t)
+    assert poly_of(BVSub(t, w)) == {(w,): (1 << 40) - 1}
+
+
+def test_poly_to_term_appends_to_a_canonical_prefix():
+    memo = PolyMemo()
+    a, b, c = BVVar("pa", 8), BVVar("pb", 8), BVVar("pc", 8)
+    ab = normalize_arith(BVAdd(a, b), memo)
+    abc = normalize_arith(BVAdd(ab, c), memo)
+    assert abc is normalize_arith(BVAdd(BVAdd(a, b), c))  # a fresh rebuild
+    assert poly_of(abc, memo) == poly_of(abc)
+
+
+_pv = [BVVar(f"pv{k}", 8) for k in range(3)]
+_pleaf = st.one_of(st.sampled_from(_pv), st.integers(0, 255).map(
+    lambda c: BVConst(c, 8)))
+_pterm = st.recursive(_pleaf, lambda s: st.one_of(
+    st.builds(BVAdd, s, s), st.builds(BVSub, s, s), st.builds(BVNeg, s),
+    st.builds(BVMul, s, s)), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_pterm, min_size=1, max_size=4))
+def test_one_memo_twice_gives_the_same_terms(terms):
+    """Normalizing a query twice with one memo returns the same terms,
+    and every polynomial in the memo — the seeded ones of the normalized
+    outputs included — equals a fresh walk of its term."""
+    memo = PolyMemo()
+    first = [normalize_arith(t, memo) for t in terms]
+    eqs = [normalize_eq(t, u, memo) for t, u in zip(terms, first)]
+    assert [normalize_arith(t, memo) for t in terms] == first
+    assert [normalize_eq(t, u, memo) for t, u in zip(terms, first)] == eqs
+    assert [normalize_arith(t) for t in terms] == first
+    for t in first:
+        assert normalize_arith(t, memo) is t
+    for t, p in memo.polys.items():
+        assert p == poly_of(t), t

@@ -8,6 +8,7 @@ from repro.smt import (
     CheckResult, BVUDiv, BVURem, Eq, FALSE, Implies, Ite, Kind, Not, Or,
     Select, Solver, Store, TRUE, UGe, ULe, ULt, ZeroExt,
 )
+from repro.smt.poly import PolyMemo, poly_of
 from repro.smt.rewrite import harvest_units
 from repro.smt.simplify import index_difference, simplify, simplify_all
 from repro.smt.substitute import evaluate
@@ -296,6 +297,18 @@ def test_simplify_all_idempotent_and_model_preserving(terms):
     assert r is ref.check()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_formula, min_size=1, max_size=4))
+def test_one_polynomial_memo_twice_gives_identical_terms(terms):
+    """Simplifying a query twice with one polynomial memo gives the same
+    terms, and every polynomial in the memo equals a fresh walk."""
+    polys = PolyMemo()
+    first = simplify_all(terms, polys)
+    assert simplify_all(terms, polys) == first
+    for t, p in polys.polys.items():
+        assert p == poly_of(t), t
+
+
 _definition = st.builds(Eq, st.sampled_from([x, y, u]), _bv)
 _env = st.fixed_dictionaries({x: st.integers(0, 255), y: st.integers(0, 255),
                               u: st.integers(0, 255), b: st.booleans(),
@@ -351,3 +364,92 @@ def test_concretized_check_certifies():
     assert out.verdict is Verdict.VERIFIED
     cert = out.stats["certify"]
     assert cert["checked"] > 0 and cert["rejected"] == 0
+
+
+def test_bit_vector_variable_is_not_a_unit():
+    """A top-level bit-vector variable pins nothing (only a Bool one is a
+    unit), so simplifying bit-vector terms as a list does not raise."""
+    assert harvest_units([x]).subst == {}
+    assert simplify_all([x, BVAdd(x, y)]) == [x, BVAdd(x, y)]
+
+
+def _module():
+    import importlib
+    return importlib.import_module("repro.smt.simplify")
+
+
+def test_select_through_array_ites_resolves_each_node_once(monkeypatch):
+    """The serialized bitonic sort (n=8) reads its output through a DAG of
+    array ites; resolving each ``(array, index)`` once keeps the
+    ``_resolve_select`` calls to hundreds (expanded as a tree: millions)."""
+    from repro.encode.nonparam import encode_kernel
+    from repro.kernels import load
+    from repro.lang import LaunchConfig
+
+    _, info = load("bitonicSort")
+    arrays = {g: ArrayVar(f"bt.{g}", 8, 8) for g in info.global_arrays}
+    model = encode_kernel(info, LaunchConfig(bdim=(8, 1, 1), width=8), {},
+                          arrays)
+    cell = BVVar("bt.cell", 8)
+    outputs = [Select(arr, cell) for arr in model.final_globals.values()]
+    mod = _module()
+    calls = []
+    real = mod._resolve_select
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mod, "_resolve_select", counting)
+    cache, memo = {}, mod.QueryMemo()
+    for t in outputs:
+        simplify(t, cache, memo=memo)
+    assert 0 < len(calls) <= 2000
+
+
+def _reduction_front_end_adds(n: int, monkeypatch) -> int:
+    """``BVAdd`` calls the normalizer makes on the serialized Reduction
+    pair at 16 bits: simplify, eliminate arrays, simplify again — the
+    solver's front end.  The two kernels read different input arrays, so
+    the query does not fold before the front end sees it."""
+    from repro.encode.nonparam import encode_kernel
+    from repro.kernels import load
+    from repro.lang import LaunchConfig
+    from repro.smt import Ne
+    from repro.smt import poly as poly_mod
+    from repro.smt.arrays import eliminate_arrays
+    from repro.smt.poly import PolyMemo
+
+    outputs = []
+    for name, tag in (("naiveReduce", "ra"), ("optimizedReduce", "rb")):
+        _, info = load(name)
+        arrays = {g: ArrayVar(f"{tag}.{g}", 16, 16)
+                  for g in info.global_arrays}
+        model = encode_kernel(info, LaunchConfig(bdim=(n, 1, 1), width=16),
+                              {}, arrays)
+        outputs.append(Select(model.final_globals["g_odata"],
+                              BVVar("rcell", 16)))
+    adds = []
+    real = poly_mod.BVAdd
+
+    def counting(p, q):
+        adds.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(poly_mod, "BVAdd", counting)
+    polys = PolyMemo()
+    work = simplify_all([Ne(*outputs)], polys)
+    flat, _ = eliminate_arrays(work, polys)
+    simplify_all(flat, polys)
+    monkeypatch.undo()
+    return len(adds)
+
+
+def test_reduction_front_end_is_linear_in_n(monkeypatch):
+    """Each doubling of n costs the normalizer at most 2.5x the sum
+    constructions (a quadratic front end costs 4x)."""
+    counts = [_reduction_front_end_adds(n, monkeypatch)
+              for n in (64, 128, 256, 512)]
+    assert counts[0] > 0
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.5 * small, counts
