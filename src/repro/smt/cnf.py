@@ -14,9 +14,13 @@ The constant literals ``true_lit``/``false_lit`` are two polarities of one
 reserved variable forced at level 0, which lets the bit-blaster treat
 constant bits uniformly as literals.
 
-The backend only needs ``new_var``/``add_clause``: a :class:`SATSolver` for
-direct solving, or a :class:`ClauseDB` when the clauses are destined for the
-preprocessor (:mod:`repro.smt.preprocess`).
+The backend needs ``new_var``, ``add_clause`` and the gate loader
+``add_gate(clauses, inputs)``, which receives all defining clauses of one
+fresh gate at once: a :class:`SATSolver` for direct solving checks the
+inputs once per gate and appends the clauses in stored form
+(:meth:`SATSolver.add_gate`), while a :class:`ClauseDB`, used when the
+clauses are destined for the preprocessor (:mod:`repro.smt.preprocess`),
+records them one by one.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = ["ClauseDB", "GateBuilder"]
 
 class ClauseDB:
     """A plain clause sink implementing the :class:`GateBuilder` backend
-    protocol (``new_var``/``add_clause``).
+    protocol (``new_var``/``add_clause``/``add_gate``).
 
     Unlike :class:`SATSolver.add_clause` it performs no level-0
     simplification — tautology removal and unit propagation are the
@@ -61,6 +65,12 @@ class ClauseDB:
         self.clauses.append(clause)
         return True
 
+    def add_gate(self, clauses: list[list[int]],
+                 inputs: Sequence[int]) -> bool:
+        for lits in clauses:
+            self.add_clause(lits)
+        return self.ok
+
 
 class GateBuilder:
     """Clause emitter with structural gate caching."""
@@ -79,9 +89,6 @@ class GateBuilder:
     def new_lit(self) -> int:
         return self.sat.new_var() << 1
 
-    def add_clause(self, lits: Iterable[int]) -> None:
-        self.sat.add_clause(lits)
-
     def lit_const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
 
@@ -97,20 +104,19 @@ class GateBuilder:
     # ------------------------------------------------------------------ gates
 
     def AND(self, lits: Sequence[int]) -> int:
+        true_lit, false_lit = self.true_lit, self.false_lit
         out: list[int] = []
         for lit in lits:
-            c = self.is_const(lit)
-            if c is False:
-                return self.false_lit
-            if c is True:
-                continue
-            out.append(lit)
+            if lit == false_lit:
+                return false_lit
+            if lit != true_lit:
+                out.append(lit)
         inputs = tuple(sorted(set(out)))
         for lit in inputs:
             if lit ^ 1 in inputs:
-                return self.false_lit
+                return false_lit
         if not inputs:
-            return self.true_lit
+            return true_lit
         if len(inputs) == 1:
             return inputs[0]
         key = ("and", inputs)
@@ -118,9 +124,10 @@ class GateBuilder:
         if hit is not None:
             return hit
         g = self.new_lit()
-        for lit in inputs:
-            self.add_clause([g ^ 1, lit])
-        self.add_clause([g, *(lit ^ 1 for lit in inputs)])
+        ng = g ^ 1
+        clauses = [[ng, lit] for lit in inputs]
+        clauses.append([g, *[lit ^ 1 for lit in inputs]])
+        self.sat.add_gate(clauses, inputs)
         self._cache[key] = g
         self.gates += 1
         return g
@@ -129,15 +136,19 @@ class GateBuilder:
         return self.AND([lit ^ 1 for lit in lits]) ^ 1
 
     def XOR(self, a: int, b: int) -> int:
-        ca, cb = self.is_const(a), self.is_const(b)
-        if ca is not None:
-            return b ^ 1 if ca else b
-        if cb is not None:
-            return a ^ 1 if cb else a
+        true_lit, false_lit = self.true_lit, self.false_lit
+        if a == true_lit:
+            return b ^ 1
+        if a == false_lit:
+            return b
+        if b == true_lit:
+            return a ^ 1
+        if b == false_lit:
+            return a
         if a == b:
-            return self.false_lit
+            return false_lit
         if a == b ^ 1:
-            return self.true_lit
+            return true_lit
         # Canonicalize: inputs positive, sorted; sign folded into the output.
         sign = (a & 1) ^ (b & 1)
         a &= ~1
@@ -148,10 +159,9 @@ class GateBuilder:
         hit = self._cache.get(key)
         if hit is None:
             g = self.new_lit()
-            self.add_clause([g ^ 1, a, b])
-            self.add_clause([g ^ 1, a ^ 1, b ^ 1])
-            self.add_clause([g, a, b ^ 1])
-            self.add_clause([g, a ^ 1, b])
+            ng, na, nb = g ^ 1, a ^ 1, b ^ 1
+            self.sat.add_gate([[ng, a, b], [ng, na, nb],
+                               [g, a, nb], [g, na, b]], (a, b))
             self._cache[key] = g
             self.gates += 1
             hit = g
@@ -161,25 +171,20 @@ class GateBuilder:
         return self.XOR(a, b) ^ 1
 
     def ITE(self, c: int, t: int, e: int) -> int:
-        cc = self.is_const(c)
-        if cc is True:
+        true_lit, false_lit = self.true_lit, self.false_lit
+        if c == true_lit:
             return t
-        if cc is False:
+        if c == false_lit:
             return e
         if t == e:
             return t
-        ct, ce = self.is_const(t), self.is_const(e)
-        if ct is True and ce is False:
-            return c
-        if ct is False and ce is True:
-            return c ^ 1
-        if ct is True:
-            return self.OR([c, e])
-        if ct is False:
-            return self.AND([c ^ 1, e])
-        if ce is True:
+        if t == true_lit:
+            return c if e == false_lit else self.OR([c, e])
+        if t == false_lit:
+            return c ^ 1 if e == true_lit else self.AND([c ^ 1, e])
+        if e == true_lit:
             return self.OR([c ^ 1, t])
-        if ce is False:
+        if e == false_lit:
             return self.AND([c, t])
         if t == e ^ 1:
             return self.IFF(c, t)
@@ -188,24 +193,22 @@ class GateBuilder:
         if hit is not None:
             return hit
         g = self.new_lit()
-        self.add_clause([g ^ 1, c ^ 1, t])
-        self.add_clause([g ^ 1, c, e])
-        self.add_clause([g, c ^ 1, t ^ 1])
-        self.add_clause([g, c, e ^ 1])
-        # Redundant but propagation-strengthening clauses.
-        self.add_clause([g ^ 1, t, e])
-        self.add_clause([g, t ^ 1, e ^ 1])
+        ng, nc = g ^ 1, c ^ 1
+        self.sat.add_gate([[ng, nc, t], [ng, c, e],
+                           [g, nc, t ^ 1], [g, c, e ^ 1],
+                           # Redundant but propagation-strengthening.
+                           [ng, t, e], [g, t ^ 1, e ^ 1]], (c, t, e))
         self._cache[key] = g
         self.gates += 1
         return g
 
     def MAJ(self, a: int, b: int, c: int) -> int:
         """Majority of three: one variable, six clauses."""
+        true_lit, false_lit = self.true_lit, self.false_lit
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            cx = self.is_const(x)
-            if cx is True:
+            if x == true_lit:
                 return self.OR([y, z])
-            if cx is False:
+            if x == false_lit:
                 return self.AND([y, z])
             if x == y:
                 return x
@@ -219,9 +222,10 @@ class GateBuilder:
         hit = self._cache.get(key)
         if hit is None:
             g = self.new_lit()
-            for x, y in ((a, b), (a, c), (b, c)):
-                self.add_clause([g ^ 1, x, y])
-                self.add_clause([g, x ^ 1, y ^ 1])
+            ng, na, nb, nc = g ^ 1, a ^ 1, b ^ 1, c ^ 1
+            self.sat.add_gate([[ng, a, b], [g, na, nb],
+                               [ng, a, c], [g, na, nc],
+                               [ng, b, c], [g, nb, nc]], (a, b, c))
             self._cache[key] = g
             self.gates += 1
             hit = g
@@ -229,10 +233,12 @@ class GateBuilder:
 
     def XOR3(self, a: int, b: int, c: int) -> int:
         """Parity of three: one variable, eight clauses."""
+        true_lit, false_lit = self.true_lit, self.false_lit
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            cx = self.is_const(x)
-            if cx is not None:
-                return self.XOR(y, z) ^ cx
+            if x == true_lit:
+                return self.XOR(y, z) ^ 1
+            if x == false_lit:
+                return self.XOR(y, z)
             if x == y:
                 return z
             if x == y ^ 1:
@@ -244,11 +250,13 @@ class GateBuilder:
         hit = self._cache.get(key)
         if hit is None:
             g = self.new_lit()
-            # Forbid every assignment whose parity disagrees with g.
-            for m in range(8):
-                fa, fb, fc = m & 1, (m >> 1) & 1, (m >> 2) & 1
-                self.add_clause([g ^ (fa ^ fb ^ fc ^ 1),
-                                 a ^ fa, b ^ fb, c ^ fc])
+            ng, na, nb, nc = g ^ 1, a ^ 1, b ^ 1, c ^ 1
+            # Forbid every assignment whose parity disagrees with g: one
+            # clause per sign pattern of (a, b, c), a's sign varying fastest.
+            self.sat.add_gate([[ng, a, b, c], [g, na, b, c],
+                               [g, a, nb, c], [ng, na, nb, c],
+                               [g, a, b, nc], [ng, na, b, nc],
+                               [ng, a, nb, nc], [g, na, nb, nc]], (a, b, c))
             self._cache[key] = g
             self.gates += 1
             hit = g
@@ -262,4 +270,4 @@ class GateBuilder:
 
     def assert_lit(self, lit: int) -> None:
         """Assert ``lit`` as a unit clause."""
-        self.add_clause([lit])
+        self.sat.add_clause([lit])

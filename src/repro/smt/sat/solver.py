@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappush, heappop
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .luby import luby
 from .proof import ProofLog
@@ -236,7 +236,8 @@ class SATSolver:
         self.phase.append(_DEFAULT_PHASE)
         self.watches.append([])
         self.watches.append([])
-        heappush(self.order_heap, (0.0, v))
+        # A heap-valid append: see new_vars.
+        self.order_heap.append((0.0, v))
         return v
 
     def new_vars(self, n: int) -> int:
@@ -358,36 +359,55 @@ class SATSolver:
             self._flush_units()
         return self.ok
 
-    def add_clauses_raw(self, clause_iter: Iterable[list[int]]) -> bool:
-        """Bulk-load clauses that are already in stored form.
+    def add_gate(self, clauses: list[list[int]],
+                 inputs: Sequence[int]) -> bool:
+        """Load the defining clauses of a freshly allocated gate.
 
-        The caller guarantees every clause has size >= 2, no duplicate or
-        complementary literals, no literal assigned at level 0, and only
-        declared variables.  Loading is then a pure arena append
-        plus two watcher entries per clause."""
+        Every clause is the gate's output literal first, then signed
+        inputs from ``inputs``, each variable at most once.  The checks
+        :meth:`add_clause` makes per clause are made here once per gate:
+        when the solver is ``ok`` at level 0 and the output and every
+        input are declared, unassigned and on pairwise distinct
+        variables, every clause is already in stored form and is
+        appended to the arena with its two watcher writes.  Otherwise
+        the clauses go through :meth:`add_clause` one by one.  Either
+        way the arena, watches, trail, proof axioms and ``ok`` come out
+        the same."""
+        assigns = self.assigns
+        nv2 = 2 * self.num_vars
+        fast = self.ok and not self.trail_lim
+        seen: set[int] = set()
+        if fast:
+            for lit in (clauses[0][0], *inputs):
+                if not 0 <= lit < nv2 or assigns[lit >> 1] != _UNASSIGNED:
+                    fast = False
+                    break
+                seen.add(lit >> 1)
+        if not fast or len(seen) != len(inputs) + 1:
+            for lits in clauses:
+                self.add_clause(lits)
+            return self.ok
         arena = self.arena
         watches = self.watches
-        plog = self.proof if self.proof is not None and \
+        axioms = self.proof.axioms if self.proof is not None and \
             not self._proof_adopt else None
-        n_added = 0
-        for out in clause_iter:
-            if plog is not None:
-                plog.axioms.append(tuple(out))
+        for out in clauses:
+            if axioms is not None:
+                axioms.append(tuple(out))
             off = len(arena)
+            a = out[0]
+            b = out[1]
             arena.append(len(out))
             arena.append(0)
             arena += out
-            a = out[0]
-            b = out[1]
             w = watches[a ^ 1]
             w.append(off)
             w.append(b)
             w = watches[b ^ 1]
             w.append(off)
             w.append(a)
-            n_added += 1
-        self.n_orig += n_added
-        return self.ok
+        self.n_orig += len(clauses)
+        return True
 
     def _flush_units(self) -> bool:
         """Propagate units enqueued by the clause loaders; clears ``ok``

@@ -17,12 +17,18 @@ from repro.smt import (
     ZeroExt, evaluate, solve_query,
 )
 from repro.smt.cnf import ClauseDB, GateBuilder
+from repro.smt.sat import SATSolver
 
 # --------------------------------------------------------------- gates
 
 
-def _builder() -> tuple[GateBuilder, list[int]]:
-    gb = GateBuilder(ClauseDB())
+#: The gate tests run on both backends: the preprocessor's clause sink and
+#: the solver that direct solving loads gates into.
+BACKENDS = (ClauseDB, SATSolver)
+
+
+def _builder(backend) -> tuple[GateBuilder, list[int]]:
+    gb = GateBuilder(backend())
     return gb, [gb.new_lit() for _ in range(3)]
 
 
@@ -40,9 +46,11 @@ def _projection(gb: GateBuilder, xs: list[int], out: int) -> dict:
     """Map each input assignment to the set of output values the clauses
     admit (over every value of the auxiliary variables)."""
     db = gb.sat
+    # A SATSolver keeps level-0 units (the constant) on its trail.
+    clauses = [*db.clauses, *([l] for l in getattr(db, "trail", ()))]
     seen: dict[tuple, set] = {}
     for assign in range(1 << db.num_vars):
-        if all(any(_lit_value(assign, l) for l in c) for c in db.clauses):
+        if all(any(_lit_value(assign, l) for l in c) for c in clauses):
             inputs = tuple(_lit_value(assign, x) for x in xs)
             seen.setdefault(inputs, set()).add(_lit_value(assign, out))
     return seen
@@ -58,12 +66,14 @@ def _xor3(a: bool, b: bool, c: bool) -> bool:
 
 @pytest.mark.parametrize("name,spec", [("MAJ", _maj), ("XOR3", _xor3)])
 def test_gate_truth_table_over_every_input_pattern(name, spec):
-    for triple in itertools.product(range(8), repeat=3):
-        gb, xs = _builder()
+    for backend, triple in itertools.product(
+            BACKENDS, itertools.product(range(8), repeat=3)):
+        gb, xs = _builder(backend)
         a, b, c = (_pool(gb, xs)[i] for i in triple)
         out = getattr(gb, name)(a, b, c)
         seen = _projection(gb, xs, out)
-        assert len(seen) == 8, (name, triple)  # no input is excluded
+        where = (name, backend.__name__, triple)
+        assert len(seen) == 8, where  # no input is excluded
         for inputs, outs in seen.items():
             env = dict(zip(xs, inputs))
 
@@ -72,46 +82,51 @@ def test_gate_truth_table_over_every_input_pattern(name, spec):
                 if const is not None:
                     return const
                 return env[lit & ~1] ^ bool(lit & 1)
-            assert outs == {spec(val(a), val(b), val(c))}, (name, triple)
+            assert outs == {spec(val(a), val(b), val(c))}, where
 
 
 @pytest.mark.parametrize("name,clauses", [("MAJ", 6), ("XOR3", 8)])
 def test_gate_cost_on_distinct_inputs(name, clauses):
-    gb, (a, b, c) = _builder()
-    before = (gb.sat.num_vars, len(gb.sat.clauses))
-    getattr(gb, name)(a, b ^ 1, c)
-    assert gb.sat.num_vars - before[0] == 1
-    assert len(gb.sat.clauses) - before[1] == clauses
+    for backend in BACKENDS:
+        gb, (a, b, c) = _builder(backend)
+        before = (gb.sat.num_vars, len(gb.sat.clauses))
+        getattr(gb, name)(a, b ^ 1, c)
+        assert gb.sat.num_vars - before[0] == 1
+        assert len(gb.sat.clauses) - before[1] == clauses
 
 
 def test_maj_is_self_dual_in_the_cache():
-    gb, (a, b, c) = _builder()
-    for signs in itertools.product((0, 1), repeat=3):
-        sa, sb, sc = (l ^ s for l, s in zip((a, b, c), signs))
-        g = gb.MAJ(sa, sb, sc)
-        nvars = gb.sat.num_vars
-        assert gb.MAJ(sa ^ 1, sb ^ 1, sc ^ 1) == g ^ 1
-        assert gb.MAJ(sc, sa, sb) == g  # input order does not matter
-        assert gb.sat.num_vars == nvars
-    # Four sign classes up to complement: four variables in all.
-    assert gb.sat.num_vars == 4 + 4
+    for backend in BACKENDS:
+        gb, (a, b, c) = _builder(backend)
+        for signs in itertools.product((0, 1), repeat=3):
+            sa, sb, sc = (l ^ s for l, s in zip((a, b, c), signs))
+            g = gb.MAJ(sa, sb, sc)
+            nvars = gb.sat.num_vars
+            assert gb.MAJ(sa ^ 1, sb ^ 1, sc ^ 1) == g ^ 1
+            assert gb.MAJ(sc, sa, sb) == g  # input order does not matter
+            assert gb.sat.num_vars == nvars
+        # Four sign classes up to complement: four variables in all.
+        assert gb.sat.num_vars == 4 + 4
 
 
 def test_xor3_strips_input_signs_into_the_output():
-    gb, (a, b, c) = _builder()
-    g = gb.XOR3(a, b, c)
-    for signs in itertools.product((0, 1), repeat=3):
-        sa, sb, sc = (l ^ s for l, s in zip((a, b, c), signs))
-        assert gb.XOR3(sb, sc, sa) == g ^ (sum(signs) & 1)
-    assert gb.sat.num_vars == 4 + 1
+    for backend in BACKENDS:
+        gb, (a, b, c) = _builder(backend)
+        g = gb.XOR3(a, b, c)
+        for signs in itertools.product((0, 1), repeat=3):
+            sa, sb, sc = (l ^ s for l, s in zip((a, b, c), signs))
+            assert gb.XOR3(sb, sc, sa) == g ^ (sum(signs) & 1)
+        assert gb.sat.num_vars == 4 + 1
 
 
 def test_full_adder_is_one_xor3_and_one_maj():
-    gb, (a, b, c) = _builder()
-    s, carry = gb.full_adder(a, b, c)
-    assert (s, carry) == (gb.XOR3(a, b, c), gb.MAJ(a, b, c))
-    assert gb.sat.num_vars == 4 + 2
-    assert len(gb.sat.clauses) == 1 + 8 + 6
+    for backend in BACKENDS:
+        gb, (a, b, c) = _builder(backend)
+        before = len(gb.sat.clauses)
+        s, carry = gb.full_adder(a, b, c)
+        assert (s, carry) == (gb.XOR3(a, b, c), gb.MAJ(a, b, c))
+        assert gb.sat.num_vars == 4 + 2
+        assert len(gb.sat.clauses) - before == 8 + 6
 
 
 # ------------------------------------------------------------ circuits

@@ -1,5 +1,5 @@
 """Arena CDCL core internals: clause-DB reduction, vivification,
-on-the-fly subsumption, compaction and the raw bulk-load path.
+on-the-fly subsumption, compaction and the gate loader.
 
 The public solver behaviour (verdicts, budgets) is covered
 by ``test_sat.py``; this module reaches into the arena representation to
@@ -71,17 +71,25 @@ class TestArena:
         assert len(s.clauses) == 3  # learned clauses are not originals
         assert sorted(len(cl) for cl in s.clauses) == [2, 2, 3]
 
-    def test_add_clauses_raw_matches_sanitized_path(self):
-        clauses = [[0, 2], [1, 4], [3, 5, 6], [2, 5], [0, 4, 6]]
+    def test_add_gate_matches_sanitized_path(self):
+        # an XOR gate g = a ^ b over fresh inputs: stored as given
+        g, a, b = 4, 0, 2
+        clauses = [[g ^ 1, a, b], [g ^ 1, a ^ 1, b ^ 1],
+                   [g, a, b ^ 1], [g, a ^ 1, b]]
         s1 = SATSolver()
-        s1.new_vars(4)
+        s1.new_vars(3)
         for cl in clauses:
             s1.add_clause(cl)
         s2 = SATSolver()
-        s2.new_vars(4)
-        s2.add_clauses_raw([list(cl) for cl in clauses])
-        assert len(s2.clauses) == len(clauses)
+        s2.new_vars(3)
+        s2.add_gate([list(cl) for cl in clauses], (a, b))
+        assert list(s2.clauses) == clauses
+        assert s2.arena == s1.arena and s2.watches == s1.watches
+        s1.add_clause([g])
+        s2.add_clause([g])
         assert s1.solve() is s2.solve() is SATResult.SAT
+        assert s1.model_value(0) != s1.model_value(1)
+        assert s2.model_value(0) != s2.model_value(1)
 
     def test_new_vars_bulk_allocation_keeps_heap_usable(self):
         # bulk allocation after activity bumps must preserve the branch
