@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark the front end: VC templates, interning, and pipelining.
+"""Benchmark the front end: VC templates and interning.
 
 Two columns isolate the cross-configuration template cache
 (:mod:`repro.encode.templates`):
@@ -22,10 +22,6 @@ The headline number is ``encode_speedup``: summed symexec seconds in the
 ``--check-regression`` fails the run if it drops below 2x — a ladder of
 ``k`` cells should approach ``k``x, so 2x holds comfortably and still
 catches a broken cache.
-
-A second section pins encode/solve pipelining: one multi-VC race check
-runs with ``PUGPARA_STREAM`` on and off, and the report compares
-time-to-first-verdict (``stats["encode"]["first_verdict_s"]``).
 
 Usage::
 
@@ -67,12 +63,6 @@ TRANSPOSE_CONCS = [
 #: The template gate: summed cold symexec over summed warm symexec
 #: across the ladder cells must stay above this.
 ENCODE_SPEEDUP_FLOOR = 2.0
-
-#: Streaming gate: first verdict under streaming must not exceed
-#: ``RATIO * batch + SLACK`` (it should be well below batch, but the
-#: gate only has to catch a broken pipeline, not measure it).
-STREAM_RATIO = 1.5
-STREAM_SLACK = 0.2
 
 
 def _suite(smoke: bool):
@@ -143,35 +133,6 @@ def _best_pass(cells, env, repeats):
     return best
 
 
-def _stream_section(repeats: int):
-    """Time-to-first-verdict of one multi-VC check, streamed vs batch."""
-    _, opt_r = load("optimizedReduce")
-    conc = {"bdim": (8, 1, 1), "gdim": (1, 1)}
-    section = {}
-    for mode, flag in (("stream", "1"), ("batch", "0")):
-        saved = os.environ.get("PUGPARA_STREAM")
-        os.environ["PUGPARA_STREAM"] = flag
-        try:
-            best = None
-            for _ in range(repeats):
-                out = check_races(opt_r, 16,
-                                  assumption_builder=reduction_assumptions,
-                                  concretize=conc, timeout=TIMEOUT,
-                                  solve=SolveConfig(cache=False))
-                first = out.stats.get("encode", {}).get("first_verdict_s")
-                if first is not None:
-                    best = first if best is None else min(best, first)
-            section[mode] = {"verdict": out.verdict.name,
-                             "first_verdict_s": round(best, 4)
-                             if best is not None else None}
-        finally:
-            if saved is None:
-                os.environ.pop("PUGPARA_STREAM", None)
-            else:
-                os.environ["PUGPARA_STREAM"] = saved
-    return section
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output",
@@ -182,8 +143,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=2,
                         help="suite passes per column; fastest pass kept")
     parser.add_argument("--check-regression", action="store_true",
-                        help="fail below the 2x encode speedup floor or "
-                             "on a broken streaming pipeline")
+                        help="fail below the 2x encode speedup floor")
     args = parser.parse_args(argv)
 
     cells = _suite(args.smoke)
@@ -219,9 +179,6 @@ def main(argv=None) -> int:
     report["templates_elapsed_s"] = round(
         sum(c["elapsed"] for c in warm.values()), 4)
 
-    print("streaming section ...", flush=True)
-    report["streaming"] = _stream_section(args.repeats)
-
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -229,36 +186,14 @@ def main(argv=None) -> int:
     print(f"cold symexec      {cold_sym:8.3f}s")
     print(f"templates symexec {warm_sym:8.3f}s  ({hits} hits)")
     print(f"encode speedup    x{report['encode_speedup']}")
-    stream = report["streaming"]
-    print(f"first verdict     stream "
-          f"{stream['stream']['first_verdict_s']}s vs batch "
-          f"{stream['batch']['first_verdict_s']}s")
     print(f"wrote {os.path.abspath(args.output)}")
 
-    if args.check_regression:
-        failed = False
-        if (report["encode_speedup"] or 0) < ENCODE_SPEEDUP_FLOOR:
-            print(f"REGRESSION: encode speedup "
-                  f"x{report['encode_speedup']} below the "
-                  f"x{ENCODE_SPEEDUP_FLOOR} floor", file=sys.stderr)
-            failed = True
-        sf = stream["stream"]["first_verdict_s"]
-        bf = stream["batch"]["first_verdict_s"]
-        if sf is None or bf is None:
-            print("REGRESSION: missing first-verdict latency",
-                  file=sys.stderr)
-            failed = True
-        elif sf > STREAM_RATIO * bf + STREAM_SLACK:
-            print(f"REGRESSION: streaming first verdict {sf:.2f}s > "
-                  f"{STREAM_RATIO}x batch ({bf:.2f}s) + slack",
-                  file=sys.stderr)
-            failed = True
-        if stream["stream"]["verdict"] != stream["batch"]["verdict"]:
-            print("REGRESSION: stream/batch verdict mismatch",
-                  file=sys.stderr)
-            failed = True
-        if failed:
-            return 1
+    if args.check_regression and \
+            (report["encode_speedup"] or 0) < ENCODE_SPEEDUP_FLOOR:
+        print(f"REGRESSION: encode speedup "
+              f"x{report['encode_speedup']} below the "
+              f"x{ENCODE_SPEEDUP_FLOOR} floor", file=sys.stderr)
+        return 1
     return 0
 
 

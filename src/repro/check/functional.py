@@ -35,9 +35,8 @@ from ..param.ca import Read
 from ..smt import (
     And, ArrayVar, BVConst, BVVar, CheckResult, Implies, Not, Query,
     Select, SolveConfig, Term, fresh_scoped, fresh_var, solve_all,
-    solve_query,
+    solve_query, solve_stream,
 )
-from ..smt.dispatch import default_stream, solve_stream
 from ..smt.sorts import BV
 from .replay import extract_launch, replay_postcondition
 from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
@@ -197,24 +196,13 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
     deadline = start + timeout if timeout else None
     budget = None if deadline is None else max(deadline - time.monotonic(),
                                                0.01)
-    # Per-obligation VCs are independent; streamed by default so the
-    # first verdict lands before the last obligation is encoded, and an
-    # early return below abandons (never solves) the tail.
+    # Per-obligation VCs are independent; streamed so the first verdict
+    # lands before the last obligation is encoded, and an early return
+    # below abandons (never solves) the tail.
     lat: dict = {}
-    if default_stream():
-        record_encode_stats(outcome, mode="stream")
-        responses = solve_stream(
-            (Query([*constraints, Not(obligation)], timeout=budget)
-             for obligation, _ in obligations), config=solve, latency=lat)
-    else:
-        solve_start = time.monotonic()
-        responses = solve_all(
-            [Query([*constraints, Not(obligation)], timeout=budget)
-             for obligation, _ in obligations], config=solve)
-        if responses:
-            record_encode_stats(
-                outcome, mode="batch",
-                first_verdict_s=time.monotonic() - solve_start)
+    responses = solve_stream(
+        (Query([*constraints, Not(obligation)], timeout=budget)
+         for obligation, _ in obligations), config=solve, latency=lat)
     for response, (obligation, line) in zip(responses, obligations):
         if "first_verdict_s" in lat:
             record_encode_stats(outcome, first_verdict_s=lat.pop(

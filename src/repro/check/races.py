@@ -33,9 +33,9 @@ from ..param.geometry import Geometry, ThreadInstance
 from ..param.resolve import instantiate
 from ..smt import (
     And, ArrayVar, BVVar, CheckResult, Eq, Ne, Not, Or, Query, QueryResult,
-    SolveConfig, Term, fresh_scoped, solve_all, solve_stream,
+    SolveConfig, Term, fresh_scoped, solve_stream,
 )
-from ..smt.dispatch import default_stream
+from ..smt import solve_all  # noqa: F401 -- the name perfbench tracing wraps
 from ..lang.interp import LaunchConfig, run_kernel
 from .replay import MAX_REPLAY_THREADS, extract_launch
 from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
@@ -117,8 +117,8 @@ def check_races(info: KernelInfo, width: int = 16, *,
     shared or global cell within any barrier interval, for any configuration
     satisfying the assumptions.
 
-    All interval-pair queries are independent; they are batched through
-    :func:`repro.smt.dispatch.solve_all` under ``solve`` (default:
+    All interval-pair queries are independent; they are streamed through
+    :func:`repro.smt.dispatch.solve_stream` under ``solve`` (default:
     :meth:`~repro.smt.dispatch.SolveConfig.from_env`).  Results are
     consumed in generation order, so verdicts are identical to a serial
     run.
@@ -219,60 +219,36 @@ def check_races(info: KernelInfo, width: int = 16, *,
         outcome.merge_solver_stats(res.stats)
 
     # Prefer a small (replayable) counterexample per query; fall back to the
-    # unbounded query so verification stays complete.  With streaming on
-    # (the default; ``PUGPARA_STREAM=0`` reverts to the classic batches)
-    # each round is a producer/consumer pipeline: VCs enter the worker
-    # pool chunk by chunk as they are encoded, the first verdicts arrive
-    # while the tail is still being produced, and abandoning the stream
-    # on a conclusive result cancels the unsolved tail.  Per-query
-    # verdicts are identical either way — consumption below walks
-    # generation order in both modes.
-    if default_stream():
-        lat: dict = {}
-        bounded = []
-        for res in solve_stream(
-                (Query([*assumptions, *q.terms, *bounds], timeout=budget())
-                 for q in queries), config=solve, latency=lat):
-            bounded.append(res)
-            if res.verdict is CheckResult.SAT:
-                # Conclusive: consumption below can never pass this index,
-                # so the remaining bounded VCs are never even encoded.
-                break
-        if "first_verdict_s" in lat:
-            record_encode_stats(outcome, mode="stream",
-                                first_verdict_s=lat["first_verdict_s"])
-        need_full = [i for i, r in enumerate(bounded)
-                     if r.verdict is not CheckResult.SAT]
-        full_iter = zip(need_full, solve_stream(
-            (Query([*assumptions, *queries[i].terms], timeout=budget())
-             for i in need_full), config=solve))
-        full: dict[int, QueryResult] = {}
+    # unbounded query so verification stays complete.  Each round is a
+    # producer/consumer pipeline: VCs enter the worker pool chunk by chunk
+    # as they are encoded, the first verdicts arrive while the tail is
+    # still being produced, and abandoning the stream on a conclusive
+    # result cancels the unsolved tail.
+    lat: dict = {}
+    bounded = []
+    for res in solve_stream(
+            (Query([*assumptions, *q.terms, *bounds], timeout=budget())
+             for q in queries), config=solve, latency=lat):
+        bounded.append(res)
+        if res.verdict is CheckResult.SAT:
+            # Conclusive: consumption below can never pass this index,
+            # so the remaining bounded VCs are never even encoded.
+            break
+    if "first_verdict_s" in lat:
+        record_encode_stats(outcome, first_verdict_s=lat["first_verdict_s"])
+    need_full = [i for i, r in enumerate(bounded)
+                 if r.verdict is not CheckResult.SAT]
+    full_iter = zip(need_full, solve_stream(
+        (Query([*assumptions, *queries[i].terms], timeout=budget())
+         for i in need_full), config=solve))
+    full: dict[int, QueryResult] = {}
 
-        def full_result(i: int) -> QueryResult:
-            """Pull the unbounded stream just far enough for index ``i``."""
-            while i not in full:
-                j, r = next(full_iter)
-                full[j] = r
-            return full[i]
-    else:
-        solve_start = time.monotonic()
-        bounded = solve_all(
-            [Query([*assumptions, *q.terms, *bounds], timeout=budget())
-             for q in queries],
-            config=solve)
-        if bounded:
-            record_encode_stats(outcome, mode="batch",
-                                first_verdict_s=(time.monotonic()
-                                                 - solve_start))
-        need_full = [i for i, r in enumerate(bounded)
-                     if r.verdict is not CheckResult.SAT]
-        full = dict(zip(need_full, solve_all(
-            [Query([*assumptions, *queries[i].terms], timeout=budget())
-             for i in need_full],
-            config=solve)))
-
-        def full_result(i: int) -> QueryResult:
-            return full[i]
+    def full_result(i: int) -> QueryResult:
+        """Pull the unbounded stream just far enough for index ``i``."""
+        while i not in full:
+            j, r = next(full_iter)
+            full[j] = r
+        return full[i]
 
     for i in range(len(bounded)):
         q = queries[i]

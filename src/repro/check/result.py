@@ -161,16 +161,15 @@ def record_encode_stats(outcome: "CheckOutcome", *,
                         symexec_time: float | None = None,
                         template: str | None = None,
                         queries_built: int | None = None,
-                        mode: str | None = None,
                         first_verdict_s: float | None = None) -> None:
     """Populate ``stats["encode"]`` — the front-end's side of the ledger.
 
     ``--stats`` and the serve response body have always shown where
     *solving* time went; this block finally makes the encode/solve split
     observable: symbolic-execution time, whether the VC template cache
-    answered (``template`` is ``"hit"``, ``"miss"``, or ``"off"``),
-    dispatch mode (``"stream"``/``"batch"``) with the time to the first
-    verdict, and the interned-DAG health counters.
+    answered (``template`` is ``"hit"``, ``"miss"``, or ``"off"``), the
+    time to the first streamed verdict, and the interned-DAG health
+    counters.
     """
     from ..smt.terms import intern_stats
     enc = outcome.stats.setdefault("encode", {})
@@ -184,8 +183,6 @@ def record_encode_stats(outcome: "CheckOutcome", *,
             enc["template_misses"] = enc.get("template_misses", 0) + 1
     if queries_built is not None:
         enc["queries_built"] = enc.get("queries_built", 0) + queries_built
-    if mode is not None:
-        enc["mode"] = mode
     if first_verdict_s is not None:
         enc["first_verdict_s"] = first_verdict_s
     enc["interned"] = intern_stats()
@@ -236,9 +233,7 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
         if enc.get("queries_built"):
             lines.append(f"  vcs built    {enc['queries_built']}")
         if "first_verdict_s" in enc:
-            lines.append(f"  1st verdict  {enc['first_verdict_s']:.3f}s"
-                         + (f"  ({enc['mode']})" if enc.get("mode")
-                            else ""))
+            lines.append(f"  1st verdict  {enc['first_verdict_s']:.3f}s")
         interned = enc.get("interned")
         if interned:
             lines.append(f"  interning    {interned.get('live', 0)} live "
@@ -279,8 +274,7 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
     if health:
         lines.append("cache health:")
         lines.append(f"  quarantined  {health.get('quarantined', 0)} "
-                     "corrupt disk entr(y/ies) set aside"
-                     f"  (migrated: {health.get('migrated', 0)})")
+                     "corrupt disk entr(y/ies) set aside")
     return "\n".join(lines)
 
 

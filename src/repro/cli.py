@@ -64,8 +64,6 @@ front-end environment knobs (defaults in parentheses):
                         symbolic execution for every cell
   PUGPARA_TEMPLATE_DIR  sharded on-disk template store directory (unset:
                         in-memory only; repro.serve sets its own)
-  PUGPARA_STREAM        encode/solve pipelining (1); 0 restores batch
-                        solve_all semantics
 """
 
 
@@ -306,14 +304,13 @@ def _client(args) -> int:
 def _attach_cache_health(outcome, cache) -> None:
     """Fold the effective query cache's health counters into the outcome
     stats (``--stats`` / ``--stats-json``): quarantined corrupt disk
-    entries and legacy-layout migrations."""
+    entries."""
     resolved = resolve_cache(cache)
     if resolved is None:
         return
-    health = {key: resolved.stats.get(key, 0)
-              for key in ("quarantined", "migrated")}
-    if any(health.values()):
-        outcome.stats["cache"] = health
+    quarantined = resolved.stats.get("quarantined", 0)
+    if quarantined:
+        outcome.stats["cache"] = {"quarantined": quarantined}
 
 
 def _dispatch(args, solve: SolveConfig | None) -> int:

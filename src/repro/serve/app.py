@@ -98,7 +98,6 @@ class Server:
             "verdicts": {},
         }
         self.closing = asyncio.Event()
-        self.cache_report: dict | None = None  # startup migration report
         self._active = 0                # requests inside the ladder
         self._idle = asyncio.Event()   # set whenever _active == 0
         self._idle.set()
@@ -234,10 +233,6 @@ class Server:
             # disk right now — damage set aside by any worker or server
             # sharing this directory, not just this process.
             info["cache"] = scan_shards(self.session.cache_dir)
-            if self.cache_report:
-                info["cache"]["migrated"] = self.cache_report["migrated"]
-                info["cache"]["quarantined_at_startup"] = \
-                    self.cache_report["quarantined"]
             from .session import template_dir_of
             info["templates"] = scan_shards(
                 template_dir_of(self.session.cache_dir))
@@ -387,13 +382,8 @@ def default_drain_seconds() -> float:
 
 
 async def _amain(args, solve: SolveConfig) -> int:
-    cache_report = None
     if args.cache_dir:
-        cache_report = ensure_layout(args.cache_dir)
-        if cache_report["migrated"] or cache_report["quarantined"]:
-            print(f"cache migrated: {cache_report['migrated']} entries, "
-                  f"{cache_report['quarantined']} quarantined",
-                  file=sys.stderr)
+        ensure_layout(args.cache_dir)
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
                       rlimit_mb=args.rlimit_mb, solve=solve)
     ledger = QuotaLedger(seconds_per_window=args.quota_seconds,
@@ -401,7 +391,6 @@ async def _amain(args, solve: SolveConfig) -> int:
                          window=args.quota_window,
                          max_inflight=args.max_inflight)
     server = Server(session, ledger)
-    server.cache_report = cache_report
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:

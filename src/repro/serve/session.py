@@ -53,7 +53,7 @@ __all__ = ["Session", "execute_check", "serve_worker_init",
 def template_dir_of(cache_dir: str) -> str:
     """The VC-template shard tree nested inside the server's cache
     directory.  The name is not two hex characters, so the query-cache
-    shard scanner and the flat-layout migrator never look inside it."""
+    shard scanner never looks inside it."""
     return os.path.join(cache_dir, "templates")
 
 

@@ -1,10 +1,10 @@
 """Server-side administration of the shared sharded cache directory.
 
 The cache's correctness machinery lives in :mod:`repro.smt.qcache` (shard
-layout, advisory locks, checksums, quarantine, flat-layout migration).
-This module is the *operator's* view of one cache directory: make sure it
-is in the sharded layout before workers start hammering it, and summarize
-/ audit its contents for ``/v1/stats`` and the bench harness.
+layout, advisory locks, checksums, quarantine).  This module is the
+*operator's* view of one cache directory: make sure it exists before
+workers start hammering it, and summarize / audit its contents for
+``/v1/stats`` and the bench harness.
 """
 
 from __future__ import annotations
@@ -12,22 +12,16 @@ from __future__ import annotations
 import json
 import os
 
-from ..smt.qcache import FORMAT_TAG, migrate_layout
+from ..smt.qcache import FORMAT_TAG
 from ..smt.qcache import _verify_payload  # the one shared verifier
 
 __all__ = ["ensure_layout", "scan_shards", "verify_shards"]
 
 
-def ensure_layout(disk_dir: str | os.PathLike) -> dict:
-    """Create ``disk_dir`` if needed and migrate any legacy flat layout.
-
-    Called once at server startup, before the worker pool exists, so the
-    per-worker lazy migration never races a hot request path.
-    """
-    root = os.fspath(disk_dir)
-    os.makedirs(root, exist_ok=True)
-    moved, quarantined = migrate_layout(root)
-    return {"dir": root, "migrated": moved, "quarantined": quarantined}
+def ensure_layout(disk_dir: str | os.PathLike) -> None:
+    """Create ``disk_dir`` if needed, once at server startup, before the
+    worker pool exists."""
+    os.makedirs(disk_dir, exist_ok=True)
 
 
 def _shard_dirs(root: str) -> list[str]:

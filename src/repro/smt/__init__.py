@@ -34,14 +34,13 @@ from .simplify import simplify, simplify_all
 from .substitute import evaluate, substitute
 from .printer import script_smtlib, to_smtlib, to_str
 from .model import Model
-from .sat import SATConfig
 from .sat.proof import CheckedProof, ProofLog, check_proof
 from .solver import CheckResult, Solver, check_valid, is_satisfiable
 from .preprocess import Preprocessor, preprocess
 from .qcache import QueryCache, canonical_key, canonicalize
 from .dispatch import (
-    Query, QueryResult, SolveConfig, default_cache, default_stream,
-    resolve_cache, solve_all, solve_query, solve_stream,
+    Query, QueryResult, SolveConfig, default_cache, resolve_cache,
+    solve_all, solve_query, solve_stream,
 )
 from .resilience import ESCALATIONS, RetryPolicy
 from .faults import FaultPlan, InjectedFault
@@ -63,8 +62,7 @@ __all__ = [
     # printing
     "script_smtlib", "to_smtlib", "to_str",
     # solving
-    "CheckResult", "Model", "SATConfig", "Solver", "check_valid",
-    "is_satisfiable",
+    "CheckResult", "Model", "Solver", "check_valid", "is_satisfiable",
     # proof certification
     "CheckedProof", "ProofLog", "check_proof",
     # preprocessing
@@ -72,8 +70,7 @@ __all__ = [
     # caching + dispatch
     "QueryCache", "canonical_key", "canonicalize",
     "Query", "QueryResult", "SolveConfig", "default_cache",
-    "default_stream", "resolve_cache", "solve_all", "solve_query",
-    "solve_stream",
+    "resolve_cache", "solve_all", "solve_query", "solve_stream",
     # resilience
     "ESCALATIONS", "RetryPolicy",
     "FaultPlan", "InjectedFault",

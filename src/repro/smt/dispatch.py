@@ -8,7 +8,8 @@ independence into throughput:
 * :func:`solve_all` — solve a batch: dedup structurally identical queries
   (canonical key), satisfy what it can from the cache, and fan the rest out
   to ``jobs`` worker processes;
-* :func:`solve_stream` — the same, pulled from a producer chunk by chunk.
+* :func:`solve_stream` — the same, pulled from a producer chunk by chunk:
+  the one consumer loop of the race and functional checkers.
 
 All three take one :class:`SolveConfig` — worker count, query cache, retry
 policy, certification — that a caller builds once and hands down unchanged;
@@ -36,11 +37,12 @@ it never reports what it cannot defend:
   per-attempt record travels back in ``stats["resilience"]``.
 * **Worker-crash recovery.** A dead worker (``BrokenProcessPool``) requeues
   its in-flight queries, the pool is rebuilt under capped exponential
-  backoff, and after :data:`POOL_RETRIES` consecutive pool failures the
-  remaining queries degrade to in-process serial solving — logged, never
-  fatal.  ``PUGPARA_WORKER_RLIMIT_MB`` optionally caps each worker's
-  address space so one OOM query cannot take the run down; workers ignore
-  SIGINT so Ctrl-C tears the pool down cleanly from the parent.
+  backoff (from :data:`POOL_BACKOFF`), and after :data:`POOL_RETRIES`
+  consecutive pool failures the remaining queries degrade to in-process
+  serial solving — logged, never fatal.  ``PUGPARA_WORKER_RLIMIT_MB``
+  optionally caps each worker's address space so one OOM query cannot
+  take the run down; workers ignore SIGINT so Ctrl-C tears the pool down
+  cleanly from the parent.
 * **Exception containment.** A solver failure (genuine or injected via
   :mod:`repro.smt.faults`) becomes ``UNKNOWN`` with the error recorded —
   never an unhandled exception, never a fabricated verdict.
@@ -81,9 +83,8 @@ from .terms import Term
 from ..errors import SolverError
 
 __all__ = ["Query", "QueryResult", "SolveConfig", "solve_query", "solve_all",
-           "solve_stream", "default_cache", "default_stream",
-           "resolve_cache", "set_default_cache", "teardown_pool",
-           "worker_init"]
+           "solve_stream", "default_cache", "resolve_cache",
+           "set_default_cache", "teardown_pool", "worker_init"]
 
 log = logging.getLogger("repro.smt.dispatch")
 
@@ -122,6 +123,8 @@ class QueryResult:
 
 #: Consecutive pool failures tolerated before degrading to serial solving.
 POOL_RETRIES = 3
+#: Base seconds of the capped (1 s) exponential pool-rebuild backoff.
+POOL_BACKOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -218,27 +221,6 @@ def _env_flag(name: str, default: bool) -> bool:
     if raw is None or raw == "":
         return default
     return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-def default_stream() -> bool:
-    """Whether checkers pipeline encode and solve by default
-    (``PUGPARA_STREAM``; on unless explicitly disabled).
-
-    Streaming changes wall-clock shape only — per-query verdicts are
-    identical to batch mode (the CDCL core is deterministic and each
-    chunk goes through the same prepare/cache/solve path), which the
-    ``frontend`` differential CI job pins.
-    """
-    return _env_flag("PUGPARA_STREAM", True)
-
-
-def _pool_backoff() -> float:
-    """Base seconds of the capped exponential pool-rebuild backoff."""
-    try:
-        return max(0.0, float(os.environ.get("PUGPARA_POOL_BACKOFF",
-                                             "0.05")))
-    except ValueError:
-        return 0.05
 
 
 def _worker_rlimit_mb() -> int | None:
@@ -489,7 +471,6 @@ def _solve_wave_pool(wave: list[_Prepared],
     pending: list[tuple[_Prepared, int]] = [(p, 0) for p in wave]
     spec = plan.to_spec() if plan is not None else None
     failures = 0
-    backoff = _pool_backoff()
     rlimit = _worker_rlimit_mb()
 
     while pending:
@@ -553,7 +534,7 @@ def _solve_wave_pool(wave: list[_Prepared],
                     prep, timeout, conflicts, plan,
                     _attempt_salt(attempt, requeue), certify)
             break
-        sleep = min(1.0, backoff * (2 ** (failures - 1)))
+        sleep = min(1.0, POOL_BACKOFF * (2 ** (failures - 1)))
         log.warning(
             "worker pool broke (%d in-flight queries requeued); "
             "rebuilding after %.2fs backoff (failure %d/%d)",

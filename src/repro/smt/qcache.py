@@ -44,12 +44,6 @@ read and write one cache directory concurrently.
   its shard, under the shard lock) so it is inspected once, not re-parsed
   on every lookup.  A stale-but-wellformed format tag is a plain miss,
   not corruption.
-
-A legacy flat layout (v2: ``<dir>/<key>.json``, one directory for every
-entry) is migrated in place on first use: each flat file's checksum is
-re-verified, valid entries move into their shard, damaged ones are
-quarantined there — no checksummed entry is ever dropped.  The migration
-itself runs under a root-level lock so concurrent processes migrate once.
 """
 
 from __future__ import annotations
@@ -76,14 +70,13 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 __all__ = [
     "FORMAT_TAG", "SHARD_COUNT", "canonicalize", "canonical_key",
     "encode_terms", "decode_terms", "model_to_canonical",
-    "model_from_canonical", "QueryCache", "shard_prefix", "migrate_layout",
+    "model_from_canonical", "QueryCache", "shard_prefix",
 ]
 
 #: Bumped whenever the canonical-key traversal, the term encoding, or the
 #: entry layout changes; on-disk entries with a different tag are ignored.
 #: v2: payloads carry a per-entry checksum.  (The sharded *directory*
-#: layout does not bump the tag — entry payloads are unchanged, and the
-#: flat->sharded migration moves files without rewriting them.)
+#: layout did not bump the tag — entry payloads are unchanged.)
 FORMAT_TAG = "pugpara-qcache-v2"
 
 #: Number of disk shards (two hex digits of the key).
@@ -335,73 +328,6 @@ def _verify_payload(payload: Any, format_tag: str) -> str:
     return "ok"
 
 
-def migrate_layout(disk_dir: str | os.PathLike,
-                   format_tag: str = FORMAT_TAG) -> tuple[int, int]:
-    """One-shot migration of a legacy flat cache directory to shards.
-
-    Every ``<key>.json`` directly under ``disk_dir`` is re-verified and
-    moved to ``<disk_dir>/<prefix>/<key>.json``; entries that fail their
-    checksum are quarantined into the shard (``.json.corrupt``), and
-    already-quarantined flat files move alongside them.  Runs under a
-    root-level lock so N processes sharing the directory migrate it once;
-    returns ``(moved, quarantined)`` — valid entries relocated and damaged
-    files quarantined.  Idempotent — a sharded or empty directory is a
-    no-op.
-    """
-    root = os.fspath(disk_dir)
-    if not os.path.isdir(root):
-        return 0, 0
-    try:
-        names = [n for n in os.listdir(root)
-                 if n.endswith(".json") or n.endswith(".json.corrupt")]
-    except OSError:  # pragma: no cover - unreadable cache root
-        return 0, 0
-    if not names:
-        return 0, 0
-    moved = quarantined = 0
-    with _flock(os.path.join(root, ".migrate.lock")):
-        # Re-list under the lock: a concurrent migrator may have won.
-        try:
-            names = [n for n in os.listdir(root)
-                     if n.endswith(".json") or n.endswith(".json.corrupt")]
-        except OSError:  # pragma: no cover
-            return 0, 0
-        for name in sorted(names):
-            src = os.path.join(root, name)
-            key = name[:-len(".json.corrupt")] if name.endswith(".corrupt") \
-                else name[:-len(".json")]
-            shard = os.path.join(root, shard_prefix(key))
-            try:
-                os.makedirs(shard, exist_ok=True)
-            except OSError:  # pragma: no cover
-                continue
-            with _flock(os.path.join(shard, ".lock")):
-                if name.endswith(".corrupt"):
-                    dst = os.path.join(shard, name)
-                else:
-                    try:
-                        with open(src, encoding="utf-8") as fh:
-                            state = _verify_payload(json.load(fh),
-                                                    format_tag)
-                    except (OSError, ValueError):
-                        state = "bad"
-                    if state == "bad":
-                        dst = os.path.join(shard, f"{key}.json.corrupt")
-                        quarantined += 1
-                    else:  # valid or stale-tag: preserved as-is
-                        dst = os.path.join(shard, name)
-                        if state == "ok":
-                            moved += 1
-                try:
-                    if os.path.exists(dst):
-                        os.unlink(src)  # a sharded copy already won
-                    else:
-                        os.replace(src, dst)
-                except OSError:  # pragma: no cover
-                    pass
-    return moved, quarantined
-
-
 class QueryCache:
     """Verdict + model cache keyed by :func:`canonicalize` keys.
 
@@ -430,9 +356,8 @@ class QueryCache:
         self.format_tag = format_tag
         self._memory: OrderedDict[str, dict] = OrderedDict()
         self._mu = threading.Lock()
-        self._migrated = False
         self.stats = {"hits": 0, "misses": 0, "disk_hits": 0, "stores": 0,
-                      "quarantined": 0, "migrated": 0}
+                      "quarantined": 0}
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -484,25 +409,6 @@ class QueryCache:
         """The on-disk path of ``key``'s entry (whether or not it exists)."""
         return os.path.join(self.shard_dir(key), f"{key}.json")
 
-    # Backwards-compatible internal alias (pre-shard callers/tests).
-    _path = entry_path
-
-    def _maybe_migrate(self) -> None:
-        """Lazily migrate a legacy flat layout the first time disk is
-        touched.  Cheap when already sharded (one listdir)."""
-        if self._migrated or self.disk_dir is None:
-            return
-        self._migrated = True
-        try:
-            moved, quarantined = migrate_layout(self.disk_dir,
-                                                self.format_tag)
-        except OSError:  # pragma: no cover - migration is best-effort
-            return
-        if moved or quarantined:
-            with self._mu:
-                self.stats["migrated"] += moved
-                self.stats["quarantined"] += quarantined
-
     def _quarantine(self, key: str) -> None:
         """Rename a damaged cache file aside (``<key>.json.corrupt`` inside
         its shard) so a torn or rotted entry is inspected once, not
@@ -521,7 +427,6 @@ class QueryCache:
     def _disk_lookup(self, key: str) -> dict | None:
         if self.disk_dir is None:
             return None
-        self._maybe_migrate()
         try:
             with open(self.entry_path(key), encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -552,7 +457,6 @@ class QueryCache:
     def _disk_store(self, key: str, entry: dict) -> None:
         if self.disk_dir is None:
             return
-        self._maybe_migrate()
         payload = {"tag": self.format_tag,
                    "checksum": _entry_checksum(entry),
                    "entry": entry}
@@ -589,7 +493,7 @@ class QueryCache:
                 continue
             for name in names:
                 if (name.endswith(".json") or name.endswith(".corrupt")
-                        or name in (".lock", ".migrate.lock")):
+                        or name == ".lock"):
                     try:
                         os.unlink(os.path.join(root, name))
                     except OSError:

@@ -32,10 +32,8 @@ The solver maintains three inprocessing mechanisms on top of CDCL:
 
 Deleted clauses become tombstones; once tombstones exceed a third of the
 arena it is compacted in place (offsets in watches/reasons remapped).
-All inprocessing is budgeted, runs only at decision level 0, and derives
-only clauses implied by the database.  ``SATConfig.inprocess`` (or
-``PUGPARA_INPROCESS=0`` in the environment) turns it off for differential
-testing.
+All inprocessing is always on, budgeted, runs only at decision level 0,
+and derives only clauses implied by the database.
 
 Each instance answers one query: :meth:`SATSolver.solve` decides the
 clauses loaded into it.  Time and conflict budgets return ``UNKNOWN`` and
@@ -50,9 +48,7 @@ phase saving that starts every fresh variable at polarity
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappush, heappop
 from typing import Iterable, Iterator, Sequence
@@ -61,7 +57,7 @@ from .luby import luby
 from .proof import ProofLog
 from ...errors import SolverError
 
-__all__ = ["SATSolver", "SATResult", "SATConfig", "STAT_COUNTER_KEYS"]
+__all__ = ["SATSolver", "SATResult", "STAT_COUNTER_KEYS"]
 
 #: Monotone per-solve counters in ``SATSolver.stats`` — the keys the facade
 #: copies into query stats, and that :mod:`repro.check.result` aggregates
@@ -80,34 +76,6 @@ _RESTART_BASE = 100
 
 #: Initial saved polarity of fresh variables (``1`` decides False first).
 _DEFAULT_PHASE = 1
-
-
-@dataclass(frozen=True)
-class SATConfig:
-    """Per-instance solver options: inprocessing and proof logging.
-
-    ``SATSolver()`` and ``SATSolver(SATConfig())`` are indistinguishable.
-
-    Parameters
-    ----------
-    inprocess:
-        Enables periodic vivification and on-the-fly subsumption of
-        learned clauses.  ``PUGPARA_INPROCESS=0`` in the environment
-        overrides this to False process-wide (the differential CI axis).
-    certify:
-        Emit a DRAT-style proof log (:class:`repro.smt.sat.proof.ProofLog`
-        at :attr:`SATSolver.proof`): every clause received is recorded as
-        an axiom, every learned/vivified clause as an addition, every
-        reduction/subsumption kill as a deletion.  Logging never changes
-        the search; a caller that attaches a shared log via
-        :meth:`SATSolver.attach_proof` takes precedence over this flag.
-    """
-    inprocess: bool = True
-    certify: bool = False
-
-
-#: The configuration every solver uses unless told otherwise.
-DEFAULT_CONFIG = SATConfig()
 
 
 class SATResult(Enum):
@@ -171,8 +139,7 @@ class SATSolver:
         assert s.solve() is SATResult.SAT
     """
 
-    def __init__(self, config: SATConfig | None = None) -> None:
-        self.config = config if config is not None else DEFAULT_CONFIG
+    def __init__(self) -> None:
         self.num_vars = 0
         # Per-variable state.
         self.assigns: list[int] = []
@@ -197,25 +164,25 @@ class SATSolver:
         self.order_heap: list[tuple[float, int]] = []
         self.ok = True
         self._pending_prop = False
-        self.inprocess = (self.config.inprocess and
-                          os.environ.get("PUGPARA_INPROCESS", "1") != "0")
         self._next_vivify = _VIVIFY_PERIOD
         self._vivify_cursor = 0
-        #: DRAT-style proof log (None when certification is off).  When
+        #: DRAT-style proof log (None until :meth:`attach_proof`).  When
         #: ``_proof_adopt`` is set the axioms were logged upstream (e.g. by
         #: the preprocessor's owner) and the clause loaders must not log
         #: them again; derived additions and deletions always log.
-        self.proof: ProofLog | None = \
-            ProofLog() if self.config.certify else None
+        self.proof: ProofLog | None = None
         self._proof_adopt = False
         self.stats: dict[str, object] = {k: 0 for k in STAT_COUNTER_KEYS}
 
     def attach_proof(self, log: ProofLog, adopt: bool = False) -> None:
-        """Log this solver's proof into ``log``.  With ``adopt`` the caller
-        has already recorded the input clauses as axioms (the preprocess
-        path), so the loaders skip axiom logging; derived clause additions
-        and deletions are recorded either way.  Call before adding
-        clauses."""
+        """Log this solver's DRAT-style proof into ``log`` — the one way to
+        certify: every clause received is recorded as an axiom, every
+        learned/vivified clause as an addition, every reduction/subsumption
+        kill as a deletion, and logging never changes the search.  With
+        ``adopt`` the caller has already recorded the input clauses as
+        axioms (the preprocess path), so the loaders skip axiom logging;
+        derived clause additions and deletions are recorded either way.
+        Call before adding clauses."""
         self.proof = log
         self._proof_adopt = adopt
 
@@ -961,8 +928,7 @@ class SATSolver:
                     self.stats["conflicts"] - start_conflicts > conflict_budget:
                 self.stats["budget_axis"] = "conflicts"
                 return SATResult.UNKNOWN
-            if self.inprocess and \
-                    self.stats["conflicts"] >= self._next_vivify:
+            if self.stats["conflicts"] >= self._next_vivify:
                 self._next_vivify = self.stats["conflicts"] + _VIVIFY_PERIOD
                 if self._vivify_round(deadline) == "deadline":
                     self.stats["budget_axis"] = "time"
@@ -1002,8 +968,7 @@ class SATSolver:
                         stats["glue_low"] += 1
                     else:
                         stats["glue_high"] += 1
-                    if self.inprocess:
-                        self._subsume_on_the_fly(learned, off)
+                    self._subsume_on_the_fly(learned, off)
                     self._enqueue(learned[0], off)
                 self.var_inc *= self.var_decay
                 if conflicts >= budget:

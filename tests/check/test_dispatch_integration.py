@@ -62,10 +62,7 @@ class TestParallelMatchesSerial:
 
 
 class TestSolveConfigResolvedOnce:
-    @pytest.mark.parametrize("stream", ["1", "0"])
-    def test_race_check_reads_the_environment_once(self, monkeypatch,
-                                                     stream):
-        monkeypatch.setenv("PUGPARA_STREAM", stream)
+    def test_race_check_reads_the_environment_once(self, monkeypatch):
         real = SolveConfig.from_env.__func__
         calls = []
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.smt.cnf import GateBuilder
-from repro.smt.sat import SATConfig, SATResult, SATSolver
+from repro.smt.sat import ProofLog, SATResult, SATSolver
 
 
 class PerClauseSolver(SATSolver):
@@ -22,6 +22,13 @@ class PerClauseSolver(SATSolver):
         for lits in clauses:
             self.add_clause(lits)
         return self.ok
+
+
+def _solver(cls=SATSolver, certify: bool = True) -> SATSolver:
+    sat = cls()
+    if certify:
+        sat.attach_proof(ProofLog())
+    return sat
 
 
 def _state(sat: SATSolver) -> dict:
@@ -72,17 +79,16 @@ def _run(sat: SATSolver, program) -> SATSolver:
 @settings(max_examples=300, deadline=None)
 @given(program=programs)
 def test_gate_loader_matches_per_clause_loading(certify, program):
-    config = SATConfig(certify=certify)
-    fast = _run(SATSolver(config), program)
-    slow = _run(PerClauseSolver(config), program)
+    fast = _run(_solver(SATSolver, certify), program)
+    slow = _run(_solver(PerClauseSolver, certify), program)
     assert _state(fast) == _state(slow)
 
 
 def test_fallback_on_a_root_assigned_or_repeated_input():
     for build in (lambda gb, a, b: (gb.assert_lit(a), gb.XOR(a, b)),
                   lambda gb, a, b: gb.ITE(a, a, b)):
-        fast = GateBuilder(SATSolver(SATConfig(certify=True)))
-        slow = GateBuilder(PerClauseSolver(SATConfig(certify=True)))
+        fast = GateBuilder(_solver())
+        slow = GateBuilder(_solver(PerClauseSolver))
         for gb in (fast, slow):
             build(gb, gb.new_lit(), gb.new_lit())
         assert _state(fast.sat) == _state(slow.sat)
@@ -95,8 +101,7 @@ def _xor_gate(sat: SATSolver, a: int, b: int):
 
 
 def test_undeclared_input_raises_like_add_clause():
-    solvers = SATSolver(SATConfig(certify=True)), \
-        PerClauseSolver(SATConfig(certify=True))
+    solvers = _solver(), _solver(PerClauseSolver)
     for sat in solvers:
         a = 2 * sat.new_var()
         clauses, inputs = _xor_gate(sat, a, 1000)
@@ -119,7 +124,7 @@ def test_gate_above_level_zero_raises():
 
 
 def test_nothing_is_stored_once_unsat():
-    sat = SATSolver(SATConfig(certify=True))
+    sat = _solver()
     a = 2 * sat.new_var()
     sat.add_clause([a])
     assert not sat.add_clause([a ^ 1])

@@ -7,7 +7,6 @@ from repro.smt import (
     BVConst, BVVar, CheckResult, Eq, Query, SolveConfig, UGt, ULt,
     fresh_scope, solve_all, solve_query, solve_stream,
 )
-from repro.smt.dispatch import default_stream
 from repro.smt.qcache import QueryCache, canonical_key
 
 # Caching off, so every call really solves.
@@ -288,11 +287,6 @@ class TestSolveStream:
         assert [r.verdict for r in got] == \
             [CheckResult.SAT, CheckResult.UNSAT, CheckResult.SAT,
              CheckResult.SAT]
-
-    def test_defaults(self, monkeypatch):
-        assert default_stream() is True
-        monkeypatch.setenv("PUGPARA_STREAM", "0")
-        assert default_stream() is False
 
     def test_default_chunk_feeds_every_worker_twice(self):
         # max(4, 2 * jobs): 9 queries are 3 chunks at jobs=1 and 2 at 3.

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.smt.sat import SATConfig, SATResult, SATSolver
+from repro.smt.sat import SATResult, SATSolver
 from repro.smt.sat.proof import CheckedProof, ProofLog, check_proof
 
 
@@ -38,11 +38,9 @@ def php_clauses(holes: int) -> tuple[int, list[list[int]]]:
     return pigeons * holes, clauses
 
 
-def solve_certified(num_vars, clauses,
-                    config=None) -> tuple[SATResult, SATSolver]:
-    solver = SATSolver(config or SATConfig(certify=True))
-    if solver.config.certify is False:
-        solver.attach_proof(ProofLog())
+def solve_certified(num_vars, clauses) -> tuple[SATResult, SATSolver]:
+    solver = SATSolver()
+    solver.attach_proof(ProofLog())
     for _ in range(num_vars):
         solver.new_var()
     for c in clauses:

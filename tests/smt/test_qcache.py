@@ -14,8 +14,7 @@ from repro.smt import (
 from repro.smt.model import Model
 from repro.smt.qcache import (
     FORMAT_TAG, QueryCache, canonical_key, canonicalize, decode_terms,
-    encode_terms, migrate_layout, model_from_canonical, model_to_canonical,
-    shard_prefix,
+    encode_terms, model_from_canonical, model_to_canonical,
 )
 from repro.smt.sorts import BV
 
@@ -336,86 +335,3 @@ class TestConcurrentShardAccess:
             assert reader.lookup(key) is not None
         assert not list(tmp_path.rglob("*.corrupt"))
 
-
-class TestLayoutMigration:
-    """The one-shot v2 (flat) -> sharded migration."""
-
-    def _entry(self, n: int = 0):
-        return {"verdict": "sat",
-                "model": {"scalars": {0: n}, "arrays": {}},
-                "stats": {"conflicts": n}}
-
-    def _flat_payload(self, entry) -> str:
-        from repro.smt.qcache import _entry_checksum
-        return json.dumps({"tag": FORMAT_TAG,
-                           "checksum": _entry_checksum(entry),
-                           "entry": entry})
-
-    def test_flat_entries_preserved(self, tmp_path):
-        keys = [f"{i:02x}feed" for i in range(12)]
-        for i, key in enumerate(keys):
-            (tmp_path / f"{key}.json").write_text(
-                self._flat_payload(self._entry(i)))
-        moved, quarantined = migrate_layout(tmp_path)
-        assert moved == len(keys) and quarantined == 0
-        cache = QueryCache(disk_dir=tmp_path)
-        for i, key in enumerate(keys):
-            entry = cache.lookup(key)
-            assert entry is not None, key
-            assert entry["model"]["scalars"][0] == i
-            assert (tmp_path / shard_prefix(key) / f"{key}.json").exists()
-        # the flat files are gone
-        assert not list(tmp_path.glob("*.json"))
-
-    def test_lazy_migration_on_first_disk_touch(self, tmp_path):
-        (tmp_path / "deafca.json").write_text(
-            self._flat_payload(self._entry(7)))
-        cache = QueryCache(disk_dir=tmp_path)
-        entry = cache.lookup("deafca")
-        assert entry is not None and entry["model"]["scalars"][0] == 7
-        assert cache.stats["migrated"] == 1
-
-    def test_migration_quarantines_damaged_flat_entries(self, tmp_path):
-        (tmp_path / "c0ffee.json").write_text(
-            self._flat_payload(self._entry(1)))
-        (tmp_path / "baddad.json").write_text("{torn")
-        moved, quarantined = migrate_layout(tmp_path)
-        assert moved == 1 and quarantined == 1
-        assert (tmp_path / "ba" / "baddad.json.corrupt").exists()
-        cache = QueryCache(disk_dir=tmp_path)
-        assert cache.lookup("c0ffee") is not None
-        assert cache.lookup("baddad") is None
-
-    def test_migration_idempotent(self, tmp_path):
-        (tmp_path / "f00d00.json").write_text(
-            self._flat_payload(self._entry(3)))
-        assert migrate_layout(tmp_path) == (1, 0)
-        assert migrate_layout(tmp_path) == (0, 0)
-        assert QueryCache(disk_dir=tmp_path).lookup("f00d00") is not None
-
-    def test_concurrent_migrators_preserve_all(self, tmp_path):
-        keys = [f"{i:02x}cafe" for i in range(16)]
-        for i, key in enumerate(keys):
-            (tmp_path / f"{key}.json").write_text(
-                self._flat_payload(self._entry(i)))
-        script = textwrap.dedent(f"""
-            from repro.smt.qcache import migrate_layout
-            migrate_layout({str(tmp_path)!r})
-            print("MIGRATED")
-        """)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + \
-            env.get("PYTHONPATH", "")
-        procs = [subprocess.Popen([sys.executable, "-c", script], env=env,
-                                  stdout=subprocess.PIPE, text=True)
-                 for _ in range(2)]
-        for p in procs:
-            out, _ = p.communicate(timeout=120)
-            assert p.returncode == 0 and "MIGRATED" in out
-        cache = QueryCache(disk_dir=tmp_path)
-        for i, key in enumerate(keys):
-            entry = cache.lookup(key)
-            assert entry is not None, key
-            assert entry["model"]["scalars"][0] == i
-        assert not list(tmp_path.rglob("*.corrupt"))

@@ -8,14 +8,13 @@ contract, plus the ISSUE acceptance case: an UNKNOWN on the default budget
 recovered by deterministic conflict-budget escalation.
 """
 
-import os
-
 import pytest
 
 from repro.smt import (
     BVConst, BVVar, CheckResult, Distinct, Eq, FaultPlan, Query, QueryCache,
     RetryPolicy, SolveConfig, ULt, UGt, faults, solve_all, solve_query,
 )
+from repro.smt import dispatch
 
 # Caching off, so every call really solves.
 SERIAL = SolveConfig(cache=False)
@@ -179,7 +178,7 @@ class TestWorkerCrashRecovery:
     def test_dead_worker_run_matches_serial(self, monkeypatch):
         """The ISSUE acceptance case: a jobs=2 run whose workers crash
         produces verdicts identical to the serial fault-free run."""
-        monkeypatch.setenv("PUGPARA_POOL_BACKOFF", "0.01")
+        monkeypatch.setattr(dispatch, "POOL_BACKOFF", 0.01)
         serial = [r.verdict for r in
                   solve_all(_easy_queries(), config=SERIAL)]
         with faults.injected(FaultPlan(seed=5, worker_crash=0.6)):
@@ -190,7 +189,7 @@ class TestWorkerCrashRecovery:
     def test_total_crash_degrades_to_serial(self, monkeypatch):
         """Crash probability 1.0 kills every pool; the degradation ladder
         bottoms out at in-process solving and still answers correctly."""
-        monkeypatch.setenv("PUGPARA_POOL_BACKOFF", "0.01")
+        monkeypatch.setattr(dispatch, "POOL_BACKOFF", 0.01)
         with faults.injected(FaultPlan(seed=5, worker_crash=1.0)):
             results = solve_all(_easy_queries(), config=PARALLEL)
         assert [r.verdict for r in results] == _EASY_VERDICTS

@@ -8,7 +8,7 @@ pin the inprocessing mechanics and their stats counters.
 
 import time
 
-from repro.smt.sat import SATConfig, SATResult, SATSolver, STAT_COUNTER_KEYS
+from repro.smt.sat import SATResult, SATSolver, STAT_COUNTER_KEYS
 from repro.smt.sat.solver import _DEAD, _GLUE_KEEP
 
 
@@ -183,19 +183,3 @@ class TestVivification:
     def test_vivify_round_honors_deadline(self):
         s, off, _ = self._solver_with_weak_learnt()
         assert s._vivify_round(time.monotonic() - 1.0) == "deadline"
-
-    def test_inprocess_off_skips_vivification(self):
-        cfg = SATConfig(inprocess=False)
-        s = SATSolver(cfg)
-        pigeons, holes = 7, 6
-        var = [[s.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            s.add_clause([lit(v) for v in var[p]])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    s.add_clause([lit(var[p1][h], False),
-                                  lit(var[p2][h], False)])
-        s._next_vivify = 1
-        assert s.solve() is SATResult.UNSAT
-        assert s.stats["vivified"] == 0
