@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..check.result import CheckOutcome, Verdict
 
-__all__ = ["bench_timeout", "Cell", "run_cell", "run_cells", "format_cell",
+__all__ = ["bench_timeout", "Cell", "run_cell", "format_cell",
            "format_table", "TableAccumulator"]
 
 
@@ -47,42 +46,6 @@ def run_cell(fn: Callable[[], CheckOutcome]) -> Cell:
     start = time.monotonic()
     outcome = fn()
     return Cell(outcome=outcome, elapsed=time.monotonic() - start)
-
-
-def _run_spec(spec: tuple) -> Cell:
-    fn, fn_args, fn_kwargs = spec
-    start = time.monotonic()
-    try:
-        outcome = fn(*fn_args, **fn_kwargs)
-    except Exception as exc:
-        # One broken cell must not sink the whole table: record it as an
-        # inconclusive entry and keep benching.
-        outcome = CheckOutcome(verdict=Verdict.UNKNOWN,
-                               reason=f"cell failed: "
-                                      f"{type(exc).__name__}: {exc}")
-    return Cell(outcome=outcome, elapsed=time.monotonic() - start)
-
-
-def run_cells(specs: list[tuple], jobs: int = 1) -> list[Cell]:
-    """Run whole table cells, optionally on worker processes.
-
-    Each spec is ``(fn, args, kwargs)`` and must be picklable (module-level
-    checker function plus plain-data arguments).  A cell is itself one
-    checker invocation, so this parallelizes *across* cells while the SMT
-    dispatcher parallelizes *within* one; per-cell wall time is measured in
-    the worker, so table entries stay comparable to serial runs.
-
-    A cell that raises becomes an UNKNOWN entry; a broken worker pool
-    degrades to a serial re-run — a bench table finishes or explains
-    itself, it does not crash.
-    """
-    if jobs <= 1 or len(specs) <= 1:
-        return [_run_spec(s) for s in specs]
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            return list(pool.map(_run_spec, specs))
-    except BrokenExecutor:
-        return [_run_spec(s) for s in specs]
 
 
 def format_cell(cell: Cell | None) -> str:

@@ -35,7 +35,6 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                concretize_extent: int | None = None,
                                timeout: float | None = None,
                                do_simplify: bool = True,
-                               validate: bool = True,
                                solve: SolveConfig | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
@@ -118,19 +117,14 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
         cex = Counterexample(bdim=config.bdim, gdim=config.gdim,
                              scalars=scalars, arrays=contents,
                              detail=f"outputs differ at cell {model[cell]}")
-        if validate:
-            replay = replay_equivalence(src_info, tgt_info, cex, width)
-            if replay.confirmed:
-                cex.detail += f"; {replay.reason}"
-                outcome.verdict = Verdict.BUG
-                outcome.counterexample = cex
-            else:
-                outcome.verdict = Verdict.UNKNOWN
-                outcome.reason = (f"candidate did not replay "
-                                  f"({replay.reason})")
-        else:
+        replay = replay_equivalence(src_info, tgt_info, cex, width)
+        if replay.confirmed:
+            cex.detail += f"; {replay.reason}"
             outcome.verdict = Verdict.BUG
             outcome.counterexample = cex
+        else:
+            outcome.verdict = Verdict.UNKNOWN
+            outcome.reason = f"candidate did not replay ({replay.reason})"
     outcome.elapsed = time.monotonic() - start
     return outcome
 
@@ -145,7 +139,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
                       scalar_values: dict[str, int] | None = None,
                       timeout: float | None = None,
                       options: ParamOptions | None = None,
-                      validate: bool = True,
                       solve: SolveConfig | None = None) -> CheckOutcome:
     """Unified entry point.
 
@@ -160,8 +153,6 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
     if method == "param":
         overrides = {k: v for k, v in (
             ("timeout", timeout), ("solve", solve)) if v is not None}
-        if not validate:
-            overrides["validate"] = False
         opts = replace(options or ParamOptions(), **overrides)
         return check_equivalence_param(
             src_info, tgt_info, width,
@@ -174,5 +165,5 @@ def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,
             src_info, tgt_info, config,
             scalar_values=scalar_values,
             concretize_extent=concretize_extent,
-            timeout=timeout, validate=validate, solve=solve)
+            timeout=timeout, solve=solve)
     raise ValueError(f"unknown method {method!r}")

@@ -158,7 +158,6 @@ def _exec_ghost(stmts: tuple[Stmt, ...], scope: _GhostScope,
 def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               scalar_values: dict[str, int] | None = None,
                               timeout: float | None = None,
-                              validate: bool = True,
                               solve: SolveConfig | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
@@ -233,19 +232,15 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
         cex = Counterexample(bdim=config.bdim, gdim=config.gdim,
                              scalars=scalars, arrays=contents,
                              detail=f"postcondition at line {line} violated")
-        if validate:
-            replay = replay_postcondition(info, cex, width,
-                                          free_bindings=free_bindings or None)
-            if replay.confirmed:
-                cex.detail += f"; {replay.reason}"
-                outcome.verdict = Verdict.BUG
-                outcome.counterexample = cex
-            else:
-                outcome.verdict = Verdict.UNKNOWN
-                outcome.reason = f"candidate did not replay ({replay.reason})"
-        else:
+        replay = replay_postcondition(info, cex, width,
+                                      free_bindings=free_bindings or None)
+        if replay.confirmed:
+            cex.detail += f"; {replay.reason}"
             outcome.verdict = Verdict.BUG
             outcome.counterexample = cex
+        else:
+            outcome.verdict = Verdict.UNKNOWN
+            outcome.reason = f"candidate did not replay ({replay.reason})"
         outcome.elapsed = time.monotonic() - start
         return outcome
     outcome.verdict = Verdict.VERIFIED
@@ -262,7 +257,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                            concretize: dict | None = None,
                            timeout: float | None = None,
                            bughunt: bool = False,
-                           validate: bool = True,
                            solve: SolveConfig | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
@@ -402,11 +396,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                 cex.detail = f"postcondition at line {pc.line} violated"
                 free_bindings = {name: int(smt_model[var])  # type: ignore[arg-type]
                                  for name, var in scope.free.items()}
-                if not validate:
-                    outcome.verdict = Verdict.BUG
-                    outcome.counterexample = cex
-                    outcome.elapsed = time.monotonic() - start
-                    return outcome
                 replay = replay_postcondition(
                     info, cex, width, free_bindings=free_bindings or None)
                 if replay.confirmed:

@@ -109,7 +109,6 @@ def check_races(info: KernelInfo, width: int = 16, *,
                 assumption_builder=None,
                 concretize: dict | None = None,
                 timeout: float | None = None,
-                validate: bool = True,
                 solve: SolveConfig | None = None) -> CheckOutcome:
     """Check the kernel race-free for any thread count.
 
@@ -269,19 +268,12 @@ def check_races(info: KernelInfo, width: int = 16, *,
                              input_arrays)
         cex.detail = (f"{q.kind} race on {q.array!r} between lines "
                       f"{q.line_a} and {q.line_b}")
-        if validate:
-            confirmed = _replay_race(info, cex, width)
-            if confirmed:
-                outcome.verdict = Verdict.BUG
-                outcome.counterexample = cex
-                outcome.elapsed = time.monotonic() - start
-                return outcome
+        if _replay_race(info, cex, width):
+            outcome.verdict = Verdict.BUG
+            outcome.counterexample = cex
+        else:
             outcome.verdict = Verdict.UNKNOWN
-            outcome.reason = (f"{cex.detail}: candidate race did not replay")
-            outcome.elapsed = time.monotonic() - start
-            return outcome
-        outcome.verdict = Verdict.BUG
-        outcome.counterexample = cex
+            outcome.reason = f"{cex.detail}: candidate race did not replay"
         outcome.elapsed = time.monotonic() - start
         return outcome
 

@@ -12,11 +12,17 @@ Commands mirror the library's checkers:
 * ``pugpara client URL [REQUEST.json]`` — send one JSON check request to
   a running server; exits with the server-reported exit code.
 
+``equiv``, ``func`` and ``races`` read their kernel files and flags into a
+:class:`~repro.check.request.CheckRequest` and run it through
+:func:`~repro.check.request.run_check`, the path the server's requests
+take too.  Every BUG is replay-confirmed on the concrete interpreter.
+
 Exit codes (the contract CI and scripts key off):
 
 * ``0`` — property verified (or a concrete run finished clean);
 * ``1`` — property refuted: a replay-confirmed counterexample was found;
-* ``2`` — usage error (argparse);
+* ``2`` — usage error: a bad flag, or a kernel that does not parse or
+  type-check;
 * ``3`` — inconclusive: budget exhausted (the paper's T.O), an unconfirmed
   candidate counterexample, or an unsupported kernel — degradation, not
   failure;
@@ -29,12 +35,9 @@ import argparse
 import json
 import sys
 
-from .check import (
-    check_equivalence, check_functional, check_races, suite_assumptions,
-)
+from .check.request import USAGE_ERRORS, CheckRequest, parse_dims, run_check
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
-from .param.equivalence import ParamOptions
 from .smt import QueryCache, RetryPolicy, SolveConfig, resolve_cache
 from .smt.resilience import ESCALATIONS
 
@@ -44,7 +47,7 @@ __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
 #: The exit-code contract (also documented in ``--help`` and README).
 EXIT_VERIFIED = 0   # property holds / clean concrete run
 EXIT_REFUTED = 1    # replay-confirmed counterexample
-EXIT_USAGE = 2      # argparse usage error
+EXIT_USAGE = 2      # bad flag, or a kernel that fails to parse/type-check
 EXIT_UNKNOWN = 3    # T.O / unconfirmed candidate / unsupported kernel
 EXIT_INTERNAL = 4   # the checker itself failed
 
@@ -53,7 +56,7 @@ exit codes:
   0  property verified (or concrete run finished without races/assertions)
   1  property refuted: replay-confirmed counterexample (or concrete run hit
      a race/assertion failure)
-  2  usage error
+  2  usage error (bad flag; kernel does not parse or type-check)
   3  inconclusive: budget exhausted (T.O), unconfirmed candidate
      counterexample, skipped obligations (--bughunt found no bug), or
      unsupported kernel
@@ -67,60 +70,57 @@ front-end environment knobs (defaults in parentheses):
 """
 
 
-def _triple(text: str) -> tuple[int, ...]:
-    parts = tuple(int(x) for x in text.split(","))
-    return parts
+def _dims(length: int):
+    """An argparse ``type`` for a dim list padded to ``length`` axes."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return parse_dims(text, length)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} {exc}") from None
+    return parse
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        kernel = parse_kernel(fh.read())
-    return kernel, check_kernel(kernel)
+        return fh.read()
 
 
-def _parse_sets(pairs: list[str]) -> dict[str, int]:
-    out = {}
-    for p in pairs:
-        name, _, value = p.partition("=")
-        out[name] = int(value, 0)
-    return out
+def _scalar(text: str) -> tuple[str, int]:
+    """An argparse ``type`` for ``NAME=VAL``."""
+    name, _, value = text.partition("=")
+    try:
+        if name:
+            return name, int(value, 0)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not NAME=INT")
 
 
-def _parse_arrays(pairs: list[str]) -> dict[str, dict[int, int]]:
-    out = {}
-    for p in pairs:
-        name, _, values = p.partition("=")
-        out[name] = {i: int(v, 0) for i, v in enumerate(values.split(","))}
-    return out
+def _array(text: str) -> tuple[str, dict[int, int]]:
+    """An argparse ``type`` for ``NAME=v0,v1,...``."""
+    name, _, values = text.partition("=")
+    try:
+        if name:
+            return name, {i: int(v, 0)
+                          for i, v in enumerate(values.split(","))}
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not NAME=INT,INT,...")
 
 
-def _config(args) -> LaunchConfig:
-    bdim = _triple(args.bdim) if args.bdim else (1, 1, 1)
-    while len(bdim) < 3:
-        bdim = (*bdim, 1)
-    gdim = _triple(args.gdim) if args.gdim else (1, 1)
-    while len(gdim) < 2:
-        gdim = (*gdim, 1)
-    return LaunchConfig(bdim=bdim[:3], gdim=gdim[:2], width=args.width)
-
-
-def _concretize(args) -> dict | None:
-    if not (args.cbdim or args.cgdim or args.set):
-        return None
-    out: dict = {}
-    if args.cbdim:
-        b = _triple(args.cbdim)
-        while len(b) < 3:
-            b = (*b, 1)
-        out["bdim"] = b[:3]
-    if args.cgdim:
-        g = _triple(args.cgdim)
-        while len(g) < 2:
-            g = (*g, 1)
-        out["gdim"] = g[:2]
-    if args.set:
-        out["scalars"] = _parse_sets(args.set)
-    return out
+def _request(args, solve: SolveConfig) -> CheckRequest:
+    """The check command's request: its kernel files read, its flags
+    copied, ``certify`` as ``solve`` resolved it."""
+    equiv = args.command == "equiv"
+    return CheckRequest(
+        command=args.command,
+        source=_read(args.source if equiv else args.kernel),
+        target=_read(args.target) if equiv else None,
+        method=getattr(args, "method", "param"), width=args.width,
+        timeout=args.timeout, pair=args.pair, bdim=args.bdim,
+        gdim=args.gdim, cbdim=args.cbdim, cgdim=args.cgdim,
+        scalars=dict(args.set),
+        bughunt=getattr(args, "bughunt", False), certify=solve.certify)
 
 
 def _solve_config(args) -> SolveConfig:
@@ -155,11 +155,15 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--width", type=int, default=8,
                        help="machine word width in bits (default 8)")
         p.add_argument("--timeout", type=float, default=60.0)
-        p.add_argument("--bdim", help="concrete block dims, e.g. 4,4,1")
-        p.add_argument("--gdim", help="concrete grid dims, e.g. 2,2")
-        p.add_argument("--cbdim", help="+C: pin bdim for the param method")
-        p.add_argument("--cgdim", help="+C: pin gdim for the param method")
-        p.add_argument("--set", action="append", default=[],
+        p.add_argument("--bdim", type=_dims(3),
+                       help="concrete block dims, e.g. 4,4,1")
+        p.add_argument("--gdim", type=_dims(2),
+                       help="concrete grid dims, e.g. 2,2")
+        p.add_argument("--cbdim", type=_dims(3),
+                       help="+C: pin bdim for the param method")
+        p.add_argument("--cgdim", type=_dims(2),
+                       help="+C: pin gdim for the param method")
+        p.add_argument("--set", action="append", default=[], type=_scalar,
                        metavar="NAME=VAL", help="pin a scalar input")
         p.add_argument("--pair", help="use the named suite pair's "
                                       "configuration assumptions")
@@ -197,11 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--max-budget", type=float, default=None,
                        metavar="SECONDS",
                        help="cap on the escalated per-query timeout")
-        p.add_argument("--validate-cex",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="replay-confirm counterexamples through the "
-                            "concrete interpreter before reporting BUG "
-                            "(--no-validate-cex trusts the solver model)")
 
     p_eq = sub.add_parser("equiv", help="check kernel equivalence")
     p_eq.add_argument("source")
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute a kernel concretely")
     p_run.add_argument("kernel")
-    p_run.add_argument("--array", action="append", default=[],
+    p_run.add_argument("--array", action="append", default=[], type=_array,
                        metavar="NAME=v0,v1,...")
     common(p_run)
 
@@ -252,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))  # exit 2, like any usage error
     try:
         return _dispatch(args, solve)
+    except USAGE_ERRORS as exc:
+        # A kernel that does not parse or type-check, as the server's 422.
+        print(f"pugpara: usage error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         # An internal failure must be distinguishable from a refutation
         # (1) and from honest degradation (3).
@@ -334,77 +338,14 @@ def _dispatch(args, solve: SolveConfig | None) -> int:
             print(f"  {name}")
         return EXIT_VERIFIED
 
-    builder = suite_assumptions(args.pair) if args.pair else None
-    validate = getattr(args, "validate_cex", True)
-
-    def report(outcome) -> int:
-        if getattr(args, "stats", False) or getattr(args, "stats_json", None):
-            _attach_cache_health(outcome, solve.cache)
-        print(outcome)
-        if getattr(args, "stats", False):
-            print(format_solver_stats(outcome))
-        dest = getattr(args, "stats_json", None)
-        if dest:
-            blob = json.dumps(outcome_to_json(outcome), indent=2,
-                              sort_keys=True)
-            if dest == "-":
-                print(blob)
-            else:
-                with open(dest, "w", encoding="utf-8") as fh:
-                    fh.write(blob + "\n")
-        if outcome.verdict is Verdict.VERIFIED:
-            return EXIT_VERIFIED
-        if outcome.verdict is Verdict.BUG:
-            return EXIT_REFUTED
-        # TIMEOUT / UNKNOWN / UNSUPPORTED: inconclusive, not wrong.
-        return EXIT_UNKNOWN
-
-    if args.command == "equiv":
-        _, src = _load(args.source)
-        _, tgt = _load(args.target)
-        if args.method == "param":
-            outcome = check_equivalence(
-                src, tgt, method="param", width=args.width,
-                assumption_builder=builder, concretize=_concretize(args),
-                options=ParamOptions(timeout=args.timeout,
-                                     bughunt=args.bughunt,
-                                     validate=validate, solve=solve))
-        else:
-            outcome = check_equivalence(
-                src, tgt, method="nonparam", config=_config(args),
-                scalar_values=_parse_sets(args.set) or None,
-                timeout=args.timeout, validate=validate, solve=solve)
-        return report(outcome)
-
-    if args.command == "func":
-        _, info = _load(args.kernel)
-        if args.method == "param":
-            outcome = check_functional(
-                info, method="param", width=args.width,
-                assumption_builder=builder, concretize=_concretize(args),
-                timeout=args.timeout, validate=validate, solve=solve)
-        else:
-            outcome = check_functional(
-                info, method="nonparam", config=_config(args),
-                scalar_values=_parse_sets(args.set) or None,
-                timeout=args.timeout, validate=validate, solve=solve)
-        return report(outcome)
-
-    if args.command == "races":
-        _, info = _load(args.kernel)
-        outcome = check_races(info, args.width,
-                              assumption_builder=builder,
-                              concretize=_concretize(args),
-                              timeout=args.timeout, validate=validate,
-                              solve=solve)
-        return report(outcome)
-
     if args.command == "run":
-        kernel, info = _load(args.kernel)
+        info = check_kernel(parse_kernel(_read(args.kernel)))
         inputs: dict[str, object] = {}
-        inputs.update(_parse_sets(args.set))
-        inputs.update(_parse_arrays(args.array))
-        result = run_kernel(info, _config(args), inputs)
+        inputs.update(args.set)
+        inputs.update(args.array)
+        config = LaunchConfig(bdim=args.bdim or (1, 1, 1),
+                              gdim=args.gdim or (1, 1), width=args.width)
+        result = run_kernel(info, config, inputs)
         for name in info.global_arrays:
             cells = result.globals.get(name, {})
             rendered = ", ".join(f"[{i}]={v}"
@@ -418,7 +359,27 @@ def _dispatch(args, solve: SolveConfig | None) -> int:
                 if not (result.races or result.assertion_failures)
                 else EXIT_REFUTED)
 
-    return EXIT_USAGE  # pragma: no cover
+    # equiv / func / races: one request through the shared check path
+    outcome = run_check(_request(args, solve), solve)
+    if args.stats or args.stats_json:
+        _attach_cache_health(outcome, solve.cache)
+    print(outcome)
+    if args.stats:
+        print(format_solver_stats(outcome))
+    dest = args.stats_json
+    if dest:
+        blob = json.dumps(outcome_to_json(outcome), indent=2, sort_keys=True)
+        if dest == "-":
+            print(blob)
+        else:
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+    if outcome.verdict is Verdict.VERIFIED:
+        return EXIT_VERIFIED
+    if outcome.verdict is Verdict.BUG:
+        return EXIT_REFUTED
+    # TIMEOUT / UNKNOWN / UNSUPPORTED: inconclusive, not wrong.
+    return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":  # pragma: no cover

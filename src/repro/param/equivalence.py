@@ -66,7 +66,6 @@ class ParamOptions:
     timeout: float | None = None        # total wall budget -> T.O
     bughunt: bool = False               # skip frames ("Fast Bug Hunting")
     allow_reorder: bool = False         # opposite-direction loop alignment
-    validate: bool = True               # replay-confirm counterexamples
     minimize: bool = True               # prefer small counterexamples
     simplify: bool = True               # term-level simplification ablation
     solve: SolveConfig | None = None    # how VCs are solved (None = env)
@@ -310,8 +309,6 @@ class _GroupChecker:
         cex = extract_launch(model, run.geometry, run.inputs,
                              run.input_arrays)
         cex.detail = detail
-        if not run.options.validate:
-            raise _Inequivalent(cex)
         replay = replay_equivalence(self.src_info, self.tgt_info, cex,
                                     run.geometry.width)
         if replay.confirmed:

@@ -28,7 +28,7 @@ Each request climbs the admission ladder:
 
 Shutdown (SIGTERM/SIGINT or EOF on stdio) is a *graceful drain*:
 in-flight checks run to completion under a configurable deadline
-(``--drain-seconds`` / ``PUGPARA_DRAIN_SECONDS``, default 5s) while any
+(``--drain-seconds``, default 5s) while any
 request arriving after the signal answers 503 with a ``draining`` body.
 When the last in-flight check settles — or the deadline expires, whichever
 comes first — the listeners close, the pool dies through the dispatcher's
@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
 from typing import Any
@@ -365,22 +364,6 @@ async def _stdio_loop(server: Server) -> None:
     await server.serve_jsonl(reader, write_line)
 
 
-def default_drain_seconds() -> float:
-    """The drain deadline from ``PUGPARA_DRAIN_SECONDS`` (default 5s).
-
-    A malformed or negative value degrades to the default — shutdown
-    behavior must never crash on a bad environment variable.
-    """
-    raw = os.environ.get("PUGPARA_DRAIN_SECONDS")
-    if raw is None or not raw.strip():
-        return 5.0
-    try:
-        value = float(raw)
-    except ValueError:
-        return 5.0
-    return value if value >= 0 else 5.0
-
-
 async def _amain(args, solve: SolveConfig) -> int:
     if args.cache_dir:
         ensure_layout(args.cache_dir)
@@ -434,8 +417,7 @@ async def _amain(args, solve: SolveConfig) -> int:
         # Graceful drain: listeners stay open (late arrivals answer 503
         # with a ``draining`` body) while in-flight checks finish, up to
         # the deadline; then the hard teardown proceeds as before.
-        drain = (args.drain_seconds if args.drain_seconds is not None
-                 else default_drain_seconds())
+        drain = args.drain_seconds
         if drain > 0 and server.active:
             try:
                 await asyncio.wait_for(server.drained(), timeout=drain)
@@ -493,13 +475,11 @@ def main(argv: list[str] | None = None) -> int:
                              "escalated budgets (default 0)")
     parser.add_argument("--escalation", choices=ESCALATIONS,
                         default="geometric")
-    parser.add_argument("--drain-seconds", type=float, default=None,
+    parser.add_argument("--drain-seconds", type=float, default=5.0,
                         metavar="S",
                         help="on shutdown, let in-flight checks finish "
                              "for up to S seconds while new requests "
-                             "answer 503 (default: "
-                             "PUGPARA_DRAIN_SECONDS or 5; 0 drains "
-                             "nothing)")
+                             "answer 503 (default 5; 0 drains nothing)")
     args = parser.parse_args(argv)
     if args.port is None and not args.stdio and not args.socket:
         parser.error("pick at least one transport: --port, --stdio, "

@@ -4,9 +4,10 @@ One request shape serves both transports (HTTP ``POST /v1/check`` and
 JSONL over stdio / a unix socket): a JSON object naming a command
 (``races`` / ``equiv`` / ``func`` / ``run`` is *not* served — the server
 only answers verification questions), carrying kernel source text inline,
-and optionally pinning the same knobs the CLI exposes.  Validation errors
-raise :class:`ProtocolError` and surface as HTTP 422 / a JSONL ``error``
-object — the request never reaches a worker.
+and optionally pinning the same knobs the CLI exposes.  A valid object
+becomes the :class:`~repro.check.request.CheckRequest` the CLI builds too.
+Validation errors raise :class:`ProtocolError` and surface as HTTP 422 / a
+JSONL ``error`` object — the request never reaches a worker.
 
 Two requests are *the same check* when they are alpha-equivalent: same
 token stream after renaming every non-reserved identifier by first
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
+from ..check.request import CheckRequest, parse_dims
 from ..cli import (
     EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFIED,
 )
@@ -74,27 +75,6 @@ class ProtocolError(ValueError):
     """A malformed request — the server answers 422, nothing is solved."""
 
 
-@dataclass
-class CheckRequest:
-    """One parsed, validated verification request."""
-    command: str                       # races | equiv | func
-    source: str                        # kernel source text
-    target: str | None = None          # second kernel (equiv only)
-    method: str = "param"              # equiv/func: param | nonparam
-    width: int = 8
-    timeout: float = 60.0
-    pair: str | None = None            # suite assumption pair
-    bdim: tuple[int, int, int] | None = None   # nonparam launch
-    gdim: tuple[int, int] | None = None
-    cbdim: tuple[int, int, int] | None = None  # param concretization
-    cgdim: tuple[int, int] | None = None
-    scalars: dict[str, int] = field(default_factory=dict)
-    validate: bool = True
-    bughunt: bool = False
-    certify: bool = False              # DRAT-check every UNSAT verdict
-    tenant: str = "default"
-
-
 def _require_str(payload: dict, name: str) -> str:
     value = payload.get(name)
     if not isinstance(value, str) or not value.strip():
@@ -106,21 +86,10 @@ def _opt_dims(payload: dict, name: str, length: int) -> tuple | None:
     value = payload.get(name)
     if value is None:
         return None
-    if isinstance(value, str):
-        try:
-            value = [int(x) for x in value.split(",")]
-        except ValueError:
-            raise ProtocolError(f"field {name!r}: not a dim list") from None
-    if not isinstance(value, (list, tuple)) or not value or \
-            not all(isinstance(v, int) and v >= 1 for v in value):
-        raise ProtocolError(f"field {name!r} must be a list of "
-                            "positive integers")
-    dims = tuple(value)
-    if len(dims) > length:
-        raise ProtocolError(f"field {name!r} has more than {length} dims")
-    while len(dims) < length:
-        dims = (*dims, 1)
-    return dims
+    try:
+        return parse_dims(value, length)
+    except ValueError as exc:
+        raise ProtocolError(f"field {name!r} {exc}") from None
 
 
 def parse_request(payload: Any) -> CheckRequest:
@@ -134,8 +103,8 @@ def parse_request(payload: Any) -> CheckRequest:
         raise ProtocolError("request body must be a JSON object")
     unknown = set(payload) - {
         "command", "source", "target", "method", "width", "timeout",
-        "pair", "bdim", "gdim", "cbdim", "cgdim", "scalars", "validate",
-        "bughunt", "certify", "tenant"}
+        "pair", "bdim", "gdim", "cbdim", "cgdim", "scalars", "bughunt",
+        "certify", "tenant"}
     if unknown:
         raise ProtocolError(
             f"unknown fields: {', '.join(sorted(unknown))}")
@@ -175,13 +144,10 @@ def parse_request(payload: Any) -> CheckRequest:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ProtocolError(f"scalar {name!r} must be an integer")
         scalars[name] = value
-    validate = payload.get("validate", True)
     bughunt = payload.get("bughunt", False)
     certify = payload.get("certify", False)
-    if not isinstance(validate, bool) or not isinstance(bughunt, bool) \
-            or not isinstance(certify, bool):
-        raise ProtocolError(
-            "'validate', 'bughunt' and 'certify' must be booleans")
+    if not isinstance(bughunt, bool) or not isinstance(certify, bool):
+        raise ProtocolError("'bughunt' and 'certify' must be booleans")
     if bughunt and command != "equiv":
         raise ProtocolError("field 'bughunt' is only valid for 'equiv'")
     tenant = payload.get("tenant", "default")
@@ -194,8 +160,7 @@ def parse_request(payload: Any) -> CheckRequest:
         gdim=_opt_dims(payload, "gdim", 2),
         cbdim=_opt_dims(payload, "cbdim", 3),
         cgdim=_opt_dims(payload, "cgdim", 2),
-        scalars=scalars, validate=validate, bughunt=bughunt,
-        certify=certify, tenant=tenant)
+        scalars=scalars, bughunt=bughunt, certify=certify, tenant=tenant)
     if method == "nonparam" and req.bdim is None:
         raise ProtocolError("the nonparam method requires 'bdim'")
     return req
@@ -262,7 +227,7 @@ def canonical_request_key(req: CheckRequest) -> tuple[str, list[list[str]]]:
         "bdim": req.bdim, "gdim": req.gdim,
         "cbdim": req.cbdim, "cgdim": req.cgdim,
         "scalars": sorted(req.scalars.items()),
-        "validate": req.validate, "bughunt": req.bughunt,
+        "bughunt": req.bughunt,
         # Certified and uncertified runs of the same check must not share
         # a response: only the former carries a proof-checked guarantee.
         "certify": req.certify,

@@ -26,25 +26,18 @@ as ``usage`` (the client's fault, HTTP 422), anything else as
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
-import os
-
-from ..check import (
-    check_equivalence, check_functional, check_races, suite_assumptions,
-)
+from ..check.request import USAGE_ERRORS, CheckRequest, run_check
 from ..check.result import outcome_to_json
 from ..encode.templates import TemplateStore, set_default_template_store
-from ..errors import ParseError, ReproError, SortError, TypeCheckError
-from ..lang import LaunchConfig, check_kernel, parse_kernel
-from ..param.equivalence import ParamOptions
 from ..smt.dispatch import (
     SolveConfig, set_default_cache, teardown_pool, worker_init,
 )
 from ..smt.qcache import QueryCache
-from .protocol import CheckRequest
 
 __all__ = ["Session", "execute_check", "serve_worker_init",
            "template_dir_of"]
@@ -72,54 +65,6 @@ def serve_worker_init(rlimit_mb: int | None,
             TemplateStore(disk_dir=template_dir_of(cache_dir)))
 
 
-def _concretize(req: CheckRequest) -> dict | None:
-    out: dict = {}
-    if req.cbdim:
-        out["bdim"] = req.cbdim
-    if req.cgdim:
-        out["gdim"] = req.cgdim
-    if req.scalars:
-        out["scalars"] = dict(req.scalars)
-    return out or None
-
-
-def _run_check(req: CheckRequest, solve: SolveConfig):
-    builder = suite_assumptions(req.pair) if req.pair else None
-    solve = replace(solve, certify=req.certify)
-    common = dict(timeout=req.timeout, validate=req.validate, solve=solve)
-    if req.command == "races":
-        info = check_kernel(parse_kernel(req.source))
-        return check_races(info, req.width, assumption_builder=builder,
-                           concretize=_concretize(req), **common)
-    if req.command == "func":
-        info = check_kernel(parse_kernel(req.source))
-        if req.method == "param":
-            return check_functional(
-                info, method="param", width=req.width,
-                assumption_builder=builder,
-                concretize=_concretize(req), **common)
-        config = LaunchConfig(bdim=req.bdim, gdim=req.gdim or (1, 1),
-                              width=req.width)
-        return check_functional(
-            info, method="nonparam", config=config,
-            scalar_values=dict(req.scalars) or None, **common)
-    # equiv
-    src = check_kernel(parse_kernel(req.source))
-    tgt = check_kernel(parse_kernel(req.target))
-    if req.method == "param":
-        return check_equivalence(
-            src, tgt, method="param", width=req.width,
-            assumption_builder=builder, concretize=_concretize(req),
-            options=ParamOptions(timeout=req.timeout,
-                                 bughunt=req.bughunt,
-                                 validate=req.validate, solve=solve))
-    config = LaunchConfig(bdim=req.bdim, gdim=req.gdim or (1, 1),
-                          width=req.width)
-    return check_equivalence(
-        src, tgt, method="nonparam", config=config,
-        scalar_values=dict(req.scalars) or None, **common)
-
-
 def execute_check(fields: dict, solve: SolveConfig | None = None) -> dict:
     """Run one request to a response body under the server's ``solve``
     settings (default: :meth:`SolveConfig.from_env`; the request's own
@@ -129,12 +74,9 @@ def execute_check(fields: dict, solve: SolveConfig | None = None) -> dict:
     req = CheckRequest(**fields)
     start = time.monotonic()
     try:
-        outcome = _run_check(req, solve or SolveConfig.from_env())
-    except (ParseError, SortError, TypeCheckError) as exc:
+        outcome = run_check(req, solve or SolveConfig.from_env())
+    except USAGE_ERRORS as exc:
         return {"status": "usage",
-                "error": f"{type(exc).__name__}: {exc}"}
-    except ReproError as exc:
-        return {"status": "internal",
                 "error": f"{type(exc).__name__}: {exc}"}
     except Exception as exc:  # contained: the server must answer
         return {"status": "internal",

@@ -109,8 +109,8 @@ def test_run_reports_races(tmp_path, capsys):
 
 
 class TestExitCodeContract:
-    """0 verified / 1 refuted / 3 inconclusive / 4 internal error — the
-    contract scripts and CI key off (2 is argparse's usage error)."""
+    """0 verified / 1 refuted / 2 usage / 3 inconclusive / 4 internal
+    error — the contract scripts and CI key off."""
 
     def test_unknown_exit_code_on_timeout(self, kernel_files, capsys):
         # The non-square Transpose differs, so its query reaches the SAT
@@ -139,6 +139,53 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as exc:
             main(["races"])  # missing kernel argument
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("source,error", [
+        ("void f(int *o) { o[tid.x] = ; }", "ParseError"),
+        ("void f(int *o) { o[tid.x] = q; }", "TypeCheckError"),
+    ])
+    def test_bad_kernel_is_usage_error(self, tmp_path, capsys, source,
+                                       error):
+        """A kernel that does not parse or type-check is the caller's
+        fault, as the server's 422 says, not an internal error."""
+        from repro.cli import EXIT_USAGE
+        p = tmp_path / "bad.cu"
+        p.write_text(source)
+        rc = main(["races", str(p), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith(f"pugpara: usage error: {error}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["races", "K", "--cbdim", "0,1"], ["races", "K", "--bdim", "1,1,1,1"],
+        ["races", "K", "--gdim", "two"], ["races", "K", "--set", "n=abc"],
+        ["races", "K", "--set", "=4"], ["run", "K", "--array", "a=1,x"],
+    ])
+    def test_bad_flag_values_are_usage_errors(self, kernel_files, capsys,
+                                              argv):
+        """Malformed dims and scalars answer exit 2, as the server's
+        422 does, not ``internal error``."""
+        kernel = kernel_files["optimizedTranspose"]
+        with pytest.raises(SystemExit) as exc:
+            main([kernel if a == "K" else a for a in argv])
+        assert exc.value.code == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_cli_does_not_import_the_server(self):
+        """The CLI reaches the checkers without loading asyncio, the
+        quota ledger or the session pool."""
+        import os
+        import subprocess
+        import sys
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import repro.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('repro.serve', 'asyncio'))))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             timeout=60).stdout
+        assert out.strip() == "[]"
 
     def test_portfolio_flag_is_usage_error(self, kernel_files):
         with pytest.raises(SystemExit) as exc:
@@ -199,13 +246,16 @@ class TestResilienceFlags:
         assert rc == 0
         assert "verified" in capsys.readouterr().out
 
-    def test_no_validate_cex_flag_accepted(self, tmp_path, capsys):
+    def test_replay_opt_out_flag_is_usage_error(self, tmp_path, capsys):
+        """Replay confirmation has no switch: every BUG is replayed."""
         p = tmp_path / "racy.cu"
         p.write_text("void f(int *o) { o[0] = tid.x; }")
-        rc = main(["races", str(p), "--width", "8", "--timeout", "60",
-                   "--no-validate-cex", "--no-cache"])
-        assert rc == 1
-        assert "bug" in capsys.readouterr().out
+        for prefix in ("", "no-"):
+            with pytest.raises(SystemExit) as exc:
+                main(["races", str(p), "--width", "8", "--timeout", "60",
+                      f"--{prefix}validate-cex", "--no-cache"])
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stats_include_resilience_section(self, tmp_path, capsys):
         """Under a total-exception fault plan with retries, --stats renders

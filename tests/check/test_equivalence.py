@@ -108,8 +108,7 @@ class TestUnifiedEntry:
             concretize={"bdim": (2, 2, 1), "gdim": (2, 2),
                         "scalars": {"width": 4, "height": 4}},
             options=opts, timeout=120,
-            solve=SolveConfig(jobs=1, cache=False, certify=True),
-            validate=False)
+            solve=SolveConfig(jobs=1, cache=False, certify=True))
         assert out.verdict is Verdict.VERIFIED
         assert out.stats["certify"]["rejected"] == 0
         assert opts == before

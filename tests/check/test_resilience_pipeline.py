@@ -136,12 +136,3 @@ class TestReplayValidationGate:
         assert "did not replay" in out.reason
         assert out.counterexample is None
 
-    def test_validation_can_be_disabled(self, monkeypatch):
-        import repro.check.equivalence as eq_mod
-        monkeypatch.setattr(
-            eq_mod, "replay_equivalence",
-            lambda *a, **k: ReplayResult(False, "forced replay mismatch"))
-        src, tgt = _pair()
-        out = check_equivalence_nonparam(src, tgt, CONFIG, timeout=60,
-                                         solve=_uncached(), validate=False)
-        assert out.verdict is Verdict.BUG  # caller opted out of the gate

@@ -11,7 +11,7 @@ subprocess e2e suite covers the real-signal path.
 
 import asyncio
 
-from repro.serve.app import Server, default_drain_seconds
+from repro.serve.app import Server
 from repro.serve.quotas import QuotaLedger
 from repro.smt import SolveConfig
 
@@ -103,23 +103,3 @@ class TestDrain:
         snap = _run(scenario())
         assert snap["draining"] is True
         assert snap["drain_rejected"] == 0
-
-
-class TestDeadlineConfig:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("PUGPARA_DRAIN_SECONDS", raising=False)
-        assert default_drain_seconds() == 5.0
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("PUGPARA_DRAIN_SECONDS", "12.5")
-        assert default_drain_seconds() == 12.5
-        monkeypatch.setenv("PUGPARA_DRAIN_SECONDS", "0")
-        assert default_drain_seconds() == 0.0
-
-    def test_malformed_env_degrades_to_default(self, monkeypatch):
-        monkeypatch.setenv("PUGPARA_DRAIN_SECONDS", "soon")
-        assert default_drain_seconds() == 5.0
-        monkeypatch.setenv("PUGPARA_DRAIN_SECONDS", "-3")
-        assert default_drain_seconds() == 5.0
-        monkeypatch.setenv("PUGPARA_DRAIN_SECONDS", "  ")
-        assert default_drain_seconds() == 5.0

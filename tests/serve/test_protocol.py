@@ -58,6 +58,13 @@ class TestParseRequest:
         with pytest.raises(ProtocolError, match=fragment):
             parse_request(payload)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_validate_is_an_unknown_field(self, value):
+        """Replay confirmation has no opt-out: ``validate`` is answered
+        like any unknown field."""
+        with pytest.raises(ProtocolError, match="unknown fields: validate"):
+            parse_request(_races(**{"validate": value}))
+
 
 class TestCanonicalKey:
     def test_alpha_equivalent_kernels_share_a_key(self):

@@ -94,6 +94,21 @@ class TestServerCore:
         assert b_over["retry_after"] > 0
 
 
+    def test_validate_field_answers_422(self):
+        async def scenario():
+            session = Session(workers=0)
+            server = Server(session, QuotaLedger())
+            try:
+                return await server.handle({**RACES, "validate": False})
+            finally:
+                session.close()
+
+        status, body = _run(scenario())
+        assert status == 422 and body["exit_code"] == 2
+        assert "validate" in body["error"]
+        assert "verdict" not in body
+
+
 class TestRetryPolicyReachesChecks:
     """The policy the server charges quota for is the one its checks run
     under (``--retries`` used to stop at admission)."""
@@ -107,14 +122,14 @@ class TestRetryPolicyReachesChecks:
                "scalars": {"width": 8, "height": 4}, "timeout": 0.0001}
 
     def test_session_checks_receive_the_policy(self, monkeypatch):
-        import repro.serve.session as session_mod
+        import repro.check.request as request_mod
         from repro.check.result import CheckOutcome, Verdict
         seen = []
 
         def fake_check_races(info, width, **kwargs):
             seen.append(kwargs["solve"])
             return CheckOutcome(verdict=Verdict.VERIFIED)
-        monkeypatch.setattr(session_mod, "check_races", fake_check_races)
+        monkeypatch.setattr(request_mod, "check_races", fake_check_races)
         policy = RetryPolicy(retries=1)
 
         async def scenario():
