@@ -7,8 +7,6 @@
   the constraints").
 * **fast bug hunting** — Section IV-D's frame-skipping mode against the
   full checker on a buggy kernel.
-* **counterexample minimization** — bounded-first search for small,
-  replayable counterexamples vs. raw models.
 """
 
 from __future__ import annotations
@@ -65,20 +63,3 @@ def test_ablation_bughunt(benchmark, bughunt):
         rounds=1, iterations=1)
     assert out.verdict in (Verdict.BUG, Verdict.TIMEOUT)
 
-
-@pytest.mark.parametrize("minimize", [True, False],
-                         ids=["minimize", "raw-model"])
-def test_ablation_minimize(benchmark, minimize):
-    """Bounded-first counterexample search: small models replay fast and
-    confirm reliably; raw models may be huge (and unconfirmable)."""
-    src, buggy = _buggy_pair()
-    out = benchmark.pedantic(
-        lambda: check_equivalence_param(
-            src, buggy, 8, assumption_builder=transpose_assumptions,
-            options=ParamOptions(timeout=bench_timeout(), bughunt=True,
-                                 minimize=minimize)),
-        rounds=1, iterations=1)
-    if minimize:
-        assert out.verdict is Verdict.BUG
-        cex = out.counterexample
-        assert max(cex.bdim) <= 8 and max(cex.gdim) <= 8

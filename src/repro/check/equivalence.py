@@ -13,17 +13,20 @@ import time
 from dataclasses import replace
 
 from ..encode.nonparam import concretize_inputs, encode_kernel
-from ..errors import EncodingError, AlignmentError
+from ..errors import EncodingError
 from ..lang.interp import LaunchConfig
 from ..lang.typecheck import KernelInfo
 from ..param.equivalence import ParamOptions, check_equivalence_param
 from ..smt import (
-    ArrayVar, BVVar, CheckResult, Eq, Ne, Or, Query, Select, SolveConfig,
-    Term, fresh_scoped, fresh_var, solve_query,
+    ArrayVar, BVConst, BVVar, Ne, Or, Select, SolveConfig, fresh_scoped,
+    fresh_var,
 )
+# Bound here for perfbench's span tracing, which wraps this name.
+from ..smt import solve_query  # noqa: F401
 from ..smt.sorts import BV
-from .replay import replay_equivalence
-from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
+from .replay import concrete_launch, replay_equivalence
+from .result import CheckOutcome, record_encode_stats
+from .vcs import VC, Refutation
 
 __all__ = ["check_equivalence", "check_equivalence_nonparam", "ParamOptions"]
 
@@ -34,7 +37,6 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
                                scalar_values: dict[str, int] | None = None,
                                concretize_extent: int | None = None,
                                timeout: float | None = None,
-                               do_simplify: bool = True,
                                solve: SolveConfig | None = None
                                ) -> CheckOutcome:
     """Section III baseline: serialize all threads of ``config`` and ask the
@@ -46,87 +48,44 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
     (default: :meth:`~repro.smt.dispatch.SolveConfig.from_env`) says how
     the query is solved.
     """
-    if solve is None:
-        solve = SolveConfig.from_env()
-    start = time.monotonic()
-    outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
-    width = config.width
-    scalar_names = sorted(set(src_info.scalar_params) |
-                          set(tgt_info.scalar_params))
-    # Pinned scalars become constants *inside* the encoding, so loops
-    # bounded by them unroll (matmul's wA) and formulas shrink.
-    from repro.smt import BVConst
-    pinned = scalar_values or {}
-    inputs = {n: (BVConst(pinned[n], width) if n in pinned
-                  else BVVar(f"np.in.{n}", width)) for n in scalar_names}
-    array_names = sorted(set(src_info.global_arrays) |
-                         set(tgt_info.global_arrays))
-    arrays = {n: ArrayVar(f"np.arr.{n}", width, width) for n in array_names}
+    with Refutation(timeout, solve) as check:
+        width = config.width
+        scalar_names = sorted(set(src_info.scalar_params) |
+                              set(tgt_info.scalar_params))
+        # Pinned scalars become constants *inside* the encoding, so loops
+        # bounded by them unroll (matmul's wA) and formulas shrink.
+        pinned = scalar_values or {}
+        inputs = {n: (BVConst(pinned[n], width) if n in pinned
+                      else BVVar(f"np.in.{n}", width)) for n in scalar_names}
+        array_names = sorted(set(src_info.global_arrays) |
+                             set(tgt_info.global_arrays))
+        arrays = {n: ArrayVar(f"np.arr.{n}", width, width)
+                  for n in array_names}
 
-    enc_start = time.monotonic()
-    try:
+        enc_start = time.monotonic()
         m1 = encode_kernel(src_info, config, inputs, arrays)
         m2 = encode_kernel(tgt_info, config, inputs, arrays)
-    except EncodingError as exc:
-        outcome.verdict = Verdict.UNSUPPORTED
-        outcome.reason = str(exc)
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-    record_encode_stats(outcome, symexec_time=time.monotonic() - enc_start,
-                        queries_built=1)
+        record_encode_stats(check.outcome, queries_built=1,
+                            symexec_time=time.monotonic() - enc_start)
 
-    constraints: list[Term] = []
-    constraints += m1.assumes + m2.assumes
-    if concretize_extent:
-        constraints += concretize_inputs(m1, concretize_extent)
+        check.assumptions = m1.assumes + m2.assumes
+        if concretize_extent:
+            check.assumptions += concretize_inputs(m1, concretize_extent)
+        cell = fresh_var("np.cell", BV(width))
+        differs = [Ne(Select(m1.final_globals[name], cell),
+                      Select(m2.final_globals[name], cell))
+                   for name in sorted(set(src_info.global_arrays) &
+                                      set(tgt_info.global_arrays))]
+        if not differs:
+            raise EncodingError("the kernels share no global output arrays")
 
-    cell = fresh_var("np.cell", BV(width))
-    differs = []
-    for name in sorted(set(src_info.global_arrays) &
-                       set(tgt_info.global_arrays)):
-        differs.append(Ne(Select(m1.final_globals[name], cell),
-                          Select(m2.final_globals[name], cell)))
-    if not differs:
-        outcome.verdict = Verdict.UNSUPPORTED
-        outcome.reason = "the kernels share no global output arrays"
-        outcome.elapsed = time.monotonic() - start
-        return outcome
+        def confirm(_, model):
+            cex = concrete_launch(model, config, inputs, arrays, pinned)
+            cex.detail = f"outputs differ at cell {model[cell]}"
+            return cex, replay_equivalence(src_info, tgt_info, cex, width)
 
-    response = solve_query(
-        Query([*constraints, Or(*differs)], timeout=timeout,
-              do_simplify=do_simplify), solve)
-    result = response.verdict
-    outcome.vcs_checked = 1
-    outcome.solver_time = response.solver_time
-    outcome.merge_solver_stats(response.stats)
-    if result is CheckResult.UNSAT:
-        outcome.verdict = Verdict.VERIFIED
-    elif result is CheckResult.UNKNOWN:
-        outcome.verdict = Verdict.TIMEOUT
-        outcome.reason = "budget exhausted (the paper's T.O)"
-    else:
-        model = response.model()
-        scalars = {n: (pinned[n] if n in pinned else int(model[v]))  # type: ignore[arg-type]
-                   for n, v in inputs.items()}
-        contents = {}
-        for name, var in arrays.items():
-            raw = model[var]
-            assert isinstance(raw, dict)
-            contents[name] = {k: v for k, v in raw.items()
-                              if isinstance(k, int)}
-        cex = Counterexample(bdim=config.bdim, gdim=config.gdim,
-                             scalars=scalars, arrays=contents,
-                             detail=f"outputs differ at cell {model[cell]}")
-        replay = replay_equivalence(src_info, tgt_info, cex, width)
-        if replay.confirmed:
-            cex.detail += f"; {replay.reason}"
-            outcome.verdict = Verdict.BUG
-            outcome.counterexample = cex
-        else:
-            outcome.verdict = Verdict.UNKNOWN
-            outcome.reason = f"candidate did not replay ({replay.reason})"
-    outcome.elapsed = time.monotonic() - start
-    return outcome
+        check.refute([VC([Or(*differs)])], confirm)
+    return check.outcome
 
 
 def check_equivalence(src_info: KernelInfo, tgt_info: KernelInfo, *,

@@ -25,21 +25,22 @@ from typing import Mapping
 from ..encode.nonparam import encode_kernel
 from ..encode.symexec import eval_bool, eval_expr
 from ..errors import EncodingError
-from ..lang.ast import Assign, Block, For, Ident, If, Postcond, Stmt, VarDecl
+from ..lang.ast import (
+    Assign, Binary, Block, For, Ident, If, Postcond, Stmt, VarDecl,
+)
 from ..lang.interp import LaunchConfig
 from ..lang.typecheck import KernelInfo
-from ..param.ca import KernelModel, PlainModel, extract_model
+from ..param.ca import KernelModel, PlainModel, Read, extract_model
 from ..param.geometry import Geometry, ThreadInstance
 from ..param.resolve import GroupContext, PrestateStore, resolve_value
-from ..param.ca import Read
 from ..smt import (
-    And, ArrayVar, BVConst, BVVar, CheckResult, Implies, Not, Query,
-    Select, SolveConfig, Term, fresh_scoped, fresh_var, solve_all,
-    solve_query, solve_stream,
+    And, ArrayVar, BVConst, BVVar, Implies, Not, Select, SolveConfig, Term,
+    fresh_scoped, fresh_var,
 )
 from ..smt.sorts import BV
-from .replay import extract_launch, replay_postcondition
-from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
+from .replay import concrete_launch, extract_launch, replay_postcondition
+from .result import CheckOutcome, record_encode_stats
+from .vcs import VC, Refutation
 
 __all__ = ["check_functional", "check_functional_nonparam",
            "check_functional_param"]
@@ -161,19 +162,15 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
                               solve: SolveConfig | None = None
                               ) -> CheckOutcome:
     """Refute the kernel's post-conditions at a concrete geometry."""
-    if solve is None:
-        solve = SolveConfig.from_env()
-    start = time.monotonic()
-    outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
-    width = config.width
-    pinned = scalar_values or {}
-    inputs = {n: (BVConst(pinned[n], width) if n in pinned
-                  else BVVar(f"np.in.{n}", width))
-              for n in info.scalar_params}
-    arrays = {n: ArrayVar(f"np.arr.{n}", width, width)
-              for n in info.global_arrays}
-    enc_start = time.monotonic()
-    try:
+    with Refutation(timeout, solve) as check:
+        width = config.width
+        pinned = scalar_values or {}
+        inputs = {n: (BVConst(pinned[n], width) if n in pinned
+                      else BVVar(f"np.in.{n}", width))
+                  for n in info.scalar_params}
+        arrays = {n: ArrayVar(f"np.arr.{n}", width, width)
+                  for n in info.global_arrays}
+        enc_start = time.monotonic()
         model = encode_kernel(info, config, inputs, arrays)
         scope = _ConcreteGhostScope(width, dict(inputs),
                                     model.final_globals, config)
@@ -182,73 +179,64 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
             obligations.append((eval_bool(pc.cond, scope), pc.line))
         if info.spec is not None:
             _exec_ghost(info.spec.body.stmts, scope, obligations)
-    except EncodingError as exc:
-        outcome.verdict = Verdict.UNSUPPORTED
-        outcome.reason = str(exc)
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-    record_encode_stats(outcome, symexec_time=time.monotonic() - enc_start,
-                        queries_built=len(obligations))
+        record_encode_stats(check.outcome,
+                            symexec_time=time.monotonic() - enc_start,
+                            queries_built=len(obligations))
+        check.assumptions = list(model.assumes)
 
-    constraints: list[Term] = list(model.assumes)
+        def confirm(line: int, smt_model):
+            cex = concrete_launch(smt_model, config, inputs, arrays, pinned)
+            cex.detail = f"postcondition at line {line} violated"
+            free = {name: int(smt_model[var])  # type: ignore[arg-type]
+                    for name, var in scope.free.items()}
+            return cex, replay_postcondition(info, cex, width,
+                                             free_bindings=free or None)
 
-    deadline = start + timeout if timeout else None
-    budget = None if deadline is None else max(deadline - time.monotonic(),
-                                               0.01)
-    # Per-obligation VCs are independent; streamed so the first verdict
-    # lands before the last obligation is encoded, and an early return
-    # below abandons (never solves) the tail.
-    lat: dict = {}
-    responses = solve_stream(
-        (Query([*constraints, Not(obligation)], timeout=budget)
-         for obligation, _ in obligations), config=solve, latency=lat)
-    for response, (obligation, line) in zip(responses, obligations):
-        if "first_verdict_s" in lat:
-            record_encode_stats(outcome, first_verdict_s=lat.pop(
-                "first_verdict_s"))
-        result = response.verdict
-        outcome.vcs_checked += 1
-        outcome.solver_time += response.solver_time
-        outcome.merge_solver_stats(response.stats)
-        if result is CheckResult.UNSAT:
-            continue
-        if result is CheckResult.UNKNOWN:
-            outcome.verdict = Verdict.TIMEOUT
-            outcome.reason = "budget exhausted (the paper's T.O)"
-            outcome.elapsed = time.monotonic() - start
-            return outcome
-        smt_model = response.model()
-        scalars = {n: (pinned[n] if n in pinned else int(smt_model[v]))  # type: ignore[arg-type]
-                   for n, v in inputs.items()}
-        contents = {}
-        for name, var in arrays.items():
-            raw = smt_model[var]
-            assert isinstance(raw, dict)
-            contents[name] = {k: v for k, v in raw.items()
-                              if isinstance(k, int)}
-        free_bindings = {n.removeprefix("free."): int(smt_model[v])  # type: ignore[arg-type]
-                         for n, v in ((v.payload, v)
-                                      for v in scope.free.values())}
-        cex = Counterexample(bdim=config.bdim, gdim=config.gdim,
-                             scalars=scalars, arrays=contents,
-                             detail=f"postcondition at line {line} violated")
-        replay = replay_postcondition(info, cex, width,
-                                      free_bindings=free_bindings or None)
-        if replay.confirmed:
-            cex.detail += f"; {replay.reason}"
-            outcome.verdict = Verdict.BUG
-            outcome.counterexample = cex
-        else:
-            outcome.verdict = Verdict.UNKNOWN
-            outcome.reason = f"candidate did not replay ({replay.reason})"
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-    outcome.verdict = Verdict.VERIFIED
-    outcome.elapsed = time.monotonic() - start
-    return outcome
+        check.refute((VC([Not(obligation)], line)
+                      for obligation, line in obligations), confirm)
+    return check.outcome
 
 
 # ------------------------------------------------------------------- param
+
+
+class _PostScope:
+    """Evaluation scope of one postcondition over the symbolic thread's
+    geometry: its array reads become :class:`Read` records at the virtual
+    interval ``bi`` after the last real one."""
+
+    def __init__(self, width: int, inputs: dict[str, Term],
+                 geometry: Geometry, model: KernelModel, bi: int) -> None:
+        self.width = width
+        self.locals: dict[str, Term] = dict(inputs)
+        self.free: dict[str, Term] = {}
+        self.reads: list[Read] = []
+        self.geometry = geometry
+        self.model = model
+        self.bi = bi
+
+    def local(self, name: str, line: int) -> Term:
+        if name not in self.locals:
+            var = BVVar(f"free.{name}", self.width)
+            self.free[name] = var
+            self.locals[name] = var
+        return self.locals[name]
+
+    def builtin(self, base: str, axis: str, line: int) -> Term:
+        if base == "bdim":
+            return self.geometry.bdim[axis]
+        if base == "gdim":
+            return self.geometry.gdim[axis]
+        raise EncodingError(
+            f"line {line}: {base} is meaningless in a postcondition")
+
+    def read_array(self, name: str, indices: tuple[Term, ...],
+                   line: int) -> Term:
+        atom = fresh_var(f"{name}.post", BV(self.width))
+        read = Read(atom=atom, array=name, address=indices, bi=self.bi)
+        self.reads.append(read)
+        self.model.reads_by_atom[atom] = read
+        return atom
 
 
 @fresh_scoped
@@ -264,18 +252,15 @@ def check_functional_param(info: KernelInfo, width: int, *,
     with fresh-thread instantiation (Section IV-A's computation of
     ``odata[k]``), so the proof covers every thread count.
     """
-    if solve is None:
-        solve = SolveConfig.from_env()
-    start = time.monotonic()
-    outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
-    geometry = Geometry.create(width)
-    inputs = {n: BVVar(f"in.{n}", width) for n in info.scalar_params}
-    input_arrays = {n: ArrayVar(f"arr.{n}", width, width)
-                    for n in info.global_arrays}
-    enc_start = time.monotonic()
-    try:
+    with Refutation(timeout, solve) as check:
+        geometry = Geometry.create(width)
+        inputs = {n: BVVar(f"in.{n}", width) for n in info.scalar_params}
+        input_arrays = {n: ArrayVar(f"arr.{n}", width, width)
+                        for n in info.global_arrays}
+        enc_start = time.monotonic()
         model = extract_model(info, geometry, inputs, hint="f")
-        plains = [seg for seg in model.segments if isinstance(seg, PlainModel)]
+        plains = [seg for seg in model.segments
+                  if isinstance(seg, PlainModel)]
         if len(plains) != len(model.segments):
             raise EncodingError(
                 "parameterized postcondition checking supports loop-free "
@@ -284,86 +269,40 @@ def check_functional_param(info: KernelInfo, width: int, *,
             raise EncodingError(
                 "spec blocks (ghost loops) need concrete bounds; use the "
                 "non-parameterized method")
-    except EncodingError as exc:
-        outcome.verdict = Verdict.UNSUPPORTED
-        outcome.reason = str(exc)
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-    record_encode_stats(outcome, symexec_time=time.monotonic() - enc_start)
+        record_encode_stats(check.outcome,
+                            symexec_time=time.monotonic() - enc_start)
 
-    assumptions = geometry.base_assumptions() + model.assumes
-    if assumption_builder is not None:
-        assumptions += list(assumption_builder(geometry, inputs))
-    assumptions += geometry.concretize(concretize, inputs)
+        check.assumptions = geometry.base_assumptions() + model.assumes
+        if assumption_builder is not None:
+            check.assumptions += list(assumption_builder(geometry, inputs))
+        check.assumptions += geometry.concretize(concretize, inputs)
 
-    deadline = start + timeout if timeout else None
+        prestate = PrestateStore(0, width, set(input_arrays),
+                                 initial_globals=input_arrays)
+        ctx = GroupContext(
+            model=model, plains=plains, geometry=geometry, hint="f",
+            prestate=lambda array, addr, bid: prestate.select(
+                "k", array, info.arrays[array].shared, addr, bid),
+            prove=check.prove, bughunt=bughunt)
 
-    def budget() -> float | None:
-        if deadline is None:
-            return None
-        return max(deadline - time.monotonic(), 0.01)
+        def confirm(tag: tuple[int, dict[str, Term]], smt_model):
+            line, free_vars = tag
+            cex = extract_launch(smt_model, geometry, inputs, input_arrays)
+            cex.detail = f"postcondition at line {line} violated"
+            free = {name: int(smt_model[var])  # type: ignore[arg-type]
+                    for name, var in free_vars.items()}
+            return cex, replay_postcondition(info, cex, width,
+                                             free_bindings=free or None)
 
-    def prove(premises: list[Term], obligations: list[Term]) -> bool:
-        response = solve_query(
-            Query([*assumptions, *premises, Not(And(*obligations))],
-                  timeout=budget()), solve)
-        outcome.vcs_checked += 1
-        outcome.solver_time += response.solver_time
-        outcome.merge_solver_stats(response.stats)
-        return response.verdict is CheckResult.UNSAT
-
-    prestate = PrestateStore(0, width, set(input_arrays),
-                             initial_globals=input_arrays)
-    ctx = GroupContext(
-        model=model, plains=plains, geometry=geometry, hint="f",
-        prestate=lambda array, addr, bid: prestate.select(
-            "k", array, info.arrays[array].shared, addr, bid),
-        prove=prove, bughunt=bughunt)
-
-    # A ghost "reader" evaluating the postcondition: array reads become
-    # Read records resolved against all CAs (the virtual interval after the
-    # last real one).
-    ghost = ThreadInstance.fresh(geometry, "post")
-    virtual_bi = 1 + max((p.index for p in plains), default=0)
-
-    class _PostScope:
-        def __init__(self) -> None:
-            self.width = width
-            self.locals: dict[str, Term] = dict(inputs)
-            self.free: dict[str, Term] = {}
-            self.reads: list[Read] = []
-
-        def local(self, name: str, line: int) -> Term:
-            if name not in self.locals:
-                var = BVVar(f"free.{name}", width)
-                self.free[name] = var
-                self.locals[name] = var
-            return self.locals[name]
-
-        def builtin(self, base: str, axis: str, line: int) -> Term:
-            if base == "bdim":
-                return geometry.bdim[axis]
-            if base == "gdim":
-                return geometry.gdim[axis]
-            raise EncodingError(
-                f"line {line}: {base} is meaningless in a postcondition")
-
-        def read_array(self, name: str, indices: tuple[Term, ...],
-                       line: int) -> Term:
-            atom = fresh_var(f"{name}.post", BV(width))
-            read = Read(atom=atom, array=name, address=indices,
-                        bi=virtual_bi)
-            self.reads.append(read)
-            model.reads_by_atom[atom] = read
-            return atom
-
-    from ..lang.ast import Binary
-    try:
+        # A ghost "reader" evaluating the postcondition, resolved against
+        # all CAs.
+        ghost = ThreadInstance.fresh(geometry, "post")
+        virtual_bi = 1 + max((p.index for p in plains), default=0)
         for pc in info.postconds:
-            scope = _PostScope()
-            # `guard ==> property` postconds: the guard becomes a premise, so
-            # coverage proofs inside resolution may use it (e.g. "the cell is
-            # in range, hence some thread wrote it").
+            scope = _PostScope(width, inputs, geometry, model, virtual_bi)
+            # `guard ==> property` postconds: the guard becomes a premise,
+            # so coverage proofs inside resolution may use it (e.g. "the
+            # cell is in range, hence some thread wrote it").
             premises: list[Term] = []
             cond = pc.cond
             while isinstance(cond, Binary) and cond.op == "==>":
@@ -372,60 +311,12 @@ def check_functional_param(info: KernelInfo, width: int, *,
             obligation = Implies(And(*premises), eval_bool(cond, scope))
             cases = resolve_value(obligation, scope.reads, ctx, ghost,
                                   premises)
-            record_encode_stats(outcome, queries_built=len(cases))
-            # Resolution cases are independent VCs: batch them.
-            responses = solve_all(
-                [Query([*assumptions, *case.constraints, Not(case.value)],
-                       timeout=budget()) for case in cases],
-                config=solve)
-            for response in responses:
-                outcome.vcs_checked += 1
-                outcome.solver_time += response.solver_time
-                outcome.merge_solver_stats(response.stats)
-                result = response.verdict
-                if result is CheckResult.UNSAT:
-                    continue
-                if result is CheckResult.UNKNOWN:
-                    outcome.verdict = Verdict.TIMEOUT
-                    outcome.reason = "budget exhausted (the paper's T.O)"
-                    outcome.elapsed = time.monotonic() - start
-                    return outcome
-                smt_model = response.model()
-                cex = extract_launch(smt_model, geometry, inputs,
-                                     input_arrays)
-                cex.detail = f"postcondition at line {pc.line} violated"
-                free_bindings = {name: int(smt_model[var])  # type: ignore[arg-type]
-                                 for name, var in scope.free.items()}
-                replay = replay_postcondition(
-                    info, cex, width, free_bindings=free_bindings or None)
-                if replay.confirmed:
-                    cex.detail += f"; {replay.reason}"
-                    outcome.verdict = Verdict.BUG
-                    outcome.counterexample = cex
-                    outcome.elapsed = time.monotonic() - start
-                    return outcome
-                outcome.reason = (f"candidate did not replay "
-                                  f"({replay.reason})")
-                outcome.verdict = Verdict.UNKNOWN
-                outcome.elapsed = time.monotonic() - start
-                return outcome
-    except EncodingError as exc:
-        outcome.verdict = Verdict.UNSUPPORTED
-        outcome.reason = str(exc)
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-
-    outcome.complete = not ctx.incomplete_reads
-    if ctx.incomplete_reads:
-        outcome.stats["incomplete"] = list(ctx.incomplete_reads)
-        skipped = list(dict.fromkeys(ctx.incomplete_reads))
-        outcome.reason = ("no bug found; obligations skipped: "
-                          + "; ".join(skipped[:3]))
-        outcome.verdict = Verdict.UNKNOWN
-    else:
-        outcome.verdict = Verdict.VERIFIED
-    outcome.elapsed = time.monotonic() - start
-    return outcome
+            record_encode_stats(check.outcome, queries_built=len(cases))
+            check.refute((VC([*case.constraints, Not(case.value)],
+                             (pc.line, scope.free)) for case in cases),
+                         confirm)
+        check.incomplete.extend(ctx.incomplete_reads)
+    return check.outcome
 
 
 def check_functional(info: KernelInfo, *, method: str = "param",

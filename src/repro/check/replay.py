@@ -5,9 +5,10 @@ reported bug is real.  Our parameterized encoder upholds that guarantee
 mechanically — any satisfying assignment the SMT solver produces for a
 violated verification condition is converted into a concrete launch
 configuration plus inputs, both kernels are executed by the reference
-interpreter, and the bug is reported only if the outputs (or the
-postcondition) actually differ.  Candidates that fail replay are downgraded
-to UNKNOWN instead of being reported.
+interpreter, and the bug is reported only if the outputs actually differ
+(or the postcondition fails, or the race detector sees the race).
+Candidates that fail replay are recorded as unconfirmed instead of being
+reported (:class:`repro.check.vcs.Refutation`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from ..lang.typecheck import KernelInfo
 from ..smt import Model, Term
 from .result import Counterexample
 
-__all__ = ["extract_launch", "replay_equivalence", "replay_postcondition",
+__all__ = ["extract_launch", "concrete_launch", "replay_equivalence",
+           "replay_postcondition", "replay_race", "ReplayResult",
            "MAX_REPLAY_THREADS"]
 
 MAX_REPLAY_THREADS = 1 << 14
@@ -45,13 +47,29 @@ def extract_launch(model: Model, geometry, inputs: dict[str, Term],
         value = model[var]
         assert isinstance(value, int)
         scalars[name] = value
+    return Counterexample(bdim=bdim, gdim=gdim, scalars=scalars,
+                          arrays=_contents(model, arrays))
+
+
+def concrete_launch(model: Model, config: LaunchConfig,
+                    inputs: dict[str, Term], arrays: dict[str, Term],
+                    pinned: dict[str, int]) -> Counterexample:
+    """The counterexample of a serialized (fixed-launch) query: the launch
+    of ``config``, the ``pinned`` scalars, and the model's other inputs."""
+    scalars = {name: pinned[name] if name in pinned else int(model[var])  # type: ignore[arg-type]
+               for name, var in inputs.items()}
+    return Counterexample(bdim=config.bdim, gdim=config.gdim,
+                          scalars=scalars, arrays=_contents(model, arrays))
+
+
+def _contents(model: Model, arrays: dict[str, Term]
+              ) -> dict[str, dict[int, int]]:
     contents: dict[str, dict[int, int]] = {}
     for name, var in arrays.items():
         value = model[var]
         assert isinstance(value, dict)
         contents[name] = {k: v for k, v in value.items() if isinstance(k, int)}
-    return Counterexample(bdim=bdim, gdim=gdim, scalars=scalars,
-                          arrays=contents)
+    return contents
 
 
 @dataclass
@@ -187,3 +205,20 @@ def replay_postcondition(info: KernelInfo, cex: Counterexample, width: int,
     if violations:
         return ReplayResult(True, violations[0])
     return ReplayResult(False, "postcondition holds on this input")
+
+
+def replay_race(info: KernelInfo, cex: Counterexample,
+                width: int) -> ReplayResult:
+    """Run the kernel concretely with the interpreter's race detector on;
+    confirmed iff it observes a race."""
+    if _too_big(cex):
+        return ReplayResult(False, "counterexample too large to replay")
+    config = LaunchConfig(bdim=cex.bdim, gdim=cex.gdim, width=width)
+    inputs: dict[str, object] = {**cex.scalars, **cex.arrays}
+    try:
+        result = run_kernel(info, config, inputs, check_races=True)
+    except Exception as exc:
+        return ReplayResult(False, f"replay faulted: {exc}")
+    if result.races:
+        return ReplayResult(True, f"replay observed a {result.races[0]}")
+    return ReplayResult(False, "no race observed on this input")

@@ -1,7 +1,8 @@
 """One check request, from every front end to the checkers.
 
 The CLI reads its kernel files and flags into a :class:`CheckRequest`; the
-server validates a JSON body into the same type.  Both then call
+server validates a JSON body into the same type, each field through the
+same ``parse_*`` function, so both reject the same values.  Both then call
 :func:`run_check`, the one mapping from a request to the method-specific
 checker, so a check answers the same over either surface.  Every BUG it
 returns is replay-confirmed on the concrete interpreter.
@@ -20,7 +21,8 @@ from .functional import check_functional
 from .races import check_races
 from .result import CheckOutcome
 
-__all__ = ["CheckRequest", "USAGE_ERRORS", "parse_dims", "run_check"]
+__all__ = ["CheckRequest", "USAGE_ERRORS", "parse_dims", "parse_scalar",
+           "parse_timeout", "parse_width", "run_check"]
 
 #: A kernel that fails to parse or type-check: the caller's fault (CLI
 #: exit 2, HTTP 422), not the checker's.
@@ -47,6 +49,35 @@ class CheckRequest:
     tenant: str = "default"            # the server's quota identity
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_width(value) -> int:
+    """A machine word width in bits: an integer in 1..64."""
+    if not _is_int(value) or not 1 <= value <= 64:
+        raise ValueError("must be an integer in 1..64")
+    return value
+
+
+def parse_timeout(value) -> float:
+    """A check's wall budget in seconds: a number in (0, 3600]."""
+    if not (_is_int(value) or isinstance(value, float)) \
+            or not 0 < value <= 3600:
+        raise ValueError("must be a number in (0, 3600]")
+    return float(value)
+
+
+def parse_scalar(name, value) -> tuple[str, int]:
+    """A pinned scalar input: an identifier and an integer."""
+    if not isinstance(name, str) or not name.isidentifier():
+        raise ValueError(f"name {name!r} is not an identifier")
+    if not _is_int(value):
+        raise ValueError(f"{name!r} must be an integer")
+    return name, value
+
+
 def parse_dims(value, length: int) -> tuple[int, ...]:
     """A dim list (``"4,4"`` or ``[4, 4]``) padded with 1s to ``length``
     axes; raises ``ValueError`` naming what is wrong with it."""
@@ -56,7 +87,7 @@ def parse_dims(value, length: int) -> tuple[int, ...]:
         except ValueError:
             raise ValueError("is not a dim list") from None
     if not isinstance(value, (list, tuple)) or not value or \
-            not all(isinstance(v, int) and v >= 1 for v in value):
+            not all(_is_int(v) and v >= 1 for v in value):
         raise ValueError("must be a list of positive integers")
     if len(value) > length:
         raise ValueError(f"has more than {length} dims")

@@ -35,7 +35,10 @@ import argparse
 import json
 import sys
 
-from .check.request import USAGE_ERRORS, CheckRequest, parse_dims, run_check
+from .check.request import (
+    USAGE_ERRORS, CheckRequest, parse_dims, parse_scalar, parse_timeout,
+    parse_width, run_check,
+)
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from .smt import QueryCache, RetryPolicy, SolveConfig, resolve_cache
@@ -70,14 +73,19 @@ front-end environment knobs (defaults in parentheses):
 """
 
 
-def _dims(length: int):
-    """An argparse ``type`` for a dim list padded to ``length`` axes."""
-    def parse(text: str) -> tuple[int, ...]:
+def _arg(parse, convert=str, *args):
+    """An argparse ``type``: ``convert`` the text, then ``parse`` it with
+    the validator the server uses for the same field."""
+    def typed(text: str):
         try:
-            return parse_dims(text, length)
+            value = convert(text)
+        except ValueError:
+            value = text   # the validator says what is wrong with it
+        try:
+            return parse(value, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{text!r} {exc}") from None
-    return parse
+    return typed
 
 
 def _read(path: str) -> str:
@@ -87,13 +95,12 @@ def _read(path: str) -> str:
 
 def _scalar(text: str) -> tuple[str, int]:
     """An argparse ``type`` for ``NAME=VAL``."""
-    name, _, value = text.partition("=")
+    name, sep, value = text.partition("=")
     try:
-        if name:
-            return name, int(value, 0)
+        return parse_scalar(name, int(value, 0) if sep else None)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not NAME=INT")
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not NAME=INT") from None
 
 
 def _array(text: str) -> tuple[str, dict[int, int]]:
@@ -152,16 +159,19 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--width", type=int, default=8,
-                       help="machine word width in bits (default 8)")
-        p.add_argument("--timeout", type=float, default=60.0)
-        p.add_argument("--bdim", type=_dims(3),
+        p.add_argument("--width", type=_arg(parse_width, int), default=8,
+                       help="machine word width in bits, 1..64 (default 8)")
+        p.add_argument("--timeout", type=_arg(parse_timeout, float),
+                       default=60.0,
+                       help="wall budget in seconds, in (0, 3600] "
+                            "(default 60)")
+        p.add_argument("--bdim", type=_arg(parse_dims, str, 3),
                        help="concrete block dims, e.g. 4,4,1")
-        p.add_argument("--gdim", type=_dims(2),
+        p.add_argument("--gdim", type=_arg(parse_dims, str, 2),
                        help="concrete grid dims, e.g. 2,2")
-        p.add_argument("--cbdim", type=_dims(3),
+        p.add_argument("--cbdim", type=_arg(parse_dims, str, 3),
                        help="+C: pin bdim for the param method")
-        p.add_argument("--cgdim", type=_dims(2),
+        p.add_argument("--cgdim", type=_arg(parse_dims, str, 2),
                        help="+C: pin gdim for the param method")
         p.add_argument("--set", action="append", default=[], type=_scalar,
                        metavar="NAME=VAL", help="pin a scalar input")

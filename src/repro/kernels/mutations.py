@@ -9,6 +9,10 @@ module enumerates exactly those two mutation classes over a kernel AST:
 * **guard mutations** — weaken/strengthen one comparison inside one ``if``
   guard (``<`` -> ``<=``), or flip a conjunction to a disjunction.
 
+A third class feeds the race checker's oracle rather than Table III:
+
+* **barrier mutations** — delete one ``__syncthreads()``.
+
 Mutations never touch ``spec`` blocks, ``postcond``/``assume`` statements, or
 loop headers, so the specification stays fixed while the implementation
 breaks — the setup equivalence checking is meant to catch.
@@ -24,7 +28,8 @@ from ..lang.ast import (
     IntLit, Kernel, Postcond, Spec, Stmt, Ternary, Unary, Call,
 )
 
-__all__ = ["Mutant", "address_mutants", "guard_mutants", "all_mutants"]
+__all__ = ["Mutant", "address_mutants", "guard_mutants", "barrier_mutants",
+           "all_mutants"]
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,39 @@ def guard_mutants(kernel: Kernel) -> Iterator[Mutant]:
             mutated, _, desc = _mutate_one_guard(kernel, site, kind)
             yield Mutant(label=f"guard-{kind}{site}", description=desc,
                          kernel=mutated)
+
+
+# --------------------------------------------------------- barrier mutations
+
+
+def _delete_one_barrier(kernel: Kernel,
+                        target: int | None) -> tuple[Kernel, int, str]:
+    counter = _SiteCounter(target)
+    description = ""
+
+    def on_stmt(s: Stmt) -> Stmt:
+        nonlocal description
+        if not isinstance(s, Block):
+            return s
+        kept = []
+        for child in s.stmts:
+            if isinstance(child, Barrier) and counter.fire():
+                description = f"line {child.line}: __syncthreads() deleted"
+                continue
+            kept.append(child)
+        return replace(s, stmts=tuple(kept))
+
+    body = _map_stmts(kernel.body, on_stmt)
+    return replace(kernel, body=body), counter.count, description
+
+
+def barrier_mutants(kernel: Kernel) -> Iterator[Mutant]:
+    """One mutant per ``__syncthreads()``, with that barrier deleted."""
+    _, total, _ = _delete_one_barrier(kernel, None)
+    for site in range(total):
+        mutated, _, desc = _delete_one_barrier(kernel, site)
+        yield Mutant(label=f"barrier{site}", description=desc,
+                     kernel=mutated)
 
 
 def all_mutants(kernel: Kernel) -> list[Mutant]:

@@ -44,7 +44,9 @@ import hashlib
 import json
 from typing import Any
 
-from ..check.request import CheckRequest, parse_dims
+from ..check.request import (
+    CheckRequest, parse_dims, parse_scalar, parse_timeout, parse_width,
+)
 from ..cli import (
     EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFIED,
 )
@@ -82,14 +84,18 @@ def _require_str(payload: dict, name: str) -> str:
     return value
 
 
-def _opt_dims(payload: dict, name: str, length: int) -> tuple | None:
-    value = payload.get(name)
-    if value is None:
-        return None
+def _field(name: str, parse, *args):
+    """``parse(*args)``, its ``ValueError`` reported against ``name``."""
     try:
-        return parse_dims(value, length)
+        return parse(*args)
     except ValueError as exc:
         raise ProtocolError(f"field {name!r} {exc}") from None
+
+
+def _opt_dims(payload: dict, name: str, length: int) -> tuple | None:
+    value = payload.get(name)
+    return None if value is None else \
+        _field(name, parse_dims, value, length)
 
 
 def parse_request(payload: Any) -> CheckRequest:
@@ -124,26 +130,16 @@ def parse_request(payload: Any) -> CheckRequest:
             f"field 'method' must be one of {', '.join(_METHODS)}")
     if command == "races" and method != "param":
         raise ProtocolError("'races' only supports the param method")
-    width = payload.get("width", 8)
-    if not isinstance(width, int) or not (1 <= width <= 64):
-        raise ProtocolError("field 'width' must be an integer in 1..64")
-    timeout = payload.get("timeout", 60.0)
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
-            or not (0 < float(timeout) <= 3600):
-        raise ProtocolError("field 'timeout' must be a number in (0, 3600]")
+    width = _field("width", parse_width, payload.get("width", 8))
+    timeout = _field("timeout", parse_timeout, payload.get("timeout", 60.0))
     pair = payload.get("pair")
     if pair is not None and (not isinstance(pair, str) or not pair):
         raise ProtocolError("field 'pair' must be a non-empty string")
     scalars_raw = payload.get("scalars", {})
     if not isinstance(scalars_raw, dict):
         raise ProtocolError("field 'scalars' must be an object")
-    scalars: dict[str, int] = {}
-    for name, value in scalars_raw.items():
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("scalar names must be non-empty strings")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(f"scalar {name!r} must be an integer")
-        scalars[name] = value
+    scalars = dict(_field("scalars", parse_scalar, name, value)
+                   for name, value in scalars_raw.items())
     bughunt = payload.get("bughunt", False)
     certify = payload.get("certify", False)
     if not isinstance(bughunt, bool) or not isinstance(certify, bool):
@@ -155,7 +151,7 @@ def parse_request(payload: Any) -> CheckRequest:
         raise ProtocolError("field 'tenant' must be a non-empty string")
     req = CheckRequest(
         command=command, source=source, target=target, method=method,
-        width=width, timeout=float(timeout), pair=pair,
+        width=width, timeout=timeout, pair=pair,
         bdim=_opt_dims(payload, "bdim", 3),
         gdim=_opt_dims(payload, "gdim", 2),
         cbdim=_opt_dims(payload, "cbdim", 3),

@@ -100,7 +100,7 @@ class TestUnifiedEntry:
         from repro.check.configs import transpose_assumptions
         from repro.param.equivalence import ParamOptions
         (_, si), (_, ti) = load_pair("Transpose")
-        opts = ParamOptions(minimize=False)
+        opts = ParamOptions(allow_reorder=True)
         before = replace(opts)
         out = check_equivalence(
             si, ti, method="param", width=8,

@@ -1,5 +1,7 @@
 """Behavioral tests for functional-correctness checking."""
 
+import time
+
 import pytest
 
 from repro.check.configs import transpose_assumptions
@@ -9,6 +11,7 @@ from repro.check.functional import (
 from repro.check.result import Verdict
 from repro.kernels import address_mutants, load
 from repro.lang import LaunchConfig, check_kernel, parse_kernel
+from repro.smt import SolveConfig, dispatch
 
 TRANSPOSE_CONC = {"bdim": (2, 2, 1), "gdim": (2, 2),
                   "scalars": {"width": 4, "height": 4}}
@@ -59,6 +62,39 @@ class TestNonParam:
         out = check_functional_nonparam(
             info, LaunchConfig(bdim=(2, 1, 1), width=8), timeout=60)
         assert out.verdict is Verdict.VERIFIED  # nothing to check
+
+
+    def test_every_query_gets_the_time_left(self, monkeypatch):
+        """Each obligation's query is given what is left of the check's
+        budget when it is sent, never the full starting budget: k
+        obligations cannot spend k x timeout in the solver."""
+        info = check_kernel(parse_kernel("""
+            void f(int *o) {
+                o[tid.x] = tid.x;
+                postcond(o[0] == 0);
+                postcond(o[1] == 1);
+                postcond(o[2] == 2);
+                postcond(o[3] == 3);
+                postcond(o[0] + o[1] == 1);
+                postcond(o[2] + o[3] == 5);
+            }"""))
+        sent = []
+        real = dispatch.solve_all
+
+        def slow(queries, **kw):
+            sent.extend((q.timeout, time.monotonic()) for q in queries)
+            time.sleep(0.2)
+            return real(queries, **kw)
+        monkeypatch.setattr(dispatch, "solve_all", slow)
+        start = time.monotonic()
+        out = check_functional_nonparam(
+            info, LaunchConfig(bdim=(4, 1, 1), width=8), timeout=30,
+            solve=SolveConfig(cache=False))
+        assert out.verdict is Verdict.VERIFIED and out.vcs_checked == 6
+        assert len(sent) == 6
+        for budget, at in sent:
+            assert budget <= 30 - (at - start) + 0.05, (budget, at - start)
+        assert sent[-1][0] < sent[0][0] - 0.15   # a later chunk got less
 
 
 class TestParam:

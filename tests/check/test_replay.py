@@ -2,7 +2,7 @@
 
 from repro.check.replay import (
     MAX_REPLAY_THREADS, replay_equivalence, replay_postcondition,
-    extract_launch,
+    replay_race, extract_launch,
 )
 from repro.check.result import Counterexample
 from repro.kernels import address_mutants, load, load_pair
@@ -156,3 +156,43 @@ class TestReplayFaults:
         res = replay_postcondition(info, cex, 8)
         assert not res.confirmed
         assert "holds" in res.reason
+
+
+class TestRaceReplay:
+    """``replay_race`` confirms only a race the interpreter observes, and
+    says why a candidate was not confirmed."""
+
+    RACY = "void f(int *o) { o[0] = tid.x; }"
+
+    def test_observed_race_confirmed(self):
+        info = check_kernel(parse_kernel(self.RACY))
+        res = replay_race(info, Counterexample(bdim=(2, 1, 1), gdim=(1, 1)),
+                          8)
+        assert res.confirmed
+        assert "write-write race on o[0]" in res.reason
+
+    def test_too_large_to_replay(self):
+        info = check_kernel(parse_kernel(self.RACY))
+        cex = Counterexample(bdim=(128, 1, 1), gdim=(129, 1))
+        res = replay_race(info, cex, 16)
+        assert not res.confirmed
+        assert "too large" in res.reason
+
+    def test_no_race_observed(self):
+        info = check_kernel(parse_kernel(
+            "void f(int *o) { o[tid.x] = tid.x; }"))
+        res = replay_race(info, Counterexample(bdim=(4, 1, 1), gdim=(1, 1)),
+                          8)
+        assert not res.confirmed
+        assert "no race observed" in res.reason
+
+    def test_replay_faulted(self):
+        info = check_kernel(parse_kernel("""
+            void f(int *o) {
+                __shared__ int s[2];
+                s[tid.x + 10] = 1;
+            }"""))
+        res = replay_race(info, Counterexample(bdim=(2, 1, 1), gdim=(1, 1)),
+                          8)
+        assert not res.confirmed
+        assert "replay faulted" in res.reason

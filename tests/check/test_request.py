@@ -5,13 +5,17 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.check.request import CheckRequest, run_check
-from repro.check.result import Verdict
+from repro.check.result import CheckOutcome, Verdict
 from repro.cli import main
 from repro.kernels import KERNELS, address_mutants, load
 from repro.lang import pretty_kernel
-from repro.serve.protocol import parse_request, verdict_exit_code
+from repro.serve.protocol import (
+    ProtocolError, parse_request, verdict_exit_code,
+)
 from repro.serve.session import execute_check
 from repro.smt import SolveConfig
 
@@ -101,3 +105,103 @@ def test_run_check_applies_the_request_certify_setting():
     assert out.verdict is Verdict.VERIFIED
     assert out.stats["certify"]["rejected"] == 0
 
+
+
+# ------------------------------------------------ one validator per field
+
+_SRC = "void f(int *o) { o[tid.x] = 1; }"
+
+#: JSON scalars, near and far from every field's valid range.
+_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.integers(),
+    st.floats(), st.floats(-1, 4000), st.text(max_size=4))
+
+_FIELD_VALUES = st.one_of(
+    st.tuples(st.sampled_from(["width", "timeout"]),
+              st.one_of(_JSON, st.lists(_JSON, max_size=2))),
+    st.tuples(st.sampled_from(["bdim", "gdim", "cbdim", "cgdim"]),
+              st.one_of(st.lists(st.one_of(_JSON, st.integers(0, 5)),
+                                 max_size=4),
+                        st.text(alphabet="0123456789,- x", max_size=8))),
+    st.tuples(st.just("scalars"),
+              st.dictionaries(st.one_of(st.sampled_from(["n", "width"]),
+                                        st.text(max_size=3)),
+                              _JSON, max_size=3)),
+)
+
+
+def _cli_spelling(field: str, value) -> list[str]:
+    """The flags that carry a JSON field value on the command line: a dim
+    list is comma-joined (a string is the dim list's own text), a scalar
+    is ``--set NAME=VALUE``, and every other value is its JSON text."""
+    if field == "scalars":
+        return [f"--set={name}={json.dumps(v)}" for name, v in value.items()]
+    if field in ("width", "timeout"):
+        return [f"--{field}={json.dumps(value)}"]
+    text = value if isinstance(value, str) else \
+        ",".join(json.dumps(v) for v in value)
+    return [f"--{field}={text}"]
+
+
+@pytest.fixture(scope="module")
+def kernel_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("request") / "k.cu"
+    path.write_text(_SRC)
+    return str(path)
+
+
+def _cli_request(monkeypatch, kernel_path: str, flags: list[str]):
+    """The request the CLI builds from ``flags``, or None when it rejects
+    them as a usage error (exit 2)."""
+    import repro.cli as cli
+    built = []
+
+    def record(req, solve):
+        built.append(req)
+        return CheckOutcome(verdict=Verdict.VERIFIED)
+    monkeypatch.setattr(cli, "run_check", record)
+    try:
+        main(["races", kernel_path, "--no-certify", *flags])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+    (req,) = built
+    return req
+
+
+def _server_request(field: str, value):
+    """The request the server builds, or None when it answers 422."""
+    try:
+        return parse_request({"command": "races", "source": _SRC,
+                              field: value})
+    except ProtocolError:
+        return None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FIELD_VALUES)
+def test_cli_and_server_validate_fields_alike(monkeypatch, kernel_path,
+                                              capsys, field_value):
+    field, value = field_value
+    served = _server_request(field, value)
+    cli = _cli_request(monkeypatch, kernel_path,
+                       _cli_spelling(field, value))
+    capsys.readouterr()
+    assert cli == served, (field, value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("width", 0), ("width", 65), ("width", True), ("width", 8.0),
+    ("timeout", 0), ("timeout", -1), ("timeout", True),
+    ("timeout", float("nan")),
+    pytest.param("timeout", 10 ** 400, id="timeout-beyond-float"),
+    ("cbdim", [True, 2]), ("cgdim", [2, False]), ("bdim", [0]),
+    ("scalars", {"n": True}), ("scalars", {"a=b": 1}), ("scalars", {"": 1}),
+])
+def test_bad_values_are_rejected_on_both_sides(monkeypatch, kernel_path,
+                                               capsys, field, value):
+    assert _server_request(field, value) is None
+    assert _cli_request(monkeypatch, kernel_path,
+                        _cli_spelling(field, value)) is None
+    assert "internal error" not in capsys.readouterr().err
