@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..smt import Eq, Term
 from ..param.geometry import Geometry
 
-__all__ = ["transpose_assumptions", "reduction_assumptions",
+__all__ = ["SUITE_PAIRS", "transpose_assumptions", "reduction_assumptions",
            "suite_assumptions"]
 
 
@@ -64,10 +64,12 @@ def reduction_assumptions(geometry: Geometry,
     return out
 
 
+#: The suite pairs with a registered assumption builder, by name.
+SUITE_PAIRS = {"Reduction": reduction_assumptions,
+               "Transpose": transpose_assumptions}
+
+
 def suite_assumptions(pair_name: str):
-    """The assumption builder registered for a suite pair (by name)."""
-    if pair_name == "Transpose":
-        return transpose_assumptions
-    if pair_name == "Reduction":
-        return reduction_assumptions
-    return lambda geometry, inputs: []
+    """The assumption builder registered for a suite pair (by name); an
+    unknown name raises ``KeyError``, never drops the assumptions."""
+    return SUITE_PAIRS[pair_name]

@@ -113,8 +113,9 @@ def check_races(info: KernelInfo, width: int = 16, *,
 
     The interval-pair queries are independent; :class:`~.vcs.Refutation`
     streams them under ``solve`` (default:
-    :meth:`~repro.smt.dispatch.SolveConfig.from_env`), smallest launches
-    first, and replays each candidate race on the interpreter.
+    :meth:`~repro.smt.dispatch.SolveConfig.from_env`), one query per
+    race-free pair, re-solves a candidate whose launch exceeds the launch
+    bounds once with them, and replays each candidate on the interpreter.
     """
     with Refutation(timeout, solve) as check:
         geometry = Geometry.create(width)
@@ -127,7 +128,7 @@ def check_races(info: KernelInfo, width: int = 16, *,
         if assumption_builder is not None:
             check.assumptions += list(assumption_builder(geometry, inputs))
         check.assumptions += geometry.concretize(concretize, inputs)
-        check.bounds = launch_bounds(geometry)
+        check.bounds = launch_bounds(geometry, concretize)
 
         def confirm(q: _RaceQuery, model):
             cex = extract_launch(model, geometry, inputs, input_arrays)

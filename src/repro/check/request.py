@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 from ..errors import ParseError, SortError, TypeCheckError
 from ..lang import LaunchConfig, check_kernel, parse_kernel
 from ..smt import SolveConfig
-from .configs import suite_assumptions
+from .configs import SUITE_PAIRS, suite_assumptions
 from .equivalence import ParamOptions, check_equivalence
 from .functional import check_functional
 from .races import check_races
 from .result import CheckOutcome
 
-__all__ = ["CheckRequest", "USAGE_ERRORS", "parse_dims", "parse_scalar",
-           "parse_timeout", "parse_width", "run_check"]
+__all__ = ["CheckRequest", "USAGE_ERRORS", "parse_dims", "parse_pair",
+           "parse_scalar", "parse_timeout", "parse_width", "run_check"]
 
 #: A kernel that fails to parse or type-check: the caller's fault (CLI
 #: exit 2, HTTP 422), not the checker's.
@@ -58,6 +58,13 @@ def parse_width(value) -> int:
     """A machine word width in bits: an integer in 1..64."""
     if not _is_int(value) or not 1 <= value <= 64:
         raise ValueError("must be an integer in 1..64")
+    return value
+
+
+def parse_pair(value) -> str:
+    """A suite pair name with registered assumptions."""
+    if not isinstance(value, str) or value not in SUITE_PAIRS:
+        raise ValueError(f"must be one of {', '.join(SUITE_PAIRS)}")
     return value
 
 

@@ -3,14 +3,14 @@
 Every check proves its verification conditions (VCs) the same way
 (Sections III-IV): it asks the solver for a model of each VC's negation.
 UNSAT proves the VC.  UNKNOWN is budget exhaustion, the paper's ``T.O``.
-A model is only a *candidate*: it becomes a launch, and the check reports
-BUG only after that launch replays on the concrete interpreter (the
-paper's "Formal Status": no false alarms).
+A VC that holds costs one query.  A model is only a *candidate*: it
+becomes a launch, and the check reports BUG only after that launch replays
+on the concrete interpreter (the paper's "Formal Status": no false alarms).
 
 :class:`Refutation` holds what the five checkers share: the check's start
 time and budget, the accounting of every solved VC on the
 :class:`~repro.check.result.CheckOutcome`, :meth:`~Refutation.prove`,
-:meth:`~Refutation.refute` with its launch-bounded first round and replay,
+:meth:`~Refutation.refute` with its launch-bounded re-solve and replay,
 and the one mapping to a verdict.  A checker builds its VCs and a
 ``confirm(tag, model) -> (Counterexample, ReplayResult)`` function, and
 runs its body inside ``with Refutation(...) as check:``.
@@ -43,12 +43,14 @@ class VC:
     tag: Any = None
 
 
-def launch_bounds(geometry) -> list[Term]:
-    """Every ``bdim``/``gdim`` axis at most 4: 4^5 = 1024 threads, well
-    within the replay budget."""
-    small = min(4, geometry.bdim["x"].sort.mask)
-    return [v.ule(small) for v in (*geometry.bdim.values(),
-                                   *geometry.gdim.values())]
+def launch_bounds(geometry, pins: dict | None) -> list[Term]:
+    """Every ``bdim``/``gdim`` axis that ``pins`` (the ``concretize``
+    mapping) leaves free at most 4: 4^5 = 1024 threads, well within the
+    replay budget."""
+    pins = pins or {}
+    free = [*list(geometry.bdim.values())[len(pins.get("bdim") or ()):],
+            *list(geometry.gdim.values())[len(pins.get("gdim") or ()):]]
+    return [v.ule(min(4, v.sort.mask)) for v in free]
 
 
 class _Stop(Exception):
@@ -59,7 +61,8 @@ class Refutation:
     """The state of one check, and the loop that refutes its VCs.
 
     ``assumptions`` are added to every query; ``bounds`` (empty: none)
-    make the first, launch-bounded round of :meth:`refute`.  The checker
+    bound the launch of a model, after the unbounded query or, with
+    ``bounded_first`` (bug hunting), before it.  The checker
     appends to ``incomplete`` each obligation it skipped.  Used as a
     context manager, the check ends with its verdict in ``outcome``: a
     body that finishes maps to VERIFIED, or UNKNOWN when a candidate did
@@ -77,6 +80,7 @@ class Refutation:
         self.outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
         self.assumptions: list[Term] = []
         self.bounds: list[Term] = []
+        self.bounded_first = False
         self.incomplete: list[str] = []
         self.unconfirmed: list[str] = []
         self._latency: dict = {}
@@ -132,34 +136,29 @@ class Refutation:
         """Each VC's deciding result, in generation order, counted on the
         outcome as its VC is reached.
 
-        With ``bounds``, a VC's bounded query comes first and its
-        unbounded query is sent only when the bounded one is not SAT: a
-        small model replays fast, and the unbounded query keeps the proof
-        complete.  The bounded stream runs ahead up to its first SAT; the
-        unbounded queries of the VCs before it follow as one stream.
+        Each VC's unbounded query streams first and decides it, except
+        that a model whose launch is outside ``bounds`` is re-solved once
+        with them: a small model replays fast, and the large one stands
+        when the bounded query is not SAT.  With ``bounded_first`` (bug
+        hunting, where the bounds make models cheap to find) the bounded
+        query streams first, and the unbounded one is sent only when it
+        is not SAT, which keeps the proof complete.
         """
-        first = zip(vcs, self._stream(
-            [*self.assumptions, *vc.terms, *self.bounds] for vc in vcs))
-        if not self.bounds:
-            for vc, response in first:
-                yield vc, self._account(response)
-            return
-        while True:
-            open_vcs, hit = [], None
-            for vc, response in first:
-                if response.verdict is CheckResult.SAT:
-                    hit = vc, response
-                    break
-                open_vcs.append((vc, response))
-            if open_vcs:
-                full = self._stream([*self.assumptions, *vc.terms]
-                                    for vc, _ in open_vcs)
-                for (vc, bounded), response in zip(open_vcs, full):
-                    self._account(bounded)
-                    yield vc, self._account(response)
-            if hit is None:
-                return
-            yield hit[0], self._account(hit[1])
+        hunt = self.bounded_first and bool(self.bounds)
+        first, then = (self.bounds, []) if hunt else ([], self.bounds)
+        for vc, response in zip(vcs, self._stream(
+                [*self.assumptions, *vc.terms, *first] for vc in vcs)):
+            self._account(response)
+            sat = response.verdict is CheckResult.SAT
+            # The launch is read as extract_launch reads it: an unbound
+            # dim evaluates to 0 here and replays as 1; both are inside.
+            if (not sat) if hunt else sat and not all(
+                    response.model().eval(b) for b in self.bounds):
+                again = self._account(dispatch.solve_query(self._query(
+                    [*self.assumptions, *vc.terms, *then]), self.solve))
+                if hunt or again.verdict is CheckResult.SAT:
+                    response = again
+            yield vc, response
 
     def refute(self, vcs: Iterable[VC],
                confirm: Callable[[Any, Model],

@@ -36,8 +36,8 @@ import json
 import sys
 
 from .check.request import (
-    USAGE_ERRORS, CheckRequest, parse_dims, parse_scalar, parse_timeout,
-    parse_width, run_check,
+    USAGE_ERRORS, CheckRequest, parse_dims, parse_pair, parse_scalar,
+    parse_timeout, parse_width, run_check,
 )
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
@@ -175,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="+C: pin gdim for the param method")
         p.add_argument("--set", action="append", default=[], type=_scalar,
                        metavar="NAME=VAL", help="pin a scalar input")
-        p.add_argument("--pair", help="use the named suite pair's "
-                                      "configuration assumptions")
+        p.add_argument("--pair", type=_arg(parse_pair),
+                       help="use the named suite pair's configuration "
+                            "assumptions (Reduction or Transpose)")
         p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="solve independent VCs on N worker processes "
                             "(default: $PUGPARA_JOBS or 1)")

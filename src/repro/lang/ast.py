@@ -232,8 +232,5 @@ class Kernel(Node):
     params: tuple[Param, ...]
     body: Block
 
-    def array_params(self) -> list[Param]:
-        return [p for p in self.params if p.is_pointer]
-
     def scalar_params(self) -> list[Param]:
         return [p for p in self.params if not p.is_pointer]

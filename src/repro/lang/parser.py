@@ -48,9 +48,6 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
     def error(self, message: str) -> ParseError:
         t = self.cur
         return ParseError(f"{message} (found {t.text!r})", t.line, t.col)

@@ -158,7 +158,8 @@ def _check(check: Refutation, src_info: KernelInfo, tgt_info: KernelInfo,
     if assumption_builder is not None:
         check.assumptions += list(assumption_builder(geometry, inputs))
     check.assumptions += geometry.concretize(concretize, inputs)
-    check.bounds = launch_bounds(geometry)
+    check.bounds = launch_bounds(geometry, concretize)
+    check.bounded_first = options.bughunt
 
     def confirm(detail: str, model):
         cex = extract_launch(model, geometry, inputs, input_arrays)

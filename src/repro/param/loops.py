@@ -58,11 +58,6 @@ class IterSpace:
     def same_space(self, other: "IterSpace") -> bool:
         return self.kind == other.kind and self.bound is other.bound
 
-    def needs_pow2_bound(self) -> bool:
-        """Whether canonicalization assumed the bound is a power of two
-        (descending geometric headers need it)."""
-        return self.kind == "pow2"
-
 
 def _step_of(stmt: Assign, var: str) -> tuple[str, int]:
     """Classify the step statement; returns (op, amount)."""

@@ -71,16 +71,6 @@ def _status_of(body: dict) -> int:
     return verdict_http_status(body.get("verdict", "unknown"))
 
 
-def _conflicts_of(body: dict) -> int:
-    solver = body.get("stats") or {}
-    if isinstance(solver, dict):
-        solver = solver.get("solver") or {}
-    try:
-        return int(solver.get("conflicts", 0) or 0)
-    except (TypeError, ValueError, AttributeError):
-        return 0
-
-
 class Server:
     """Transport-independent request processing plus the two listeners."""
 

@@ -45,7 +45,8 @@ import json
 from typing import Any
 
 from ..check.request import (
-    CheckRequest, parse_dims, parse_scalar, parse_timeout, parse_width,
+    CheckRequest, parse_dims, parse_pair, parse_scalar, parse_timeout,
+    parse_width,
 )
 from ..cli import (
     EXIT_INTERNAL, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFIED,
@@ -133,8 +134,8 @@ def parse_request(payload: Any) -> CheckRequest:
     width = _field("width", parse_width, payload.get("width", 8))
     timeout = _field("timeout", parse_timeout, payload.get("timeout", 60.0))
     pair = payload.get("pair")
-    if pair is not None and (not isinstance(pair, str) or not pair):
-        raise ProtocolError("field 'pair' must be a non-empty string")
+    if pair is not None:
+        pair = _field("pair", parse_pair, pair)
     scalars_raw = payload.get("scalars", {})
     if not isinstance(scalars_raw, dict):
         raise ProtocolError("field 'scalars' must be an object")

@@ -51,9 +51,6 @@ class ArrayInfo:
 
     reads: dict[Term, list[tuple[Term, Term]]] = field(default_factory=dict)
 
-    def element_vars(self) -> list[Term]:
-        return [var for pairs in self.reads.values() for _, var in pairs]
-
 
 class _Eliminator:
     """Write-chain expansion + Ackermann reduction over one query."""

@@ -160,11 +160,13 @@ class TestExitCodeContract:
         ["races", "K", "--cbdim", "0,1"], ["races", "K", "--bdim", "1,1,1,1"],
         ["races", "K", "--gdim", "two"], ["races", "K", "--set", "n=abc"],
         ["races", "K", "--set", "=4"], ["run", "K", "--array", "a=1,x"],
+        ["races", "K", "--width", "8", "--pair", "Transpse"],
     ])
     def test_bad_flag_values_are_usage_errors(self, kernel_files, capsys,
                                               argv):
-        """Malformed dims and scalars answer exit 2, as the server's
-        422 does, not ``internal error``."""
+        """Malformed dims and scalars, and an unknown pair, answer exit
+        2, as the server's 422 does, not ``internal error`` or a
+        verdict."""
         kernel = kernel_files["optimizedTranspose"]
         with pytest.raises(SystemExit) as exc:
             main([kernel if a == "K" else a for a in argv])

@@ -1,5 +1,7 @@
 """Unit tests for the valid-configuration assumption builders."""
 
+import pytest
+
 from repro.check.configs import (
     reduction_assumptions, suite_assumptions, transpose_assumptions,
 )
@@ -78,7 +80,8 @@ class TestRegistry:
         assert suite_assumptions("Transpose") is transpose_assumptions
         assert suite_assumptions("Reduction") is reduction_assumptions
 
-    def test_unknown_pair_is_empty(self):
-        builder = suite_assumptions("Nonexistent")
-        geo, inputs = geo_inputs()
-        assert builder(geo, inputs) == []
+    def test_unknown_pair_raises(self):
+        # no builder would check every launch and report its bugs
+        for name in ("Nonexistent", "Transpse", "MatMul"):
+            with pytest.raises(KeyError, match=name):
+                suite_assumptions(name)

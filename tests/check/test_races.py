@@ -26,6 +26,18 @@ class TestRaceFreeKernels:
                           concretize=conc, timeout=120)
         assert out.verdict is Verdict.VERIFIED, (name, out.reason)
 
+    @pytest.mark.parametrize("name,builder,conc", [
+        ("naiveTranspose", transpose_assumptions, TRANSPOSE_CONC),
+        ("optimizedReduce", reduction_assumptions, None),
+    ])
+    def test_verifying_sends_each_vc_once(self, name, builder, conc):
+        _, info = load(name)
+        out = check_races(info, 8, assumption_builder=builder,
+                          concretize=conc, timeout=120)
+        assert out.verdict is Verdict.VERIFIED, (name, out.reason)
+        assert out.stats["solver"]["queries"] == \
+            out.stats["encode"]["queries_built"] == out.vcs_checked
+
     def test_scan_unsupported_due_to_loop_carried_scalars(self):
         # the ping-pong parity scalars (pout/pin) are loop-carried, which
         # the parameterized extraction rejects — an honest UNSUPPORTED,

@@ -127,13 +127,21 @@ _FIELD_VALUES = st.one_of(
               st.dictionaries(st.one_of(st.sampled_from(["n", "width"]),
                                         st.text(max_size=3)),
                               _JSON, max_size=3)),
+    st.tuples(st.just("pair"),
+              st.one_of(st.sampled_from(["Transpose", "Reduction", "MatMul",
+                                         "Transpse", "transpose"]),
+                        _JSON)),
 )
 
 
 def _cli_spelling(field: str, value) -> list[str]:
     """The flags that carry a JSON field value on the command line: a dim
     list is comma-joined (a string is the dim list's own text), a scalar
-    is ``--set NAME=VALUE``, and every other value is its JSON text."""
+    is ``--set NAME=VALUE``, a pair name is its own text (a JSON null is
+    no pair: no flag), and every other value is its JSON text."""
+    if field == "pair":
+        return [] if value is None else \
+            [f"--pair={value if isinstance(value, str) else json.dumps(value)}"]
     if field == "scalars":
         return [f"--set={name}={json.dumps(v)}" for name, v in value.items()]
     if field in ("width", "timeout"):
@@ -198,6 +206,7 @@ def test_cli_and_server_validate_fields_alike(monkeypatch, kernel_path,
     pytest.param("timeout", 10 ** 400, id="timeout-beyond-float"),
     ("cbdim", [True, 2]), ("cgdim", [2, False]), ("bdim", [0]),
     ("scalars", {"n": True}), ("scalars", {"a=b": 1}), ("scalars", {"": 1}),
+    ("pair", "Transpse"), ("pair", "MatMul"), ("pair", ["Transpose"]),
 ])
 def test_bad_values_are_rejected_on_both_sides(monkeypatch, kernel_path,
                                                capsys, field, value):

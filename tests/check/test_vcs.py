@@ -1,13 +1,17 @@
-"""The refutation loop every checker shares: accounting, the bounded first
-round, replay before BUG, and the mapping to a verdict."""
+"""The refutation loop every checker shares: accounting, the
+launch-bounded re-solve, replay before BUG, and the mapping to a
+verdict."""
 
 import pytest
 
 from repro.check.replay import ReplayResult
 from repro.check.result import Counterexample, Verdict
-from repro.check.vcs import VC, Refutation
+from repro.check.vcs import VC, Refutation, launch_bounds
 from repro.errors import EncodingError
-from repro.smt import BVVar, CheckResult, Eq, SolveConfig, UGe, dispatch
+from repro.param.geometry import Geometry
+from repro.smt import (
+    BVVar, CheckResult, Eq, Model, SolveConfig, UGe, dispatch,
+)
 
 X = BVVar("vcs.x", 8)
 SAT = [Eq(X, 3)]
@@ -28,6 +32,17 @@ def _confirm_if(*confirmed_tags):
         return (Counterexample(bdim=(1, 1, 1), gdim=(1, 1), detail=tag),
                 ReplayResult(tag in confirmed_tags, f"replay of {tag}"))
     return confirm, calls
+
+
+def _record_x(confirmed: bool):
+    """A confirm function that records the model's value of X."""
+    xs = []
+
+    def confirm(tag, model):
+        xs.append(model[X])
+        return (Counterexample(bdim=(1, 1, 1), gdim=(1, 1), detail=tag),
+                ReplayResult(confirmed, "replay"))
+    return confirm, xs
 
 
 @pytest.fixture
@@ -53,19 +68,70 @@ def test_all_refuted_is_verified():
     assert out.elapsed > 0 and not calls
 
 
-def test_bounded_round_sends_unbounded_query_only_when_not_sat(solved):
+def test_a_vc_that_holds_or_fits_the_bounds_sends_one_query(solved):
+    confirm, calls = _confirm_if("fits")
+    with _check() as check:
+        check.bounds = [X.ule(2)]
+        check.refute([VC(UNSAT, "holds"), VC([Eq(X, 1)], "fits")], confirm)
+    assert check.outcome.verdict is Verdict.BUG
+    assert [len(q.assertions) for q in solved] == [2, 1]
+    assert check.outcome.vcs_checked == 2 and calls == ["fits"]
+
+
+def test_a_model_outside_the_bounds_is_resolved_and_the_small_one_replayed(
+        monkeypatch):
+    """The unbounded query's model has x = 9; the bounded re-solve's
+    model (x = 1) is the one that reaches ``confirm``."""
+    sent = []
+
+    def fake(queries, **kw):
+        sent.extend(len(q.assertions) for q in queries)
+        return [dispatch.QueryResult(
+            verdict=CheckResult.SAT,
+            _model=Model({X: 1 if len(q.assertions) > 1 else 9}))
+            for q in queries]
+    monkeypatch.setattr(dispatch, "solve_all", fake)
+    confirm, xs = _record_x(True)
+    with _check() as check:
+        check.bounds = [X.ule(2)]
+        check.refute([VC([UGe(X, 1)], "tag")], confirm)
+    assert check.outcome.verdict is Verdict.BUG
+    assert sent == [1, 2] and xs == [1]
+    assert check.outcome.stats["solver"]["queries"] == 2
+
+
+def test_a_large_model_stands_when_the_bounded_query_is_not_sat(solved):
+    confirm, xs = _record_x(False)
+    with _check() as check:
+        check.bounds = [X.ule(2)]
+        check.refute([VC([UGe(X, 5)], "big")], confirm)
+    assert check.outcome.verdict is Verdict.UNKNOWN
+    assert [len(q.assertions) for q in solved] == [1, 2]
+    assert len(xs) == 1 and xs[0] >= 5
+
+
+def test_bug_hunting_sends_the_bounded_query_first(solved):
     """A VC gets its unbounded query only when its bounded one is not
     SAT; the bounded model is the one replayed."""
     confirm, calls = _confirm_if("small")
     with _check() as check:
         check.bounds = [X.ule(2)]
+        check.bounded_first = True
         check.refute([VC([UGe(X, 5)], "big"), VC(UNSAT, "none"),
                       VC([Eq(X, 1)], "small")], confirm)
     assert check.outcome.verdict is Verdict.BUG
-    # bounded: big, none, small (SAT, ends the round); unbounded: big, none
+    # bounded: big, none, small (one stream chunk); unbounded: big, none
     assert [len(q.assertions) for q in solved] == [2, 3, 2, 1, 2]
     assert check.outcome.vcs_checked == 5
     assert calls == ["big", "small"]   # "big" only has a large model
+
+
+def test_launch_bounds_leave_out_the_pinned_axes():
+    geo = Geometry.create(8)
+    assert len(launch_bounds(geo, None)) == 5
+    assert launch_bounds(geo, {"bdim": (8, 1, 1), "gdim": (1, 1)}) == []
+    assert launch_bounds(geo, {"bdim": (2, 2), "scalars": {"n": 4}}) == [
+        v.ule(4) for v in (geo.bdim["z"], *geo.gdim.values())]
 
 
 def test_unconfirmed_candidate_is_recorded_and_the_check_goes_on():

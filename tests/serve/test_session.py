@@ -94,18 +94,20 @@ class TestServerCore:
         assert b_over["retry_after"] > 0
 
 
-    def test_validate_field_answers_422(self):
+    @pytest.mark.parametrize("field,value", [("validate", False),
+                                             ("pair", "Transpse")])
+    def test_bad_field_answers_422(self, field, value):
         async def scenario():
             session = Session(workers=0)
             server = Server(session, QuotaLedger())
             try:
-                return await server.handle({**RACES, "validate": False})
+                return await server.handle({**RACES, field: value})
             finally:
                 session.close()
 
         status, body = _run(scenario())
         assert status == 422 and body["exit_code"] == 2
-        assert "validate" in body["error"]
+        assert field in body["error"]
         assert "verdict" not in body
 
 
