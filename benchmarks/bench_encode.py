@@ -112,7 +112,8 @@ def _run_pass(cells, env: dict):
                 "verdict": outcome.verdict.name,
                 "elapsed": round(elapsed, 4),
                 "symexec_s": enc.get("symexec_time", 0.0),
-                "template": enc.get("template"),
+                "template_hits": enc.get("template_hits", 0),
+                "template_misses": enc.get("template_misses", 0),
             }
     finally:
         set_default_template_store(None)
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
 
     cold_sym = sum(c["symexec_s"] for c in cold.values())
     warm_sym = sum(c["symexec_s"] for c in warm.values())
-    hits = sum(1 for c in warm.values() if c["template"] == "hit")
+    hits = sum(c["template_hits"] for c in warm.values())
     report["cold_symexec_s"] = round(cold_sym, 4)
     report["templates_symexec_s"] = round(warm_sym, 4)
     report["template_hits"] = hits

@@ -25,7 +25,7 @@ from ..smt import (
 from ..smt import solve_query  # noqa: F401
 from ..smt.sorts import BV
 from .replay import concrete_launch, replay_equivalence
-from .result import CheckOutcome, record_encode_stats
+from .result import CheckOutcome, add_counters
 from .vcs import VC, Refutation
 
 __all__ = ["check_equivalence", "check_equivalence_nonparam", "ParamOptions"]
@@ -65,8 +65,9 @@ def check_equivalence_nonparam(src_info: KernelInfo, tgt_info: KernelInfo,
         enc_start = time.monotonic()
         m1 = encode_kernel(src_info, config, inputs, arrays)
         m2 = encode_kernel(tgt_info, config, inputs, arrays)
-        record_encode_stats(check.outcome, queries_built=1,
-                            symexec_time=time.monotonic() - enc_start)
+        add_counters(check.outcome.stats, {"encode": {
+            "queries_built": 1,
+            "symexec_time": time.monotonic() - enc_start}})
 
         check.assumptions = m1.assumes + m2.assumes
         if concretize_extent:

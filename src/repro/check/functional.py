@@ -39,7 +39,7 @@ from ..smt import (
 )
 from ..smt.sorts import BV
 from .replay import concrete_launch, extract_launch, replay_postcondition
-from .result import CheckOutcome, record_encode_stats
+from .result import CheckOutcome, add_counters
 from .vcs import VC, Refutation
 
 __all__ = ["check_functional", "check_functional_nonparam",
@@ -179,9 +179,9 @@ def check_functional_nonparam(info: KernelInfo, config: LaunchConfig, *,
             obligations.append((eval_bool(pc.cond, scope), pc.line))
         if info.spec is not None:
             _exec_ghost(info.spec.body.stmts, scope, obligations)
-        record_encode_stats(check.outcome,
-                            symexec_time=time.monotonic() - enc_start,
-                            queries_built=len(obligations))
+        add_counters(check.outcome.stats, {"encode": {
+            "symexec_time": time.monotonic() - enc_start,
+            "queries_built": len(obligations)}})
         check.assumptions = list(model.assumes)
 
         def confirm(line: int, smt_model):
@@ -269,8 +269,8 @@ def check_functional_param(info: KernelInfo, width: int, *,
             raise EncodingError(
                 "spec blocks (ghost loops) need concrete bounds; use the "
                 "non-parameterized method")
-        record_encode_stats(check.outcome,
-                            symexec_time=time.monotonic() - enc_start)
+        add_counters(check.outcome.stats, {"encode": {
+            "symexec_time": time.monotonic() - enc_start}})
 
         check.assumptions = geometry.base_assumptions() + model.assumes
         if assumption_builder is not None:
@@ -311,7 +311,8 @@ def check_functional_param(info: KernelInfo, width: int, *,
             obligation = Implies(And(*premises), eval_bool(cond, scope))
             cases = resolve_value(obligation, scope.reads, ctx, ghost,
                                   premises)
-            record_encode_stats(check.outcome, queries_built=len(cases))
+            add_counters(check.outcome.stats,
+                         {"encode": {"queries_built": len(cases)}})
             check.refute((VC([*case.constraints, Not(case.value)],
                              (pc.line, scope.free)) for case in cases),
                          confirm)

@@ -38,7 +38,7 @@ from ..smt import (
 from ..smt import solve_all, solve_stream  # noqa: F401
 from .replay import extract_launch
 from .replay import replay_race as _replay_race
-from .result import CheckOutcome, record_encode_stats
+from .result import CheckOutcome, add_counters
 from .vcs import VC, Refutation, launch_bounds
 
 __all__ = ["check_races"]
@@ -155,25 +155,28 @@ def _race_queries(info: KernelInfo, width: int, geometry: Geometry,
     tkey = template_key(info, "races", width) if store is not None else None
     template = store.lookup(tkey) if store is not None else None
     if template is not None:
-        record_encode_stats(outcome, symexec_time=0.0, template="hit")
+        add_counters(outcome.stats, {"encode": {"symexec_time": 0.0,
+                                                "template_hits": 1}})
         if template.unsupported is not None:
             raise EncodingError(template.unsupported)
         queries = [_RaceQuery(kind=k, line_a=la, line_b=lb, array=ar,
                               terms=list(ts))
                    for k, la, lb, ar, ts in template.queries]
-        record_encode_stats(outcome, queries_built=len(queries))
+        add_counters(outcome.stats,
+                     {"encode": {"queries_built": len(queries)}})
         return list(template.base), queries
 
     enc_start = time.monotonic()
-    tpl = "miss" if store is not None else "off"
+    misses = int(store is not None)
     try:
         model = extract_model(info, geometry, inputs, hint="rc")
     except EncodingError as exc:
         if store is not None:
             store.store(tkey, VCTemplate(check="races", width=width,
                                          unsupported=str(exc)))
-        record_encode_stats(outcome, template=tpl,
-                            symexec_time=time.monotonic() - enc_start)
+        add_counters(outcome.stats, {"encode": {
+            "template_misses": misses,
+            "symexec_time": time.monotonic() - enc_start}})
         raise
     base = geometry.base_assumptions() + model.assumes
     queries: list[_RaceQuery] = []
@@ -187,8 +190,9 @@ def _race_queries(info: KernelInfo, width: int, geometry: Geometry,
                 assert isinstance(body_seg, PlainModel)
                 queries.extend(_interval_queries(
                     model, body_seg, geometry, info, [constraint]))
-    record_encode_stats(outcome, template=tpl, queries_built=len(queries),
-                        symexec_time=time.monotonic() - enc_start)
+    add_counters(outcome.stats, {"encode": {
+        "template_misses": misses, "queries_built": len(queries),
+        "symexec_time": time.monotonic() - enc_start}})
     if store is not None:
         store.store(tkey, VCTemplate(
             check="races", width=width, base=list(base),

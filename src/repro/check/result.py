@@ -1,4 +1,4 @@
-"""Verdict types shared by all checkers.
+"""Verdict types shared by all checkers, and the stats every check reports.
 
 Mirrors the paper's reporting: a confirmed counterexample (``BUG``), a proof
 (``VERIFIED`` — for equivalence, "the kernels are equivalent for any number
@@ -6,31 +6,40 @@ of threads"), budget exhaustion (``TIMEOUT``, the paper's ``T.O``), or an
 inconclusive analysis (``UNKNOWN`` — e.g. a candidate counterexample that
 concrete replay could not confirm, keeping the paper's no-false-alarms
 guarantee).
+
+``CheckOutcome.stats`` says where a check's time went.  Every solved query
+reports one record of additive numbers (``QueryResult.stats``), each under
+the group of the layer that counted it: ``solver`` (the ``Solver.check``
+counters and phase times, ``queries``, ``cache_hits``, ``budget_time`` and
+``budget_conflicts``), ``certify`` (proof checking) and ``resilience`` (the
+retry ladder and the worker pool).  The checkers count their front-end work
+the same way under ``encode``.  :func:`add_counters` sums every record into
+the outcome, and the server sums each response's ``encode`` group into
+``/v1/stats`` with it.  The few values that are not sums are assigned once
+where they are known: ``encode.first_verdict_s``, ``incomplete`` and the
+CLI's ``cache`` and ``encode.interned`` snapshots.  Everything is a JSON
+value as it stands.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = ["Verdict", "Counterexample", "CheckOutcome", "stopwatch",
-           "SOLVER_STAT_KEYS", "format_solver_stats", "jsonable_stats",
-           "outcome_to_json", "record_encode_stats"]
+__all__ = ["Verdict", "Counterexample", "CheckOutcome", "add_counters",
+           "format_solver_stats", "outcome_to_json"]
 
-#: The per-query ``Solver.stats`` counters the checkers accumulate into
-#: ``CheckOutcome.stats["solver"]`` (printed by the CLI's ``--stats``).
-SOLVER_STAT_KEYS = (
-    "conflicts", "decisions", "propagations", "restarts", "learned",
-    "clauses", "sat_vars",
-    # CDCL inprocessing counters (glue distribution of learned clauses,
-    # clause-DB maintenance, vivification, on-the-fly subsumption).
-    "deleted", "glue2", "glue_low", "glue_high",
-    "vivified", "vivify_lits", "subsumed", "compactions",
-    "simplify_time", "array_time", "blast_time", "sat_time", "time",
-)
+
+def add_counters(into: dict[str, Any], record: dict[str, Any]) -> None:
+    """Add every number of ``record`` into ``into`` at the same path
+    (groups are nested dicts; an empty group adds nothing)."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            if value:
+                add_counters(into.setdefault(key, {}), value)
+        else:
+            into[key] = into.get(key, 0) + value
 
 
 class Verdict(Enum):
@@ -81,71 +90,6 @@ class CheckOutcome:
     complete: bool = True  # False when frames were skipped (Section IV-D)
     stats: dict[str, Any] = field(default_factory=dict)
 
-    def merge_solver_stats(self, query_stats: dict[str, Any]) -> None:
-        """Accumulate one query's ``Solver.stats`` (or a cached result's
-        stats) into ``stats["solver"]``."""
-        agg = self.stats.setdefault("solver", {})
-        agg["queries"] = agg.get("queries", 0) + 1
-        if query_stats.get("cache_hit"):
-            agg["cache_hits"] = agg.get("cache_hits", 0) + 1
-        axis = query_stats.get("budget_axis")
-        if axis in ("time", "conflicts"):
-            # Which budget axis actually expired on an UNKNOWN — lets
-            # --stats attribute escalations to the binding limit.
-            agg["budget_" + axis] = agg.get("budget_" + axis, 0) + 1
-        for key in SOLVER_STAT_KEYS:
-            value = query_stats.get(key)
-            if isinstance(value, (int, float)):
-                agg[key] = agg.get(key, 0) + value
-        self._merge_resilience(query_stats.get("resilience"))
-        self._merge_certify(query_stats)
-
-    def _merge_resilience(self, res: dict[str, Any] | None) -> None:
-        """Fold one query's dispatch-level resilience record (retry
-        attempts, contained errors, pool events) into
-        ``stats["resilience"]``."""
-        if not isinstance(res, dict):
-            return
-        agg = self.stats.setdefault("resilience", {})
-        attempts = res.get("attempts") or []
-        agg["attempts"] = agg.get("attempts", 0) + len(attempts)
-        if len(attempts) > 1:
-            agg["retried"] = agg.get("retried", 0) + 1
-        for a in attempts:
-            axis = a.get("budget_axis")
-            if axis in ("time", "conflicts"):
-                agg["budget_" + axis] = agg.get("budget_" + axis, 0) + 1
-        if res.get("recovered"):
-            agg["recovered"] = agg.get("recovered", 0) + 1
-        errors = sum(1 for a in attempts if a.get("error"))
-        if errors:
-            agg["errors"] = agg.get("errors", 0) + errors
-        pool = res.get("pool")
-        if isinstance(pool, dict):
-            agg["worker_restarts"] = (agg.get("worker_restarts", 0)
-                                      + int(pool.get("worker_restarts", 0)))
-            if pool.get("degraded"):
-                agg["degraded"] = True
-
-    def _merge_certify(self, query_stats: dict[str, Any]) -> None:
-        """Fold one query's proof-certification record into
-        ``stats["certify"]`` (checked/rejected counts, checker spend)."""
-        cert = query_stats.get("certify")
-        if isinstance(cert, dict):
-            agg = self.stats.setdefault("certify", {})
-            for key in ("checked", "rejected", "trivial", "steps",
-                        "verified"):
-                value = cert.get(key)
-                if isinstance(value, (int, float)):
-                    agg[key] = agg.get(key, 0) + value
-            if isinstance(cert.get("time"), (int, float)):
-                agg["time"] = agg.get("time", 0.0) + cert["time"]
-        elif query_stats.get("certified"):
-            # A cache hit whose stored UNSAT entry carries the certified
-            # mark: the proof was checked when the entry was written.
-            agg = self.stats.setdefault("certify", {})
-            agg["cached"] = agg.get("cached", 0) + 1
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         out = f"{self.verdict.value} ({self.elapsed:.2f}s, {self.vcs_checked} VCs)"
         if not self.complete:
@@ -155,37 +99,6 @@ class CheckOutcome:
         if self.counterexample is not None:
             out += f"\n  counterexample: {self.counterexample.describe()}"
         return out
-
-
-def record_encode_stats(outcome: "CheckOutcome", *,
-                        symexec_time: float | None = None,
-                        template: str | None = None,
-                        queries_built: int | None = None,
-                        first_verdict_s: float | None = None) -> None:
-    """Populate ``stats["encode"]`` — the front-end's side of the ledger.
-
-    ``--stats`` and the serve response body have always shown where
-    *solving* time went; this block finally makes the encode/solve split
-    observable: symbolic-execution time, whether the VC template cache
-    answered (``template`` is ``"hit"``, ``"miss"``, or ``"off"``), the
-    time to the first streamed verdict, and the interned-DAG health
-    counters.
-    """
-    from ..smt.terms import intern_stats
-    enc = outcome.stats.setdefault("encode", {})
-    if symexec_time is not None:
-        enc["symexec_time"] = enc.get("symexec_time", 0.0) + symexec_time
-    if template is not None:
-        enc["template"] = template
-        if template == "hit":
-            enc["template_hits"] = enc.get("template_hits", 0) + 1
-        elif template == "miss":
-            enc["template_misses"] = enc.get("template_misses", 0) + 1
-    if queries_built is not None:
-        enc["queries_built"] = enc.get("queries_built", 0) + queries_built
-    if first_verdict_s is not None:
-        enc["first_verdict_s"] = first_verdict_s
-    enc["interned"] = intern_stats()
 
 
 def format_solver_stats(outcome: "CheckOutcome") -> str:
@@ -224,9 +137,7 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
     if enc:
         lines.append("encode:")
         if "symexec_time" in enc:
-            tpl = enc.get("template")
-            lines.append(f"  symexec      {enc['symexec_time']:.3f}s"
-                         + (f"  (template: {tpl})" if tpl else ""))
+            lines.append(f"  symexec      {enc['symexec_time']:.3f}s")
         if enc.get("template_hits") or enc.get("template_misses"):
             lines.append(f"  templates    hits: {enc.get('template_hits', 0)}"
                          f", misses: {enc.get('template_misses', 0)}")
@@ -268,7 +179,7 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
             lines.append(f"  derivations  {int(cert.get('steps', 0))} "
                          f"logged, {int(cert.get('verified', 0))} "
                          "re-derived by the checker")
-        if isinstance(cert.get("time"), (int, float)):
+        if "time" in cert:
             lines.append(f"  check time   {cert['time']:.3f}s")
     health = outcome.stats.get("cache")
     if health:
@@ -276,27 +187,6 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
         lines.append(f"  quarantined  {health.get('quarantined', 0)} "
                      "corrupt disk entr(y/ies) set aside")
     return "\n".join(lines)
-
-
-def jsonable_stats(value: Any) -> Any:
-    """Recursively project a stats structure onto JSON-safe types.
-
-    Dispatch stats occasionally carry non-JSON payloads (enum verdicts,
-    tuples, exception reprs); machine-readable consumers (``--stats-json``,
-    the serve protocol, the bench harness) need a lossless-enough JSON view
-    — unknown scalars are stringified rather than dropped.
-    """
-    if isinstance(value, dict):
-        return {str(k): jsonable_stats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable_stats(v) for v in value]
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    return str(value)
 
 
 def outcome_to_json(outcome: "CheckOutcome") -> dict[str, Any]:
@@ -326,15 +216,6 @@ def outcome_to_json(outcome: "CheckOutcome") -> dict[str, Any]:
         "vcs_checked": outcome.vcs_checked,
         "complete": outcome.complete,
         "counterexample": cex,
-        "stats": jsonable_stats(outcome.stats),
+        "stats": outcome.stats,
     }
 
-
-@contextmanager
-def stopwatch(outcome_setter) -> Iterator[None]:
-    """Measure a block's wall time into ``outcome_setter(seconds)``."""
-    start = time.monotonic()
-    try:
-        yield
-    finally:
-        outcome_setter(time.monotonic() - start)

@@ -27,7 +27,7 @@ from ..smt import (
     And, CheckResult, Model, Not, Query, SolveConfig, Term, dispatch,
 )
 from .replay import ReplayResult
-from .result import CheckOutcome, Counterexample, Verdict, record_encode_stats
+from .result import CheckOutcome, Counterexample, Verdict, add_counters
 
 __all__ = ["VC", "Refutation", "launch_bounds"]
 
@@ -108,12 +108,13 @@ class Refutation:
     def _query(self, terms: list[Term]) -> Query:
         return Query(terms, timeout=self.budget(), do_simplify=self.simplify)
 
-    def _account(self, response):
-        """Count a solved VC as it lands, so a check that ends early
-        reports the work it did."""
-        self.outcome.vcs_checked += 1
+    def _account(self, response, vcs: int = 1):
+        """Add a solved query's stats to the outcome as it lands, so a
+        check that ends early reports the work it did; ``vcs`` is 0 for a
+        second query of a VC already counted."""
+        self.outcome.vcs_checked += vcs
         self.outcome.solver_time += response.solver_time
-        self.outcome.merge_solver_stats(response.stats)
+        add_counters(self.outcome.stats, response.stats)
         return response
 
     def _stream(self, term_lists: Iterable[list[Term]]):
@@ -155,7 +156,8 @@ class Refutation:
             if (not sat) if hunt else sat and not all(
                     response.model().eval(b) for b in self.bounds):
                 again = self._account(dispatch.solve_query(self._query(
-                    [*self.assumptions, *vc.terms, *then]), self.solve))
+                    [*self.assumptions, *vc.terms, *then]), self.solve),
+                    vcs=0)
                 if hunt or again.verdict is CheckResult.SAT:
                     response = again
             yield vc, response
@@ -200,8 +202,8 @@ class Refutation:
         elif not issubclass(kind, _Stop):
             handled = False
         if "first_verdict_s" in self._latency:
-            record_encode_stats(
-                out, first_verdict_s=self._latency["first_verdict_s"])
+            out.stats.setdefault("encode", {})["first_verdict_s"] = \
+                self._latency["first_verdict_s"]
         out.elapsed = time.monotonic() - self.start
         return handled
 

@@ -41,7 +41,9 @@ from .check.request import (
 )
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
-from .smt import QueryCache, RetryPolicy, SolveConfig, resolve_cache
+from .smt import (
+    QueryCache, RetryPolicy, SolveConfig, intern_stats, resolve_cache,
+)
 from .smt.resilience import ESCALATIONS
 
 __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
@@ -316,14 +318,13 @@ def _client(args) -> int:
     return exit_code if isinstance(exit_code, int) else EXIT_INTERNAL
 
 
-def _attach_cache_health(outcome, cache) -> None:
-    """Fold the effective query cache's health counters into the outcome
-    stats (``--stats`` / ``--stats-json``): quarantined corrupt disk
-    entries."""
+def _attach_snapshots(outcome, cache) -> None:
+    """Set this process's state after the check on the outcome stats
+    (``--stats`` / ``--stats-json``): the interned-term table's counters,
+    and the query cache's quarantined corrupt disk entries."""
+    outcome.stats.setdefault("encode", {})["interned"] = intern_stats()
     resolved = resolve_cache(cache)
-    if resolved is None:
-        return
-    quarantined = resolved.stats.get("quarantined", 0)
+    quarantined = resolved.stats["quarantined"] if resolved else 0
     if quarantined:
         outcome.stats["cache"] = {"quarantined": quarantined}
 
@@ -340,13 +341,15 @@ def _dispatch(args, solve: SolveConfig | None) -> int:
         return _client(args)
 
     if args.command == "suite":
+        from .check.configs import SUITE_PAIRS
         from .kernels import KERNELS, PAIRS
         print("kernels:")
         for name in sorted(KERNELS):
             print(f"  {name}")
-        print("equivalence pairs:")
+        print("equivalence pairs (* = --pair checks under its "
+              "assumptions):")
         for name in sorted(PAIRS):
-            print(f"  {name}")
+            print(f"  {name}{' *' if name in SUITE_PAIRS else ''}")
         return EXIT_VERIFIED
 
     if args.command == "run":
@@ -373,7 +376,7 @@ def _dispatch(args, solve: SolveConfig | None) -> int:
     # equiv / func / races: one request through the shared check path
     outcome = run_check(_request(args, solve), solve)
     if args.stats or args.stats_json:
-        _attach_cache_health(outcome, solve.cache)
+        _attach_snapshots(outcome, solve.cache)
     print(outcome)
     if args.stats:
         print(format_solver_stats(outcome))

@@ -1,9 +1,10 @@
 """Registry of the paper's kernel suite.
 
-Each entry names a kernel (or an unoptimized/optimized pair), its parsed AST,
-and the configuration assumptions under which the pair is equivalent — the
-"valid configurations" of Section IV-B (square blocks for transpose,
-power-of-two block size for the reduction-style kernels).
+Each entry names a kernel (or an unoptimized/optimized pair) and its
+source.  The configuration assumptions under which a pair is equivalent —
+the "valid configurations" of Section IV-B (square blocks for transpose,
+power-of-two block size for the reduction) — are built in
+:mod:`repro.check.configs`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ __all__ = ["KernelEntry", "PairEntry", "KERNELS", "PAIRS", "load", "load_pair"]
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """A single kernel: its DSL source and the configuration constraints its
-    spec needs (strings over bdim/gdim/scalar params, DSL expression syntax)."""
+    """A single kernel and its DSL source."""
     name: str
     source: str
-    assumptions: tuple[str, ...] = ()
-    pow2_bdim: bool = False        # spec needs a power-of-two block size
-    square_block: bool = False     # spec needs bdim.x == bdim.y
 
 
 @dataclass(frozen=True)
@@ -34,48 +31,28 @@ class PairEntry:
     name: str
     source: KernelEntry
     target: KernelEntry
-    pow2_bdim: bool = False
-    square_block: bool = False
 
 
-def _entry(name: str, source: str, **kw) -> KernelEntry:
-    return KernelEntry(name=name, source=source, **kw)
-
-
-KERNELS: dict[str, KernelEntry] = {
-    "naiveTranspose": _entry("naiveTranspose", transpose.NAIVE),
-    "optimizedTranspose": _entry("optimizedTranspose", transpose.OPTIMIZED,
-                                 square_block=True),
-    "naiveReduce": _entry("naiveReduce", reduction.NAIVE, pow2_bdim=True),
-    "optimizedReduce": _entry("optimizedReduce", reduction.OPTIMIZED,
-                              pow2_bdim=True),
-    "scanNaive": _entry("scanNaive", scan.NAIVE, pow2_bdim=True),
-    "scanRacy": _entry("scanRacy", scan.RACY, pow2_bdim=True),
-    "scalarProd": _entry("scalarProd", scalar_product.KERNEL, pow2_bdim=True),
-    "naiveMatMul": _entry("naiveMatMul", matmul.NAIVE),
-    "tiledMatMul": _entry("tiledMatMul", matmul.TILED, square_block=True),
-    "bitonicSort": _entry("bitonicSort", bitonic.KERNEL, pow2_bdim=True),
-}
+KERNELS: dict[str, KernelEntry] = {entry.name: entry for entry in (
+    KernelEntry("naiveTranspose", transpose.NAIVE),
+    KernelEntry("optimizedTranspose", transpose.OPTIMIZED),
+    KernelEntry("naiveReduce", reduction.NAIVE),
+    KernelEntry("optimizedReduce", reduction.OPTIMIZED),
+    KernelEntry("scanNaive", scan.NAIVE),
+    KernelEntry("scanRacy", scan.RACY),
+    KernelEntry("scalarProd", scalar_product.KERNEL),
+    KernelEntry("naiveMatMul", matmul.NAIVE),
+    KernelEntry("tiledMatMul", matmul.TILED),
+    KernelEntry("bitonicSort", bitonic.KERNEL),
+)}
 
 PAIRS: dict[str, PairEntry] = {
-    "Transpose": PairEntry(
-        name="Transpose",
-        source=KERNELS["naiveTranspose"],
-        target=KERNELS["optimizedTranspose"],
-        square_block=True,
-    ),
-    "Reduction": PairEntry(
-        name="Reduction",
-        source=KERNELS["naiveReduce"],
-        target=KERNELS["optimizedReduce"],
-        pow2_bdim=True,
-    ),
-    "MatMul": PairEntry(
-        name="MatMul",
-        source=KERNELS["naiveMatMul"],
-        target=KERNELS["tiledMatMul"],
-        square_block=True,
-    ),
+    name: PairEntry(name, KERNELS[source], KERNELS[target])
+    for name, source, target in (
+        ("Transpose", "naiveTranspose", "optimizedTranspose"),
+        ("Reduction", "naiveReduce", "optimizedReduce"),
+        ("MatMul", "naiveMatMul", "tiledMatMul"),
+    )
 }
 
 

@@ -48,7 +48,7 @@ from ..smt import (
 # Bound here for perfbench's span tracing, which wraps these names.
 from ..smt import solve_all, solve_query  # noqa: F401
 from ..check.replay import extract_launch, replay_equivalence
-from ..check.result import CheckOutcome, record_encode_stats
+from ..check.result import CheckOutcome, add_counters
 from ..check.vcs import VC, Refutation, launch_bounds
 from .ca import KernelModel, LoopModel, PlainModel, extract_model
 from .geometry import Geometry, ThreadInstance
@@ -150,8 +150,8 @@ def _check(check: Refutation, src_info: KernelInfo, tgt_info: KernelInfo,
     enc_start = time.monotonic()
     src = extract_model(src_info, geometry, inputs, hint="s")
     tgt = extract_model(tgt_info, geometry, inputs, hint="t")
-    record_encode_stats(check.outcome,
-                        symexec_time=time.monotonic() - enc_start)
+    add_counters(check.outcome.stats, {"encode": {
+        "symexec_time": time.monotonic() - enc_start}})
 
     check.assumptions = [*geometry.base_assumptions(), *src.assumes,
                          *tgt.assumes]

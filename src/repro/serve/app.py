@@ -24,7 +24,8 @@ Each request climbs the admission ladder:
    leader's verdict with the counterexample translated back into its own
    identifier spelling;
 4. **solve** — a warm worker runs the check (:mod:`repro.serve.session`);
-5. **settle** — the reservation is refunded down to actual spend.
+5. **settle** — the reservation is refunded down to the response's
+   ``elapsed``; a follower that joined a leader spends nothing.
 
 Shutdown (SIGTERM/SIGINT or EOF on stdio) is a *graceful drain*:
 in-flight checks run to completion under a configurable deadline
@@ -44,6 +45,7 @@ import signal
 import sys
 from typing import Any
 
+from ..check.result import add_counters
 from ..smt.dispatch import SolveConfig
 from ..smt.resilience import ESCALATIONS, RetryPolicy
 from .protocol import (
@@ -96,7 +98,8 @@ class Server:
     async def handle(self, payload: Any) -> tuple[int, dict]:
         """One request through the full ladder; returns (http_status,
         body).  The body always carries ``status`` and, when a check was
-        solved, the verdict plus the same stats blocks ``--stats`` prints.
+        solved, the verdict plus the check's stats in the shape
+        ``--stats-json`` writes.
         """
         self.stats["requests"] += 1
         if self.closing.is_set():
@@ -122,7 +125,7 @@ class Server:
 
     async def _admit_and_solve(self, req) -> tuple[int, dict]:
         try:
-            charge = self.ledger.admit(req.tenant, req.timeout, None,
+            charge = self.ledger.admit(req.tenant, req.timeout,
                                        self.policy)
         except QuotaExceeded as exc:
             # Overload is honest degradation: inconclusive, never wrong,
@@ -131,6 +134,7 @@ class Server:
             return HTTP_OVERLOAD, {
                 "status": "overload", "error": str(exc),
                 "retry_after": round(exc.retry_after, 3), "exit_code": 3}
+        spent = 0.0
         try:
             key, names = canonical_request_key(req)
             leader = self._inflight.get(key)
@@ -155,12 +159,13 @@ class Server:
                         "error": f"{type(exc).__name__}: {exc}"}
             finally:
                 self._inflight.pop(key, None)
+            spent = float(body.get("elapsed", 0.0))
             if not future.cancelled():
                 future.set_result(body)
             return self._finish(key, dict(body))
         finally:
             # Settle down to actual spend (followers spend nothing).
-            self.ledger.settle(charge)
+            self.ledger.settle(charge, spent)
 
     def _finish(self, key: str, body: dict) -> tuple[int, dict]:
         status = _status_of(body)
@@ -173,7 +178,8 @@ class Server:
             counts[verdict] = counts.get(verdict, 0) + 1
             if body.get("certified"):
                 self.stats["certified"] += 1
-            self._note_encode(body)
+            add_counters(self.stats,
+                         {"encode": body.get("stats", {}).get("encode", {})})
         elif body["status"] == "usage":
             body["exit_code"] = 2
             self.stats["usage_errors"] += 1
@@ -181,27 +187,6 @@ class Server:
             body["exit_code"] = 4
             self.stats["internal_errors"] += 1
         return status, body
-
-    def _note_encode(self, body: dict) -> None:
-        """Fold one response's ``stats.encode`` block into the server-wide
-        ``/v1/stats`` counters (template hit rate, symexec spend) — the
-        serving-level view of how much front-end work the shared VC
-        template store is absorbing across tenants."""
-        stats = body.get("stats")
-        enc = stats.get("encode") if isinstance(stats, dict) else None
-        if not isinstance(enc, dict):
-            return
-        agg = self.stats.setdefault(
-            "encode", {"template_hits": 0, "template_misses": 0,
-                       "symexec_time": 0.0})
-        try:
-            agg["template_hits"] += int(enc.get("template_hits", 0) or 0)
-            agg["template_misses"] += int(enc.get("template_misses", 0)
-                                          or 0)
-            agg["symexec_time"] += float(enc.get("symexec_time", 0.0)
-                                         or 0.0)
-        except (TypeError, ValueError):
-            pass
 
     @property
     def active(self) -> int:
@@ -360,7 +345,6 @@ async def _amain(args, solve: SolveConfig) -> int:
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
                       rlimit_mb=args.rlimit_mb, solve=solve)
     ledger = QuotaLedger(seconds_per_window=args.quota_seconds,
-                         conflicts_per_window=args.quota_conflicts,
                          window=args.quota_window,
                          max_inflight=args.max_inflight)
     server = Server(session, ledger)
@@ -451,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quota-seconds", type=float, default=None,
                         metavar="S", help="per-tenant wall-clock budget "
                         "per window (worst-case escalated charge)")
-    parser.add_argument("--quota-conflicts", type=int, default=None,
-                        metavar="N",
-                        help="per-tenant conflict budget per window")
     parser.add_argument("--quota-window", type=float, default=60.0,
                         metavar="S", help="quota window length "
                         "(default 60)")

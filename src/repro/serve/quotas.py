@@ -1,12 +1,12 @@
-"""Admission control: per-tenant budget quotas over a sliding window.
+"""Admission control: per-tenant wall-clock quotas over a sliding window.
 
-A tenant's requests are admitted against two axes — wall-clock seconds
-and CDCL conflicts — the same two budget axes the retry policy escalates
-(:meth:`repro.smt.resilience.RetryPolicy.budgets`).  A request is charged
-its *worst case up front*: the sum of every escalated attempt the policy
-could spend if the solver answered UNKNOWN all the way down the retry
-ladder.  When the check settles, the unused remainder is refunded, so a
-fast verified answer costs what it used, not what it could have used.
+A tenant's requests are admitted against the seconds they may spend per
+window.  A request is charged its *worst case up front*: the sum of every
+escalated timeout the retry policy
+(:meth:`repro.smt.resilience.RetryPolicy.budgets`) could spend if the
+solver answered UNKNOWN all the way down the retry ladder.  When the check
+settles, the reservation is refunded down to the response's ``elapsed``,
+so a fast verified answer costs what it used, not what it could have used.
 
 Rejection is honest degradation: an over-quota request surfaces as HTTP
 429 (a JSONL ``error``), is never solved, never cached, and never turned
@@ -45,30 +45,21 @@ class Charge:
     """One admitted request's reserved budget (a ticket for settlement)."""
     tenant: str
     seconds: float
-    conflicts: int
     window_start: float = 0.0
     settled: bool = False
 
 
-def worst_case_charge(timeout: float, conflict_budget: int | None,
-                      policy: RetryPolicy) -> tuple[float, int]:
-    """The (seconds, conflicts) a request could spend across every
-    escalated retry attempt — the amount reserved at admission."""
-    seconds = 0.0
-    conflicts = 0
-    for attempt in range(policy.retries + 1):
-        t, c = policy.budgets(timeout, conflict_budget, attempt)
-        seconds += t if t is not None else timeout
-        if c is not None:
-            conflicts += c
-    return seconds, conflicts
+def worst_case_charge(timeout: float, policy: RetryPolicy) -> float:
+    """The seconds a request could spend across every escalated retry
+    attempt — the amount reserved at admission."""
+    return sum(policy.budgets(timeout, None, attempt)[0]
+               for attempt in range(policy.retries + 1))
 
 
 @dataclass
 class _Bucket:
     window_start: float
     seconds_used: float = 0.0
-    conflicts_used: int = 0
     inflight: int = 0
 
 
@@ -76,12 +67,11 @@ class _Bucket:
 class QuotaLedger:
     """Per-tenant sliding-window budget accounting.
 
-    ``seconds_per_window`` / ``conflicts_per_window`` cap what one tenant
-    may reserve inside any ``window``-second span; ``max_inflight`` caps
-    concurrency regardless of budget.  ``None`` on an axis disables it.
+    ``seconds_per_window`` caps what one tenant may reserve inside any
+    ``window``-second span; ``max_inflight`` caps concurrency regardless
+    of budget.  ``None`` disables either.
     """
     seconds_per_window: float | None = None
-    conflicts_per_window: int | None = None
     window: float = 60.0
     max_inflight: int | None = None
     clock: object = time.monotonic
@@ -97,12 +87,10 @@ class QuotaLedger:
         return bucket
 
     def admit(self, tenant: str, timeout: float,
-              conflict_budget: int | None,
               policy: RetryPolicy) -> Charge:
         """Reserve the request's worst-case budget or raise
         :class:`QuotaExceeded` — nothing is ever partially admitted."""
-        seconds, conflicts = worst_case_charge(timeout, conflict_budget,
-                                               policy)
+        seconds = worst_case_charge(timeout, policy)
         now = float(self.clock())
         with self._mu:
             bucket = self._bucket(tenant, now)
@@ -113,19 +101,12 @@ class QuotaLedger:
             if self.seconds_per_window is not None and \
                     bucket.seconds_used + seconds > self.seconds_per_window:
                 raise QuotaExceeded(tenant, "wall-clock", retry_after)
-            if self.conflicts_per_window is not None and conflicts and \
-                    bucket.conflicts_used + conflicts > \
-                    self.conflicts_per_window:
-                raise QuotaExceeded(tenant, "conflict", retry_after)
             bucket.seconds_used += seconds
-            bucket.conflicts_used += conflicts
             bucket.inflight += 1
             return Charge(tenant=tenant, seconds=seconds,
-                          conflicts=conflicts,
                           window_start=bucket.window_start)
 
-    def settle(self, charge: Charge, seconds_spent: float = 0.0,
-               conflicts_spent: int = 0) -> None:
+    def settle(self, charge: Charge, seconds_spent: float = 0.0) -> None:
         """Release the reservation, keeping only what was actually spent.
 
         Settling is idempotent; the refund never exceeds the reservation
@@ -143,10 +124,8 @@ class QuotaLedger:
             bucket.inflight = max(0, bucket.inflight - 1)
             if bucket.window_start != charge.window_start:
                 return  # the reservation's window already turned over
-            refund_s = max(0.0, charge.seconds - max(0.0, seconds_spent))
-            refund_c = max(0, charge.conflicts - max(0, conflicts_spent))
-            bucket.seconds_used = max(0.0, bucket.seconds_used - refund_s)
-            bucket.conflicts_used = max(0, bucket.conflicts_used - refund_c)
+            refund = max(0.0, charge.seconds - max(0.0, seconds_spent))
+            bucket.seconds_used = max(0.0, bucket.seconds_used - refund)
 
     def usage(self, tenant: str) -> dict:
         """The tenant's current-window accounting (for ``/v1/stats``)."""
@@ -155,7 +134,6 @@ class QuotaLedger:
             bucket = self._bucket(tenant, now)
             return {
                 "seconds_used": bucket.seconds_used,
-                "conflicts_used": bucket.conflicts_used,
                 "inflight": bucket.inflight,
                 "window_remaining": self.window - (now -
                                                    bucket.window_start),

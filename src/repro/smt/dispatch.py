@@ -23,8 +23,8 @@ blasts and searches it alone, in-process or on a worker.
 
 Workers receive queries as flat term blobs (:mod:`repro.smt.qcache`'s
 encoding — hash-consed terms do not pickle) and return the verdict, a
-name-keyed model projection, and the per-query ``Solver.stats``, which the
-parent merges back into each :class:`QueryResult`.
+name-keyed model projection, and the solver's stats record, which becomes
+the :class:`QueryResult`'s.
 
 Per-query wall-clock budgets ride inside the worker's ``Solver`` and surface
 as ``UNKNOWN`` on expiry — the paper's ``T.O`` — never as a wrong verdict.
@@ -33,8 +33,9 @@ Beyond throughput, the dispatcher is a *resilient runtime* — it degrades,
 it never reports what it cannot defend:
 
 * **UNKNOWN retries.** A :class:`~repro.smt.resilience.RetryPolicy` re-asks
-  budget-exhausted queries under escalated budgets (geometric or Luby); the
-  per-attempt record travels back in ``stats["resilience"]``.
+  budget-exhausted queries under escalated budgets (geometric or Luby); each
+  attempt's budgets, verdict and error travel back in
+  ``QueryResult.attempts``, the ladder's counters in ``stats["resilience"]``.
 * **Worker-crash recovery.** A dead worker (``BrokenProcessPool``) requeues
   its in-flight queries, the pool is rebuilt under capped exponential
   backoff (from :data:`POOL_BACKOFF`), and after :data:`POOL_RETRIES`
@@ -100,11 +101,23 @@ class Query:
     tag: Any = None  # caller correlation handle, passed through untouched
 
 
+def _one_query() -> dict:
+    return {"solver": {"queries": 1}}
+
+
 @dataclass
 class QueryResult:
-    """Verdict, stats, and (on SAT) the satisfying assignment."""
+    """Verdict, stats, and (on SAT) the satisfying assignment.
+
+    ``stats`` is the query's record of additive numbers, grouped by the
+    layer that counted them (``solver``, ``certify``, ``resilience``; see
+    :mod:`repro.check.result`).  ``attempts`` lists each solve attempt's
+    budgets, verdict and error text; it is empty when the cache or a
+    duplicate in the batch answered.
+    """
     verdict: CheckResult
-    stats: dict[str, Any] = field(default_factory=dict)
+    stats: dict[str, dict] = field(default_factory=_one_query)
+    attempts: list[dict] = field(default_factory=list)
     cached: bool = False
     tag: Any = None
     _model: Model | None = None
@@ -116,7 +129,7 @@ class QueryResult:
 
     @property
     def solver_time(self) -> float:
-        return float(self.stats.get("time", 0.0))
+        return float(self.stats["solver"].get("time", 0.0))
 
 
 # ------------------------------------------------------------- settings
@@ -317,8 +330,16 @@ def _prepare(index: int, query: Query) -> _Prepared:
                      varmap=varmap, simplify_time=simplify_time)
 
 
-#: One leader's outcome: (verdict, model, stats).
-_Outcome = tuple[CheckResult, Model | None, dict]
+#: One solve attempt's outcome: (verdict, model, stats record, error text).
+_Outcome = tuple[CheckResult, Model | None, dict, str | None]
+
+
+def _failed(error: BaseException, elapsed: float = 0.0) -> tuple:
+    """The UNKNOWN of a solve that raised: the error is recorded, never
+    propagated and never turned into a verdict."""
+    text = ("memory exhausted" if isinstance(error, MemoryError)
+            else f"{type(error).__name__}: {error}")
+    return CheckResult.UNKNOWN, None, {"solver": {"time": elapsed}}, text
 
 
 def _solve_local_guarded(prep: _Prepared, timeout: float | None,
@@ -339,14 +360,9 @@ def _solve_local_guarded(prep: _Prepared, timeout: float | None,
         solver.add(*query.assertions)
         verdict = solver.check(simplified=prep.work)
         model = solver.model() if verdict is CheckResult.SAT else None
-        return verdict, model, dict(solver.stats)
-    except MemoryError:
-        return CheckResult.UNKNOWN, None, {
-            "error": "memory exhausted", "time": time.monotonic() - start}
-    except Exception as exc:
-        return CheckResult.UNKNOWN, None, {
-            "error": f"{type(exc).__name__}: {exc}",
-            "time": time.monotonic() - start}
+        return verdict, model, solver.stats, None
+    except Exception as exc:  # MemoryError included
+        return _failed(exc, time.monotonic() - start)
 
 
 def _project_model(model: Model) -> dict:
@@ -364,7 +380,7 @@ def _project_model(model: Model) -> dict:
     return {"scalars": scalars, "arrays": arrays}
 
 
-def _worker_solve(payload: tuple) -> tuple[str, dict | None, dict]:
+def _worker_solve(payload: tuple) -> tuple:
     """Executed in a worker process: decode, solve, project the model.
 
     ``blob`` holds the prepared (already simplified) assertions;
@@ -389,14 +405,14 @@ def _worker_solve(payload: tuple) -> tuple[str, dict | None, dict]:
         solver.add(*(decode_terms(original_blob)
                      if original_blob is not None else terms))
         verdict = solver.check(simplified=terms)
-    except MemoryError:
+    except MemoryError as exc:
         # The rlimit fired: report a contained budget failure instead of
         # letting the allocator kill the process.
-        return CheckResult.UNKNOWN.value, None, {"error": "memory exhausted"}
+        return _failed(exc)
     model_blob: dict | None = None
     if verdict is CheckResult.SAT:
         model_blob = _project_model(solver.model())
-    return verdict.value, model_blob, dict(solver.stats)
+    return verdict, model_blob, solver.stats, None
 
 
 def _model_from_names(blob: dict | None,
@@ -419,18 +435,30 @@ def _model_from_names(blob: dict | None,
 
 
 def _cache_entry(verdict: CheckResult, model: Model | None,
-                 varmap: dict[Term, int], stats: dict,
+                 varmap: dict[Term, int], counts: dict,
                  certified: bool = False) -> dict:
+    """A cache entry: the verdict, the canonical model and the solve's
+    ``solver`` counters."""
     entry = {
         "verdict": verdict.value,
         "model": (model_to_canonical(model, varmap)
                   if model is not None else None),
-        "stats": {k: v for k, v in stats.items()
-                  if isinstance(v, (int, float))},
+        "stats": dict(counts),
     }
     if certified:
         entry["certified"] = True
     return entry
+
+
+def _hit_record(counts: dict, certified: bool = False) -> dict:
+    """The record of a query answered without solving: the ``solver``
+    counters of the solve that answered it, at no solver time now."""
+    record = {"solver": {**counts, "time": 0.0, "queries": 1,
+                         "cache_hits": 1}}
+    if certified:
+        # The entry's UNSAT proof was checked when the entry was written.
+        record["certify"] = {"cached": 1}
+    return record
 
 
 def _result_from_entry(entry: dict, varmap: dict[Term, int],
@@ -439,13 +467,10 @@ def _result_from_entry(entry: dict, varmap: dict[Term, int],
     model = None
     if verdict is CheckResult.SAT and entry.get("model") is not None:
         model = model_from_canonical(entry["model"], varmap)
-    stats = dict(entry.get("stats") or {})
-    stats["cache_hit"] = True
-    stats["time"] = 0.0  # a hit costs no solver time *now*
-    if entry.get("certified"):
-        stats["certified"] = True
-    return QueryResult(verdict=verdict, stats=stats, cached=True, tag=tag,
-                       _model=model)
+    return QueryResult(verdict=verdict,
+                       stats=_hit_record(entry.get("stats") or {},
+                                         bool(entry.get("certified"))),
+                       cached=True, tag=tag, _model=model)
 
 
 # ----------------------------------------------------- the solving waves
@@ -494,7 +519,7 @@ def _solve_wave_pool(wave: list[_Prepared],
                                                                 requeue)
             for future, (prep, requeue) in futures.items():
                 try:
-                    verdict_str, model_blob, stats = future.result()
+                    verdict, model_blob, stats, error = future.result()
                 except BrokenExecutor:
                     # The worker died mid-query (crash, OOM kill): requeue
                     # with a bumped salt so the retry draws a fresh fault
@@ -504,13 +529,11 @@ def _solve_wave_pool(wave: list[_Prepared],
                 except Exception as exc:
                     # A worker raised (injected fault, decode failure...):
                     # contained as UNKNOWN, never propagated to the caller.
-                    results[prep.key] = (CheckResult.UNKNOWN, None, {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "time": 0.0})
+                    results[prep.key] = _failed(exc)
                     continue
                 results[prep.key] = (
-                    CheckResult(verdict_str),
-                    _model_from_names(model_blob, prep.varmap), stats)
+                    verdict, _model_from_names(model_blob, prep.varmap),
+                    stats, error)
         finally:
             # Unconditional: SIGINT or an exception mid-wave must not
             # leave worker processes behind.
@@ -523,7 +546,7 @@ def _solve_wave_pool(wave: list[_Prepared],
             # Bottom of the degradation ladder: solve the survivors
             # serially in-process.  Crash faults cannot fire here (no
             # worker), so this rung always terminates.
-            events["degraded"] = True
+            events["degraded"] = 1
             log.warning(
                 "worker pool failed %d times in a row; degrading %d "
                 "queries to in-process serial solving",
@@ -546,27 +569,44 @@ def _solve_wave_pool(wave: list[_Prepared],
 
 
 def _attempt_record(attempt: int, timeout: float | None,
-                    conflicts: int | None, verdict: CheckResult,
-                    stats: dict) -> dict:
+                    conflicts: int | None, outcome: _Outcome) -> dict:
+    """One entry of ``QueryResult.attempts``."""
+    verdict, _, stats, error = outcome
     record: dict[str, Any] = {"attempt": attempt, "verdict": verdict.value}
     if timeout is not None:
         record["timeout"] = timeout
     if conflicts is not None:
         record["conflict_budget"] = conflicts
-    if stats.get("error"):
-        record["error"] = stats["error"]
-    if stats.get("budget_axis"):
-        # Which budget axis (wall-clock vs conflicts) actually expired on
-        # this attempt — lets --stats attribute escalations correctly.
-        record["budget_axis"] = stats["budget_axis"]
+    if error:
+        record["error"] = error
+    for axis in ("time", "conflicts"):
+        if stats["solver"].get("budget_" + axis):
+            # The budget axis that expired on this attempt.
+            record["budget_axis"] = axis
     return record
 
 
+def _resilience(attempts: list[dict], verdict: CheckResult) -> dict:
+    """The retry ladder's counters for one query: nothing for a query
+    whose first attempt answered without an error."""
+    errors = sum(1 for a in attempts if "error" in a)
+    if len(attempts) == 1 and not errors:
+        return {}
+    retried = len(attempts) > 1
+    axes = [a.get("budget_axis") for a in attempts]
+    return {"attempts": len(attempts), "retried": int(retried),
+            "recovered": int(retried and verdict is not CheckResult.UNKNOWN),
+            "errors": errors, "budget_time": axes.count("time"),
+            "budget_conflicts": axes.count("conflicts")}
+
+
 def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
-                 plan: FaultPlan | None,
-                 events: dict) -> dict[str, _Outcome]:
-    """Solve every leader, retrying UNKNOWNs under escalated budgets."""
+                 plan: FaultPlan | None
+                 ) -> dict[str, tuple[_Outcome, list[dict]]]:
+    """Solve every leader, retrying UNKNOWNs under escalated budgets: each
+    leader's final outcome and its attempt records."""
     jobs, policy, certify = config.jobs, config.policy, config.certify
+    events: dict[str, int] = {}
     outcomes: dict[str, _Outcome] = {}
     records: dict[str, list[dict]] = {p.key: [] for p in leaders}
     wave = list(leaders)
@@ -587,11 +627,11 @@ def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
                 for p in wave}
         retry: list[_Prepared] = []
         for p in wave:
-            verdict, model, stats = solved[p.key]
+            outcomes[p.key] = solved[p.key]
             records[p.key].append(_attempt_record(
-                attempt, *budgets[p.key], verdict, stats))
-            outcomes[p.key] = (verdict, model, stats)
-            if verdict is CheckResult.UNKNOWN and attempt < policy.retries:
+                attempt, *budgets[p.key], solved[p.key]))
+            if solved[p.key][0] is CheckResult.UNKNOWN \
+                    and attempt < policy.retries:
                 retry.append(p)
         if retry:
             log.info("retrying %d UNKNOWN queries at escalation attempt %d",
@@ -599,29 +639,17 @@ def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
         wave = retry
         attempt += 1
 
-    # Surface the per-attempt story where there is one to tell: a retry, a
-    # contained error, or pool-level events.
+    # Each leader's record gains the ladder's counters; the pool's events
+    # (worker restarts, degradation) are the batch's, counted once on its
+    # first leader.
     for i, p in enumerate(leaders):
-        recs = records[p.key]
-        verdict, model, stats = outcomes[p.key]
-        noteworthy = len(recs) > 1 or any(r.get("error") for r in recs)
-        pool_events = i == 0 and (events.get("worker_restarts")
-                                  or events.get("degraded"))
-        if not (noteworthy or pool_events):
-            continue
-        stats = dict(stats)
-        stats["resilience"] = {
-            "attempts": recs,
-            "recovered": (len(recs) > 1
-                          and verdict is not CheckResult.UNKNOWN),
-        }
-        if pool_events:
-            stats["resilience"]["pool"] = {
-                "worker_restarts": events.get("worker_restarts", 0),
-                "degraded": bool(events.get("degraded")),
-            }
-        outcomes[p.key] = (verdict, model, stats)
-    return outcomes
+        verdict, _, stats, _ = outcomes[p.key]
+        resilience = _resilience(records[p.key], verdict)
+        if i == 0:
+            resilience.update(events)
+        if resilience:
+            stats["resilience"] = resilience
+    return {p.key: (outcomes[p.key], records[p.key]) for p in leaders}
 
 
 # -------------------------------------------------------------- public
@@ -676,30 +704,20 @@ def solve_all(queries: Sequence[Query], *,
             order.append(prep.key)
         groups[prep.key].append(prep)
 
-    leaders = [groups[key][0] for key in order]
-
     # Phase 2: solve each group's leader through the resilient runtime
     # (worker pool with crash recovery, or in-process), retrying UNKNOWNs
     # under the policy's escalation schedule.
-    events: dict = {}
-    solved = _solve_batch(leaders, config, plan, events)
-    entries: dict[str, dict] = {}
-    leader_models: dict[str, Model | None] = {}
-    for prep in leaders:
-        verdict, model, stats = solved[prep.key]
-        # The solver started from the prepared assertions: the time spent
-        # simplifying them belongs to this query.
-        stats = {**stats, "simplify_time": prep.simplify_time,
-                 "time": stats.get("time", 0.0) + prep.simplify_time}
-        entry = _cache_entry(verdict, model, prep.varmap, stats)
-        entry["stats"] = stats  # keep the full stat set
-        entries[prep.key] = entry
-        leader_models[prep.key] = model
+    solved = _solve_batch([groups[key][0] for key in order], config, plan)
 
     # Phase 3: populate the cache and fan results back out.
     for key in order:
-        entry = entries[key]
-        verdict = CheckResult(entry["verdict"])
+        leader, *duplicates = groups[key]
+        (verdict, model, stats, _), attempts = solved[key]
+        counts = stats["solver"]
+        # The solver started from the prepared assertions: the time spent
+        # simplifying them belongs to this query.
+        counts["simplify_time"] = leader.simplify_time
+        counts["time"] = counts.get("time", 0.0) + leader.simplify_time
         if cache_obj is not None and verdict is not CheckResult.UNKNOWN:
             # UNKNOWN is budget-dependent, never cacheable — which also
             # covers certify-rejected verdicts (they arrive here as
@@ -709,29 +727,21 @@ def solve_all(queries: Sequence[Query], *,
             # later certified runs can trust the hit.
             certified = bool(certify and verdict is CheckResult.UNSAT)
             cache_obj.store(key, _cache_entry(
-                verdict, leader_models[key],
-                groups[key][0].varmap, entry["stats"],
-                certified=certified))
-        for rank, prep in enumerate(groups[key]):
-            if rank == 0:
-                results[prep.index] = QueryResult(
-                    verdict=verdict, stats=dict(entry["stats"]),
-                    cached=False, tag=prep.query.tag,
-                    _model=leader_models[key])
-            else:
-                # A structural duplicate within the batch: translate the
-                # leader's model through the canonical numbering.
-                model = None
-                if verdict is CheckResult.SAT and \
-                        leader_models[key] is not None:
-                    model = model_from_canonical(
-                        model_to_canonical(leader_models[key],
-                                           groups[key][0].varmap),
-                        prep.varmap)
-                stats = {"cache_hit": True, "time": 0.0}
-                results[prep.index] = QueryResult(
-                    verdict=verdict, stats=stats, cached=True,
-                    tag=prep.query.tag, _model=model)
+                verdict, model, leader.varmap, counts, certified=certified))
+        counts.update(queries=1, cache_hits=0)
+        results[leader.index] = QueryResult(
+            verdict=verdict, stats=stats, attempts=attempts,
+            tag=leader.query.tag, _model=model)
+        for prep in duplicates:
+            # A structural duplicate within the batch: translate the
+            # leader's model through the canonical numbering.
+            dup_model = None
+            if model is not None:
+                dup_model = model_from_canonical(
+                    model_to_canonical(model, leader.varmap), prep.varmap)
+            results[prep.index] = QueryResult(
+                verdict=verdict, stats=_hit_record({}), cached=True,
+                tag=prep.query.tag, _model=dup_model)
 
     return [r for r in results if r is not None]
 

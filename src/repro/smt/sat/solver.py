@@ -60,8 +60,7 @@ from ...errors import SolverError
 __all__ = ["SATSolver", "SATResult", "STAT_COUNTER_KEYS"]
 
 #: Monotone per-solve counters in ``SATSolver.stats`` — the keys the facade
-#: copies into query stats, and that :mod:`repro.check.result` aggregates
-#: into ``stats["solver"]``.
+#: copies into its query record's ``solver`` group.
 STAT_COUNTER_KEYS = (
     "conflicts", "decisions", "propagations", "restarts", "learned",
     "deleted", "glue2", "glue_low", "glue_high",

@@ -75,9 +75,10 @@ class Solver:
         layer logs its derivation and the independent checker
         (:func:`repro.smt.sat.proof.check_proof`) re-validates it.  A
         rejected proof downgrades the answer to ``UNKNOWN`` with
-        ``stats["certify"]["rejected"]`` set — a claim that cannot be
-        certified is never reported as UNSAT.  Term-level-FALSE short
-        circuits certify trivially (no SAT layer involved).
+        ``stats["certify"]["rejected"]`` set and the checker's reason in
+        ``rejection`` — a claim that cannot be certified is never reported
+        as UNSAT.  Term-level-FALSE short circuits certify trivially (no
+        SAT layer involved).
     """
 
     def __init__(self, timeout: float | None = None,
@@ -94,7 +95,10 @@ class Solver:
         self.certify = certify
         self.assertions: list[Term] = []
         self._model: Model | None = None
-        self.stats: dict[str, object] = {}
+        #: The last check's record: its counters and phase times under
+        #: ``"solver"``, and under ``"certify"`` its proof check.
+        self.stats: dict[str, dict] = {}
+        self.rejection: str | None = None
 
     def add(self, *terms: Term) -> None:
         for t in terms:
@@ -111,7 +115,9 @@ class Solver:
         validation still checks the added assertions.
         """
         self._model = None
-        self.stats = {}
+        self.rejection = None
+        counts: dict[str, float] = {}
+        self.stats = {"solver": counts}
         start = time.monotonic()
         deadline = start + self.timeout if self.timeout is not None else None
 
@@ -122,7 +128,7 @@ class Solver:
             work = simplify_all(list(self.assertions), polys)
         else:
             work = list(self.assertions)
-        self.stats["simplify_time"] = time.monotonic() - start
+        counts["simplify_time"] = time.monotonic() - start
         work = [t for t in work if t is not TRUE]
         if any(t is FALSE for t in work):
             self._certify_trivial()
@@ -142,7 +148,7 @@ class Solver:
                 self._certify_trivial()
                 self._finish(start, conflicts=0)
                 return CheckResult.UNSAT
-        self.stats["array_time"] = time.monotonic() - elim_start
+        counts["array_time"] = time.monotonic() - elim_start
 
         blast_start = time.monotonic()
         pre = None
@@ -156,7 +162,7 @@ class Solver:
             bb = BitBlaster(GateBuilder(core))
         for t in flat:
             bb.assert_term(t)
-        self.stats["blast_time"] = time.monotonic() - blast_start
+        counts["blast_time"] = time.monotonic() - blast_start
         if self.preprocess:
             db = bb.gb.sat
             pp_start = time.monotonic()
@@ -166,8 +172,8 @@ class Solver:
                     log.add_axiom(())  # the DB drops an empty input clause
             pre = Preprocessor(db.num_vars, db.clauses, [0],
                                proof=log).run()
-            self.stats["preprocess_time"] = time.monotonic() - pp_start
-            self.stats.update(pre.stats)
+            counts["preprocess_time"] = time.monotonic() - pp_start
+            counts.update(pre.stats)
             sat = SATSolver()
             if log is not None:
                 sat.attach_proof(log, adopt=True)
@@ -178,11 +184,11 @@ class Solver:
                 sat.ok = False
         else:
             sat = bb.gb.sat
-        self.stats["clauses"] = len(sat.clauses)
-        self.stats["sat_vars"] = sat.num_vars
+        counts["clauses"] = len(sat.clauses)
+        counts["sat_vars"] = sat.num_vars
         if not sat.ok:
             self._finish(start, conflicts=sat.stats["conflicts"])
-            self._merge_sat_stats(sat)
+            self._copy_sat_counters(sat)
             if not self._certify_unsat(log):
                 return CheckResult.UNKNOWN
             return CheckResult.UNSAT
@@ -193,9 +199,9 @@ class Solver:
         if result.value == "sat" and faults.flips_unsat(
                 faults.active(), str(sat.num_vars)):
             result = type(result).UNSAT  # the lying-solver fault
-        self.stats["sat_time"] = time.monotonic() - sat_start
+        counts["sat_time"] = time.monotonic() - sat_start
         self._finish(start, conflicts=sat.stats["conflicts"])
-        self._merge_sat_stats(sat)
+        self._copy_sat_counters(sat)
         if result.value == "unsat":
             if not self._certify_unsat(log):
                 return CheckResult.UNKNOWN
@@ -259,19 +265,21 @@ class Solver:
             "time": time.monotonic() - t0,
         }
         if not res.ok:
-            self.stats["certify"]["reason"] = res.reason
+            self.rejection = res.reason
         return res.ok
 
     def _finish(self, start: float, conflicts: int) -> None:
-        self.stats["time"] = time.monotonic() - start
-        self.stats["conflicts"] = conflicts
+        self.stats["solver"]["time"] = time.monotonic() - start
+        self.stats["solver"]["conflicts"] = conflicts
 
-    def _merge_sat_stats(self, sat) -> None:
+    def _copy_sat_counters(self, sat) -> None:
+        counts = self.stats["solver"]
         for key in STAT_COUNTER_KEYS:
             if key != "conflicts":  # set by _finish already
-                self.stats[key] = sat.stats.get(key, 0)
+                counts[key] = sat.stats.get(key, 0)
         if sat.stats.get("budget_axis"):
-            self.stats["budget_axis"] = sat.stats["budget_axis"]
+            # The budget axis that expired, counted once for this query.
+            counts["budget_" + sat.stats["budget_axis"]] = 1
 
     def model(self) -> Model:
         if self._model is None:

@@ -24,6 +24,17 @@ def test_suite_listing(capsys):
     assert "Transpose" in out
 
 
+def test_suite_marks_the_pairs_with_assumptions(capsys):
+    """``--pair`` accepts the pairs marked ``*``: MatMul has no
+    assumption builder, so it is listed but not checkable as a pair."""
+    assert main(["suite"]) == 0
+    out = capsys.readouterr().out
+    heading, pairs = out.split("equivalence pairs", 1)[1].split("\n", 1)
+    assert "--pair" in heading
+    assert pairs.split("\n")[:3] == ["  MatMul", "  Reduction *",
+                                      "  Transpose *"]
+
+
 def test_equiv_param_verified(kernel_files, capsys):
     rc = main(["equiv", kernel_files["naiveTranspose"],
                kernel_files["optimizedTranspose"],

@@ -2,6 +2,7 @@
 one ``run_check``: the same check must answer the same over both."""
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import pytest
@@ -17,7 +18,7 @@ from repro.serve.protocol import (
     ProtocolError, parse_request, verdict_exit_code,
 )
 from repro.serve.session import execute_check
-from repro.smt import SolveConfig
+from repro.smt import RetryPolicy, SolveConfig, dispatch, faults
 
 TRANSPOSE_C = {"pair": "Transpose", "cbdim": [2, 2, 1], "cgdim": [2, 2],
                "scalars": {"width": 4, "height": 4}}
@@ -29,7 +30,8 @@ def _transpose_mutant() -> str:
 
 
 #: (kernel sources, request fields, expected verdict): races param, equiv
-#: param with a pair, equiv nonparam, func param and func nonparam.
+#: param with a pair, equiv nonparam, func param and func nonparam, plus a
+#: certified check and one whose query is retried.
 CASES = {
     "races-param": (
         [KERNELS["scanRacy"].source],
@@ -50,7 +52,25 @@ CASES = {
     "func-nonparam": (
         [KERNELS["scalarProd"].source],
         {"command": "func", "method": "nonparam", "bdim": [6, 1, 1]}, "bug"),
+    "races-certified": (
+        [KERNELS["optimizedTranspose"].source],
+        {"command": "races", "certify": True, **TRANSPOSE_C}, "verified"),
+    "equiv-nonparam-retried": (
+        [KERNELS["naiveTranspose"].source,
+         KERNELS["optimizedTranspose"].source],
+        {"command": "equiv", "method": "nonparam", "bdim": [2, 2, 1],
+         "gdim": [1, 1], "scalars": {"width": 2, "height": 2}}, "verified"),
 }
+
+#: The retried case's first solve attempt raises; ``--retries 2`` answers
+#: the query on the second.  Fault triggers are counted per process, so
+#: the case solves in-process on both sides: fresh pool workers would
+#: each fail once more.
+TRANSIENT = faults.FaultPlan(seed=4, solver_exception=1.0, max_triggers=1)
+
+#: The ``solver`` counts the CLI's ``--stats-json`` and the server's body
+#: must agree on.
+SOLVER_COUNTS = ("queries", "cache_hits", "conflicts", "clauses", "sat_vars")
 
 
 def _cli_argv(fields: dict, paths: list[str], dest: str) -> list[str]:
@@ -65,11 +85,24 @@ def _cli_argv(fields: dict, paths: list[str], dest: str) -> list[str]:
             argv += [f"--{flag}", ",".join(map(str, fields[flag]))]
     for name, value in fields.get("scalars", {}).items():
         argv += ["--set", f"{name}={value}"]
+    if fields.get("certify"):
+        argv.append("--certify")
     return argv
 
 
+def _numbers(record: dict) -> list:
+    """Every value of a stats record, through its groups."""
+    return [v for value in record.values()
+            for v in (_numbers(value) if isinstance(value, dict)
+                      else [value])]
+
+
+def _without_time(group: dict) -> dict:
+    return {k: v for k, v in group.items() if not k.endswith("time")}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_and_server_agree(case, tmp_path, capsys):
+def test_cli_and_server_agree(case, tmp_path, capsys, monkeypatch):
     sources, fields, expected = CASES[case]
     paths = []
     for i, text in enumerate(sources):
@@ -77,15 +110,32 @@ def test_cli_and_server_agree(case, tmp_path, capsys):
         path.write_text(text)
         paths.append(str(path))
     dest = tmp_path / "outcome.json"
-    rc = main(_cli_argv(fields, paths, str(dest)))
+    argv = _cli_argv(fields, paths, str(dest))
+    solve = SolveConfig.from_env(cache=False)
+    retried = case.endswith("-retried")
+    if retried:
+        argv += ["--retries", "2", "--jobs", "1"]
+        solve = SolveConfig(cache=False, policy=RetryPolicy(retries=2))
+
+    records = []
+    real = dispatch.solve_all
+
+    def recording(queries, **kw):
+        results = real(queries, **kw)
+        records.extend(r.stats for r in results)
+        return results
+    monkeypatch.setattr(dispatch, "solve_all", recording)
+
+    with faults.injected(TRANSIENT) if retried else nullcontext():
+        rc = main(argv)
     capsys.readouterr()
     cli = json.loads(dest.read_text())
 
     payload = {**fields, "source": sources[0], "width": 8, "timeout": 120}
     if len(sources) > 1:
         payload["target"] = sources[1]
-    served = execute_check(asdict(parse_request(payload)),
-                           SolveConfig(cache=False))
+    with faults.injected(TRANSIENT) if retried else nullcontext():
+        served = execute_check(asdict(parse_request(payload)), solve)
 
     assert served["status"] == "ok"
     assert cli["verdict"] == served["verdict"] == expected
@@ -95,6 +145,22 @@ def test_cli_and_server_agree(case, tmp_path, capsys):
         json.dumps(served["counterexample"]))
     assert (cli["counterexample"] is None) == (expected != "bug")
     assert cli["vcs_checked"] == served["vcs_checked"] > 0
+
+    # Every query reports plain numbers, so the outcome's stats are JSON
+    # as they stand, and both sides count the same work.
+    assert records and all(type(v) in (int, float)
+                           for record in records for v in _numbers(record))
+    json.dumps(served["stats"])
+    assert {k: cli["stats"]["solver"].get(k, 0) for k in SOLVER_COUNTS} == \
+        {k: served["stats"]["solver"].get(k, 0) for k in SOLVER_COUNTS}
+    for group in ("certify", "resilience"):
+        assert _without_time(cli["stats"].get(group, {})) == \
+            _without_time(served["stats"].get(group, {}))
+    if fields.get("certify"):
+        assert served["certified"] is True
+        assert served["stats"]["certify"]["checked"] > 0
+    if retried:
+        assert served["stats"]["resilience"]["recovered"] == 1
 
 
 def test_run_check_applies_the_request_certify_setting():

@@ -4,10 +4,13 @@ verdict."""
 
 import pytest
 
+from repro.check.configs import transpose_assumptions
 from repro.check.replay import ReplayResult
 from repro.check.result import Counterexample, Verdict
 from repro.check.vcs import VC, Refutation, launch_bounds
 from repro.errors import EncodingError
+from repro.kernels import load_pair
+from repro.param.equivalence import ParamOptions, check_equivalence_param
 from repro.param.geometry import Geometry
 from repro.smt import (
     BVVar, CheckResult, Eq, Model, SolveConfig, UGe, dispatch,
@@ -98,6 +101,7 @@ def test_a_model_outside_the_bounds_is_resolved_and_the_small_one_replayed(
     assert check.outcome.verdict is Verdict.BUG
     assert sent == [1, 2] and xs == [1]
     assert check.outcome.stats["solver"]["queries"] == 2
+    assert check.outcome.vcs_checked == 1
 
 
 def test_a_large_model_stands_when_the_bounded_query_is_not_sat(solved):
@@ -122,8 +126,21 @@ def test_bug_hunting_sends_the_bounded_query_first(solved):
     assert check.outcome.verdict is Verdict.BUG
     # bounded: big, none, small (one stream chunk); unbounded: big, none
     assert [len(q.assertions) for q in solved] == [2, 3, 2, 1, 2]
-    assert check.outcome.vcs_checked == 5
+    assert check.outcome.vcs_checked == 3
+    assert check.outcome.stats["solver"]["queries"] == 5
     assert calls == ["big", "small"]   # "big" only has a large model
+
+
+def test_a_second_query_counts_as_a_query_not_a_vc():
+    """Bug hunting on the Transpose pair sends two queries for its one
+    match VC: the launch-bounded one, which is not SAT, then the
+    unbounded one."""
+    (_, src), (_, tgt) = load_pair("Transpose")
+    out = check_equivalence_param(
+        src, tgt, 8, assumption_builder=transpose_assumptions,
+        options=ParamOptions(timeout=120, bughunt=True,
+                             solve=SolveConfig(cache=False)))
+    assert out.vcs_checked == 1 and out.stats["solver"]["queries"] == 2
 
 
 def test_launch_bounds_leave_out_the_pinned_axes():

@@ -141,7 +141,7 @@ class TestCheckerIntegration:
             body.pop("stats", None)
         assert a == b
         assert cold.verdict is Verdict.BUG
-        assert warm.stats["encode"]["template"] == "hit"
+        assert warm.stats["encode"]["template_hits"] == 1
         assert warm.stats["encode"]["symexec_time"] == 0.0
 
     def test_verified_kernel_hits_too(self):
@@ -150,7 +150,7 @@ class TestCheckerIntegration:
                            timeout=60).verdict is Verdict.VERIFIED
         warm = check_races(info, 8, assumption_builder=one_d, timeout=60)
         assert warm.verdict is Verdict.VERIFIED
-        assert warm.stats["encode"]["template"] == "hit"
+        assert warm.stats["encode"]["template_hits"] == 1
 
     def test_unsupported_cached(self):
         _, info = load("scanNaive")
@@ -159,7 +159,7 @@ class TestCheckerIntegration:
         assert cold.verdict is Verdict.UNSUPPORTED
         assert cold.verdict is warm.verdict
         assert cold.reason == warm.reason
-        assert warm.stats["encode"]["template"] == "hit"
+        assert warm.stats["encode"]["template_hits"] == 1
 
     def test_shared_across_concretizations(self):
         """The point of the template: configs cells reuse one symexec."""

@@ -20,25 +20,18 @@ class Clock:
 
 class TestWorstCaseCharge:
     def test_no_retries_charges_the_timeout(self):
-        seconds, conflicts = worst_case_charge(10.0, None, RetryPolicy())
-        assert seconds == 10.0 and conflicts == 0
+        assert worst_case_charge(10.0, RetryPolicy()) == 10.0
 
     def test_geometric_retries_sum_escalated_budgets(self):
         policy = RetryPolicy(retries=2, escalation="geometric")
-        seconds, _ = worst_case_charge(10.0, None, policy)
         # attempts at 1x, 2x, 4x the base timeout
-        assert seconds == pytest.approx(70.0)
-
-    def test_conflict_axis_accumulates(self):
-        policy = RetryPolicy(retries=1, escalation="geometric")
-        _, conflicts = worst_case_charge(10.0, 1000, policy)
-        assert conflicts == 3000  # 1000 + 2*1000
+        assert worst_case_charge(10.0, policy) == pytest.approx(70.0)
 
     def test_max_timeout_caps_each_attempt(self):
         policy = RetryPolicy(retries=2, escalation="geometric",
                              max_timeout=15.0)
-        seconds, _ = worst_case_charge(10.0, None, policy)
-        assert seconds == pytest.approx(10.0 + 15.0 + 15.0)
+        assert worst_case_charge(10.0, policy) == pytest.approx(
+            10.0 + 15.0 + 15.0)
 
 
 class TestAdmission:
@@ -46,30 +39,30 @@ class TestAdmission:
         clock = Clock()
         ledger = QuotaLedger(seconds_per_window=25.0, window=60.0,
                              clock=clock)
-        ledger.admit("t", 20.0, None, RetryPolicy())
+        ledger.admit("t", 20.0, RetryPolicy())
         with pytest.raises(QuotaExceeded) as err:
-            ledger.admit("t", 20.0, None, RetryPolicy())
+            ledger.admit("t", 20.0, RetryPolicy())
         assert err.value.axis == "wall-clock"
         assert 0 < err.value.retry_after <= 60.0
 
     def test_tenants_are_isolated(self):
         ledger = QuotaLedger(seconds_per_window=25.0, clock=Clock())
-        ledger.admit("a", 20.0, None, RetryPolicy())
-        ledger.admit("b", 20.0, None, RetryPolicy())  # no interference
+        ledger.admit("a", 20.0, RetryPolicy())
+        ledger.admit("b", 20.0, RetryPolicy())  # no interference
 
     def test_settle_refunds_unused_budget(self):
         clock = Clock()
         ledger = QuotaLedger(seconds_per_window=25.0, window=60.0,
                              clock=clock)
-        charge = ledger.admit("t", 20.0, None, RetryPolicy())
+        charge = ledger.admit("t", 20.0, RetryPolicy())
         ledger.settle(charge, seconds_spent=1.5)
         assert ledger.usage("t")["seconds_used"] == pytest.approx(1.5)
-        ledger.admit("t", 20.0, None, RetryPolicy())  # fits again
+        ledger.admit("t", 20.0, RetryPolicy())  # fits again
 
     def test_settle_is_idempotent(self):
         clock = Clock()
         ledger = QuotaLedger(seconds_per_window=25.0, clock=clock)
-        charge = ledger.admit("t", 20.0, None, RetryPolicy())
+        charge = ledger.admit("t", 20.0, RetryPolicy())
         ledger.settle(charge, seconds_spent=5.0)
         ledger.settle(charge, seconds_spent=0.0)  # no double refund
         assert ledger.usage("t")["seconds_used"] == pytest.approx(5.0)
@@ -78,41 +71,34 @@ class TestAdmission:
         clock = Clock()
         ledger = QuotaLedger(seconds_per_window=25.0, window=60.0,
                              clock=clock)
-        charge = ledger.admit("t", 20.0, None, RetryPolicy())
+        charge = ledger.admit("t", 20.0, RetryPolicy())
         with pytest.raises(QuotaExceeded):
-            ledger.admit("t", 20.0, None, RetryPolicy())
+            ledger.admit("t", 20.0, RetryPolicy())
         clock.now = 61.0
-        ledger.admit("t", 20.0, None, RetryPolicy())  # fresh window
+        ledger.admit("t", 20.0, RetryPolicy())  # fresh window
         # settling the old charge must not mint negative usage
         ledger.settle(charge, seconds_spent=0.0)
         assert ledger.usage("t")["seconds_used"] >= 20.0
 
-    def test_conflict_axis_rejects(self):
-        ledger = QuotaLedger(conflicts_per_window=1000, clock=Clock())
-        ledger.admit("t", 5.0, 800, RetryPolicy())
-        with pytest.raises(QuotaExceeded) as err:
-            ledger.admit("t", 5.0, 800, RetryPolicy())
-        assert err.value.axis == "conflict"
-
     def test_max_inflight_gates_concurrency(self):
         ledger = QuotaLedger(max_inflight=2, clock=Clock())
-        charges = [ledger.admit("t", 5.0, None, RetryPolicy())
+        charges = [ledger.admit("t", 5.0, RetryPolicy())
                    for _ in range(2)]
         with pytest.raises(QuotaExceeded) as err:
-            ledger.admit("t", 5.0, None, RetryPolicy())
+            ledger.admit("t", 5.0, RetryPolicy())
         assert err.value.axis == "concurrency"
         ledger.settle(charges[0])
-        ledger.admit("t", 5.0, None, RetryPolicy())  # slot freed
+        ledger.admit("t", 5.0, RetryPolicy())  # slot freed
 
     def test_inflight_survives_window_turnover(self):
         clock = Clock()
         ledger = QuotaLedger(max_inflight=1, window=60.0, clock=clock)
-        ledger.admit("t", 5.0, None, RetryPolicy())
+        ledger.admit("t", 5.0, RetryPolicy())
         clock.now = 61.0  # budget resets, concurrency does not
         with pytest.raises(QuotaExceeded):
-            ledger.admit("t", 5.0, None, RetryPolicy())
+            ledger.admit("t", 5.0, RetryPolicy())
 
     def test_unlimited_ledger_admits_everything(self):
         ledger = QuotaLedger(clock=Clock())
         for _ in range(50):
-            ledger.admit("t", 3600.0, 10**9, RetryPolicy(retries=3))
+            ledger.admit("t", 3600.0, RetryPolicy(retries=3))

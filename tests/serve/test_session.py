@@ -93,6 +93,32 @@ class TestServerCore:
         assert "verdict" not in b_over  # refused, never answered wrongly
         assert b_over["retry_after"] > 0
 
+    def test_settled_spend_fills_the_quota(self):
+        """A settled request keeps the seconds its response spent, so
+        requests sent one at a time run into ``--quota-seconds``."""
+        spent = {"status": "ok", "verdict": "verified",
+                 "counterexample": None, "stats": {}, "elapsed": 50.0}
+
+        async def scenario():
+            session = _StubSession(spent)
+            session.gate.set()
+            server = Server(session,
+                            QuotaLedger(seconds_per_window=180.0))
+            # Each admission reserves the 120 s timeout: 0 + 120 and
+            # 50 + 120 fit in 180, 100 + 120 does not.
+            return [await server.handle(RACES) for _ in range(3)]
+
+        statuses = [status for status, _ in _run(scenario())]
+        assert statuses == [200, 200, 429]
+
+    def test_conflict_quota_is_a_usage_error(self, capsys):
+        from repro.serve.app import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--quota-conflicts", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quota-conflicts" in \
+            capsys.readouterr().err
+
 
     @pytest.mark.parametrize("field,value", [("validate", False),
                                              ("pair", "Transpse")])

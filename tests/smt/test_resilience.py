@@ -94,9 +94,9 @@ class TestEscalationRecovery:
             cache=False, policy=RetryPolicy(retries=4)))
         assert result.verdict is CheckResult.UNSAT
         res = result.stats["resilience"]
-        assert res["recovered"] is True
-        attempts = res["attempts"]
-        assert len(attempts) >= 2
+        assert res["recovered"] == 1
+        attempts = result.attempts
+        assert res["attempts"] == len(attempts) >= 2
         assert attempts[0]["verdict"] == "unknown"
         assert attempts[0]["conflict_budget"] == 50
         assert attempts[-1]["verdict"] == "unsat"
@@ -108,12 +108,14 @@ class TestEscalationRecovery:
         result = solve_query(_pigeonhole_query(1), SolveConfig(
             cache=False, policy=RetryPolicy(retries=1)))
         assert result.verdict is CheckResult.UNKNOWN
-        assert len(result.stats["resilience"]["attempts"]) == 2
+        assert len(result.attempts) == 2
+        assert result.stats["resilience"]["attempts"] == 2
 
     def test_no_retry_without_policy(self):
         result = solve_query(_pigeonhole_query(50), config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
         assert "resilience" not in result.stats
+        assert len(result.attempts) == 1
 
     def test_unknown_never_cached_across_retries(self):
         cache = QueryCache()
@@ -136,7 +138,7 @@ class TestSolverExceptionFaults:
         with faults.injected(FaultPlan(seed=3, solver_exception=1.0)):
             result = solve_query(_easy_queries()[0], config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
-        assert "InjectedFault" in result.stats["error"]
+        assert "InjectedFault" in result.attempts[0]["error"]
 
     def test_batch_never_wrong_under_exceptions(self):
         baseline = [r.verdict for r in
@@ -157,8 +159,8 @@ class TestSolverExceptionFaults:
                 cache=False, policy=RetryPolicy(retries=2)))
         assert result.verdict is CheckResult.SAT
         res = result.stats["resilience"]
-        assert res["recovered"] is True
-        assert "error" in res["attempts"][0]
+        assert res["recovered"] == 1 and res["errors"] == 1
+        assert "error" in result.attempts[0]
 
 
 class TestDelayFaults:
@@ -193,8 +195,8 @@ class TestWorkerCrashRecovery:
         with faults.injected(FaultPlan(seed=5, worker_crash=1.0)):
             results = solve_all(_easy_queries(), config=PARALLEL)
         assert [r.verdict for r in results] == _EASY_VERDICTS
-        pool = results[0].stats["resilience"]["pool"]
-        assert pool["degraded"] is True
+        pool = results[0].stats["resilience"]
+        assert pool["degraded"] == 1
         assert pool["worker_restarts"] >= 1
 
 

@@ -70,7 +70,7 @@ class TestFacadeBasics:
         s = Solver()
         s.add(Eq(BVMul(x, y), BVConst(143, 8)))
         s.check()
-        assert "time" in s.stats and "clauses" in s.stats
+        assert "time" in s.stats["solver"] and "clauses" in s.stats["solver"]
 
 
 class TestArithmeticTheorems:
