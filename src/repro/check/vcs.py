@@ -84,6 +84,7 @@ class Refutation:
         self.incomplete: list[str] = []
         self.unconfirmed: list[str] = []
         self._latency: dict = {}
+        self._streams: list = []
 
     # ------------------------------------------------------------ budget
 
@@ -119,12 +120,15 @@ class Refutation:
 
     def _stream(self, term_lists: Iterable[list[Term]]):
         """Solve lazily, in order; the first stream that yields records
-        the time to the check's first verdict."""
+        the time to the check's first verdict.  The check closes the
+        stream (and its worker pool) when it ends."""
         latency = None if "first_verdict_s" in self._latency \
             else self._latency
-        return dispatch.solve_stream(
+        stream = dispatch.solve_stream(
             (self._query(terms) for terms in term_lists),
             config=self.solve, latency=latency)
+        self._streams.append(stream)
+        return stream
 
     def prove(self, premises: list[Term], obligations: list[Term]) -> bool:
         """``assumptions, premises |= /\\ obligations`` (one query)?"""
@@ -193,6 +197,8 @@ class Refutation:
         return self
 
     def __exit__(self, kind, exc, tb) -> bool:
+        for stream in self._streams:
+            stream.close()
         out = self.outcome
         handled = True
         if kind is None:

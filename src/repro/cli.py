@@ -44,7 +44,6 @@ from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from .smt import (
     QueryCache, RetryPolicy, SolveConfig, intern_stats, resolve_cache,
 )
-from .smt.resilience import ESCALATIONS
 
 __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
            "EXIT_UNKNOWN", "EXIT_INTERNAL"]
@@ -138,7 +137,6 @@ def _solve_config(args) -> SolveConfig:
     ``--retries -1``) raises ``ValueError``."""
     fields: dict = {"policy": RetryPolicy(
         retries=args.retries if args.retries is not None else 0,
-        escalation=args.escalation or "geometric",
         max_timeout=args.max_budget)}
     if args.jobs is not None:
         fields["jobs"] = args.jobs
@@ -204,13 +202,9 @@ def main(argv: list[str] | None = None) -> int:
                             "FILE is omitted — the same shape the serve "
                             "API returns")
         p.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry UNKNOWN solver verdicts up to N times "
-                            "under escalated budgets "
+                       help="retry UNKNOWN solver verdicts up to N times, "
+                            "doubling the budget each attempt "
                             "(default 0)")
-        p.add_argument("--escalation", choices=ESCALATIONS, default=None,
-                       help="budget escalation schedule for retries: "
-                            "geometric doubles the budget each attempt, "
-                            "luby follows the Luby restart sequence")
         p.add_argument("--max-budget", type=float, default=None,
                        metavar="SECONDS",
                        help="cap on the escalated per-query timeout")
@@ -256,6 +250,10 @@ def main(argv: list[str] | None = None) -> int:
                            "(default: read from stdin)")
 
     args = parser.parse_args(argv)
+    for flag in ("bdim", "gdim", "cbdim", "cgdim"):
+        if getattr(args, flag, None) == []:
+            # argparse drops a lone "--" value without calling its type.
+            parser.error(f"argument --{flag}: '--' is not a dim list")
     solve = None
     if args.command in ("equiv", "func", "races"):
         try:

@@ -47,7 +47,7 @@ from typing import Any
 
 from ..check.result import add_counters
 from ..smt.dispatch import SolveConfig
-from ..smt.resilience import ESCALATIONS, RetryPolicy
+from ..smt.resilience import RetryPolicy
 from .protocol import (
     HTTP_INTERNAL, HTTP_OVERLOAD, HTTP_USAGE, ProtocolError,
     canonical_request_key, parse_request, translate_counterexample,
@@ -442,10 +442,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="per-tenant concurrent request cap")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry UNKNOWN verdicts up to N times under "
-                             "escalated budgets (default 0)")
-    parser.add_argument("--escalation", choices=ESCALATIONS,
-                        default="geometric")
+                        help="retry UNKNOWN verdicts up to N times, "
+                             "doubling the budget each attempt (default 0)")
     parser.add_argument("--drain-seconds", type=float, default=5.0,
                         metavar="S",
                         help="on shutdown, let in-flight checks finish "
@@ -457,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
                      "or --socket")
     try:
         solve = SolveConfig.from_env(policy=RetryPolicy(
-            retries=args.retries, escalation=args.escalation))
+            retries=args.retries))
     except ValueError as exc:
         parser.error(str(exc))
     try:

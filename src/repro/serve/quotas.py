@@ -126,15 +126,3 @@ class QuotaLedger:
                 return  # the reservation's window already turned over
             refund = max(0.0, charge.seconds - max(0.0, seconds_spent))
             bucket.seconds_used = max(0.0, bucket.seconds_used - refund)
-
-    def usage(self, tenant: str) -> dict:
-        """The tenant's current-window accounting (for ``/v1/stats``)."""
-        now = float(self.clock())
-        with self._mu:
-            bucket = self._bucket(tenant, now)
-            return {
-                "seconds_used": bucket.seconds_used,
-                "inflight": bucket.inflight,
-                "window_remaining": self.window - (now -
-                                                   bucket.window_start),
-            }

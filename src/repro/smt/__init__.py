@@ -42,7 +42,7 @@ from .dispatch import (
     Query, QueryResult, SolveConfig, default_cache, resolve_cache,
     solve_all, solve_query, solve_stream,
 )
-from .resilience import ESCALATIONS, RetryPolicy
+from .resilience import RetryPolicy
 from .faults import FaultPlan, InjectedFault
 
 __all__ = [
@@ -72,6 +72,5 @@ __all__ = [
     "Query", "QueryResult", "SolveConfig", "default_cache",
     "resolve_cache", "solve_all", "solve_query", "solve_stream",
     # resilience
-    "ESCALATIONS", "RetryPolicy",
-    "FaultPlan", "InjectedFault",
+    "RetryPolicy", "FaultPlan", "InjectedFault",
 ]

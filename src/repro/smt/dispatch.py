@@ -21,10 +21,19 @@ assertions give the canonical cache key, and a leader is solved from them
 one-shot — a fresh :class:`~repro.smt.solver.Solver` eliminates arrays,
 blasts and searches it alone, in-process or on a worker.
 
-Workers receive queries as flat term blobs (:mod:`repro.smt.qcache`'s
-encoding — hash-consed terms do not pickle) and return the verdict, a
-name-keyed model projection, and the solver's stats record, which becomes
-the :class:`QueryResult`'s.
+Both sides call one solve function, :func:`_solve`.  Workers receive
+queries as flat term blobs (:mod:`repro.smt.qcache`'s encoding — hash-consed
+terms do not pickle), decode them, and return the verdict, a name-keyed
+model projection, and the solver's stats record, which becomes the
+:class:`QueryResult`'s.
+
+Pool lifetime: each public call owns at most one worker pool, built
+lazily by the first wave with more than one leader — a ``solve_all`` call
+one, a ``solve_stream`` iteration one that every chunk shares.  Retry waves
+reuse it; it is rebuilt only after a worker dies, and torn down when the
+call returns or the stream is exhausted, closed or collected.  At
+``jobs=1``, and for any wave of a single leader, no pool is built and no
+term is encoded.
 
 Per-query wall-clock budgets ride inside the worker's ``Solver`` and surface
 as ``UNKNOWN`` on expiry — the paper's ``T.O`` — never as a wrong verdict.
@@ -33,14 +42,14 @@ Beyond throughput, the dispatcher is a *resilient runtime* — it degrades,
 it never reports what it cannot defend:
 
 * **UNKNOWN retries.** A :class:`~repro.smt.resilience.RetryPolicy` re-asks
-  budget-exhausted queries under escalated budgets (geometric or Luby); each
-  attempt's budgets, verdict and error travel back in
-  ``QueryResult.attempts``, the ladder's counters in ``stats["resilience"]``.
+  budget-exhausted queries under doubled budgets; each attempt's budgets,
+  verdict and error travel back in ``QueryResult.attempts``, the ladder's
+  counters in ``stats["resilience"]``.
 * **Worker-crash recovery.** A dead worker (``BrokenProcessPool``) requeues
   its in-flight queries, the pool is rebuilt under capped exponential
   backoff (from :data:`POOL_BACKOFF`), and after :data:`POOL_RETRIES`
-  consecutive pool failures the remaining queries degrade to in-process
-  serial solving — logged, never fatal.  ``PUGPARA_WORKER_RLIMIT_MB``
+  consecutive pool failures the remaining queries of the call degrade to
+  in-process serial solving — logged, never fatal.  ``PUGPARA_WORKER_RLIMIT_MB``
   optionally caps each worker's address space so one OOM query cannot
   take the run down; workers ignore SIGINT so Ctrl-C tears the pool down
   cleanly from the parent.
@@ -54,7 +63,7 @@ changes.  Faults and retries preserve this one-sidedly: a faulted or
 budget-starved run answers the fault-free verdict or ``UNKNOWN``.
 
 Pools are torn down hermetically: every path — normal completion, SIGINT,
-exception, hung worker — funnels through :func:`_teardown_pool`, which
+exception, hung worker — funnels through :func:`teardown_pool`, which
 terminates and reaps every worker process, so no orphans survive the
 dispatcher no matter how a solve ends.
 """
@@ -66,7 +75,7 @@ import os
 import signal
 import time
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -97,7 +106,6 @@ class Query:
     timeout: float | None = None
     conflict_budget: int | None = None
     do_simplify: bool = True
-    validate_models: bool = False
     tag: Any = None  # caller correlation handle, passed through untouched
 
 
@@ -248,16 +256,20 @@ def _worker_rlimit_mb() -> int | None:
     return mb if mb > 0 else None
 
 
-def _worker_init(rlimit_mb: int | None) -> None:
+def worker_init(rlimit_mb: int | None) -> None:
     """Worker-process initializer.
 
     SIGINT is ignored so a Ctrl-C in the parent interrupts only the parent,
     which then shuts the pool down cleanly instead of every worker spewing
-    a KeyboardInterrupt traceback.  The optional address-space rlimit turns
-    a runaway query's OOM into a contained MemoryError/worker death the
+    a KeyboardInterrupt traceback.  SIGTERM kills outright: a worker forked
+    from an asyncio server would otherwise signal the server's wakeup fd
+    and shut the server down.  The optional address-space rlimit turns a
+    runaway query's OOM into a contained MemoryError/worker death the
     dispatcher already recovers from.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     if rlimit_mb:
         try:
             import resource
@@ -267,7 +279,7 @@ def _worker_init(rlimit_mb: int | None) -> None:
             pass  # best-effort: platforms without RLIMIT_AS solve uncapped
 
 
-def _teardown_pool(pool: ProcessPoolExecutor) -> None:
+def teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Dismantle a worker pool with no survivors.
 
     ``shutdown(wait=False)`` alone leaves hung workers running (they never
@@ -278,6 +290,7 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     guarantee unconditional.
     """
     procs = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown must never block exit
@@ -289,6 +302,10 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
         except Exception:  # pragma: no cover
             pass
     deadline = time.monotonic() + 2.0
+    if manager is not None:
+        # The pool's manager thread reaps the workers as well; a worker it
+        # reaps first would still look alive to this thread.
+        manager.join(2.0)
     for proc in procs:
         try:
             proc.join(max(0.0, deadline - time.monotonic()))
@@ -299,11 +316,61 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-#: Public aliases for long-lived embedders (``repro.serve``): the worker
-#: initializer (SIGINT hygiene + optional rlimit) and the no-orphan pool
-#: teardown funnel, so external pools share the dispatcher's guarantees.
-worker_init = _worker_init
-teardown_pool = _teardown_pool
+class _Pool:
+    """The worker pool of one public dispatch call.
+
+    It is built on first use, rebuilt after a worker dies, and torn down by
+    :meth:`close`.  ``failures`` counts consecutive broken rounds; at
+    :data:`POOL_RETRIES` the pool is ``degraded`` and the rest of the call
+    solves in-process.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.executor: ProcessPoolExecutor | None = None
+        self.failures = 0
+        self.degraded = False
+
+    def submit(self, payload: tuple) -> Future:
+        """Send one payload to :func:`_worker_solve`, building the pool on
+        first use.  A pool that has already broken answers with a future
+        that raises, so the query is requeued like the in-flight ones."""
+        if self.executor is None:
+            self.executor = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=worker_init,
+                initargs=(_worker_rlimit_mb(),))
+        try:
+            return self.executor.submit(_worker_solve, payload)
+        except BrokenExecutor as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    def broke(self, requeued: int, events: dict) -> None:
+        """A worker died: tear the pool down, then back off before the
+        rebuild, or degrade after :data:`POOL_RETRIES` failures in a row."""
+        self.close()
+        self.failures += 1
+        events["worker_restarts"] = events.get("worker_restarts", 0) + 1
+        if self.failures >= POOL_RETRIES:
+            # Bottom of the degradation ladder.  Crash faults cannot fire
+            # in-process (no worker), so this rung always terminates.
+            self.degraded = True
+            events["degraded"] = 1
+            log.warning("worker pool failed %d times in a row; degrading "
+                        "%d queries to in-process serial solving",
+                        self.failures, requeued)
+            return
+        sleep = min(1.0, POOL_BACKOFF * (2 ** (self.failures - 1)))
+        log.warning("worker pool broke (%d in-flight queries requeued); "
+                    "rebuilding after %.2fs backoff (failure %d/%d)",
+                    requeued, sleep, self.failures, POOL_RETRIES)
+        time.sleep(sleep)
+
+    def close(self) -> None:
+        if self.executor is not None:
+            teardown_pool(self.executor)
+            self.executor = None
 
 
 # ------------------------------------------------------------ internals
@@ -342,26 +409,27 @@ def _failed(error: BaseException, elapsed: float = 0.0) -> tuple:
     return CheckResult.UNKNOWN, None, {"solver": {"time": elapsed}}, text
 
 
-def _solve_local_guarded(prep: _Prepared, timeout: float | None,
-                         conflict_budget: int | None,
-                         plan: FaultPlan | None,
-                         salt: int, certify: bool = False) -> _Outcome:
-    """Solve in-process; any failure degrades to UNKNOWN with the error
-    recorded — the parent process must survive every query."""
+def _solve(work: list[Term], key: str, timeout: float | None,
+           conflict_budget: int | None, do_simplify: bool,
+           plan: FaultPlan | None, salt: int, certify: bool,
+           site: str = "local") -> _Outcome:
+    """Solve prepared assertions one-shot, in-process or on a worker
+    (``site``); any failure degrades to UNKNOWN with the error recorded —
+    the parent process must survive every query."""
     start = time.monotonic()
-    query, key = prep.query, prep.key
     try:
-        faults.maybe_delay(plan, "local", key, salt)
-        faults.maybe_raise(plan, "local", key, salt)
+        if site == "worker":
+            # A crash kills this worker abruptly: the parent sees
+            # BrokenProcessPool and requeues the query.
+            faults.maybe_crash(plan, key, salt)
+        faults.maybe_delay(plan, site, key, salt)
+        faults.maybe_raise(plan, site, key, salt)
         solver = Solver(timeout=timeout, conflict_budget=conflict_budget,
-                        do_simplify=query.do_simplify,
-                        validate_models=query.validate_models,
-                        certify=certify)
-        solver.add(*query.assertions)
-        verdict = solver.check(simplified=prep.work)
+                        do_simplify=do_simplify, certify=certify)
+        verdict = solver.check(simplified=work)
         model = solver.model() if verdict is CheckResult.SAT else None
         return verdict, model, solver.stats, None
-    except Exception as exc:  # MemoryError included
+    except Exception as exc:  # MemoryError (the worker rlimit) included
         return _failed(exc, time.monotonic() - start)
 
 
@@ -381,38 +449,16 @@ def _project_model(model: Model) -> dict:
 
 
 def _worker_solve(payload: tuple) -> tuple:
-    """Executed in a worker process: decode, solve, project the model.
-
-    ``blob`` holds the prepared (already simplified) assertions;
-    ``original_blob`` the query's own assertions when the model is to be
-    validated against them, else ``None``.
-    """
-    (blob, original_blob, timeout, conflict_budget, do_simplify,
-     validate_models, key, fault_spec, salt, certify) = payload
-    plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
-    # Injection points: a crash kills this worker abruptly (the parent sees
-    # BrokenProcessPool); a raised fault propagates through the future (the
-    # parent contains it as UNKNOWN).
-    faults.maybe_crash(plan, key, salt)
-    faults.maybe_delay(plan, "worker", key, salt)
-    faults.maybe_raise(plan, "worker", key, salt)
-    try:
-        terms = decode_terms(blob)
-        solver = Solver(timeout=timeout, conflict_budget=conflict_budget,
-                        do_simplify=do_simplify,
-                        validate_models=validate_models,
-                        certify=certify)
-        solver.add(*(decode_terms(original_blob)
-                     if original_blob is not None else terms))
-        verdict = solver.check(simplified=terms)
-    except MemoryError as exc:
-        # The rlimit fired: report a contained budget failure instead of
-        # letting the allocator kill the process.
-        return _failed(exc)
-    model_blob: dict | None = None
-    if verdict is CheckResult.SAT:
-        model_blob = _project_model(solver.model())
-    return verdict, model_blob, solver.stats, None
+    """Executed in a worker process: decode the prepared assertions, solve
+    them, project the model."""
+    blob, key, timeout, conflict_budget, do_simplify, spec, salt, certify \
+        = payload
+    plan = FaultPlan.from_spec(spec) if spec else None
+    verdict, model, stats, error = _solve(
+        decode_terms(blob), key, timeout, conflict_budget, do_simplify,
+        plan, salt, certify, site="worker")
+    return (verdict, _project_model(model) if model is not None else None,
+            stats, error)
 
 
 def _model_from_names(blob: dict | None,
@@ -482,92 +528,6 @@ def _attempt_salt(attempt: int, requeue: int) -> int:
     return attempt * 1024 + requeue
 
 
-def _solve_wave_pool(wave: list[_Prepared],
-                     budgets: dict[str, tuple[float | None, int | None]],
-                     jobs: int, plan: FaultPlan | None, events: dict,
-                     attempt: int, certify: bool) -> dict[str, _Outcome]:
-    """Solve one wave of leaders on worker processes, surviving crashes.
-
-    A broken pool requeues the unfinished queries and is rebuilt under
-    capped exponential backoff; after :data:`POOL_RETRIES` consecutive
-    failures the survivors degrade to in-process serial solving.
-    """
-    results: dict[str, _Outcome] = {}
-    pending: list[tuple[_Prepared, int]] = [(p, 0) for p in wave]
-    spec = plan.to_spec() if plan is not None else None
-    failures = 0
-    rlimit = _worker_rlimit_mb()
-
-    while pending:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            initializer=_worker_init, initargs=(rlimit,))
-        requeued: list[tuple[_Prepared, int]] = []
-        try:
-            futures = {}
-            for prep, requeue in pending:
-                timeout, conflicts = budgets[prep.key]
-                validate = prep.query.validate_models
-                payload = (encode_terms(prep.work),
-                           (encode_terms(prep.query.assertions)
-                            if validate else None),
-                           timeout, conflicts, prep.query.do_simplify,
-                           validate,
-                           prep.key, spec, _attempt_salt(attempt, requeue),
-                           certify)
-                futures[pool.submit(_worker_solve, payload)] = (prep,
-                                                                requeue)
-            for future, (prep, requeue) in futures.items():
-                try:
-                    verdict, model_blob, stats, error = future.result()
-                except BrokenExecutor:
-                    # The worker died mid-query (crash, OOM kill): requeue
-                    # with a bumped salt so the retry draws a fresh fault
-                    # decision.
-                    requeued.append((prep, requeue + 1))
-                    continue
-                except Exception as exc:
-                    # A worker raised (injected fault, decode failure...):
-                    # contained as UNKNOWN, never propagated to the caller.
-                    results[prep.key] = _failed(exc)
-                    continue
-                results[prep.key] = (
-                    verdict, _model_from_names(model_blob, prep.varmap),
-                    stats, error)
-        finally:
-            # Unconditional: SIGINT or an exception mid-wave must not
-            # leave worker processes behind.
-            _teardown_pool(pool)
-        if not requeued:
-            break
-        failures += 1
-        events["worker_restarts"] = events.get("worker_restarts", 0) + 1
-        if failures >= POOL_RETRIES:
-            # Bottom of the degradation ladder: solve the survivors
-            # serially in-process.  Crash faults cannot fire here (no
-            # worker), so this rung always terminates.
-            events["degraded"] = 1
-            log.warning(
-                "worker pool failed %d times in a row; degrading %d "
-                "queries to in-process serial solving",
-                failures, len(requeued))
-            for prep, requeue in requeued:
-                timeout, conflicts = budgets[prep.key]
-                results[prep.key] = _solve_local_guarded(
-                    prep, timeout, conflicts, plan,
-                    _attempt_salt(attempt, requeue), certify)
-            break
-        sleep = min(1.0, POOL_BACKOFF * (2 ** (failures - 1)))
-        log.warning(
-            "worker pool broke (%d in-flight queries requeued); "
-            "rebuilding after %.2fs backoff (failure %d/%d)",
-            len(requeued), sleep, failures, POOL_RETRIES)
-        if sleep > 0:
-            time.sleep(sleep)
-        pending = requeued
-    return results
-
-
 def _attempt_record(attempt: int, timeout: float | None,
                     conflicts: int | None, outcome: _Outcome) -> dict:
     """One entry of ``QueryResult.attempts``."""
@@ -601,43 +561,64 @@ def _resilience(attempts: list[dict], verdict: CheckResult) -> dict:
 
 
 def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
-                 plan: FaultPlan | None
+                 plan: FaultPlan | None, pool: _Pool
                  ) -> dict[str, tuple[_Outcome, list[dict]]]:
     """Solve every leader, retrying UNKNOWNs under escalated budgets: each
-    leader's final outcome and its attempt records."""
-    jobs, policy, certify = config.jobs, config.policy, config.certify
+    leader's final outcome and its attempt records.
+
+    One loop over pending ``(leader, attempt, requeue)`` items: each round
+    solves them all, on ``pool`` when there are several, else in-process.
+    An UNKNOWN comes back at the next attempt; a query whose worker died
+    comes back at the same attempt with its requeue count bumped, so the
+    retry draws a fresh fault decision.
+    """
+    policy, certify = config.policy, config.certify
+    spec = plan.to_spec() if plan is not None else None
     events: dict[str, int] = {}
     outcomes: dict[str, _Outcome] = {}
     records: dict[str, list[dict]] = {p.key: [] for p in leaders}
-    wave = list(leaders)
-    attempt = 0
-    while wave:
-        budgets = {
-            p.key: policy.budgets(p.query.timeout, p.query.conflict_budget,
-                                  attempt)
-            for p in wave}
-        if jobs > 1 and len(wave) > 1 and not events.get("degraded"):
-            solved = _solve_wave_pool(wave, budgets, jobs, plan, events,
-                                      attempt, certify)
-        else:
-            solved = {
-                p.key: _solve_local_guarded(
-                    p, *budgets[p.key], plan,
-                    _attempt_salt(attempt, 0), certify)
-                for p in wave}
-        retry: list[_Prepared] = []
-        for p in wave:
-            outcomes[p.key] = solved[p.key]
-            records[p.key].append(_attempt_record(
-                attempt, *budgets[p.key], solved[p.key]))
-            if solved[p.key][0] is CheckResult.UNKNOWN \
-                    and attempt < policy.retries:
-                retry.append(p)
-        if retry:
-            log.info("retrying %d UNKNOWN queries at escalation attempt %d",
-                     len(retry), attempt + 1)
-        wave = retry
-        attempt += 1
+    pending = [(p, 0, 0) for p in leaders]
+    while pending:
+        wave = [(p, attempt, requeue, _attempt_salt(attempt, requeue),
+                 *policy.budgets(p.query.timeout, p.query.conflict_budget,
+                                 attempt))
+                for p, attempt, requeue in pending]
+        pending = []
+        futures = None
+        if pool.jobs > 1 and len(wave) > 1 and not pool.degraded:
+            futures = [pool.submit((
+                encode_terms(p.work), p.key, timeout, conflicts,
+                p.query.do_simplify, spec, salt, certify))
+                for p, _, _, salt, timeout, conflicts in wave]
+        requeued = 0
+        for i, (p, attempt, requeue, salt, timeout, conflicts) \
+                in enumerate(wave):
+            if futures is None:
+                outcome = _solve(p.work, p.key, timeout, conflicts,
+                                 p.query.do_simplify, plan, salt, certify)
+            else:
+                try:
+                    verdict, blob, stats, error = futures[i].result()
+                except BrokenExecutor:
+                    # The worker died mid-query (crash, OOM kill).
+                    pending.append((p, attempt, requeue + 1))
+                    requeued += 1
+                    continue
+                except Exception as exc:
+                    # Contained as UNKNOWN, never propagated to the caller.
+                    outcome = _failed(exc)
+                else:
+                    outcome = (verdict, _model_from_names(blob, p.varmap),
+                               stats, error)
+            outcomes[p.key] = outcome
+            records[p.key].append(
+                _attempt_record(attempt, timeout, conflicts, outcome))
+            if outcome[0] is CheckResult.UNKNOWN and attempt < policy.retries:
+                pending.append((p, attempt + 1, 0))
+        if requeued:
+            pool.broke(requeued, events)
+        elif futures is not None:
+            pool.failures = 0
 
     # Each leader's record gains the ladder's counters; the pool's events
     # (worker restarts, degradation) are the batch's, counted once on its
@@ -662,11 +643,14 @@ def solve_query(query: Query,
 
 
 def solve_all(queries: Sequence[Query], *,
-              config: SolveConfig | None = None) -> list[QueryResult]:
+              config: SolveConfig | None = None,
+              pool: _Pool | None = None) -> list[QueryResult]:
     """Solve every query; results come back in input order.
 
     ``config`` (default: :meth:`SolveConfig.from_env`) says how.
-    ``jobs > 1`` fans cache misses out to that many worker processes.
+    ``jobs > 1`` fans cache misses out to that many worker processes, on
+    ``pool`` when the caller owns one (:func:`solve_stream` passes its
+    own), else on a pool of this call's.
     Structurally identical queries (canonical-key equal) are solved once per
     batch; the followers receive the leader's verdict and a model rebound to
     their own variables.  ``policy`` retries UNKNOWN verdicts under
@@ -707,7 +691,15 @@ def solve_all(queries: Sequence[Query], *,
     # Phase 2: solve each group's leader through the resilient runtime
     # (worker pool with crash recovery, or in-process), retrying UNKNOWNs
     # under the policy's escalation schedule.
-    solved = _solve_batch([groups[key][0] for key in order], config, plan)
+    own = pool is None
+    if own:
+        pool = _Pool(config.jobs)
+    try:
+        solved = _solve_batch([groups[key][0] for key in order], config,
+                              plan, pool)
+    finally:
+        if own:
+            pool.close()
 
     # Phase 3: populate the cache and fan results back out.
     for key in order:
@@ -756,15 +748,17 @@ def solve_stream(queries, *, config: SolveConfig | None = None,
     each VC on demand); it is pulled ``chunk`` queries at a time (default
     ``max(4, 2 * jobs)``: enough work to feed every worker twice), each
     chunk solved through the full :func:`solve_all` machinery — canonical
-    cache, duplicate folding, retry policy, worker pool — and yielded
-    before the next chunk is even pulled.  Two consequences:
+    cache, duplicate folding, retry policy — on one worker pool that
+    every chunk shares, and yielded before the next chunk is even pulled.
+    Two consequences:
 
     * **time-to-first-verdict drops** from "encode everything, then
       solve everything" to one chunk's worth of work, which is what a
       serving deployment feels;
     * **abandoning the iterator cancels the tail**: a consumer that
       stops on its first SAT (every checker does) never encodes or
-      solves the queries it no longer needs.
+      solves the queries it no longer needs, and closing the iterator
+      tears the pool down.
 
     Per-query verdicts, models, and stats are identical to handing the
     whole list to :func:`solve_all`: chunking only changes *which*
@@ -784,20 +778,25 @@ def solve_stream(queries, *, config: SolveConfig | None = None,
     first = True
     chunks = 0
     it = iter(queries)
-    while True:
-        block: list[Query] = []
-        for query in it:
-            block.append(query)
-            if len(block) >= chunk:
+    pool = _Pool(config.jobs)
+    try:
+        while True:
+            block: list[Query] = []
+            for query in it:
+                block.append(query)
+                if len(block) >= chunk:
+                    break
+            if not block:
                 break
-        if not block:
-            break
-        chunks += 1
-        if latency is not None:
-            latency["chunks"] = chunks
-        for result in solve_all(block, config=config):
-            if first:
-                first = False
-                if latency is not None:
-                    latency["first_verdict_s"] = time.monotonic() - start
-            yield result
+            chunks += 1
+            if latency is not None:
+                latency["chunks"] = chunks
+            for result in solve_all(block, config=config, pool=pool):
+                if first:
+                    first = False
+                    if latency is not None:
+                        latency["first_verdict_s"] = time.monotonic() - start
+                yield result
+    finally:
+        # Exhausted, closed by the consumer, or collected.
+        pool.close()

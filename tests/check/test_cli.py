@@ -172,6 +172,7 @@ class TestExitCodeContract:
         ["races", "K", "--gdim", "two"], ["races", "K", "--set", "n=abc"],
         ["races", "K", "--set", "=4"], ["run", "K", "--array", "a=1,x"],
         ["races", "K", "--width", "8", "--pair", "Transpse"],
+        ["races", "K", "--bdim=--"],
     ])
     def test_bad_flag_values_are_usage_errors(self, kernel_files, capsys,
                                               argv):
@@ -254,10 +255,25 @@ class TestResilienceFlags:
         p.write_text("void f(int *o) { o[tid.x] = 1; }")
         rc = main(["races", str(p), "--width", "8", "--timeout", "60",
                    "--cbdim", "4,1,1", "--cgdim", "1,1",
-                   "--retries", "3", "--escalation", "luby",
+                   "--retries", "3",
                    "--max-budget", "60", "--no-cache", "--stats"])
         assert rc == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_escalation_flag_is_usage_error(self, tmp_path, capsys):
+        """Retries double the budget; there is no schedule to pick, on
+        either front door."""
+        p = tmp_path / "ok.cu"
+        p.write_text("void f(int *o) { o[tid.x] = 1; }")
+        for argv in (["races", str(p), "--width", "8", "--retries", "2",
+                      "--escalation", "luby"],
+                     ["serve", "--", "--stdio", "--retries", "2",
+                      "--escalation", "luby"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --escalation" in \
+                capsys.readouterr().err
 
     def test_replay_opt_out_flag_is_usage_error(self, tmp_path, capsys):
         """Replay confirmation has no switch: every BUG is replayed."""

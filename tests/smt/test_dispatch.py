@@ -221,10 +221,13 @@ class TestSimplifyOnce:
             s.check(simplified=[TRUE, ULt(x, BVConst(3, 8))])
 
     def test_pool_workers_validate_the_original_assertions(self):
-        queries = [Query(_sat_query(f"so.p{i}", 2, 9).assertions,
-                         validate_models=True) for i in range(2)]
+        # Distinct bounds, so both queries lead and go to the pool.
+        queries = [_sat_query(f"so.p{i}", 2 + i, 9) for i in range(2)]
         results = solve_all(queries, config=PARALLEL)
         assert [r.verdict for r in results] == [CheckResult.SAT] * 2
+        for query, result in zip(queries, results):
+            assert all(result.model().eval(t) is True
+                       for t in query.assertions)
 
 
 class TestSolveStream:

@@ -8,13 +8,21 @@ contract, plus the ISSUE acceptance case: an UNKNOWN on the default budget
 recovered by deterministic conflict-budget escalation.
 """
 
+import concurrent.futures
+import multiprocessing
+
 import pytest
 
+from repro.check.request import CheckRequest, run_check
+from repro.check.result import Verdict
+from repro.kernels import KERNELS
 from repro.smt import (
     BVConst, BVVar, CheckResult, Distinct, Eq, FaultPlan, Query, QueryCache,
     RetryPolicy, SolveConfig, ULt, UGt, faults, solve_all, solve_query,
+    solve_stream,
 )
 from repro.smt import dispatch
+from repro.smt.dispatch import worker_init
 
 # Caching off, so every call really solves.
 SERIAL = SolveConfig(cache=False)
@@ -24,12 +32,13 @@ PARALLEL = SolveConfig(jobs=2, cache=False)
 # --------------------------------------------------------------- queries
 
 
-def _pigeonhole_query(conflict_budget=None):
+def _pigeonhole_query(conflict_budget=None, pigeons=6):
     """6 pigeons, 5 holes: UNSAT, and deterministically needs ~370 CDCL
     conflicts — comfortably past the solver's first restart interval, so a
     small conflict budget yields UNKNOWN."""
-    vs = [BVVar(f"php.{i}", 3) for i in range(6)]
-    return Query([Distinct(*vs)] + [ULt(v, BVConst(5, 3)) for v in vs],
+    vs = [BVVar(f"php.{i}", 3) for i in range(pigeons)]
+    holes = BVConst(pigeons - 1, 3)
+    return Query([Distinct(*vs)] + [ULt(v, holes) for v in vs],
                  conflict_budget=conflict_budget, do_simplify=False)
 
 
@@ -53,13 +62,9 @@ _EASY_VERDICTS = [CheckResult.SAT, CheckResult.SAT, CheckResult.UNSAT]
 
 class TestRetryPolicy:
     def test_geometric_schedule(self):
-        p = RetryPolicy(retries=3, escalation="geometric", factor=2.0)
-        assert [p.multiplier(a) for a in range(4)] == [1.0, 2.0, 4.0, 8.0]
-
-    def test_luby_schedule(self):
-        p = RetryPolicy(retries=6, escalation="luby")
-        assert [p.multiplier(a) for a in range(7)] == \
-            [1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0]
+        p = RetryPolicy(retries=3)
+        assert [p.budgets(1.0, 10, a) for a in range(4)] == \
+            [(1.0, 10), (2.0, 20), (4.0, 40), (8.0, 80)]
 
     def test_budgets_scale_both_axes(self):
         p = RetryPolicy(retries=2)
@@ -68,12 +73,10 @@ class TestRetryPolicy:
         assert p.budgets(1.5, None, 2) == (6.0, None)
 
     def test_budgets_respect_caps(self):
-        p = RetryPolicy(retries=8, max_timeout=4.0, max_conflicts=300)
-        assert p.budgets(1.0, 100, 5) == (4.0, 300)
+        p = RetryPolicy(retries=8, max_timeout=4.0)
+        assert p.budgets(1.0, 100, 5) == (4.0, 3200)
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(escalation="frantic")
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
 
@@ -200,6 +203,72 @@ class TestWorkerCrashRecovery:
         assert pool["worker_restarts"] >= 1
 
 
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Counts the worker pools the dispatcher constructs."""
+    built = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(dispatch, "ProcessPoolExecutor", Counting)
+    return built
+
+
+@pytest.mark.slow
+class TestOnePoolPerCall:
+    def test_transient_fault_recovers_at_any_job_count(self):
+        """A "fails once" fault is counted per process: retry waves on one
+        pool meet workers that have already failed, so the race check
+        recovers on the pool as it does in-process."""
+        req = CheckRequest(command="races",
+                           source=KERNELS["optimizedTranspose"].source,
+                           width=4, pair="Transpose", cbdim=(2, 2, 1),
+                           cgdim=(2, 2), timeout=120)
+        for jobs in (1, 2):
+            with faults.injected(FaultPlan(seed=4, solver_exception=1.0,
+                                           max_triggers=1)):
+                out = run_check(req, SolveConfig(
+                    jobs=jobs, cache=False, policy=RetryPolicy(retries=2)))
+            assert out.verdict is Verdict.VERIFIED, jobs
+            assert out.stats["resilience"]["recovered"] >= 1
+
+    def test_retry_waves_share_one_pool(self, pools_built):
+        queries = [_pigeonhole_query(1, pigeons) for pigeons in (6, 7)]
+        results = solve_all(queries, config=SolveConfig(
+            jobs=2, cache=False, policy=RetryPolicy(retries=2)))
+        assert [len(r.attempts) for r in results] == [3, 3]
+        assert len(pools_built) == 1
+
+    def test_stream_chunks_share_one_pool(self, pools_built):
+        x = BVVar("pc.x", 16)
+        queries = [Query([ULt(x, BVConst(k, 16))], do_simplify=False)
+                   for k in range(1, 7)]
+        latency: dict = {}
+        results = list(solve_stream(queries, config=SolveConfig(
+            jobs=2, cache=False), chunk=2, latency=latency))
+        assert [r.verdict for r in results] == [CheckResult.SAT] * 6
+        assert latency["chunks"] == 3
+        assert len(pools_built) == 1
+
+    def test_single_leader_waves_build_no_pool(self, pools_built):
+        result = solve_query(_pigeonhole_query(1), SolveConfig(
+            jobs=2, cache=False, policy=RetryPolicy(retries=2)))
+        assert len(result.attempts) == 3
+        assert pools_built == []
+
+    def test_no_worker_outlives_a_check_stopped_by_a_bug(self, pools_built):
+        src = ("void f(int *o) { o[tid.x] = 1; o[0] = tid.x; "
+               "o[1] = tid.x; o[2] = tid.x; }")
+        out = run_check(CheckRequest(command="races", source=src, width=8,
+                                     timeout=60),
+                        SolveConfig(jobs=2, cache=False))
+        assert out.verdict is Verdict.BUG
+        assert len(pools_built) == 1
+        assert multiprocessing.active_children() == []
+
+
 # ----------------------------------------------------- jobs hardening
 
 
@@ -208,13 +277,35 @@ class TestWorkerInit:
         """The worker initializer makes Ctrl-C parent-only: SIGINT is
         ignored so teardown happens via the pool, not via tracebacks."""
         import signal
-        from repro.smt.dispatch import _worker_init
         previous = signal.getsignal(signal.SIGINT)
         try:
-            _worker_init(None)
+            worker_init(None)
             assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         finally:
             signal.signal(signal.SIGINT, previous)
+
+    def test_sigterm_kills_workers(self):
+        """A worker forked from an asyncio server must not run the
+        server's SIGTERM handler: it would write the signal into the
+        server's wakeup fd and shut the server down."""
+        import signal
+        import socket
+        sigint, sigterm = (signal.getsignal(signal.SIGINT),
+                           signal.getsignal(signal.SIGTERM))
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        wakeup = signal.set_wakeup_fd(ours.fileno())
+        try:
+            signal.signal(signal.SIGTERM, lambda *_: None)
+            worker_init(None)
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            assert signal.set_wakeup_fd(-1) == -1
+        finally:
+            signal.set_wakeup_fd(wakeup)
+            signal.signal(signal.SIGINT, sigint)
+            signal.signal(signal.SIGTERM, sigterm)
+            ours.close()
+            theirs.close()
 
     def test_rlimit_env_parsing(self, monkeypatch):
         from repro.smt.dispatch import _worker_rlimit_mb
