@@ -12,7 +12,8 @@ sharded disk cache) and measures three request regimes —
 
 Then proves the shared-cache story: two server processes pointing at ONE
 cache directory answer the same request set with bit-identical verdicts
-and leave zero corrupt or quarantined entries behind.
+and leave zero corrupt or quarantined entries behind, in the query cache
+and in the template tree alike.
 
 Writes ``BENCH_serve.json`` next to the repo root.  Exits nonzero when
 the warm speedup drops below 5x or any shared-cache entry is damaged.
@@ -40,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.kernels import KERNELS
-from repro.serve.shards import scan_shards, verify_shards
+from repro.serve.session import stores_of
 
 REQUEST = {
     "command": "races",
@@ -181,17 +182,22 @@ def main(argv=None) -> int:
         identical = (body_a["verdict"] == body_b["verdict"]
                      == again_a["verdict"] == again_b["verdict"]
                      and body_a["key"] == body_b["key"])
-        audit = verify_shards(cache_dir)
-        inventory = scan_shards(cache_dir)
+        # Audit both stores on the directory: solved queries and the
+        # VC templates in its templates/ tree.
+        stores = stores_of(cache_dir)
+        inventories = [store.inventory() for store in stores]
         report["shared_cache"] = {
             "servers": 2, "verdicts_identical": identical,
             "verdict": body_a["verdict"],
-            "entries": inventory["entries"],
-            "corrupt": inventory["corrupt"], "bad": audit["bad"],
+            "entries": inventories[0]["entries"],
+            "template_entries": inventories[1]["entries"],
+            "corrupt": sum(inv["corrupt"] for inv in inventories),
+            "bad": sum(store.audit()["bad"] for store in stores),
         }
-        print(f"  identical={identical}, entries="
-              f"{inventory['entries']}, corrupt={inventory['corrupt']}",
-              flush=True)
+        sc = report["shared_cache"]
+        print(f"  identical={identical}, entries={sc['entries']}, "
+              f"templates={sc['template_entries']}, "
+              f"corrupt={sc['corrupt']}, bad={sc['bad']}", flush=True)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 

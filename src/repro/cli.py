@@ -69,8 +69,8 @@ exit codes:
 front-end environment knobs (defaults in parentheses):
   PUGPARA_TEMPLATES     cross-config VC template cache (1); 0 re-runs
                         symbolic execution for every cell
-  PUGPARA_TEMPLATE_DIR  sharded on-disk template store directory (unset:
-                        in-memory only; repro.serve sets its own)
+  PUGPARA_CACHE_DIR     also persists templates, in its templates/ tree
+                        (unset: in-memory only; repro.serve sets its own)
 """
 
 

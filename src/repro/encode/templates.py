@@ -26,40 +26,39 @@ so the template key includes it; what the template *does* share is
 everything downstream of the width choice: all `configs.py` cells, all
 concretizations, all assumption suites, and repeat requests.
 
-The store mirrors the query cache's two layers (:mod:`repro.smt.qcache`):
-a per-process dict keyed by digest, and an optional sharded disk layer
-(fcntl-locked, checksummed, atomically replaced) for sharing across
-server workers.  Disk round-trips go through the qcache term codec, whose
-decoder rebuilds via the raw interning constructor — a reloaded template
-is re-interned into the live DAG and behaves exactly like a fresh one.
+The store is the query cache's two-layer
+:class:`~repro.smt.qcache.ShardedStore` with its own format tag: a memory
+LRU of live templates over an optional sharded disk tree
+(``<PUGPARA_CACHE_DIR>/templates``) that server workers share.  Disk
+round-trips go through the qcache term codec, whose decoder rebuilds via
+the raw interning constructor — a reloaded template is re-interned into
+the live DAG and behaves exactly like a fresh one.
 
 ``PUGPARA_TEMPLATES=0`` disables the store process-wide.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..lang.pretty import pretty_kernel
 from ..lang.typecheck import KernelInfo
-from ..smt.qcache import (
-    _entry_checksum, _flock, decode_terms, encode_terms, shard_prefix,
-)
+from ..smt.qcache import ShardedStore, decode_terms, encode_terms
 from ..smt.terms import Term
 
 __all__ = [
     "TEMPLATE_FORMAT_TAG", "VCTemplate", "TemplateStore", "kernel_digest",
-    "template_key", "templates_enabled", "default_template_store",
+    "template_key", "template_dir", "templates_enabled",
+    "default_template_store",
     "set_default_template_store", "resolve_template_store",
 ]
 
 #: Bumped whenever the template payload shape or the term codec changes;
 #: entries with another tag are treated as misses and rewritten.
-TEMPLATE_FORMAT_TAG = "pugpara-vctpl-v1"
+#: v2: the tag moved from the entry into the shared store's envelope.
+TEMPLATE_FORMAT_TAG = "pugpara-vctpl-v2"
 
 
 def templates_enabled() -> bool:
@@ -118,7 +117,6 @@ class VCTemplate:
             qmeta.append([kind, la, lb, array, len(terms)])
             roots.extend(terms)
         return {
-            "format": TEMPLATE_FORMAT_TAG,
             "check": self.check,
             "width": self.width,
             "n_base": len(self.base),
@@ -141,121 +139,40 @@ class VCTemplate:
                    queries=queries, unsupported=blob.get("unsupported"))
 
 
-class TemplateStore:
-    """Two-layer VC template cache (memory dict + sharded disk).
+class TemplateStore(ShardedStore):
+    """Two-layer VC template cache (memory LRU + optional sharded disk).
 
     The memory layer holds live :class:`VCTemplate` objects — their terms
     are interned, so a hit hands back the same nodes the encoder would
     rebuild.  The disk layer (enabled by ``disk_dir``) shares templates
-    between server workers through the same shard/lock/checksum protocol
-    as the query cache; corrupt or foreign-format entries quarantine to
-    ``<entry>.corrupt`` and read as misses.
+    between server workers through the query cache's shard protocol.
     """
 
-    def __init__(self, disk_dir: str | None = None,
+    def __init__(self, disk_dir: str | os.PathLike | None = None,
                  maxsize: int = 256) -> None:
-        self.disk_dir = disk_dir
-        self.maxsize = maxsize
-        self._mem: dict[str, VCTemplate] = {}
-        self.stats = {"hits": 0, "misses": 0, "disk_hits": 0, "stores": 0,
-                      "quarantined": 0}
-        if disk_dir:
-            os.makedirs(disk_dir, exist_ok=True)
+        super().__init__(maxsize, disk_dir, TEMPLATE_FORMAT_TAG)
 
-    # ----------------------------------------------------------- layout
-
-    def _entry_path(self, key: str) -> str:
-        assert self.disk_dir is not None
-        return os.path.join(self.disk_dir, shard_prefix(key),
-                            key + ".json")
-
-    # ----------------------------------------------------------- lookup
+    # Own methods, never the query cache's: a tracer wrapping
+    # ``QueryCache.lookup`` must not count template traffic.
 
     def lookup(self, key: str) -> VCTemplate | None:
-        tpl = self._mem.get(key)
-        if tpl is not None:
-            self.stats["hits"] += 1
-            return tpl
-        if self.disk_dir:
-            tpl = self._disk_lookup(key)
-            if tpl is not None:
-                self.stats["disk_hits"] += 1
-                self._remember(key, tpl)
-                return tpl
-        self.stats["misses"] += 1
-        return None
-
-    def _disk_lookup(self, key: str) -> VCTemplate | None:
-        path = self._entry_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)
-            return None
-        blob = payload.get("entry") if isinstance(payload, dict) else None
-        if (not isinstance(blob, dict)
-                or blob.get("format") != TEMPLATE_FORMAT_TAG
-                or payload.get("checksum") != _entry_checksum(blob)):
-            self._quarantine(path)
-            return None
-        try:
-            return VCTemplate.from_blob(blob)
-        except (KeyError, IndexError, TypeError, ValueError):
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path: str) -> None:
-        """Set a damaged entry aside (never deleted — it is evidence)."""
-        try:
-            os.replace(path, path + ".corrupt")
-            self.stats["quarantined"] += 1
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------ store
+        return self._get(key)
 
     def store(self, key: str, template: VCTemplate) -> None:
-        self.stats["stores"] += 1
-        self._remember(key, template)
-        if self.disk_dir:
-            self._disk_store(key, template)
+        self._put(key, template)
 
-    def _remember(self, key: str, template: VCTemplate) -> None:
-        if len(self._mem) >= self.maxsize and key not in self._mem:
-            # Templates are few and long-lived; a full reset on overflow
-            # is simpler than LRU bookkeeping and never observed in
-            # practice (a suite touches tens of keys, not hundreds).
-            self._mem.clear()
-        self._mem[key] = template
+    def _to_json(self, template: VCTemplate) -> dict:
+        return template.to_blob()
 
-    def _disk_store(self, key: str, template: VCTemplate) -> None:
-        path = self._entry_path(key)
-        shard = os.path.dirname(path)
-        try:
-            os.makedirs(shard, exist_ok=True)
-            blob = template.to_blob()
-            payload = {"checksum": _entry_checksum(blob), "entry": blob}
-            data = json.dumps(payload)
-            with _flock(os.path.join(shard, ".lock")):
-                fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(data)
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-        except OSError:
-            pass  # disk layer is best-effort; memory layer already has it
+    def _from_json(self, blob: dict) -> VCTemplate:
+        return VCTemplate.from_blob(blob)
 
-    def clear(self) -> None:
-        self._mem.clear()
+
+def template_dir(cache_dir: str | os.PathLike) -> str:
+    """The template tree inside a cache directory.  Its name is not two
+    hex characters, so it never reads as one of the query cache's
+    shards."""
+    return os.path.join(cache_dir, "templates")
 
 
 _default_store: TemplateStore | None = None
@@ -263,18 +180,18 @@ _default_store: TemplateStore | None = None
 
 def default_template_store() -> TemplateStore:
     """The process-wide store (created on first use, memory-only unless
-    ``PUGPARA_TEMPLATE_DIR`` names a disk directory)."""
+    ``PUGPARA_CACHE_DIR`` names a cache directory)."""
     global _default_store
     if _default_store is None:
+        cache_dir = os.environ.get("PUGPARA_CACHE_DIR")
         _default_store = TemplateStore(
-            disk_dir=os.environ.get("PUGPARA_TEMPLATE_DIR") or None)
+            disk_dir=template_dir(cache_dir) if cache_dir else None)
     return _default_store
 
 
 def set_default_template_store(store: TemplateStore | None) -> None:
-    """Install (or reset, with ``None``) the process default.  The serve
-    worker initializer points this at ``<cache_dir>/templates`` so all
-    workers of one server share front-end work through the shard locks."""
+    """Install (or reset, with ``None``) the process default; the server
+    points it at its cache directory's template tree."""
     global _default_store
     _default_store = store
 

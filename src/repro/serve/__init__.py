@@ -8,7 +8,6 @@ from .protocol import (
 )
 from .quotas import Charge, QuotaExceeded, QuotaLedger, worst_case_charge
 from .session import Session, execute_check
-from .shards import ensure_layout, scan_shards, verify_shards
 from .app import Server, main
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "verdict_http_status",
     "Charge", "QuotaExceeded", "QuotaLedger", "worst_case_charge",
     "Session", "execute_check",
-    "ensure_layout", "scan_shards", "verify_shards",
     "Server", "main",
 ]

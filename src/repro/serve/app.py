@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import signal
 import sys
 from typing import Any
@@ -54,8 +55,7 @@ from .protocol import (
     verdict_exit_code, verdict_http_status,
 )
 from .quotas import QuotaExceeded, QuotaLedger
-from .session import Session
-from .shards import ensure_layout, scan_shards
+from .session import Session, stores_of
 
 __all__ = ["Server", "main"]
 
@@ -206,10 +206,9 @@ class Server:
             # ``corrupt`` counts quarantined (``.corrupt``) files found on
             # disk right now — damage set aside by any worker or server
             # sharing this directory, not just this process.
-            info["cache"] = scan_shards(self.session.cache_dir)
-            from .session import template_dir_of
-            info["templates"] = scan_shards(
-                template_dir_of(self.session.cache_dir))
+            cache, templates = stores_of(self.session.cache_dir)
+            info["cache"] = cache.inventory()
+            info["templates"] = templates.inventory()
         return info
 
     # ------------------------------------------------------ HTTP transport
@@ -341,7 +340,7 @@ async def _stdio_loop(server: Server) -> None:
 
 async def _amain(args, solve: SolveConfig) -> int:
     if args.cache_dir:
-        ensure_layout(args.cache_dir)
+        os.makedirs(args.cache_dir, exist_ok=True)
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
                       rlimit_mb=args.rlimit_mb, solve=solve)
     ledger = QuotaLedger(seconds_per_window=args.quota_seconds,

@@ -4,19 +4,21 @@ A session owns a long-lived :class:`~concurrent.futures.ProcessPoolExecutor`
 whose workers are warmed once at creation and reused for every request —
 that reuse is the point of serving.  Three layers stay warm per worker:
 
-* the **query cache** — the initializer installs a process-wide default
-  :class:`~repro.smt.qcache.QueryCache` over the server's sharded disk
-  directory (:func:`~repro.smt.dispatch.set_default_cache`), so every
-  checker call reads and warms the same store, and N server processes on
-  one cache directory share results through the shard locks;
+* the **query cache and the VC template store** — the initializer
+  installs process-wide defaults over the server's sharded disk directory
+  (:func:`stores_of`: solved queries at its root, templates in
+  ``templates/``), so every checker call reads and warms the same stores,
+  and N server processes on one cache directory share results through
+  the shard locks;
 * the **interned term table** — a module global of the term layer, warm
   across requests automatically;
 * the **parsed-module state** — imports, keywords, the works.
 
 Workers inherit the dispatcher's hygiene (:func:`worker_init`: SIGINT
-ignored, optional address-space rlimit) and die through its no-orphan
-teardown funnel (:func:`teardown_pool`).  ``workers=0`` solves in-process
-— the degraded mode, and the mode the in-process tests use.
+ignored, exit when the parent is gone, optional address-space rlimit)
+and die through its no-orphan teardown funnel (:func:`teardown_pool`).
+``workers=0`` solves in-process — the degraded mode, and the mode the
+in-process tests use.
 
 A failed check never escapes as an exception: parse/type errors come back
 as ``usage`` (the client's fault, HTTP 422), anything else as
@@ -26,43 +28,44 @@ as ``usage`` (the client's fault, HTTP 422), anything else as
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict
 
 from ..check.request import USAGE_ERRORS, CheckRequest, run_check
 from ..check.result import outcome_to_json
-from ..encode.templates import TemplateStore, set_default_template_store
+from ..encode.templates import (
+    TemplateStore, set_default_template_store, template_dir,
+)
 from ..smt.dispatch import (
     SolveConfig, set_default_cache, teardown_pool, worker_init,
 )
 from ..smt.qcache import QueryCache
 
-__all__ = ["Session", "execute_check", "serve_worker_init",
-           "template_dir_of"]
+__all__ = ["Session", "execute_check", "serve_worker_init", "stores_of"]
 
 
-def template_dir_of(cache_dir: str) -> str:
-    """The VC-template shard tree nested inside the server's cache
-    directory.  The name is not two hex characters, so the query-cache
-    shard scanner never looks inside it."""
-    return os.path.join(cache_dir, "templates")
+def stores_of(cache_dir: str) -> tuple[QueryCache, TemplateStore]:
+    """The server's two stores over one directory: the canonical query
+    cache at its root, the VC template store in its ``templates/`` tree."""
+    return (QueryCache(disk_dir=cache_dir),
+            TemplateStore(disk_dir=template_dir(cache_dir)))
+
+
+def _use_stores(cache_dir: str | None) -> None:
+    """Point this process's default stores at ``cache_dir`` (``None``
+    resets both), so every worker of every server process on one
+    directory shares solved queries *and* front-end encodings."""
+    cache, templates = stores_of(cache_dir) if cache_dir else (None, None)
+    set_default_cache(cache)
+    set_default_template_store(templates)
 
 
 def serve_worker_init(rlimit_mb: int | None,
                       cache_dir: str | None) -> None:
-    """Warm one worker: dispatcher hygiene plus the shared caches.
-
-    Both long-lived stores point at the server's sharded directory — the
-    canonical query cache at its root, the VC template store at its
-    ``templates/`` subtree — so every worker of every server process on
-    one directory shares solved queries *and* front-end encodings."""
+    """Warm one worker: dispatcher hygiene plus the shared stores."""
     worker_init(rlimit_mb)
-    if cache_dir:
-        set_default_cache(QueryCache(disk_dir=cache_dir))
-        set_default_template_store(
-            TemplateStore(disk_dir=template_dir_of(cache_dir)))
+    _use_stores(cache_dir)
 
 
 def execute_check(fields: dict, solve: SolveConfig | None = None) -> dict:
@@ -117,9 +120,7 @@ class Session:
                 initializer=serve_worker_init,
                 initargs=(rlimit_mb, cache_dir))
         elif cache_dir:
-            set_default_cache(QueryCache(disk_dir=cache_dir))
-            set_default_template_store(
-                TemplateStore(disk_dir=template_dir_of(cache_dir)))
+            _use_stores(cache_dir)
 
     async def run(self, req: CheckRequest) -> dict:
         """Solve one request on a warm worker; a dead pool is rebuilt
@@ -144,5 +145,4 @@ class Session:
         if self._pool is not None:
             teardown_pool(self._pool)
             self._pool = None
-        set_default_cache(None)
-        set_default_template_store(None)
+        _use_stores(None)

@@ -71,8 +71,10 @@ dispatcher no matter how a solve ends.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import signal
+import threading
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -146,6 +148,8 @@ class QueryResult:
 POOL_RETRIES = 3
 #: Base seconds of the capped (1 s) exponential pool-rebuild backoff.
 POOL_BACKOFF = 0.05
+#: Seconds between a worker's checks that its parent is still alive.
+PARENT_POLL = 0.5
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,13 @@ def _worker_rlimit_mb() -> int | None:
     return mb if mb > 0 else None
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Poll until this process is re-parented, then exit at once."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL)
+    os._exit(1)
+
+
 def worker_init(rlimit_mb: int | None) -> None:
     """Worker-process initializer.
 
@@ -263,13 +274,21 @@ def worker_init(rlimit_mb: int | None) -> None:
     which then shuts the pool down cleanly instead of every worker spewing
     a KeyboardInterrupt traceback.  SIGTERM kills outright: a worker forked
     from an asyncio server would otherwise signal the server's wakeup fd
-    and shut the server down.  The optional address-space rlimit turns a
-    runaway query's OOM into a contained MemoryError/worker death the
-    dispatcher already recovers from.
+    and shut the server down.  A worker exits when its parent is gone: a
+    SIGKILLed parent runs no teardown, and its idle workers would block on
+    the call queue forever.  A polling thread watches the parent rather
+    than ``PR_SET_PDEATHSIG``, which fires when the forking *thread* exits
+    (serve at ``--workers 0`` builds pools from executor threads).  The
+    optional address-space rlimit turns a runaway query's OOM into a
+    contained MemoryError/worker death the dispatcher already recovers
+    from.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                         name="parent-watch", daemon=True).start()
     if rlimit_mb:
         try:
             import resource

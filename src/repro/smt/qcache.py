@@ -20,13 +20,14 @@ Cached models are stored against the *canonical* variable numbering, so a
 hit under a renamed query can be translated back into that query's own
 variables.
 
-Layers:
+Layers (:class:`ShardedStore`, which the VC template store of
+:mod:`repro.encode.templates` shares):
 
-* an in-memory LRU (cheap, per-process);
+* an in-memory LRU of live values (cheap, per-process);
 * an optional on-disk layer under a cache directory, **sharded by key
   prefix** (``<dir>/<prefix>/<key>.json``, 256 two-hex-digit shards), each
-  entry carrying a format tag so stale caches from older encodings are
-  rejected rather than trusted.
+  entry carrying its owner's format tag so stale caches from older
+  encodings are rejected rather than trusted.
 
 The disk layer is built to be *shared*: N processes — parallel checker
 runs, N server workers, even N machines over a shared filesystem — can
@@ -38,12 +39,12 @@ read and write one cache directory concurrently.
   serialize instead of interleaving.
 * Reads are lock-free: the atomic rename means a reader sees the old
   entry, the new entry, or a miss — never a half-written file.
-* Every payload carries a sha256 checksum of its entry; a file that fails
-  to parse or verify — bit rot, a writer on a filesystem without atomic
-  rename — is **quarantined** (renamed to ``<key>.json.corrupt`` inside
-  its shard, under the shard lock) so it is inspected once, not re-parsed
-  on every lookup.  A stale-but-wellformed format tag is a plain miss,
-  not corruption.
+* Every payload is ``{tag, checksum, entry}`` with a sha256 checksum of
+  its entry; a file that fails to parse, verify or decode — bit rot, a
+  writer on a filesystem without atomic rename — is **quarantined**
+  (renamed to ``<key>.json.corrupt`` inside its shard, under the shard
+  lock) so it is inspected once, not re-parsed on every lookup.  A
+  stale-but-wellformed format tag is a plain miss, not corruption.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import faults
 from .model import Model
@@ -70,7 +71,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 __all__ = [
     "FORMAT_TAG", "SHARD_COUNT", "canonicalize", "canonical_key",
     "encode_terms", "decode_terms", "model_to_canonical",
-    "model_from_canonical", "QueryCache", "shard_prefix",
+    "model_from_canonical", "QueryCache", "ShardedStore", "shard_prefix",
 ]
 
 #: Bumped whenever the canonical-key traversal, the term encoding, or the
@@ -275,7 +276,7 @@ def model_from_canonical(data: Mapping[str, Any],
     return Model(scalars, arrays)
 
 
-# --------------------------------------------------------------- cache
+# --------------------------------------------------------------- store
 
 
 @contextmanager
@@ -312,49 +313,43 @@ def _flock(lock_path: str):
 
 def _verify_payload(payload: Any, format_tag: str) -> str:
     """Classify a parsed disk payload: ``"ok"``, ``"stale"`` (wellformed,
-    older format tag), or ``"bad"`` (damaged / checksum mismatch)."""
+    another format tag), or ``"bad"`` (damaged / checksum mismatch)."""
     if not isinstance(payload, dict):
         return "bad"
     tag = payload.get("tag")
     entry = payload.get("entry")
-    checksum = payload.get("checksum")
     if tag != format_tag:
         # A wellformed payload from another format generation is stale,
         # not corrupt — leave it for the generation that understands it.
         return "stale" if isinstance(tag, str) else "bad"
-    if (not isinstance(entry, dict) or "verdict" not in entry
-            or checksum != _entry_checksum(entry)):
+    if (not isinstance(entry, dict)
+            or payload.get("checksum") != _entry_checksum(entry)):
         return "bad"
     return "ok"
 
 
-class QueryCache:
-    """Verdict + model cache keyed by :func:`canonicalize` keys.
+class ShardedStore:
+    """Two-layer keyed store: a memory LRU of live values over an
+    optional sharded disk directory (layout and protocol in the module
+    docs).
 
-    Parameters
-    ----------
-    maxsize:
-        Bound on the in-memory LRU (entries, not bytes).
-    disk_dir:
-        When given, entries are also persisted as one JSON file per key
-        under this directory (sharded by key prefix, see module docs), so
-        a fresh process (another mutation run, a warm bench re-run, a
-        server worker) starts warm — and N concurrent processes can share
-        the directory.  Entries are versioned by ``format_tag``; a
-        mismatching tag is treated as a miss.
+    An owner supplies its ``format_tag`` and overrides :meth:`_to_json`
+    and :meth:`_from_json` — how one value becomes a JSON object and
+    back.  A memory hit returns the live value and never decodes; a disk
+    hit decodes once and is remembered.  A decoder that raises marks the
+    entry damaged, so it is quarantined like a torn file.
 
-    Instances are thread-safe: the in-memory LRU and the stats counters
-    are guarded by a lock, and disk writes serialize per shard via
-    advisory file locks.
+    Instances are thread-safe: the LRU and the stats counters are guarded
+    by a lock, and disk writes serialize per shard via advisory locks.
     """
 
-    def __init__(self, maxsize: int = 4096,
-                 disk_dir: str | os.PathLike | None = None,
-                 format_tag: str = FORMAT_TAG) -> None:
+    def __init__(self, maxsize: int,
+                 disk_dir: str | os.PathLike | None,
+                 format_tag: str) -> None:
         self.maxsize = maxsize
         self.disk_dir = os.fspath(disk_dir) if disk_dir is not None else None
         self.format_tag = format_tag
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        self._memory: OrderedDict[str, Any] = OrderedDict()
         self._mu = threading.Lock()
         self.stats = {"hits": 0, "misses": 0, "disk_hits": 0, "stores": 0,
                       "quarantined": 0}
@@ -362,38 +357,40 @@ class QueryCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    # -- lookup/store -------------------------------------------------
+    def _to_json(self, value: Any) -> dict:
+        raise NotImplementedError
 
-    def lookup(self, key: str) -> dict | None:
-        """The stored entry for ``key`` or None.
+    def _from_json(self, entry: dict) -> Any:
+        raise NotImplementedError
 
-        An entry is ``{"verdict": str, "model": canonical-model | None,
-        "stats": {...}}``.
-        """
+    # -- both layers --------------------------------------------------
+
+    def _get(self, key: str) -> Any | None:
         with self._mu:
-            entry = self._memory.get(key)
-            if entry is not None:
+            value = self._memory.get(key)
+            if value is not None:
                 self._memory.move_to_end(key)
                 self.stats["hits"] += 1
-                return entry
-        entry = self._disk_lookup(key)
+                return value
+        value = self._disk_lookup(key)
         with self._mu:
-            if entry is not None:
+            if value is not None:
                 self.stats["hits"] += 1
                 self.stats["disk_hits"] += 1
-                self._remember(key, entry)
-                return entry
+                self._remember(key, value)
+                return value
             self.stats["misses"] += 1
             return None
 
-    def store(self, key: str, entry: dict) -> None:
+    def _put(self, key: str, value: Any) -> None:
         with self._mu:
             self.stats["stores"] += 1
-            self._remember(key, entry)
-        self._disk_store(key, entry)
+            self._remember(key, value)
+        if self.disk_dir is not None:
+            self._disk_store(key, self._to_json(value))
 
-    def _remember(self, key: str, entry: dict) -> None:
-        self._memory[key] = entry
+    def _remember(self, key: str, value: Any) -> None:
+        self._memory[key] = value
         self._memory.move_to_end(key)
         while len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
@@ -409,12 +406,39 @@ class QueryCache:
         """The on-disk path of ``key``'s entry (whether or not it exists)."""
         return os.path.join(self.shard_dir(key), f"{key}.json")
 
+    def _read(self, path: str) -> tuple[str, Any]:
+        """``(state, value)`` of one entry file, with ``state`` one of
+        ``"ok"``, ``"missing"``, ``"stale"`` or ``"bad"``; the value is
+        decoded only when the state is ``"ok"``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except FileNotFoundError:
+            return "missing", None
+        except (OSError, ValueError):
+            return "bad", None  # unreadable or torn JSON: damaged
+        state = _verify_payload(payload, self.format_tag)
+        if state != "ok":
+            return state, None
+        try:
+            return "ok", self._from_json(payload["entry"])
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError):
+            return "bad", None
+
+    def _disk_lookup(self, key: str) -> Any | None:
+        if self.disk_dir is None:
+            return None
+        state, value = self._read(self.entry_path(key))
+        if state == "bad":
+            self._quarantine(key)
+        return value
+
     def _quarantine(self, key: str) -> None:
-        """Rename a damaged cache file aside (``<key>.json.corrupt`` inside
-        its shard) so a torn or rotted entry is inspected once, not
-        re-parsed per lookup.  Holds the shard lock: a concurrent writer
-        replacing the entry with a fresh valid one wins the rename race
-        cleanly."""
+        """Rename a damaged entry aside (``<key>.json.corrupt`` inside its
+        shard) so it is inspected once, not re-parsed per lookup.  Holds
+        the shard lock: a concurrent writer replacing the entry with a
+        fresh valid one wins the rename race cleanly."""
         path = self.entry_path(key)
         with _flock(os.path.join(self.shard_dir(key), ".lock")):
             try:
@@ -424,39 +448,7 @@ class QueryCache:
         with self._mu:
             self.stats["quarantined"] += 1
 
-    def _disk_lookup(self, key: str) -> dict | None:
-        if self.disk_dir is None:
-            return None
-        try:
-            with open(self.entry_path(key), encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # Unreadable or torn JSON: damaged, not merely absent.
-            self._quarantine(key)
-            return None
-        state = _verify_payload(payload, self.format_tag)
-        if state == "stale":
-            return None  # stale format: a plain miss, never trusted
-        if state == "bad":
-            self._quarantine(key)
-            return None
-        entry = payload["entry"]
-        model = entry.get("model")
-        if model is not None:
-            # JSON turned the int keys into strings; undo that.
-            entry["model"] = {
-                "scalars": {int(k): v
-                            for k, v in model.get("scalars", {}).items()},
-                "arrays": {int(k): {int(i): int(x) for i, x in c.items()}
-                           for k, c in model.get("arrays", {}).items()},
-            }
-        return entry
-
     def _disk_store(self, key: str, entry: dict) -> None:
-        if self.disk_dir is None:
-            return
         payload = {"tag": self.format_tag,
                    "checksum": _entry_checksum(entry),
                    "entry": entry}
@@ -472,34 +464,109 @@ class QueryCache:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
                 os.replace(tmp, self.entry_path(key))
-        except OSError:  # cache is best-effort; never fail the query
+        except OSError:  # the store is best-effort; never fail the caller
             pass
 
-    def clear(self, *, disk: bool = False) -> None:
-        with self._mu:
-            self._memory.clear()
-        if not (disk and self.disk_dir is not None
-                and os.path.isdir(self.disk_dir)):
-            return
-        roots = [self.disk_dir]
-        roots += [os.path.join(self.disk_dir, n)
-                  for n in os.listdir(self.disk_dir)
-                  if len(n) == 2 and os.path.isdir(
-                      os.path.join(self.disk_dir, n))]
-        for root in roots:
+    # -- operator views -----------------------------------------------
+
+    def _shard_dirs(self) -> list[str]:
+        root = self.disk_dir
+        try:
+            names = os.listdir(root) if root is not None else []
+        except OSError:
+            return []
+        return sorted(
+            os.path.join(root, n) for n in names
+            if len(n) == 2 and os.path.isdir(os.path.join(root, n)))
+
+    def _files(self):
+        """``(path, name)`` of every file in every shard."""
+        for shard in self._shard_dirs():
             try:
-                names = os.listdir(root)
-            except OSError:  # pragma: no cover
+                names = sorted(os.listdir(shard))
+            except OSError:  # pragma: no cover - shard vanished mid-walk
                 continue
             for name in names:
-                if (name.endswith(".json") or name.endswith(".corrupt")
-                        or name == ".lock"):
-                    try:
-                        os.unlink(os.path.join(root, name))
-                    except OSError:
-                        pass
-        for root in roots[1:]:
+                yield os.path.join(shard, name), name
+
+    def inventory(self) -> dict:
+        """Cheap summary of the disk layer: shard, entry and quarantined
+        file counts and their total bytes (no payload is read)."""
+        entries = corrupt = size = 0
+        for path, name in self._files():
+            if name.endswith(".json"):
+                entries += 1
+            elif name.endswith(".corrupt"):
+                corrupt += 1
+            else:
+                continue
             try:
-                os.rmdir(root)
-            except OSError:
+                size += os.path.getsize(path)
+            except OSError:  # pragma: no cover
                 pass
+        return {"dir": self.disk_dir, "shards": len(self._shard_dirs()),
+                "entries": entries, "corrupt": corrupt, "bytes": size}
+
+    def audit(self) -> dict:
+        """Read and classify every entry exactly as a lookup would, but
+        quarantine nothing (the audit observes, the hot path acts): the
+        proof that concurrent writers left no damaged entry behind."""
+        counts = {"ok": 0, "stale": 0, "bad": 0}
+        for path, name in self._files():
+            state = self._read(path)[0] if name.endswith(".json") else None
+            if state in counts:  # a file gone mid-walk is not counted
+                counts[state] += 1
+        return {"dir": self.disk_dir, **counts}
+
+
+class QueryCache(ShardedStore):
+    """Verdict + model cache keyed by :func:`canonicalize` keys.
+
+    Parameters
+    ----------
+    maxsize:
+        Bound on the in-memory LRU (entries, not bytes).
+    disk_dir:
+        When given, entries are also persisted as one JSON file per key
+        under this directory (sharded by key prefix, see module docs), so
+        a fresh process (another mutation run, a warm bench re-run, a
+        server worker) starts warm — and N concurrent processes can share
+        the directory.  Entries are versioned by ``format_tag``; a
+        mismatching tag is treated as a miss.
+    """
+
+    def __init__(self, maxsize: int = 4096,
+                 disk_dir: str | os.PathLike | None = None,
+                 format_tag: str = FORMAT_TAG) -> None:
+        super().__init__(maxsize, disk_dir, format_tag)
+
+    # ``lookup``/``store`` are this class's own methods, apart from the
+    # template store's, so a tracer wrapping them counts cache traffic only.
+
+    def lookup(self, key: str) -> dict | None:
+        """The stored entry for ``key`` or None.
+
+        An entry is ``{"verdict": str, "model": canonical-model | None,
+        "stats": {...}}``.
+        """
+        return self._get(key)
+
+    def store(self, key: str, entry: dict) -> None:
+        self._put(key, entry)
+
+    def _to_json(self, entry: dict) -> dict:
+        return entry
+
+    def _from_json(self, entry: dict) -> dict:
+        if "verdict" not in entry:
+            raise ValueError("entry without a verdict")
+        model = entry.get("model")
+        if model is not None:
+            # JSON turned the int keys into strings; undo that.
+            entry["model"] = {
+                "scalars": {int(k): v
+                            for k, v in model.get("scalars", {}).items()},
+                "arrays": {int(k): {int(i): int(x) for i, x in c.items()}
+                           for k, c in model.get("arrays", {}).items()},
+            }
+        return entry

@@ -93,12 +93,13 @@ class TestStore:
         reader = TemplateStore(disk_dir=str(tmp_path))
         got = reader.lookup("dk")
         assert got is not None and got.base[0] is tpl.base[0]
+        assert reader.stats["hits"] == 1
         assert reader.stats["disk_hits"] == 1
 
     def test_corrupt_entry_quarantines(self, tmp_path):
         writer = TemplateStore(disk_dir=str(tmp_path))
         writer.store("ck", VCTemplate(check="races", width=8))
-        path = writer._entry_path("ck")
+        path = writer.entry_path("ck")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         reader = TemplateStore(disk_dir=str(tmp_path))
@@ -109,14 +110,19 @@ class TestStore:
     def test_foreign_format_reads_as_miss(self, tmp_path):
         writer = TemplateStore(disk_dir=str(tmp_path))
         writer.store("fk", VCTemplate(check="races", width=8))
-        path = writer._entry_path("fk")
+        path = writer.entry_path("fk")
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        payload["entry"]["format"] = "someone-elses-tag"
+        assert payload["tag"] == TEMPLATE_FORMAT_TAG
+        payload["tag"] = "someone-elses-tag"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         reader = TemplateStore(disk_dir=str(tmp_path))
         assert reader.lookup("fk") is None
+        # another generation's entry is left for it, never quarantined
+        assert reader.stats["quarantined"] == 0
+        assert os.path.exists(path)
+        assert not os.path.exists(path + ".corrupt")
 
     def test_kill_switch(self, monkeypatch):
         monkeypatch.setenv("PUGPARA_TEMPLATES", "0")

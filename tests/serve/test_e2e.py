@@ -6,6 +6,7 @@ and shutdown must be clean — exit 0 and every worker process reaped."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -128,6 +129,42 @@ class TestServeSmoke:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+@pytest.mark.slow
+def test_workers_exit_when_the_server_is_killed(tmp_path):
+    """A SIGKILLed server runs no teardown; its workers must notice the
+    lost parent and exit on their own instead of lingering as orphans."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.serve", "--stdio",
+         "--workers", "1", "--cache-dir", str(tmp_path / "qc")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(
+                 p for p in ("src", os.environ.get("PYTHONPATH", ""))
+                 if p)},
+        cwd=os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))))
+    try:
+        assert proc.stdout.readline().startswith("pugpara-serve ready")
+        proc.stdin.write(json.dumps({**REQUEST, "id": 1}) + "\n")
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["verdict"] == "verified"
+        workers = _children_of(proc.pid)
+        assert workers
+        proc.kill()
+        proc.wait(timeout=10)
+        time.sleep(5)
+        alive = [pid for pid in workers
+                 if os.path.exists(f"/proc/{pid}") and "Z" not in _state(pid)]
+        for pid in alive:  # leave no survivor behind the test
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"workers outlived the killed server: {alive}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
 
 
 def _state(pid):

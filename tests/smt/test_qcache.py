@@ -8,6 +8,9 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
+from repro.encode.templates import TemplateStore, VCTemplate
 from repro.smt import (
     And, BVConst, BVVar, Eq, Not, Or, ULt, fresh_scope, fresh_var,
 )
@@ -17,6 +20,9 @@ from repro.smt.qcache import (
     encode_terms, model_from_canonical, model_to_canonical,
 )
 from repro.smt.sorts import BV
+
+#: The two owners of the shared sharded store.
+STORES = {"qcache": QueryCache, "templates": TemplateStore}
 
 
 def _query(prefix: str, width: int = 8, constant: int = 5):
@@ -190,6 +196,25 @@ class TestQueryCacheDisk:
         top = {p.name for p in tmp_path.iterdir()}
         assert not any(n.endswith(".json") for n in top)
 
+    def test_reads_entries_of_earlier_builds(self, tmp_path):
+        """A v2 entry byte-for-byte as earlier builds wrote it still hits:
+        the envelope and checksum are part of the on-disk contract."""
+        (tmp_path / "c0").mkdir()
+        (tmp_path / "c0" / "c0ffee.json").write_text(
+            '{"tag": "pugpara-qcache-v2", "checksum": "99b64dec1f78988929bf'
+            '15255ea7618799280c66c4c14463be09b8333fe65766", "entry": '
+            '{"verdict": "sat", "model": {"scalars": {"0": 3, "1": true}, '
+            '"arrays": {"2": {"0": 7}}}, "stats": {"conflicts": 2}}}')
+        reader = QueryCache(disk_dir=tmp_path)
+        entry = reader.lookup("c0ffee")
+        assert entry == {"verdict": "sat",
+                         "model": {"scalars": {0: 3, 1: True},
+                                   "arrays": {2: {0: 7}}},
+                         "stats": {"conflicts": 2}}
+        assert reader.stats["disk_hits"] == 1
+        assert reader.stats["quarantined"] == 0
+        assert reader.audit()["ok"] == 1
+
 
 class TestDiskIntegrity:
     """The checksum + quarantine layer of the disk cache."""
@@ -249,61 +274,76 @@ class TestDiskIntegrity:
         assert pathlib.Path(reader.entry_path("0ldie")).exists()
 
     def test_injected_corruption_survived(self, tmp_path):
-        """A corrupt_cache fault garbles the write; the next reader
-        quarantines it and reports a miss — never a wrong entry."""
+        """A corrupt_cache fault garbles the write of either store; the
+        next reader quarantines it and reports a miss — never a wrong
+        entry."""
         from repro.smt import FaultPlan, faults
-        with faults.injected(FaultPlan(seed=7, corrupt_cache=1.0)):
-            QueryCache(disk_dir=tmp_path).store("fz", self._entry())
-        reader = QueryCache(disk_dir=tmp_path)
-        assert reader.lookup("fz") is None
-        assert reader.stats["quarantined"] == 1
-
-    def test_clear_disk_removes_quarantined(self, tmp_path):
-        cache = QueryCache(disk_dir=tmp_path)
-        cache.store("good", self._entry())
-        os.makedirs(cache.shard_dir("bad"), exist_ok=True)
-        pathlib.Path(cache.entry_path("bad")).write_text("{not json")
-        cache.lookup("bad")  # quarantines
-        cache.clear(disk=True)
-        assert list(tmp_path.iterdir()) == []
+        for kind, store in STORES.items():
+            with faults.injected(FaultPlan(seed=7, corrupt_cache=1.0)):
+                store(disk_dir=tmp_path / kind).store("fz",
+                                                      _value(kind, 1, 0))
+            reader = store(disk_dir=tmp_path / kind)
+            assert reader.audit()["bad"] == 1
+            assert reader.lookup("fz") is None
+            assert reader.stats["quarantined"] == 1
+            assert reader.inventory()["corrupt"] == 1
 
 
-def _hammer_writer(disk_dir: str, worker: int, keys: list, barrier) -> None:
+def _value(kind: str, worker: int, round_: int):
+    """A value for ``kind``'s store that records which worker wrote it."""
+    if kind == "templates":
+        return VCTemplate(check="races", width=8,
+                          unsupported=f"{worker} {round_}")
+    return {"verdict": "sat", "model": {"scalars": {0: worker}, "arrays": {}},
+            "stats": {"round": round_}}
+
+
+def _writer_of(kind: str, value) -> int:
+    if kind == "templates":
+        return int(value.unsupported.split()[0])
+    return value["model"]["scalars"][0]
+
+
+def _hammer_writer(kind: str, disk_dir: str, worker: int, keys: list,
+                   barrier) -> None:
     """Write every key (with worker-distinct payloads) against a shared
     directory, synchronized so both processes pound the shards at once."""
-    cache = QueryCache(disk_dir=disk_dir)
+    store = STORES[kind](disk_dir=disk_dir)
     barrier.wait(timeout=30)
     for round_ in range(5):
         for key in keys:
-            cache.store(key, {"verdict": "sat",
-                              "model": {"scalars": {0: worker},
-                                        "arrays": {}},
-                              "stats": {"round": round_}})
+            store.store(key, _value(kind, worker, round_))
 
 
 class TestConcurrentShardAccess:
-    """Two processes sharing one cache directory: the sharded layout's
+    """Two processes sharing one store directory: the sharded layout's
     per-shard locking + atomic renames must keep every entry wellformed."""
+
+    kind = "qcache"
 
     def _valid_entry(self, path: pathlib.Path) -> bool:
         payload = json.loads(path.read_text())
         from repro.smt.qcache import _entry_checksum
         return payload["checksum"] == _entry_checksum(payload["entry"])
 
-    def test_two_processes_same_shard_race_free(self, tmp_path):
-        # Same two-hex prefix -> every key lands in the *same* shard, so
-        # the writers contend on one lock file.
-        keys = [f"ab{i:04x}" for i in range(8)]
+    def _run(self, tmp_path, key_sets):
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(2)
         procs = [ctx.Process(target=_hammer_writer,
-                             args=(str(tmp_path), w, keys, barrier))
-                 for w in (1, 2)]
+                             args=(self.kind, str(tmp_path), w, keys,
+                                   barrier))
+                 for w, keys in enumerate(key_sets, 1)]
         for p in procs:
             p.start()
         for p in procs:
             p.join(timeout=120)
             assert p.exitcode == 0
+
+    def test_two_processes_same_shard_race_free(self, tmp_path):
+        # Same two-hex prefix -> every key lands in the *same* shard, so
+        # the writers contend on one lock file.
+        keys = [f"ab{i:04x}" for i in range(8)]
+        self._run(tmp_path, [keys, keys])
         shard = tmp_path / "ab"
         assert sorted(p.name for p in shard.glob("*.json")) == \
             sorted(f"{k}.json" for k in keys)
@@ -311,27 +351,24 @@ class TestConcurrentShardAccess:
         assert not list(tmp_path.rglob("*.corrupt"))
         for key in keys:
             assert self._valid_entry(shard / f"{key}.json")
-        reader = QueryCache(disk_dir=tmp_path)
+        reader = STORES[self.kind](disk_dir=tmp_path)
+        assert reader.audit()["ok"] == len(keys)
         for key in keys:
-            entry = reader.lookup(key)
-            assert entry is not None
-            assert entry["model"]["scalars"][0] in (1, 2)
+            value = reader.lookup(key)
+            assert value is not None
+            assert _writer_of(self.kind, value) in (1, 2)
 
     def test_two_processes_disjoint_shards(self, tmp_path):
         keys_a = [f"aa{i:02x}" for i in range(4)]
         keys_b = [f"bb{i:02x}" for i in range(4)]
-        ctx = multiprocessing.get_context("spawn")
-        barrier = ctx.Barrier(2)
-        procs = [ctx.Process(target=_hammer_writer,
-                             args=(str(tmp_path), w, keys, barrier))
-                 for w, keys in ((1, keys_a), (2, keys_b))]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=120)
-            assert p.exitcode == 0
-        reader = QueryCache(disk_dir=tmp_path)
+        self._run(tmp_path, [keys_a, keys_b])
+        reader = STORES[self.kind](disk_dir=tmp_path)
         for key in keys_a + keys_b:
             assert reader.lookup(key) is not None
         assert not list(tmp_path.rglob("*.corrupt"))
 
+
+class TestConcurrentTemplateShardAccess(TestConcurrentShardAccess):
+    """The same two writers against the VC template store."""
+
+    kind = "templates"
