@@ -23,7 +23,7 @@ import time
 from typing import Mapping
 
 from ..encode.nonparam import encode_kernel
-from ..encode.symexec import eval_bool, eval_expr
+from ..encode.symexec import arith, eval_bool, eval_expr, lift
 from ..errors import EncodingError
 from ..lang.ast import (
     Assign, Binary, Block, For, Ident, If, Postcond, Stmt, VarDecl,
@@ -114,8 +114,8 @@ def _exec_ghost(stmts: tuple[Stmt, ...], scope: _GhostScope,
                     f"line {s.line}: ghost code cannot write arrays")
             value = eval_expr(s.value, scope)
             if s.op is not None:
-                from ..encode.symexec import _ARITH
-                value = _ARITH[s.op](scope.local(s.target.name, s.line), value)
+                value = lift(arith(s.op, scope.local(s.target.name, s.line),
+                                   value, scope.width), scope.width)
             scope.locals[s.target.name] = value
         elif isinstance(s, Postcond):
             obligations.append((eval_bool(s.cond, scope), s.line))

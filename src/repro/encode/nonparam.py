@@ -11,6 +11,11 @@ an ite/store chain mentioning every thread.
 Scalar inputs and array contents remain fully symbolic; only the geometry is
 fixed.  The paper's ``+C.`` flag additionally pins input values
 (:func:`concretize_inputs`).
+
+Each thread is concrete, so expressions are partially evaluated
+(:func:`repro.encode.symexec.peval`): builtins, loop counters, guards and
+addresses over them stay Python ints, and a term is built only at a store,
+an ``assume``/``assert``, or an operator with a symbolic operand.
 """
 
 from __future__ import annotations
@@ -26,11 +31,10 @@ from ..lang.ast import (
 from ..lang.interp import LaunchConfig
 from ..lang.typecheck import KernelInfo
 from ..smt import (
-    And, ArrayVar, BVConst, Eq, Implies, Ite, Not, Select, Store, Term, Var,
-    fresh_name,
+    BV, And, ArrayVar, BVConst, Eq, Implies, Ite, Kind, Not, Select, Store,
+    Term, Var, fresh_name,
 )
-from ..smt.sorts import ARRAY
-from .symexec import _ARITH, eval_bool, eval_expr
+from .symexec import Value, arith, ite, lift, lift_bool, peval, peval_bool
 
 __all__ = ["NonParamModel", "encode_kernel", "concretize_inputs"]
 
@@ -70,59 +74,62 @@ class _Thread:
         self.bid = bid
         self.tid = tid
         self.width = encoder.width
-        self.locals: dict[str, Term] = dict(encoder.model.inputs)
+        self.locals: dict[str, Value] = dict(encoder.inputs)
         self.guards: list[Term] = []
 
     # ------------------------------------------------------------- SymScope
 
-    def local(self, name: str, line: int) -> Term:
+    def local(self, name: str, line: int) -> Value:
         try:
             return self.locals[name]
         except KeyError:
             # An uninitialized scalar is an unconstrained symbolic value
             # (used by postconditions for universal quantification).
-            var = Var(f"{fresh_name('uninit')}.{name}",
-                      BVConst(0, self.width).sort)
+            var = Var(f"{fresh_name('uninit')}.{name}", BV(self.width))
             self.locals[name] = var
             return var
 
-    def builtin(self, base: str, axis: str, line: int) -> Term:
+    def builtin(self, base: str, axis: str, line: int) -> int:
         cfg = self.encoder.config
         idx = "xyz".index(axis)
         if base == "tid":
-            return BVConst(self.tid[idx], self.width)
-        if base == "bid":
+            value = self.tid[idx]
+        elif base == "bid":
             if axis == "z":
                 raise EncodingError(f"line {line}: blockIdx has no z axis")
-            return BVConst(self.bid[idx], self.width)
-        if base == "bdim":
-            return BVConst(cfg.bdim[idx], self.width)
-        if axis == "z":
+            value = self.bid[idx]
+        elif base == "bdim":
+            value = cfg.bdim[idx]
+        elif axis == "z":
             raise EncodingError(f"line {line}: gridDim has no z axis")
-        return BVConst(cfg.gdim[idx], self.width)
+        else:
+            value = cfg.gdim[idx]
+        return value & self.encoder.mask
 
-    def _flat_index(self, name: str, indices: tuple[Term, ...],
-                    line: int) -> tuple[str, Term]:
+    def _flat_index(self, name: str, indices: tuple[Value, ...],
+                    line: int) -> tuple[str, Value]:
         arr = self.encoder.model.info.arrays[name]
         key = name if not arr.shared else f"{name}@{self.bid}"
+        flat = indices[0]
         if arr.dims:
             dims = self.encoder.shared_dims(name, self)
-            flat = indices[0]
             for dim, idx in zip(dims[1:], indices[1:]):
-                flat = flat * BVConst(dim, self.width) + idx
-            return key, flat
-        return key, indices[0]
+                flat = arith("+", arith("*", flat, dim, self.width), idx,
+                             self.width)
+        return key, flat
 
-    def read_array(self, name: str, indices: tuple[Term, ...],
-                   line: int) -> Term:
+    def read_array(self, name: str, indices: tuple[Value, ...],
+                   line: int) -> Value:
         key, flat = self._flat_index(name, indices, line)
-        return Select(self.encoder.state.arrays[key], flat)
+        cell = Select(self.encoder.state.arrays[key], lift(flat, self.width))
+        return cell.payload if cell.kind is Kind.BVCONST else cell
 
-    def write_array(self, name: str, indices: tuple[Term, ...], value: Term,
-                    line: int) -> None:
+    def write_array(self, name: str, indices: tuple[Value, ...],
+                    value: Value, line: int) -> None:
         key, flat = self._flat_index(name, indices, line)
         state = self.encoder.state
-        state.arrays[key] = Store(state.arrays[key], flat, value)
+        state.arrays[key] = Store(state.arrays[key], lift(flat, self.width),
+                                  lift(value, self.width))
 
     # ------------------------------------------------------------ statements
 
@@ -131,33 +138,38 @@ class _Thread:
 
     def exec_block(self, stmts: tuple[Stmt, ...]) -> Iterator[None]:
         for s in stmts:
-            yield from self.exec_stmt(s)
+            if isinstance(s, (Assign, VarDecl)):
+                self.exec_assign(s)  # no barrier: skip the generator
+            else:
+                yield from self.exec_stmt(s)
+
+    def exec_assign(self, s: Assign | VarDecl) -> None:
+        if isinstance(s, VarDecl):
+            if s.shared:
+                return
+            if s.init is not None:
+                self.locals[s.name] = peval(s.init, self)
+            else:
+                self.locals.pop(s.name, None)
+        else:
+            value = peval(s.value, self)
+            if isinstance(s.target, Ident):
+                if s.op is not None:
+                    value = arith(s.op, self.local(s.target.name, s.line),
+                                  value, self.width)
+                self.locals[s.target.name] = value
+            else:
+                assert isinstance(s.target, Index)
+                indices = tuple(peval(i, self) for i in s.target.indices)
+                if s.op is not None:
+                    old = self.read_array(s.target.base.name, indices, s.line)
+                    value = arith(s.op, old, value, self.width)
+                self.write_array(s.target.base.name, indices, value, s.line)
 
     def exec_stmt(self, s: Stmt) -> Iterator[None]:
         enc = self.encoder
         if isinstance(s, Block):
             yield from self.exec_block(s.stmts)
-        elif isinstance(s, VarDecl):
-            if s.shared:
-                return
-            if s.init is not None:
-                self.locals[s.name] = eval_expr(s.init, self)
-            else:
-                self.locals.pop(s.name, None)
-        elif isinstance(s, Assign):
-            value = eval_expr(s.value, self)
-            if isinstance(s.target, Ident):
-                if s.op is not None:
-                    value = _ARITH[s.op](self.local(s.target.name, s.line),
-                                         value)
-                self.locals[s.target.name] = value
-            else:
-                assert isinstance(s.target, Index)
-                indices = tuple(eval_expr(i, self) for i in s.target.indices)
-                if s.op is not None:
-                    old = self.read_array(s.target.base.name, indices, s.line)
-                    value = _ARITH[s.op](old, value)
-                self.write_array(s.target.base.name, indices, value, s.line)
         elif isinstance(s, Barrier):
             yield
         elif isinstance(s, If):
@@ -165,22 +177,23 @@ class _Thread:
         elif isinstance(s, For):
             yield from self.exec_for(s)
         elif isinstance(s, Assume):
-            enc.model.assumes.append(Implies(self.guard(),
-                                             eval_bool(s.cond, self)))
+            enc.model.assumes.append(
+                Implies(self.guard(), lift_bool(peval_bool(s.cond, self))))
         elif isinstance(s, Assert):
             enc.model.asserts.append(
-                (Implies(self.guard(), eval_bool(s.cond, self)), s.line))
+                (Implies(self.guard(), lift_bool(peval_bool(s.cond, self))),
+                 s.line))
         elif isinstance(s, (Postcond, Spec)):
             return  # encoded separately over the final state
         else:  # pragma: no cover
             raise EncodingError(f"unsupported statement {type(s).__name__}")
 
     def exec_if(self, s: If) -> Iterator[None]:
-        cond = eval_bool(s.cond, self)
-        if cond.is_true():
+        cond = peval_bool(s.cond, self)
+        if cond is True:
             yield from self.exec_block(s.then.stmts)
             return
-        if cond.is_false():
+        if cond is False:
             if s.els is not None:
                 yield from self.exec_block(s.els.stmts)
             return
@@ -209,7 +222,7 @@ class _Thread:
         else_locals, else_state = self.locals, enc.state
         self.guards.pop()
         # Merge locals.
-        merged: dict[str, Term] = {}
+        merged: dict[str, Value] = {}
         for name in set(then_locals) | set(else_locals):
             tv = then_locals.get(name)
             ev = else_locals.get(name)
@@ -218,7 +231,7 @@ class _Thread:
             elif ev is None:
                 merged[name] = tv
             else:
-                merged[name] = tv if tv is ev else Ite(cond, tv, ev)
+                merged[name] = ite(cond, tv, ev, self.width)
         self.locals = merged
         # Merge array state.
         out = _State()
@@ -229,24 +242,23 @@ class _Thread:
         enc.state = out
 
     def exec_for(self, s: For) -> Iterator[None]:
+        # The parser admits only assignments and declarations as init/step.
         if s.init is not None:
-            for _ in self.exec_stmt(s.init):
-                raise AssertionError("barrier in loop init")
+            self.exec_assign(s.init)
         count = 0
         while True:
             if s.cond is None:
                 raise EncodingError(f"line {s.line}: unbounded loop")
-            cond = eval_bool(s.cond, self)
-            if cond.is_false():
+            cond = peval_bool(s.cond, self)
+            if cond is False:
                 return
-            if not cond.is_true():
+            if cond is not True:
                 raise EncodingError(
                     f"line {s.line}: loop bound stays symbolic at a concrete "
                     "geometry; concretize the relevant inputs (+C)")
             yield from self.exec_block(s.body.stmts)
             if s.step is not None:
-                for _ in self.exec_stmt(s.step):
-                    raise AssertionError("barrier in loop step")
+                self.exec_assign(s.step)
             count += 1
             if count > self.encoder.MAX_UNROLL:
                 raise EncodingError(
@@ -261,6 +273,11 @@ class _Encoder:
                  input_arrays: dict[str, Term]) -> None:
         self.config = config
         self.width = config.width
+        self.mask = BV(config.width).mask
+        # Pinned scalar inputs enter every thread's locals as ints.
+        self.inputs: dict[str, Value] = {
+            name: var.payload if var.kind is Kind.BVCONST else var
+            for name, var in inputs.items()}
         self.model = NonParamModel(info=info, config=config, inputs=inputs,
                                    input_arrays=input_arrays,
                                    final_globals={})
@@ -274,12 +291,12 @@ class _Encoder:
             arr = self.model.info.arrays[name]
             out = []
             for d in arr.dims:
-                t = eval_expr(d, thread)
-                if not t.is_const():
+                dim = peval(d, thread)
+                if type(dim) is not int:
                     raise EncodingError(
                         f"shared array {name!r} has a symbolic dimension at "
                         "a concrete geometry")
-                out.append(t.value)
+                out.append(dim)
             dims = tuple(out)
             self._dims[name] = dims
         return dims

@@ -29,7 +29,7 @@ from ..lang.ast import (
     IntLit, Postcond, Spec, Stmt, VarDecl,
 )
 from ..lang.typecheck import KernelInfo
-from ..encode.symexec import _ARITH, eval_bool, eval_expr
+from ..encode.symexec import Value, arith, eval_bool, eval_expr, lift
 from ..smt import And, Implies, Ite, Not, Term, fresh_var
 from ..smt.simplify import index_difference
 from ..smt.sorts import BV
@@ -184,9 +184,10 @@ class _Extractor:
             raise EncodingError(f"line {line}: gridDim has no z axis")
         return self.geometry.gdim[axis]
 
-    def read_array(self, name: str, indices: tuple[Term, ...],
+    def read_array(self, name: str, indices: tuple[Value, ...],
                    line: int) -> Term:
         assert self.current is not None
+        indices = tuple(lift(i, self.width) for i in indices)
         # Own-write aliasing inside the interval: a read after a write to a
         # possibly-equal cell by the same thread would need store semantics.
         for ca in self.current.cas:
@@ -257,7 +258,8 @@ class _Extractor:
         value = eval_expr(s.value, self)
         if isinstance(s.target, Ident):
             if s.op is not None:
-                value = _ARITH[s.op](self.local(s.target.name, s.line), value)
+                value = lift(arith(s.op, self.local(s.target.name, s.line),
+                                   value, self.width), self.width)
             self.locals[s.target.name] = value
             return
         assert isinstance(s.target, Index)
@@ -265,7 +267,7 @@ class _Extractor:
         indices = tuple(eval_expr(i, self) for i in s.target.indices)
         if s.op is not None:
             old = self.read_array(name, indices, s.line)
-            value = _ARITH[s.op](old, value)
+            value = lift(arith(s.op, old, value, self.width), self.width)
         assert self.current is not None
         self.current.cas.append(CA(
             array=name, guard=self.guard_term(), address=indices,

@@ -121,8 +121,9 @@ BOOL: Final[BoolSort] = BoolSort()
 
 
 def BV(width: int) -> BitVecSort:
-    """Shorthand constructor for :class:`BitVecSort`."""
-    return BitVecSort(width)
+    """Shorthand constructor for :class:`BitVecSort`; a width seen before
+    is one dict probe (term constructors call this on every constant)."""
+    return BitVecSort._cache.get(width) or BitVecSort(width)
 
 
 def ARRAY(index_width: int, elem_width: int) -> ArraySort:

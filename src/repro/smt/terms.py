@@ -21,13 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .sorts import ARRAY, BOOL, BV, ArraySort, BitVecSort, Sort
 from ..errors import SortError
 
 __all__ = [
-    "Kind", "Term",
+    "Kind", "Term", "FOLDS",
     "TRUE", "FALSE", "BoolConst", "BoolVar", "BVVar", "ArrayVar", "BVConst", "Var",
     "Not", "And", "Or", "Xor", "Implies", "Iff", "Ite", "Eq", "Ne", "Distinct",
     "BVNeg", "BVAdd", "BVSub", "BVMul", "BVUDiv", "BVURem",
@@ -475,7 +475,7 @@ def Eq(a: Term, b: Term | int) -> Term:
     if a is b:
         return TRUE
     if a.is_const() and b.is_const():
-        return BoolConst(a.value == b.value)
+        return BoolConst(FOLDS[Kind.EQ](a.value, b.value, a.sort))
     if a.sort is BOOL:
         if a is TRUE:
             return b
@@ -498,6 +498,41 @@ def Distinct(*terms: Term) -> Term:
     """Pairwise disequality, expanded eagerly (we only use small arities)."""
     out = [Ne(a, b) for a, b in itertools.combinations(terms, 2)]
     return And(*out)
+
+
+# -- constant folds -------------------------------------------------------------------
+
+#: The constant fold of every bit-vector operator, keyed by ``Kind``:
+#: ``FOLDS[kind](x, y, sort)`` maps operand payloads (unsigned, already
+#: reduced modulo ``2**width``) to the result, itself reduced modulo
+#: ``2**width`` (an ``int``) or, for the comparisons, a ``bool``.  Unary
+#: folds ignore ``y``.  The constructors below fold constant operands
+#: through this table, and the serialized encoder's partial evaluator
+#: (:mod:`repro.encode.symexec`) folds thread-concrete values through it,
+#: so the two cannot disagree.  SMT-LIB semantics: ``x udiv 0`` is all
+#: ones, ``x urem 0`` is ``x``, and a shift by ``width`` or more gives 0
+#: (``ashr`` gives the sign fill).
+FOLDS: dict[Kind, Callable[[int, int, BitVecSort], "int | bool"]] = {
+    Kind.BVNEG: lambda x, y, s: -x & s.mask,
+    Kind.BVNOT: lambda x, y, s: x ^ s.mask,
+    Kind.BVADD: lambda x, y, s: (x + y) & s.mask,
+    Kind.BVSUB: lambda x, y, s: (x - y) & s.mask,
+    Kind.BVMUL: lambda x, y, s: (x * y) & s.mask,
+    Kind.BVUDIV: lambda x, y, s: x // y if y else s.mask,
+    Kind.BVUREM: lambda x, y, s: x % y if y else x,
+    Kind.BVAND: lambda x, y, s: x & y,
+    Kind.BVOR: lambda x, y, s: x | y,
+    Kind.BVXOR: lambda x, y, s: x ^ y,
+    Kind.BVSHL: lambda x, y, s: (x << y) & s.mask if y < s.width else 0,
+    Kind.BVLSHR: lambda x, y, s: x >> y if y < s.width else 0,
+    Kind.BVASHR: lambda x, y, s: (s.to_signed(x) >> min(y, s.width - 1))
+    & s.mask,
+    Kind.EQ: lambda x, y, s: x == y,
+    Kind.BVULT: lambda x, y, s: x < y,
+    Kind.BVULE: lambda x, y, s: x <= y,
+    Kind.BVSLT: lambda x, y, s: s.to_signed(x) < s.to_signed(y),
+    Kind.BVSLE: lambda x, y, s: s.to_signed(x) <= s.to_signed(y),
+}
 
 
 # -- bit-vector helpers -------------------------------------------------------------
@@ -524,10 +559,11 @@ def _require_bv(*terms: Term) -> BitVecSort:
     return sort
 
 
-def _bv_binop(kind: Kind, a: Term, b: Term, fold) -> Term:
+def _bv_binop(kind: Kind, a: Term, b: Term) -> Term:
     sort = _require_bv(a, b)
     if a.kind == Kind.BVCONST and b.kind == Kind.BVCONST:
-        return BVConst(fold(a.payload, b.payload, sort), sort.width)
+        return Term(Kind.BVCONST, sort, (), FOLDS[kind](a.payload, b.payload,
+                                                        sort))
     if kind in _COMMUTATIVE and a.tid > b.tid:
         a, b = b, a
     return Term(kind, sort, (a, b))
@@ -536,7 +572,8 @@ def _bv_binop(kind: Kind, a: Term, b: Term, fold) -> Term:
 def BVNeg(a: Term) -> Term:
     sort = _require_bv(a)
     if a.kind == Kind.BVCONST:
-        return BVConst(-a.payload, sort.width)
+        return Term(Kind.BVCONST, sort, (), FOLDS[Kind.BVNEG](a.payload, 0,
+                                                              sort))
     if a.kind == Kind.BVNEG:
         return a.args[0]
     return Term(Kind.BVNEG, sort, (a,))
@@ -549,7 +586,7 @@ def BVAdd(a: "Term | int", b: "Term | int") -> Term:
         return b
     if b.kind == Kind.BVCONST and b.payload == 0:
         return a
-    return _bv_binop(Kind.BVADD, a, b, lambda x, y, s: x + y)
+    return _bv_binop(Kind.BVADD, a, b)
 
 
 def BVSub(a: "Term | int", b: "Term | int") -> Term:
@@ -559,7 +596,7 @@ def BVSub(a: "Term | int", b: "Term | int") -> Term:
         return a
     if a is b:
         return BVConst(0, sort.width)
-    return _bv_binop(Kind.BVSUB, a, b, lambda x, y, s: x - y)
+    return _bv_binop(Kind.BVSUB, a, b)
 
 
 def BVMul(a: "Term | int", b: "Term | int") -> Term:
@@ -571,7 +608,7 @@ def BVMul(a: "Term | int", b: "Term | int") -> Term:
                 return BVConst(0, sort.width)
             if x.payload == 1:
                 return y
-    return _bv_binop(Kind.BVMUL, a, b, lambda x, y, s: x * y)
+    return _bv_binop(Kind.BVMUL, a, b)
 
 
 def BVUDiv(a: "Term | int", b: "Term | int") -> Term:
@@ -584,9 +621,7 @@ def BVUDiv(a: "Term | int", b: "Term | int") -> Term:
             # Power-of-two divisor: rewrite to a logical shift right, which
             # bit-blasts to wires instead of a division circuit.
             return BVLshr(a, BVConst(b.payload.bit_length() - 1, sort.width))
-    # SMT-LIB semantics: x udiv 0 = all-ones.
-    return _bv_binop(Kind.BVUDIV, a, b,
-                     lambda x, y, s: s.mask if y == 0 else x // y)
+    return _bv_binop(Kind.BVUDIV, a, b)
 
 
 def BVURem(a: "Term | int", b: "Term | int") -> Term:
@@ -598,14 +633,14 @@ def BVURem(a: "Term | int", b: "Term | int") -> Term:
         if b.payload != 0 and b.payload & (b.payload - 1) == 0:
             # Power-of-two modulus: rewrite to a bitwise mask.
             return BVAnd(a, BVConst(b.payload - 1, sort.width))
-    # SMT-LIB semantics: x urem 0 = x.
-    return _bv_binop(Kind.BVUREM, a, b, lambda x, y, s: x if y == 0 else x % y)
+    return _bv_binop(Kind.BVUREM, a, b)
 
 
 def BVNot(a: Term) -> Term:
     sort = _require_bv(a)
     if a.kind == Kind.BVCONST:
-        return BVConst(~a.payload, sort.width)
+        return Term(Kind.BVCONST, sort, (), FOLDS[Kind.BVNOT](a.payload, 0,
+                                                              sort))
     if a.kind == Kind.BVNOT:
         return a.args[0]
     return Term(Kind.BVNOT, sort, (a,))
@@ -622,7 +657,7 @@ def BVAnd(a: "Term | int", b: "Term | int") -> Term:
                 return BVConst(0, sort.width)
             if x.payload == sort.mask:
                 return y
-    return _bv_binop(Kind.BVAND, a, b, lambda x, y, s: x & y)
+    return _bv_binop(Kind.BVAND, a, b)
 
 
 def BVOr(a: "Term | int", b: "Term | int") -> Term:
@@ -636,7 +671,7 @@ def BVOr(a: "Term | int", b: "Term | int") -> Term:
                 return y
             if x.payload == sort.mask:
                 return BVConst(sort.mask, sort.width)
-    return _bv_binop(Kind.BVOR, a, b, lambda x, y, s: x | y)
+    return _bv_binop(Kind.BVOR, a, b)
 
 
 def BVXor(a: "Term | int", b: "Term | int") -> Term:
@@ -647,7 +682,7 @@ def BVXor(a: "Term | int", b: "Term | int") -> Term:
     for x, y in ((a, b), (b, a)):
         if x.kind == Kind.BVCONST and x.payload == 0:
             return y
-    return _bv_binop(Kind.BVXOR, a, b, lambda x, y, s: x ^ y)
+    return _bv_binop(Kind.BVXOR, a, b)
 
 
 def BVShl(a: "Term | int", b: "Term | int") -> Term:
@@ -660,8 +695,7 @@ def BVShl(a: "Term | int", b: "Term | int") -> Term:
             return BVConst(0, sort.width)
     if a.kind == Kind.BVCONST and a.payload == 0:
         return a
-    return _bv_binop(Kind.BVSHL, a, b,
-                     lambda x, y, s: 0 if y >= s.width else x << y)
+    return _bv_binop(Kind.BVSHL, a, b)
 
 
 def BVLshr(a: "Term | int", b: "Term | int") -> Term:
@@ -674,8 +708,7 @@ def BVLshr(a: "Term | int", b: "Term | int") -> Term:
             return BVConst(0, sort.width)
     if a.kind == Kind.BVCONST and a.payload == 0:
         return a
-    return _bv_binop(Kind.BVLSHR, a, b,
-                     lambda x, y, s: 0 if y >= s.width else x >> y)
+    return _bv_binop(Kind.BVLSHR, a, b)
 
 
 def BVAshr(a: "Term | int", b: "Term | int") -> Term:
@@ -683,24 +716,19 @@ def BVAshr(a: "Term | int", b: "Term | int") -> Term:
     sort = _require_bv(a, b)
     if b.kind == Kind.BVCONST and b.payload == 0:
         return a
-
-    def fold(x: int, y: int, s: BitVecSort) -> int:
-        xs = s.to_signed(x)
-        return xs >> min(y, s.width - 1)
-
-    return _bv_binop(Kind.BVASHR, a, b, fold)
+    return _bv_binop(Kind.BVASHR, a, b)
 
 
 # -- comparisons ----------------------------------------------------------------------
 
 
-def _bv_cmp(kind: Kind, a: Term, b: Term, fold) -> Term:
+def _bv_cmp(kind: Kind, a: Term, b: Term) -> Term:
     sort = _require_bv(a, b)
     if a is b:
         # x < x is false; x <= x is true
         return BoolConst(kind in (Kind.BVULE, Kind.BVSLE))
     if a.kind == Kind.BVCONST and b.kind == Kind.BVCONST:
-        return BoolConst(fold(a.payload, b.payload, sort))
+        return BoolConst(FOLDS[kind](a.payload, b.payload, sort))
     return Term(kind, BOOL, (a, b))
 
 
@@ -711,7 +739,7 @@ def ULt(a: "Term | int", b: "Term | int") -> Term:
         return FALSE
     if a.kind == Kind.BVCONST and a.payload == sort.mask:
         return FALSE
-    return _bv_cmp(Kind.BVULT, a, b, lambda x, y, s: x < y)
+    return _bv_cmp(Kind.BVULT, a, b)
 
 
 def ULe(a: "Term | int", b: "Term | int") -> Term:
@@ -721,7 +749,7 @@ def ULe(a: "Term | int", b: "Term | int") -> Term:
         return TRUE
     if b.kind == Kind.BVCONST and b.payload == sort.mask:
         return TRUE
-    return _bv_cmp(Kind.BVULE, a, b, lambda x, y, s: x <= y)
+    return _bv_cmp(Kind.BVULE, a, b)
 
 
 def UGt(a: Term, b: Term) -> Term:
@@ -734,12 +762,12 @@ def UGe(a: Term, b: Term) -> Term:
 
 def SLt(a: "Term | int", b: "Term | int") -> Term:
     a, b = _c2(a, b)
-    return _bv_cmp(Kind.BVSLT, a, b, lambda x, y, s: s.to_signed(x) < s.to_signed(y))
+    return _bv_cmp(Kind.BVSLT, a, b)
 
 
 def SLe(a: "Term | int", b: "Term | int") -> Term:
     a, b = _c2(a, b)
-    return _bv_cmp(Kind.BVSLE, a, b, lambda x, y, s: s.to_signed(x) <= s.to_signed(y))
+    return _bv_cmp(Kind.BVSLE, a, b)
 
 
 def SGt(a: Term, b: Term) -> Term:

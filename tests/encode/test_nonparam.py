@@ -10,7 +10,7 @@ from repro.encode.nonparam import concretize_inputs, encode_kernel
 from repro.kernels import load
 from repro.lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from repro.smt import (
-    ArrayVar, BVConst, BVVar, CheckResult, Eq, Select, Solver, evaluate,
+    ArrayVar, BVConst, BVVar, CheckResult, Eq, Ne, Select, Solver, evaluate,
 )
 
 
@@ -144,11 +144,14 @@ def _interp_outputs(info, cfg, scalar_vals, array_vals):
 @settings(max_examples=25, deadline=None)
 def test_encoder_agrees_with_interpreter(data):
     """Differential test: for random small configs and inputs, pinning the
-    encoder's inputs must force the encoder's outputs to the interpreter's."""
+    encoder's inputs must force the encoder's outputs to the interpreter's:
+    the interpreter's outputs are consistent with the pinned inputs (SAT),
+    and a drawn output cell can take no other value (UNSAT)."""
     name = data.draw(st.sampled_from(
-        ["naiveTranspose", "naiveReduce", "scanNaive", "bitonicSort"]))
+        ["naiveTranspose", "optimizedTranspose", "naiveReduce",
+         "optimizedReduce", "scanNaive", "bitonicSort"]))
     n = data.draw(st.sampled_from([2, 4]))
-    if name == "naiveTranspose":
+    if name.endswith("Transpose"):
         cfg = LaunchConfig(bdim=(n, n, 1), width=8)
         scalar_vals = {"width": n, "height": n}
         extent = n * n
@@ -157,24 +160,31 @@ def test_encoder_agrees_with_interpreter(data):
         scalar_vals = {}
         extent = n
     info, model, inputs, arrays = encode(name, cfg)
-    in_name = sorted(a for a in arrays if a not in model.final_globals
-                     or a in ("idata", "g_idata", "values"))
     array_vals = {}
     for a in info.global_arrays:
         array_vals[a] = {i: data.draw(st.integers(0, 255))
                          for i in range(extent)}
     expected = _interp_outputs(info, cfg, scalar_vals, array_vals)
 
-    solver = Solver(validate_models=True)
-    for p, var in inputs.items():
-        solver.add(Eq(var, BVConst(scalar_vals[p], 8)))
+    def expect(a, i):
+        return BVConst(expected[a].get(i, array_vals[a].get(i, 0)), 8)
+
+    pins = [Eq(var, BVConst(scalar_vals[p], 8)) for p, var in inputs.items()]
     for a, var in arrays.items():
-        for i, v in array_vals[a].items():
-            solver.add(Eq(Select(var, BVConst(i, 8)), BVConst(v, 8)))
+        pins += [Eq(Select(var, BVConst(i, 8)), BVConst(v, 8))
+                 for i, v in array_vals[a].items()]
     # outputs pinned to the interpreter's results must be SAT...
+    solver = Solver(validate_models=True)
+    solver.add(*pins)
     for a, final in model.final_globals.items():
         for i in range(extent):
-            solver.add(Eq(Select(final, BVConst(i, 8)),
-                          BVConst(expected[a].get(i, array_vals[a].get(i, 0)),
-                                  8)))
+            solver.add(Eq(Select(final, BVConst(i, 8)), expect(a, i)))
     assert solver.check() is CheckResult.SAT
+    # ...and no other value of a drawn output cell is possible.
+    a = data.draw(st.sampled_from(sorted(model.final_globals)))
+    i = data.draw(st.integers(0, extent - 1))
+    solver = Solver()
+    solver.add(*pins)
+    solver.add(Ne(Select(model.final_globals[a], BVConst(i, 8)),
+                  expect(a, i)))
+    assert solver.check() is CheckResult.UNSAT
