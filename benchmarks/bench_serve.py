@@ -43,12 +43,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.kernels import KERNELS
 from repro.serve.session import stores_of
 
+#: Heavy enough (a fully symbolic 16-bit race check) that the cold solve,
+#: not the fixed per-request serve overhead, dominates the cold latency.
 REQUEST = {
     "command": "races",
-    "source": KERNELS["optimizedTranspose"].source,
-    "width": 8, "pair": "Transpose",
-    "cbdim": [2, 2, 1], "cgdim": [2, 2],
-    "scalars": {"width": 4, "height": 4}, "timeout": 300,
+    "source": KERNELS["optimizedReduce"].source,
+    "width": 16, "pair": "Reduction", "timeout": 300,
 }
 
 
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warm-requests", type=int, default=10)
     parser.add_argument("--dedup-requests", type=int, default=6)
     args = parser.parse_args(argv)
-    report: dict = {"request": "races/optimizedTranspose (+C, Transpose "
+    report: dict = {"request": "races/optimizedReduce (16b, -C, Reduction "
                                "pair)", "cpu_count": os.cpu_count()}
 
     # ---- cold vs warm on one server, one fresh cache -------------------

@@ -13,6 +13,7 @@ clauses.  This module holds the *contextual* rewrite layer that
   which proves ``t`` is *zero or a power of two* ("zpow2").  Matching goes
   through the polynomial engine (:mod:`repro.smt.poly`), so both the raw
   ``t - 1`` and its normalized ``t + (2^w - 1)`` spelling are recognized.
+  Strict bounds ``a < b`` and *zero facts* ``r == 0`` are harvested too.
 
 * **Value-class closure** (:meth:`Facts.is_zpow2`): products and left
   shifts of zpow2 terms are zpow2 (a power of two times a power of two is
@@ -50,6 +51,26 @@ clauses.  This module holds the *contextual* rewrite layer that
     removes the multipliers and dividers of the row-major address
     obligations (``X*height + Y``) the Transpose kernels emit; like the
     zpow2 rule it preserves models because the facts stay asserted.
+  - **Quotient identity** (:func:`rewrite_quotients`, no facts needed).
+    ``m*(x udiv m) -> x - (x urem m)``, matched on a normalized product's
+    polynomial: a monomial holding the atom ``q = x udiv m`` whose other
+    factors multiply to ``poly(m)`` (or a multiple ``j*poly(m)``, giving
+    ``j*(x - x urem m)``).  It holds in every model: for ``m != 0``,
+    ``m*(x udiv m) + x urem m = x`` with no wraparound (the product is at
+    most ``x``); for ``m = 0`` both sides are ``0``, since SMT-LIB fixes
+    ``x urem 0 = x``.  The remainder goes through the other rules, so
+    under a zpow2 ``m`` it becomes ``x & (m - 1)``; and a *zero fact* —
+    a top-level conjunct ``r == 0``, such as the ``x urem m == 0`` the
+    Reduction coverage VCs assert — folds it to ``0`` (that conjunct
+    stays asserted, so every model is kept).  The simplifier tries the
+    rule only on a product with a ``udiv`` factor (:func:`has_quotient`).
+    This removes the multiplier and the restoring divider of the coverage
+    VC ``tid == 2*(k*(tid udiv 2k))`` under ``tid urem 2k == 0``.
+  - **Udiv bound.**  ``(x udiv m) < b -> m != 0`` when ``x < b`` is a
+    harvested strict bound.  For ``m != 0``, ``x udiv m <= x < b``; for
+    ``m = 0`` the quotient is all ones, which is below no ``b``.  Like
+    the zpow2 rule it keeps every model because the bound stays
+    asserted.
   - **Switch normal form** (:func:`_switch_ite`, no facts needed).  A
     non-Bool ite chain whose guards are ``x == c`` on one selector ``x``
     with constants ``c`` — either orientation, or ``x + k == c`` — is a
@@ -81,20 +102,23 @@ slices, constant multipliers as shift-adds) live in
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from .poly import (
-    PolyMemo, normalize_arith, normalize_eq, poly_of, poly_offset,
-    split_linear,
+    Poly, PolyMemo, normalize_arith, normalize_eq, poly_add, poly_mul,
+    poly_of, poly_offset, poly_scale, poly_to_term, split_linear,
 )
 from .sorts import BitVecSort
 from .substitute import substitute, var_mask
 from .terms import (
-    And, BVAnd, BVConst, BVSub, Eq, FALSE, Ite, Kind, Not, Or, TRUE, Term,
+    And, BVAnd, BVConst, BVSub, BVURem, Eq, FALSE, Ite, Kind, Not, Or, TRUE,
+    Term,
 )
 
 __all__ = ["Facts", "Units", "harvest_facts", "harvest_units",
-           "fact_conjuncts", "rewrite_node"]
+           "fact_conjuncts", "remainder_conjuncts", "rewrite_node",
+           "has_quotient", "rewrite_quotients"]
 
 
 class Facts:
@@ -110,34 +134,43 @@ class Facts:
     ``u * v <= 2^w`` asserted without wraparound.  Together they license
     the mixed-radix rules (:meth:`split`), which index the bounds by the
     polynomial normal form of ``a`` on first use — so a query without a
-    radix pair never pays for normalizing them.
+    radix pair never pays for normalizing them.  The bounds also license
+    the udiv bound (:meth:`bounded`).
+
+    ``zero`` holds the terms ``r`` of the asserted conjuncts ``r == 0``;
+    the quotient identity folds a remainder among them to ``0``.
     """
 
-    __slots__ = ("zpow2", "less", "radix", "_memo", "_splits", "_bounds")
+    __slots__ = ("zpow2", "less", "radix", "zero", "_memo", "_splits",
+                 "_bounds")
 
     def __init__(self, zpow2: Iterable[Term] = (),
                  less: Sequence[tuple[Term, Term]] = (),
-                 radix: dict[Term, frozenset[Term]] | None = None) -> None:
+                 radix: dict[Term, frozenset[Term]] | None = None,
+                 zero: Iterable[Term] = ()) -> None:
         self.zpow2: frozenset[Term] = frozenset(zpow2)
         self.less: tuple[tuple[Term, Term], ...] = tuple(less)
         self.radix: dict[Term, frozenset[Term]] = radix or {}
+        self.zero: frozenset[Term] = frozenset(zero)
         self._memo: dict[Term, bool] = {}
         self._splits: dict[tuple[Term, Term], tuple[Term, Term] | None] = {}
         self._bounds: dict[Term, set[Term]] | None = None
 
     def __bool__(self) -> bool:
-        # Bounds alone license nothing: they only qualify a radix pair.
+        # Whether a fact licenses a term rewrite; bounds and zero facts
+        # only qualify one (a radix pair, a comparison, a remainder).
         return bool(self.zpow2 or self.radix)
 
     def __or__(self, other: "Facts") -> "Facts":
-        if not (other.zpow2 or other.less or other.radix):
+        if not (other.zpow2 or other.less or other.radix or other.zero):
             return self
-        if not (self.zpow2 or self.less or self.radix):
+        if not (self.zpow2 or self.less or self.radix or self.zero):
             return other
         radix = dict(self.radix)
         for v, us in other.radix.items():
             radix[v] = radix[v] | us if v in radix else us
-        return Facts(self.zpow2 | other.zpow2, self.less + other.less, radix)
+        return Facts(self.zpow2 | other.zpow2, self.less + other.less, radix,
+                     self.zero | other.zero)
 
     def is_zpow2(self, t: Term) -> bool:
         """Is ``t`` provably zero or a power of two under these facts?"""
@@ -173,20 +206,31 @@ class Facts:
         key = (x, v)
         if key in self._splits:
             return self._splits[key]
+        out = split_linear(x, v, polys) if x.sort is v.sort else None
+        if out is not None:
+            q, r = out
+            bounds = self._bound_map(polys)
+            q_fits = _is_zero(q) or not self.radix.get(
+                v, frozenset()).isdisjoint(bounds.get(q, ()))
+            if not q_fits or v not in bounds.get(r, ()):
+                out = None
+        self._splits[key] = out
+        return out
+
+    def bounded(self, a: Term, b: Term, polys: PolyMemo | None = None
+                ) -> bool:
+        """Is ``a < b`` among the bounds (normalized terms in)?"""
+        return b in self._bound_map(polys).get(a, ())
+
+    def _bound_map(self, polys: PolyMemo | None) -> dict[Term, set[Term]]:
+        """The bounds indexed by the normal form of their lower side,
+        built on first use."""
         if self._bounds is None:
             self._bounds = {}
             for a, b in self.less:
                 self._bounds.setdefault(normalize_arith(a, polys), set()).add(
                     normalize_arith(b, polys))
-        out = split_linear(x, v, polys) if x.sort is v.sort else None
-        if out is not None:
-            q, r = out
-            q_fits = _is_zero(q) or not self.radix.get(
-                v, frozenset()).isdisjoint(self._bounds.get(q, ()))
-            if not q_fits or v not in self._bounds.get(r, ()):
-                out = None
-        self._splits[key] = out
-        return out
+        return self._bounds
 
 
 #: Shared empty fact base (used when harvesting finds nothing).
@@ -300,6 +344,30 @@ def fact_conjuncts(terms: Sequence[Term]) -> list[Term]:
                      or _zpow2_of_conjunct(f) is not None))]
 
 
+def _zero_of_conjunct(f: Term) -> Term | None:
+    """``r`` when conjunct ``f`` is ``r == 0`` in either orientation."""
+    if f.kind != Kind.EQ:
+        return None
+    a, b = f.args
+    if _is_zero(a):
+        a, b = b, a
+    return a if _is_zero(b) and isinstance(a.sort, BitVecSort) else None
+
+
+def remainder_conjuncts(terms: Sequence[Term]) -> list[Term]:
+    """The positive top-level conjuncts ``x urem m == 0`` of ``terms``
+    with ``m`` not a constant.  The simplifier rewrites them before the
+    other conjuncts, so that the zero facts they give reach the quotient
+    identity's remainders."""
+    out = []
+    for f in _iter_conjuncts(terms):
+        r = _zero_of_conjunct(f)
+        if r is not None and r.kind == Kind.BVUREM and \
+                r.args[1].kind != Kind.BVCONST:
+            out.append(f)
+    return out
+
+
 def harvest_facts(terms: Sequence[Term]) -> Facts:
     """Scan a query's assertion list for rewrite-enabling facts.
 
@@ -309,6 +377,7 @@ def harvest_facts(terms: Sequence[Term]) -> Facts:
     """
     zpow2 = []
     less = []
+    zero = []
     radix: dict[Term, set[Term]] = {}
     for f in _iter_conjuncts(terms):
         t = _zpow2_of_conjunct(f)
@@ -323,9 +392,14 @@ def harvest_facts(terms: Sequence[Term]) -> Facts:
                     radix.setdefault(q, set()).add(p)
         elif f.kind == Kind.BVULT:
             less.append(f.args)
-    if not zpow2 and not less and not radix:
+        else:
+            r = _zero_of_conjunct(f)
+            if r is not None:
+                zero.append(r)
+    if not zpow2 and not less and not radix and not zero:
         return NO_FACTS
-    return Facts(zpow2, less, {k: frozenset(v) for k, v in radix.items()})
+    return Facts(zpow2, less, {k: frozenset(v) for k, v in radix.items()},
+                 zero)
 
 
 class Units:
@@ -589,9 +663,76 @@ def rewrite_node(t: Term, facts: Facts,
             if out is not None:
                 return out
         return t
+    if k == Kind.BVULT:
+        q, b = t.args
+        if q.kind == Kind.BVUDIV and facts.bounded(q.args[0], b, polys):
+            m = q.args[1]
+            return Not(_norm_eq(m, BVConst(0, m.sort.width), polys))
+        return t
     if k == Kind.ITE and not t.sort.is_bool():
         return _switch_ite(t)
     return t
+
+
+def has_quotient(t: Term) -> bool:
+    """Whether a factor of the product ``t``, through nested products, is
+    a ``udiv``: the guard of :func:`rewrite_quotients`."""
+    stack = [t]
+    while stack:
+        for a in stack.pop().args:
+            if a.kind == Kind.BVUDIV:
+                return True
+            if a.kind == Kind.BVMUL:
+                stack.append(a)
+    return False
+
+
+def rewrite_quotients(t: Term, facts: Facts,
+                      polys: PolyMemo | None = None) -> Term:
+    """The quotient identity on the normalized term ``t``: each multiple
+    ``j*m*(x udiv m)`` in its polynomial becomes ``j*(x - r)``, where
+    ``r`` is ``x urem m`` rewritten by :func:`rewrite_node` and folded to
+    ``0`` by a zero fact.  Returns ``t`` itself when nothing matches."""
+    sort = t.sort
+    modulus = sort.modulus
+    poly = poly_of(t, polys)
+    quotients = list(dict.fromkeys(a for mono in poly for a in mono
+                                   if a.kind == Kind.BVUDIV))
+    changed = False
+    for q in quotients:
+        x, m = q.args
+        target = poly_mul(poly_of(m, polys), {(q,): 1}, modulus)
+        j = _multiple(poly, target, modulus)
+        if j is None:
+            continue
+        r = rewrite_node(BVURem(x, m), facts, polys)
+        if r in facts.zero:
+            r = BVConst(0, sort.width)
+        poly = poly_add(poly, poly_scale(target, -j, modulus), modulus)
+        for part, sign in ((x, j), (r, -j)):
+            poly = poly_add(poly, poly_scale(poly_of(part, polys), sign,
+                                             modulus), modulus)
+        changed = True
+    return poly_to_term(poly, sort, polys, (t,)) if changed else t
+
+
+def _multiple(poly: Poly, target: Poly, modulus: int) -> int | None:
+    """``j`` when ``poly`` holds every monomial of ``j * target``
+    (``j != 0``), else ``None``."""
+    if not target:
+        return None
+    lead, c0 = next(iter(target.items()))
+    c = poly.get(lead)
+    if c is None:
+        return None
+    g = gcd(c0, modulus)  # solve j * c0 == c (mod 2^w)
+    if c % g:
+        return None
+    j = c // g * pow(c0 // g, -1, modulus // g) % modulus
+    if all(poly.get(mono, 0) == ci * j % modulus
+           for mono, ci in target.items()):
+        return j
+    return None
 
 
 def _switch_ite(t: Term) -> Term:

@@ -12,8 +12,10 @@ Composes five layers:
    to ``v`` when ``i - j`` normalizes to 0, and skips the store when ``i - j``
    normalizes to a non-zero constant;
 4. the word-level rewrite rules of :mod:`repro.smt.rewrite`, applied to
-   each rebuilt ``urem``/``udiv``/``==``/``ite`` node: the fact-licensed
-   divider and multiplier eliminations, and the *switch normal form* — an
+   each rebuilt ``urem``/``udiv``/``==``/``<``/``ite`` node and to each
+   product with a ``udiv`` factor: the fact-licensed divider and
+   multiplier eliminations, the quotient identity
+   ``m*(x udiv m) -> x - (x urem m)``, and the *switch normal form* — an
    ite chain whose guards pin one selector to distinct constants keeps
    its cases sorted by constant, so two serializations of one
    cell->value map (the naive and optimized Transpose output read at a
@@ -66,7 +68,7 @@ from typing import Collection
 from .poly import PolyMemo, normalize_arith, normalize_eq, poly_of, poly_offset
 from .rewrite import (
     Facts, NO_FACTS, Units, fact_conjuncts, harvest_facts, harvest_units,
-    rewrite_node,
+    has_quotient, remainder_conjuncts, rewrite_node, rewrite_quotients,
 )
 from .sorts import BitVecSort
 from .substitute import rebuild, var_mask
@@ -80,7 +82,8 @@ _SUM_KINDS = frozenset({Kind.BVADD, Kind.BVSUB, Kind.BVNEG})
 
 #: Kinds the word-level rewriter (:mod:`repro.smt.rewrite`) has rules for —
 #: gating on kind keeps the per-node overhead to one frozenset probe.
-_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ, Kind.ITE})
+_REWRITE_KINDS = frozenset({Kind.BVUREM, Kind.BVUDIV, Kind.EQ, Kind.ITE,
+                            Kind.BVULT})
 
 
 class QueryMemo:
@@ -192,6 +195,9 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
         if k in _ARITH_KINDS:
             if k in _SUM_KINDS and t in sum_only:
                 poly_of(out, polys)
+            elif k == Kind.BVMUL and has_quotient(out):
+                out = rewrite_quotients(normalize_arith(out, polys), fb,
+                                        polys)
             else:
                 out = normalize_arith(out, polys)
         elif k == Kind.EQ and isinstance(out.args[0].sort, BitVecSort):
@@ -244,7 +250,11 @@ def _pass(terms: list[Term], units: Units, memo: QueryMemo) -> list[Term]:
     to the rest.  A term-defined variable is seeded with its value
     simplified under those facts (so a kept definition blasts no ``udiv``
     the facts remove); when a fact-shaped conjunct mentions one, the
-    shaped conjuncts use a copy of the cache seeded without facts.
+    shaped conjuncts use a copy of the cache seeded without facts.  The
+    conjuncts ``x urem m == 0`` (:func:`remainder_conjuncts`) go next,
+    under those facts, and the zero facts of their output join the facts
+    of the rest, where the quotient identity folds the remainders they
+    pin.
     Constant and variable definitions are kept as they are, a term
     definition as ``v == value``; those nested in a top-level AND are
     appended, since the AND folds them.  The sums that only feed sums
@@ -269,6 +279,10 @@ def _pass(terms: list[Term], units: Units, memo: QueryMemo) -> list[Term]:
     facts = harvest_facts(shaped)
     for v in named.values():
         cache[v] = simp(subst[v], cache, facts=facts)
+    remainders = remainder_conjuncts(terms)
+    if remainders:
+        facts |= harvest_facts([simp(f, cache, facts=facts)
+                                for f in remainders])
     out = [t if t in defs
            else Eq(named[t], cache[named[t]]) if t in named
            else simp(t, cache, facts=facts)

@@ -182,6 +182,26 @@ class TestFullySymbolicTranspose:
         assert out.vcs_checked > 0 and out.solver_time > 0
 
 
+class TestFullySymbolicReduction:
+    """Table II's param -C rows for Reduction: the quotient identity and
+    the udiv bound fold the coverage VC ``tid == 2*(k*(tid udiv 2k))``
+    before bit-blasting, so the cell stays cheap at 32 bits (3,413
+    conflicts without them)."""
+
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_verifies_with_every_proof_checked(self, width):
+        si, ti, _ = reduction_pair()
+        out = check_equivalence_param(
+            si, ti, width, assumption_builder=reduction_assumptions,
+            options=ParamOptions(timeout=60, solve=_uncached(certify=True)))
+        assert out.verdict is Verdict.VERIFIED, out.reason
+        assert out.complete
+        cert = out.stats["certify"]
+        assert cert["checked"] == out.vcs_checked > 0
+        assert cert["rejected"] == 0
+        assert out.stats["solver"]["conflicts"] <= 100
+
+
 class TestDefinedThreadRelations:
     """Reduction param -C: each sdata VC asserts ``s.tid == 2*(k*t.tid)``,
     and eliminating ``s.tid`` through that definition makes both sides of

@@ -5,7 +5,8 @@ The rewriter (:mod:`repro.smt.rewrite`, driven by
 :mod:`repro.smt.simplify`) must be *verdict-invisible*: every rewritten
 query is equisatisfiable with the original — the differential suite here
 proves that on the real VCs the race checker emits for the ``examples/``
-kernels, and the hypothesis properties prove semantic equivalence of the
+kernels and on the Reduction pair's fully symbolic equivalence VCs, and
+the hypothesis properties prove semantic equivalence of the
 simplifier (ITE/adder/shift recognition included) on random terms by
 exhaustive evaluation at small width.
 """
@@ -15,18 +16,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check.configs import reduction_assumptions, transpose_assumptions
 from repro.check.races import _interval_queries
-from repro.kernels import load
+from repro.check.result import Verdict
+from repro.check.vcs import Refutation
+from repro.kernels import load, load_pair
 from repro.param.ca import LoopModel, PlainModel, extract_model
+from repro.param.equivalence import ParamOptions, check_equivalence_param
 from repro.param.geometry import Geometry
 from repro.smt import (
-    BVAnd, BVConst, BVVar, BoolVar, CheckResult, Eq, Ite, Not, Or, Solver,
-    ZeroExt, fresh_scope,
+    And, BVAnd, BVConst, BVVar, BoolVar, CheckResult, Eq, Ite, Not, Or,
+    SolveConfig, Solver, ZeroExt, fresh_scope,
 )
 from repro.smt.rewrite import Facts, harvest_facts, rewrite_node
-from repro.smt.simplify import simplify
+from repro.smt.simplify import simplify, simplify_all
 from repro.smt.substitute import evaluate
 from repro.smt.terms import (
     BVAdd, BVLshr, BVMul, BVShl, BVSub, BVUDiv, BVURem, Kind, Term, ULe, ULt,
+    iter_dag,
 )
 
 W = 4  # property-test width: exhaustive over 2 vars is 256 assignments
@@ -257,12 +262,52 @@ def test_rewritten_vcs_equisatisfiable_with_raw(kernel, builder, conc):
             assert got is want
 
 
+def test_reduction_equivalence_vcs_equisatisfiable_with_raw(monkeypatch):
+    """Every query Reduction param -C sends at 8 bits — the coverage VCs,
+    where the quotient identity and the udiv bound fire, among them —
+    answers identically with the word-level rewriter on and off."""
+    verdicts = []
+    simplified = []
+    query = Refutation._query
+
+    def compare(self, terms):
+        rewritten = Solver(timeout=60.0, do_simplify=True,
+                           validate_models=True)
+        rewritten.add(*terms)
+        raw = Solver(timeout=60.0, do_simplify=False)
+        raw.add(*terms)
+        verdicts.append((rewritten.check(), raw.check()))
+        simplified.append(simplify_all(list(terms)))
+        return query(self, terms)
+
+    monkeypatch.setattr(Refutation, "_query", compare)
+    (_, si), (_, ti) = load_pair("Reduction")
+    out = check_equivalence_param(
+        si, ti, 8, assumption_builder=reduction_assumptions,
+        options=ParamOptions(timeout=120,
+                             solve=SolveConfig(jobs=1, cache=False)))
+    assert out.verdict is Verdict.VERIFIED
+    assert len(verdicts) == out.vcs_checked > 0
+    for got, want in verdicts:
+        assert got is not CheckResult.UNKNOWN
+        assert got is want
+    # No divider is left for the blaster.
+    assert not any(n.kind == Kind.BVUDIV
+                   for terms in simplified for n in iter_dag(*terms))
+
+
 # -------------------------------------------------- hypothesis properties
+
+
+def _quotient_multiple(j: int, x: Term, m: Term) -> Term:
+    """``j * m * (x udiv m)``: the shape the quotient identity matches."""
+    return BVMul(BVConst(j, W), BVMul(m, BVUDiv(x, m)))
 
 
 def _terms(depth: int):
     """Random width-W bit-vector terms over X, Y with the operator mix the
-    rewriter targets (adders, shifts, multiplies, urem, ITE chains)."""
+    rewriter targets (adders, shifts, multiplies, udiv, urem, ITE chains),
+    biased towards the quotient identity's ``j*m*(x udiv m)``."""
     leaf = st.one_of(
         st.sampled_from([X, Y]),
         st.integers(0, (1 << W) - 1).map(lambda v: BVConst(v, W)))
@@ -270,10 +315,12 @@ def _terms(depth: int):
         return leaf
     sub = _terms(depth - 1)
     binop = st.sampled_from(
-        [BVAdd, BVSub, BVMul, BVAnd, BVShl, BVLshr, BVURem])
+        [BVAdd, BVSub, BVMul, BVAnd, BVShl, BVLshr, BVUDiv, BVURem])
     return st.one_of(
         leaf,
         st.tuples(binop, sub, sub).map(lambda t: t[0](t[1], t[2])),
+        st.builds(_quotient_multiple, st.integers(1, (1 << W) - 1), sub,
+                  sub),
         st.tuples(sub, sub, sub).map(
             lambda t: Ite(ULt(t[0], t[1]), t[1], t[2])))
 
@@ -317,6 +364,91 @@ def test_urem_mask_rule_valid_on_fact_models(x, m):
     env = {X: x, mv: m}
     if evaluate(_zpow2_fact(mv), env):
         assert evaluate(rewritten, env) == evaluate(BVURem(X, mv), env)
+
+
+@pytest.mark.parametrize("j", range(1, 1 << W))
+def test_quotient_identity_valid_everywhere(j):
+    """``j*m*(x udiv m)`` becomes ``j*(x - x urem m)`` with no facts, and
+    agrees with the original on every assignment — ``m = 0`` included,
+    where SMT-LIB's ``x udiv 0`` is all ones and ``x urem 0`` is ``x``."""
+    mv = BVVar("rw.qm", W)
+    t = _quotient_multiple(j, X, mv)
+    s = simplify(t)
+    assert not any(n.kind in (Kind.BVUDIV, Kind.BVMUL) and mv in n.args
+                   for n in iter_dag(s)), s  # the rule fired
+    for x in range(1 << W):
+        for m in range(1 << W):
+            env = {X: x, mv: m}
+            assert evaluate(t, env) == evaluate(s, env), (t, s, env)
+
+
+def test_quotient_remainder_folds_under_zero_fact():
+    """With ``x urem m == 0`` and a zpow2 ``m`` asserted (the Reduction
+    coverage VC's facts), ``m*(x udiv m)`` is ``x`` on every model."""
+    mv = BVVar("rw.qz", W)
+    zero = Eq(BVURem(X, mv), BVConst(0, W))
+    product = BVMul(mv, BVUDiv(X, mv))
+    facts = harvest_facts([simplify(zero)])
+    assert simplify(product, facts=facts) is X
+    facts = harvest_facts([_zpow2_fact(mv)])
+    facts |= harvest_facts([simplify(zero, facts=facts)])
+    assert simplify(product, facts=facts) is X
+    for x in range(1 << W):
+        for m in range(1 << W):
+            env = {X: x, mv: m}
+            if evaluate(zero, env):
+                assert evaluate(product, env) == x
+
+
+RM = BVVar("rw.rm", W)
+_operand = _terms(1)
+_quotient_conjunct = st.one_of(
+    st.builds(lambda x: Eq(BVURem(x, RM), BVConst(0, W)), _operand),
+    st.builds(ULt, _operand, _operand),
+    st.builds(lambda x, b: ULt(BVUDiv(x, RM), b), _operand, _operand),
+    st.builds(lambda x, y: Eq(x, _quotient_multiple(1, y, RM)), _operand,
+              _operand),
+    st.just(_zpow2_fact(RM)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(st.recursive(
+    _quotient_conjunct,
+    lambda s: st.one_of(st.builds(Not, s), st.builds(And, s, s)),
+    max_leaves=3), min_size=1, max_size=5),
+    y=st.integers(0, (1 << W) - 1))
+def test_quotient_facts_preserve_truth(terms, y):
+    """Conjunctions of ``x urem m == 0``, bounds, ``(x udiv m) < b`` and
+    quotient products — the zero facts and bounds the two rules read,
+    top-level or nested — keep their truth value under
+    ``simplify_all`` for every ``x`` and ``m``."""
+    out = simplify_all(terms)
+    before, after = And(*terms), And(*out)
+    for x in range(1 << W):
+        for m in range(1 << W):
+            env = {X: x, Y: y, RM: m}
+            assert evaluate(before, env) == evaluate(after, env), (out, env)
+
+
+def test_udiv_bound_rule_valid_on_fact_models():
+    """Exhaustive at 4 bits: on every model of the harvested bound
+    ``x < b``, ``(x udiv m) < b`` agrees with its rewrite ``m != 0``."""
+    mv, bv = BVVar("rw.bm", W), BVVar("rw.bb", W)
+    bound = ULt(X, bv)
+    facts = harvest_facts([bound])
+    t = ULt(BVUDiv(X, mv), bv)
+    rewritten = rewrite_node(t, facts)
+    assert rewritten is Not(Eq(mv, BVConst(0, W)))  # the rule fired
+    assert rewrite_node(t, harvest_facts([ULt(Y, bv)])) is t
+    n = 0
+    for x in range(1 << W):
+        for m in range(1 << W):
+            for b in range(1 << W):
+                env = {X: x, mv: m, bv: b}
+                if evaluate(bound, env):
+                    n += 1
+                    assert evaluate(t, env) == evaluate(rewritten, env), env
+    assert n == 16 * 120  # 120 pairs x < b, for each of the 16 m
 
 
 # ------------------------------------------------- switch normal form
