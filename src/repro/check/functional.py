@@ -244,7 +244,6 @@ def check_functional_param(info: KernelInfo, width: int, *,
                            assumption_builder=None,
                            concretize: dict | None = None,
                            timeout: float | None = None,
-                           bughunt: bool = False,
                            solve: SolveConfig | None = None) -> CheckOutcome:
     """Parameterized post-condition checking (loop-free kernels).
 
@@ -283,7 +282,7 @@ def check_functional_param(info: KernelInfo, width: int, *,
             model=model, plains=plains, geometry=geometry, hint="f",
             prestate=lambda array, addr, bid: prestate.select(
                 "k", array, info.arrays[array].shared, addr, bid),
-            prove=check.prove, bughunt=bughunt)
+            prove=check.prove)
 
         def confirm(tag: tuple[int, dict[str, Term]], smt_model):
             line, free_vars = tag

@@ -46,7 +46,6 @@ class CheckRequest:
     scalars: dict[str, int] = field(default_factory=dict)
     bughunt: bool = False
     certify: bool = False              # DRAT-check every UNSAT verdict
-    tenant: str = "default"            # the server's quota identity
 
 
 def _is_int(value) -> bool:

@@ -71,12 +71,11 @@ class Refutation:
     :class:`~repro.errors.AlignmentError` maps to UNSUPPORTED.
     """
 
-    def __init__(self, timeout: float | None, solve: SolveConfig | None,
-                 *, simplify: bool = True) -> None:
+    def __init__(self, timeout: float | None,
+                 solve: SolveConfig | None) -> None:
         self.start = time.monotonic()
         self.deadline = self.start + timeout if timeout else None
         self.solve = solve if solve is not None else SolveConfig.from_env()
-        self.simplify = simplify
         self.outcome = CheckOutcome(verdict=Verdict.UNKNOWN)
         self.assumptions: list[Term] = []
         self.bounds: list[Term] = []
@@ -107,7 +106,7 @@ class Refutation:
     # ----------------------------------------------------------- solving
 
     def _query(self, terms: list[Term]) -> Query:
-        return Query(terms, timeout=self.budget(), do_simplify=self.simplify)
+        return Query(terms, timeout=self.budget())
 
     def _account(self, response, vcs: int = 1):
         """Add a solved query's stats to the outcome as it lands, so a

@@ -10,7 +10,7 @@ afterwards.  This module caches that front-end product, the **VC
 template**, so a width ladder (w8/w16/w32) or a `configs.py` sweep pays
 symexec once per (kernel, check kind, width) instead of once per cell,
 and a long-lived ``repro.serve`` deployment pays it once per kernel
-across tenants.
+across requests.
 
 Soundness of reuse is an interning argument, not an approximation
 argument: every checker runs inside :class:`~repro.smt.terms.fresh_scope`,

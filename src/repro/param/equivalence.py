@@ -67,7 +67,6 @@ class ParamOptions:
     timeout: float | None = None        # total wall budget -> T.O
     bughunt: bool = False               # skip frames ("Fast Bug Hunting")
     allow_reorder: bool = False         # opposite-direction loop alignment
-    simplify: bool = True               # term-level simplification ablation
     solve: SolveConfig | None = None    # how VCs are solved (None = env)
 
 
@@ -127,8 +126,7 @@ def check_equivalence_param(src_info: KernelInfo, tgt_info: KernelInfo,
     quantities to concrete values.
     """
     options = options or ParamOptions()
-    check = Refutation(options.timeout, options.solve,
-                       simplify=options.simplify)
+    check = Refutation(options.timeout, options.solve)
     with fresh_scope(), check:
         _check(check, src_info, tgt_info, width, assumption_builder,
                concretize, options)

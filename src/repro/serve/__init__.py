@@ -1,12 +1,11 @@
 """Long-lived verification serving: warm workers, one shared sharded
-query cache, alpha-invariant in-flight dedup, per-tenant admission
-control.  Entry point: ``python -m repro.serve`` (see :mod:`.app`)."""
+query cache, alpha-invariant in-flight dedup.  Entry point:
+``python -m repro.serve`` (see :mod:`.app`)."""
 
 from .protocol import (
     CheckRequest, ProtocolError, canonical_request_key, parse_request,
     translate_counterexample, verdict_exit_code, verdict_http_status,
 )
-from .quotas import Charge, QuotaExceeded, QuotaLedger, worst_case_charge
 from .session import Session, execute_check
 from .app import Server, main
 
@@ -14,7 +13,6 @@ __all__ = [
     "CheckRequest", "ProtocolError", "canonical_request_key",
     "parse_request", "translate_counterexample", "verdict_exit_code",
     "verdict_http_status",
-    "Charge", "QuotaExceeded", "QuotaLedger", "worst_case_charge",
     "Session", "execute_check",
     "Server", "main",
 ]

@@ -11,21 +11,16 @@ Two transports answer the same protocol (:mod:`repro.serve.protocol`):
   or a unix socket (``--socket PATH``); one response object per line,
   each echoing the request's ``id`` when it carries one.
 
-Each request climbs the admission ladder:
+Each request goes through three steps:
 
-1. **validate** — malformed requests answer 422 before touching quota or
+1. **validate** — malformed requests answer 422 before touching the
    workers;
-2. **admit** — the tenant's worst-case escalated budget is reserved
-   (:mod:`repro.serve.quotas`); over quota answers 429 with
-   ``Retry-After``, never a verdict, never a cache entry;
-3. **dedup** — an in-flight check with the same alpha-invariant key
+2. **dedup** — an in-flight check with the same alpha-invariant key
    (:func:`~repro.serve.protocol.canonical_request_key`) is joined, not
    re-solved: the follower awaits the leader's future and gets the
    leader's verdict with the counterexample translated back into its own
    identifier spelling;
-4. **solve** — a warm worker runs the check (:mod:`repro.serve.session`);
-5. **settle** — the reservation is refunded down to the response's
-   ``elapsed``; a follower that joined a leader spends nothing.
+3. **solve** — a warm worker runs the check (:mod:`repro.serve.session`).
 
 Shutdown (SIGTERM/SIGINT or EOF on stdio) is a *graceful drain*:
 in-flight checks run to completion under a configurable deadline
@@ -50,11 +45,10 @@ from ..check.result import add_counters
 from ..smt.dispatch import SolveConfig
 from ..smt.resilience import RetryPolicy
 from .protocol import (
-    HTTP_INTERNAL, HTTP_OVERLOAD, HTTP_USAGE, ProtocolError,
+    HTTP_INTERNAL, HTTP_USAGE, ProtocolError,
     canonical_request_key, parse_request, translate_counterexample,
     verdict_exit_code, verdict_http_status,
 )
-from .quotas import QuotaExceeded, QuotaLedger
 from .session import Session, stores_of
 
 __all__ = ["Server", "main"]
@@ -76,30 +70,26 @@ def _status_of(body: dict) -> int:
 class Server:
     """Transport-independent request processing plus the two listeners."""
 
-    def __init__(self, session: Session, ledger: QuotaLedger) -> None:
+    def __init__(self, session: Session) -> None:
         self.session = session
-        self.ledger = ledger
-        # Admission charges for every attempt of the policy the session's
-        # checks run under.
-        self.policy = session.solve.policy
         self._inflight: dict[str, tuple[asyncio.Future, list]] = {}
         self.stats: dict[str, Any] = {
-            "requests": 0, "deduped": 0, "rejected": 0, "usage_errors": 0,
+            "requests": 0, "deduped": 0, "usage_errors": 0,
             "internal_errors": 0, "drain_rejected": 0, "certified": 0,
             "verdicts": {},
         }
         self.closing = asyncio.Event()
-        self._active = 0                # requests inside the ladder
+        self._active = 0                # requests past validation
         self._idle = asyncio.Event()   # set whenever _active == 0
         self._idle.set()
 
-    # ------------------------------------------------- the admission ladder
+    # ------------------------------------------------- request processing
 
     async def handle(self, payload: Any) -> tuple[int, dict]:
-        """One request through the full ladder; returns (http_status,
-        body).  The body always carries ``status`` and, when a check was
-        solved, the verdict plus the check's stats in the shape
-        ``--stats-json`` writes.
+        """One request through validate, dedup and solve; returns
+        (http_status, body).  The body always carries ``status`` and,
+        when a check was solved, the verdict plus the check's stats in the
+        shape ``--stats-json`` writes.
         """
         self.stats["requests"] += 1
         if self.closing.is_set():
@@ -117,55 +107,39 @@ class Server:
         self._active += 1
         self._idle.clear()
         try:
-            return await self._admit_and_solve(req)
+            return await self._solve(req)
         finally:
             self._active -= 1
             if self._active == 0:
                 self._idle.set()
 
-    async def _admit_and_solve(self, req) -> tuple[int, dict]:
+    async def _solve(self, req) -> tuple[int, dict]:
+        key, names = canonical_request_key(req)
+        leader = self._inflight.get(key)
+        if leader is not None:
+            future, leader_names = leader
+            self.stats["deduped"] += 1
+            body = dict(await asyncio.shield(future))
+            body["deduped"] = True
+            if body.get("counterexample"):
+                body["counterexample"] = translate_counterexample(
+                    body["counterexample"], leader_names, names)
+            return self._finish(key, body)
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[key] = (future, names)
         try:
-            charge = self.ledger.admit(req.tenant, req.timeout,
-                                       self.policy)
-        except QuotaExceeded as exc:
-            # Overload is honest degradation: inconclusive, never wrong,
-            # never cached — the client retries after the window turns.
-            self.stats["rejected"] += 1
-            return HTTP_OVERLOAD, {
-                "status": "overload", "error": str(exc),
-                "retry_after": round(exc.retry_after, 3), "exit_code": 3}
-        spent = 0.0
-        try:
-            key, names = canonical_request_key(req)
-            leader = self._inflight.get(key)
-            if leader is not None:
-                future, leader_names = leader
-                self.stats["deduped"] += 1
-                body = dict(await asyncio.shield(future))
-                body["deduped"] = True
-                if body.get("counterexample"):
-                    body["counterexample"] = translate_counterexample(
-                        body["counterexample"], leader_names, names)
-                return self._finish(key, body)
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = (future, names)
-            try:
-                body = await self.session.run(req)
-            except asyncio.CancelledError:
-                future.cancel()
-                raise
-            except Exception as exc:  # the server must answer
-                body = {"status": "internal",
-                        "error": f"{type(exc).__name__}: {exc}"}
-            finally:
-                self._inflight.pop(key, None)
-            spent = float(body.get("elapsed", 0.0))
-            if not future.cancelled():
-                future.set_result(body)
-            return self._finish(key, dict(body))
+            body = await self.session.run(req)
+        except asyncio.CancelledError:
+            future.cancel()
+            raise
+        except Exception as exc:  # the server must answer
+            body = {"status": "internal",
+                    "error": f"{type(exc).__name__}: {exc}"}
         finally:
-            # Settle down to actual spend (followers spend nothing).
-            self.ledger.settle(charge, spent)
+            self._inflight.pop(key, None)
+        if not future.cancelled():
+            future.set_result(body)
+        return self._finish(key, dict(body))
 
     def _finish(self, key: str, body: dict) -> tuple[int, dict]:
         status = _status_of(body)
@@ -190,11 +164,11 @@ class Server:
 
     @property
     def active(self) -> int:
-        """Requests currently inside the admission ladder."""
+        """Requests currently past validation."""
         return self._active
 
     async def drained(self) -> None:
-        """Resolves once no request is inside the ladder."""
+        """Resolves once no request is past validation."""
         await self._idle.wait()
 
     def snapshot(self) -> dict:
@@ -228,15 +202,12 @@ class Server:
         data = json.dumps(body).encode("utf-8")
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 408: "Request Timeout",
-                   422: "Unprocessable Entity", 429: "Too Many Requests",
-                   500: "Internal Server Error",
+                   422: "Unprocessable Entity", 500: "Internal Server Error",
                    503: "Service Unavailable"}
         head = (f"HTTP/1.1 {status} {reasons.get(status, 'Status')}\r\n"
                 "Content-Type: application/json\r\n"
-                f"Content-Length: {len(data)}\r\n")
-        if status == HTTP_OVERLOAD and "retry_after" in body:
-            head += f"Retry-After: {max(1, int(body['retry_after']))}\r\n"
-        head += "Connection: close\r\n\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                "Connection: close\r\n\r\n")
         try:
             writer.write(head.encode("ascii") + data)
             await writer.drain()
@@ -343,10 +314,7 @@ async def _amain(args, solve: SolveConfig) -> int:
         os.makedirs(args.cache_dir, exist_ok=True)
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
                       rlimit_mb=args.rlimit_mb, solve=solve)
-    ledger = QuotaLedger(seconds_per_window=args.quota_seconds,
-                         window=args.quota_window,
-                         max_inflight=args.max_inflight)
-    server = Server(session, ledger)
+    server = Server(session)
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -409,8 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Long-lived verification server: warm workers, a "
-                    "shared sharded query cache, in-flight dedup, and "
-                    "per-tenant admission control.")
+                    "shared sharded query cache and in-flight dedup.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=None, metavar="N",
                         help="serve HTTP on this port (0 = ephemeral; "
@@ -431,15 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rlimit-mb", type=int, default=None,
                         metavar="MB",
                         help="per-worker address-space cap")
-    parser.add_argument("--quota-seconds", type=float, default=None,
-                        metavar="S", help="per-tenant wall-clock budget "
-                        "per window (worst-case escalated charge)")
-    parser.add_argument("--quota-window", type=float, default=60.0,
-                        metavar="S", help="quota window length "
-                        "(default 60)")
-    parser.add_argument("--max-inflight", type=int, default=None,
-                        metavar="N",
-                        help="per-tenant concurrent request cap")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="retry UNKNOWN verdicts up to N times, "
                              "doubling the budget each attempt (default 0)")

@@ -33,7 +33,6 @@ timeout        408        3
 unknown        503        3
 unsupported    503        3
 (usage)        422        2
-(overload)     429        3
 (internal)     500        4
 =============  =========  ====
 """
@@ -57,12 +56,11 @@ __all__ = [
     "ProtocolError", "CheckRequest", "parse_request",
     "canonical_request_key", "translate_counterexample",
     "verdict_http_status", "verdict_exit_code",
-    "HTTP_USAGE", "HTTP_OVERLOAD", "HTTP_INTERNAL",
+    "HTTP_USAGE", "HTTP_INTERNAL",
 ]
 
 #: Request-level statuses with no verdict behind them.
 HTTP_USAGE = 422
-HTTP_OVERLOAD = 429
 HTTP_INTERNAL = 500
 
 _COMMANDS = ("races", "equiv", "func")
@@ -111,7 +109,7 @@ def parse_request(payload: Any) -> CheckRequest:
     unknown = set(payload) - {
         "command", "source", "target", "method", "width", "timeout",
         "pair", "bdim", "gdim", "cbdim", "cgdim", "scalars", "bughunt",
-        "certify", "tenant"}
+        "certify"}
     if unknown:
         raise ProtocolError(
             f"unknown fields: {', '.join(sorted(unknown))}")
@@ -147,9 +145,6 @@ def parse_request(payload: Any) -> CheckRequest:
         raise ProtocolError("'bughunt' and 'certify' must be booleans")
     if bughunt and command != "equiv":
         raise ProtocolError("field 'bughunt' is only valid for 'equiv'")
-    tenant = payload.get("tenant", "default")
-    if not isinstance(tenant, str) or not tenant:
-        raise ProtocolError("field 'tenant' must be a non-empty string")
     req = CheckRequest(
         command=command, source=source, target=target, method=method,
         width=width, timeout=timeout, pair=pair,
@@ -157,7 +152,7 @@ def parse_request(payload: Any) -> CheckRequest:
         gdim=_opt_dims(payload, "gdim", 2),
         cbdim=_opt_dims(payload, "cbdim", 3),
         cgdim=_opt_dims(payload, "cgdim", 2),
-        scalars=scalars, bughunt=bughunt, certify=certify, tenant=tenant)
+        scalars=scalars, bughunt=bughunt, certify=certify)
     if method == "nonparam" and req.bdim is None:
         raise ProtocolError("the nonparam method requires 'bdim'")
     return req
@@ -196,8 +191,7 @@ def canonical_request_key(req: CheckRequest) -> tuple[str, list[list[str]]]:
     """The request's dedup key and per-kernel first-encounter name lists.
 
     The key folds the alpha-renamed token streams together with every
-    verdict-relevant knob (tenant excluded — quota identity must not
-    split the cache).  The name lists translate a leader's
+    verdict-relevant knob.  The name lists translate a leader's
     counterexample back into a follower's identifiers
     (:func:`translate_counterexample`).
     """

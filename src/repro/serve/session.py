@@ -101,9 +101,8 @@ class Session:
     server's lifetime; ``workers=0`` runs checks on the event loop's
     default thread executor (in-process — the solver releases no GIL, so
     this mode is for tests and tiny deployments).  Every check runs under
-    ``solve`` (default: :meth:`SolveConfig.from_env`), whose retry policy
-    is also the one the server charges quota for.  Its ``cache`` must stay
-    ``None``: the workers' default cache is the server's shared store.
+    ``solve`` (default: :meth:`SolveConfig.from_env`).  Its ``cache`` must
+    stay ``None``: the workers' default cache is the server's shared store.
     """
 
     def __init__(self, workers: int = 1, cache_dir: str | None = None,

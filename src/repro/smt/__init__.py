@@ -32,7 +32,7 @@ from .terms import (
 from .terms import intern_stats
 from .simplify import simplify, simplify_all
 from .substitute import evaluate, substitute
-from .printer import script_smtlib, to_smtlib, to_str
+from .printer import to_str
 from .model import Model
 from .sat.proof import CheckedProof, ProofLog, check_proof
 from .solver import CheckResult, Solver, check_valid, is_satisfiable
@@ -60,7 +60,7 @@ __all__ = [
     # transforms
     "simplify", "simplify_all", "substitute", "evaluate",
     # printing
-    "script_smtlib", "to_smtlib", "to_str",
+    "to_str",
     # solving
     "CheckResult", "Model", "Solver", "check_valid", "is_satisfiable",
     # proof certification

@@ -1,14 +1,10 @@
-"""Printing of terms: a compact infix form for diagnostics and a faithful
-SMT-LIB2 form for dumping queries to files (cross-checkable with any external
-solver).
-"""
+"""Printing of terms: a compact infix form for diagnostics."""
 
 from __future__ import annotations
 
-from .sorts import ArraySort, BitVecSort
 from .terms import Kind, Term
 
-__all__ = ["to_str", "to_smtlib", "script_smtlib"]
+__all__ = ["to_str"]
 
 _INFIX = {
     Kind.AND: "&", Kind.OR: "|", Kind.XOR: "^", Kind.IMPLIES: "=>", Kind.EQ: "==",
@@ -62,64 +58,3 @@ def to_str(term: Term, max_depth: int = 12) -> str:
         return f"({inner})"
     return f"{k.name}({', '.join(to_str(a, max_depth - 1) for a in term.args)})"
 
-
-_SMT_OPS = {
-    Kind.NOT: "not", Kind.AND: "and", Kind.OR: "or", Kind.XOR: "xor",
-    Kind.IMPLIES: "=>", Kind.EQ: "=", Kind.ITE: "ite",
-    Kind.BVNEG: "bvneg", Kind.BVADD: "bvadd", Kind.BVSUB: "bvsub",
-    Kind.BVMUL: "bvmul", Kind.BVUDIV: "bvudiv", Kind.BVUREM: "bvurem",
-    Kind.BVNOT: "bvnot", Kind.BVAND: "bvand", Kind.BVOR: "bvor", Kind.BVXOR: "bvxor",
-    Kind.BVSHL: "bvshl", Kind.BVLSHR: "bvlshr", Kind.BVASHR: "bvashr",
-    Kind.BVULT: "bvult", Kind.BVULE: "bvule", Kind.BVSLT: "bvslt", Kind.BVSLE: "bvsle",
-    Kind.CONCAT: "concat", Kind.SELECT: "select", Kind.STORE: "store",
-}
-
-
-def _smt_sort(sort) -> str:
-    if isinstance(sort, BitVecSort):
-        return f"(_ BitVec {sort.width})"
-    if isinstance(sort, ArraySort):
-        return f"(Array {_smt_sort(sort.index_sort)} {_smt_sort(sort.elem_sort)})"
-    return "Bool"
-
-
-def _sanitize(name: str) -> str:
-    """SMT-LIB symbols cannot contain '!'-free specials like '.'; quote them."""
-    if all(c.isalnum() or c in "_!$" for c in name):
-        return name
-    return f"|{name}|"
-
-
-def to_smtlib(term: Term) -> str:
-    """Render one term as an SMT-LIB2 s-expression."""
-    k = term.kind
-    if k == Kind.TRUE:
-        return "true"
-    if k == Kind.FALSE:
-        return "false"
-    if k == Kind.BVCONST:
-        return f"(_ bv{term.payload} {term.sort.width})"
-    if k == Kind.VAR:
-        return _sanitize(term.payload)
-    if k == Kind.EXTRACT:
-        hi, lo = term.payload
-        return f"((_ extract {hi} {lo}) {to_smtlib(term.args[0])})"
-    if k == Kind.ZEXT:
-        return f"((_ zero_extend {term.payload}) {to_smtlib(term.args[0])})"
-    if k == Kind.SEXT:
-        return f"((_ sign_extend {term.payload}) {to_smtlib(term.args[0])})"
-    op = _SMT_OPS[k]
-    return f"({op} {' '.join(to_smtlib(a) for a in term.args)})"
-
-
-def script_smtlib(assertions: list[Term], logic: str = "QF_ABV") -> str:
-    """A complete ``(set-logic ...) ... (check-sat)`` script for ``assertions``."""
-    from .terms import collect
-    decls = []
-    for var in collect(Term.is_var, *assertions):
-        decls.append(f"(declare-fun {_sanitize(var.payload)} () {_smt_sort(var.sort)})")
-    lines = [f"(set-logic {logic})"]
-    lines.extend(sorted(decls))
-    lines.extend(f"(assert {to_smtlib(a)})" for a in assertions)
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"

@@ -63,7 +63,8 @@ clauses.  This module holds the *contextual* rewrite layer that
     a top-level conjunct ``r == 0``, such as the ``x urem m == 0`` the
     Reduction coverage VCs assert — folds it to ``0`` (that conjunct
     stays asserted, so every model is kept).  The simplifier tries the
-    rule only on a product with a ``udiv`` factor (:func:`has_quotient`).
+    rule on every normalized sum and product, after its monomials merge,
+    so a match that only merging makes is not left for a second pass.
     This removes the multiplier and the restoring divider of the coverage
     VC ``tid == 2*(k*(tid udiv 2k))`` under ``tid urem 2k == 0``.
   - **Udiv bound.**  ``(x udiv m) < b -> m != 0`` when ``x < b`` is a
@@ -118,7 +119,7 @@ from .terms import (
 
 __all__ = ["Facts", "Units", "harvest_facts", "harvest_units",
            "fact_conjuncts", "remainder_conjuncts", "rewrite_node",
-           "has_quotient", "rewrite_quotients"]
+           "rewrite_quotients"]
 
 
 class Facts:
@@ -672,19 +673,6 @@ def rewrite_node(t: Term, facts: Facts,
     if k == Kind.ITE and not t.sort.is_bool():
         return _switch_ite(t)
     return t
-
-
-def has_quotient(t: Term) -> bool:
-    """Whether a factor of the product ``t``, through nested products, is
-    a ``udiv``: the guard of :func:`rewrite_quotients`."""
-    stack = [t]
-    while stack:
-        for a in stack.pop().args:
-            if a.kind == Kind.BVUDIV:
-                return True
-            if a.kind == Kind.BVMUL:
-                stack.append(a)
-    return False
 
 
 def rewrite_quotients(t: Term, facts: Facts,

@@ -11,8 +11,7 @@ budgets (the paper's ``T.O`` rows come from these budgets).
 from .solver import STAT_COUNTER_KEYS, SATResult, SATSolver
 from .proof import CheckedProof, ProofLog, check_proof
 from .luby import luby
-from .dimacs import load_into, parse_dimacs, to_dimacs
 
 __all__ = ["STAT_COUNTER_KEYS", "SATSolver", "SATResult",
            "CheckedProof", "ProofLog", "check_proof",
-           "luby", "load_into", "parse_dimacs", "to_dimacs"]
+           "luby"]

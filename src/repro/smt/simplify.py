@@ -13,7 +13,7 @@ Composes five layers:
    normalizes to a non-zero constant;
 4. the word-level rewrite rules of :mod:`repro.smt.rewrite`, applied to
    each rebuilt ``urem``/``udiv``/``==``/``<``/``ite`` node and to each
-   product with a ``udiv`` factor: the fact-licensed divider and
+   normalized sum or product: the fact-licensed divider and
    multiplier eliminations, the quotient identity
    ``m*(x udiv m) -> x - (x urem m)``, and the *switch normal form* — an
    ite chain whose guards pin one selector to distinct constants keeps
@@ -68,7 +68,7 @@ from typing import Collection
 from .poly import PolyMemo, normalize_arith, normalize_eq, poly_of, poly_offset
 from .rewrite import (
     Facts, NO_FACTS, Units, fact_conjuncts, harvest_facts, harvest_units,
-    has_quotient, remainder_conjuncts, rewrite_node, rewrite_quotients,
+    remainder_conjuncts, rewrite_node, rewrite_quotients,
 )
 from .sorts import BitVecSort
 from .substitute import rebuild, var_mask
@@ -195,11 +195,9 @@ def simplify(term: Term, cache: dict[Term, Term] | None = None, *,
         if k in _ARITH_KINDS:
             if k in _SUM_KINDS and t in sum_only:
                 poly_of(out, polys)
-            elif k == Kind.BVMUL and has_quotient(out):
+            else:
                 out = rewrite_quotients(normalize_arith(out, polys), fb,
                                         polys)
-            else:
-                out = normalize_arith(out, polys)
         elif k == Kind.EQ and isinstance(out.args[0].sort, BitVecSort):
             lhs, rhs = normalize_eq(out.args[0], out.args[1], polys)
             out = Eq(lhs, rhs)

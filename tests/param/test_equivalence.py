@@ -235,12 +235,15 @@ class TestDefinedThreadRelations:
 
 class TestBudget:
     def test_budget_exhaustion_times_out_with_its_counts(self):
-        """Without the word-level rewriter the fully symbolic VCs keep
-        their multipliers and outlast a small budget: the paper's T.O,
-        still reporting the VCs it spent the budget on."""
-        si, ti, _ = transpose_pair()
+        """The fully symbolic check of a guard mutant (line 19's ``<``
+        made ``<=``) outlasts a small budget: the paper's T.O, still
+        reporting the VCs it spent the budget on."""
+        si, _, tk = transpose_pair()
+        mutant = next(m for m in guard_mutants(tk) if m.label == "guard-cmp2")
+        assert mutant.description.startswith("line 19")
         out = check_equivalence_param(
-            si, ti, 8, assumption_builder=transpose_assumptions,
-            options=ParamOptions(timeout=1, solve=_uncached(), simplify=False))
+            si, check_kernel(mutant.kernel), 8,
+            assumption_builder=transpose_assumptions,
+            options=ParamOptions(timeout=1, solve=_uncached()))
         assert out.verdict is Verdict.TIMEOUT
         assert out.vcs_checked > 0 and out.solver_time > 0

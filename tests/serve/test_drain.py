@@ -1,8 +1,8 @@
 """Graceful shutdown: in-flight checks finish, late arrivals answer 503.
 
 The drain contract — once ``closing`` is set (SIGTERM/EOF), no new
-request enters the admission ladder (it answers 503 with a ``draining``
-body), while requests already inside the ladder run to completion and
+request is validated (it answers 503 with a ``draining`` body), while
+requests already past validation run to completion and
 the server only tears down once the last one settles or the deadline
 expires.  These tests drive the :class:`~repro.serve.app.Server` object
 directly with a stub session, so they are deterministic and fast; the
@@ -12,8 +12,6 @@ subprocess e2e suite covers the real-signal path.
 import asyncio
 
 from repro.serve.app import Server
-from repro.serve.quotas import QuotaLedger
-from repro.smt import SolveConfig
 
 
 class StubSession:
@@ -21,7 +19,6 @@ class StubSession:
 
     workers = 0
     cache_dir = None
-    solve = SolveConfig()
 
     def __init__(self):
         self.release = asyncio.Event()
@@ -44,7 +41,7 @@ def _run(coro):
 
 
 def _server(session=None):
-    return Server(session or StubSession(), QuotaLedger())
+    return Server(session or StubSession())
 
 
 class TestDrain:
@@ -103,3 +100,4 @@ class TestDrain:
         snap = _run(scenario())
         assert snap["draining"] is True
         assert snap["drain_rejected"] == 0
+        assert "rejected" not in snap  # no admission control

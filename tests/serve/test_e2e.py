@@ -96,6 +96,15 @@ class TestServeSmoke:
             assert jsonl["key"] == cold["key"]
             assert jsonl["stats"]["solver"]["cache_hits"] > 0
 
+            # `tenant` is an unknown field over both transports
+            status, bad = _post(f"{base}/v1/check",
+                                {**REQUEST, "tenant": "a"})
+            assert status == 422 and "tenant" in bad["error"]
+            proc.stdin.write(json.dumps({**REQUEST, "tenant": "a"}) + "\n")
+            proc.stdin.flush()
+            bad = json.loads(proc.stdout.readline())
+            assert bad["http_status"] == 422 and "tenant" in bad["error"]
+
             # the bundled CLI client against the live server
             from repro.cli import main as cli_main
             req_file = tmp_path / "req.json"
@@ -109,7 +118,8 @@ class TestServeSmoke:
             with urllib.request.urlopen(f"{base}/v1/stats",
                                         timeout=30) as resp:
                 stats = json.loads(resp.read())
-            assert stats["requests"] >= 4
+            assert stats["requests"] >= 6
+            assert "rejected" not in stats
             assert stats["cache"]["entries"] > 0
             assert stats["cache"]["corrupt"] == 0
 

@@ -23,7 +23,6 @@ class TestParseRequest:
         req = parse_request(_races())
         assert req.command == "races"
         assert req.width == 8 and req.timeout == 60.0
-        assert req.tenant == "default"
 
     def test_dims_accept_lists_and_strings(self):
         req = parse_request(_races(cbdim=[2, 2], cgdim="2,2"))
@@ -48,7 +47,7 @@ class TestParseRequest:
         (_races(bughunt=True), "bughunt"),
         (_races(certify="yes"), "certify"),
         (_races(certify=1), "certify"),
-        (_races(tenant=""), "tenant"),
+        (_races(tenant="default"), "tenant"),
         (_races(cbdim=[0, 1]), "cbdim"),
         (_races(cbdim=[1, 1, 1, 1]), "cbdim"),
         (_races(frobnicate=1), "unknown fields"),
@@ -95,11 +94,6 @@ class TestCanonicalKey:
         k2, _ = canonical_request_key(
             parse_request(_races(certify=True)))
         assert k1 != k2
-
-    def test_tenant_does_not_split_the_key(self):
-        k1, _ = canonical_request_key(parse_request(_races(tenant="a")))
-        k2, _ = canonical_request_key(parse_request(_races(tenant="b")))
-        assert k1 == k2
 
     def test_pinned_scalar_names_stay_reserved(self):
         # Renaming the pinned scalar must NOT collapse onto the original:

@@ -1,6 +1,6 @@
 """Session and server-core tests, run in-process: request execution,
-in-flight dedup (single solve, translated counterexamples), admission
-rejections, and the no-orphan guarantee of the warm pool."""
+in-flight dedup (single solve, translated counterexamples), usage
+errors, and the no-orphan guarantee of the warm pool."""
 
 import asyncio
 import multiprocessing
@@ -10,7 +10,6 @@ import pytest
 
 from repro.kernels import KERNELS
 from repro.serve.app import Server
-from repro.serve.quotas import QuotaLedger
 from repro.serve.session import Session, execute_check
 from repro.smt import RetryPolicy, SolveConfig
 from repro.smt.qcache import QueryCache
@@ -57,7 +56,7 @@ class TestServerCore:
     def test_verified_and_warm_cache(self, tmp_path):
         async def scenario():
             session = Session(workers=0, cache_dir=str(tmp_path / "qc"))
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             try:
                 s1, b1 = await server.handle(RACES)
                 s2, b2 = await server.handle(RACES)
@@ -74,42 +73,17 @@ class TestServerCore:
         # entries landed in the sharded store
         assert any((tmp_path / "qc").glob("*/*.json"))
 
-    def test_usage_and_quota_paths(self):
+    def test_usage_path(self):
         async def scenario():
             session = Session(workers=0)
-            server = Server(
-                session, QuotaLedger(seconds_per_window=0.5))
+            server = Server(session)
             try:
-                usage = await server.handle({"command": "nope"})
-                overload = await server.handle(RACES)  # charge 120 > 0.5
+                return await server.handle({"command": "nope"})
             finally:
                 session.close()
-            return usage, overload
 
-        (s_usage, b_usage), (s_over, b_over) = _run(scenario())
-        assert s_usage == 422 and b_usage["exit_code"] == 2
-        assert s_over == 429
-        assert b_over["status"] == "overload"
-        assert "verdict" not in b_over  # refused, never answered wrongly
-        assert b_over["retry_after"] > 0
-
-    def test_settled_spend_fills_the_quota(self):
-        """A settled request keeps the seconds its response spent, so
-        requests sent one at a time run into ``--quota-seconds``."""
-        spent = {"status": "ok", "verdict": "verified",
-                 "counterexample": None, "stats": {}, "elapsed": 50.0}
-
-        async def scenario():
-            session = _StubSession(spent)
-            session.gate.set()
-            server = Server(session,
-                            QuotaLedger(seconds_per_window=180.0))
-            # Each admission reserves the 120 s timeout: 0 + 120 and
-            # 50 + 120 fit in 180, 100 + 120 does not.
-            return [await server.handle(RACES) for _ in range(3)]
-
-        statuses = [status for status, _ in _run(scenario())]
-        assert statuses == [200, 200, 429]
+        status, body = _run(scenario())
+        assert status == 422 and body["exit_code"] == 2
 
     def test_conflict_quota_is_a_usage_error(self, capsys):
         from repro.serve.app import main
@@ -119,13 +93,22 @@ class TestServerCore:
         assert "unrecognized arguments: --quota-conflicts" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--quota-seconds", "--quota-window",
+                                      "--max-inflight"])
+    def test_quota_flags_are_usage_errors(self, flag, capsys):
+        from repro.serve.app import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--stdio", flag, "10"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("validate", False),
+                                             ("tenant", "default"),
                                              ("pair", "Transpse")])
     def test_bad_field_answers_422(self, field, value):
         async def scenario():
             session = Session(workers=0)
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             try:
                 return await server.handle({**RACES, field: value})
             finally:
@@ -138,8 +121,7 @@ class TestServerCore:
 
 
 class TestRetryPolicyReachesChecks:
-    """The policy the server charges quota for is the one its checks run
-    under (``--retries`` used to stop at admission)."""
+    """The server's checks run under the session's retry policy."""
 
     #: The non-square serialized Transpose reaches the SAT loop, so a
     #: starved budget leaves its one query UNKNOWN on every attempt.
@@ -162,15 +144,13 @@ class TestRetryPolicyReachesChecks:
 
         async def scenario():
             session = Session(workers=0, solve=SolveConfig(policy=policy))
-            server = Server(session, QuotaLedger())
             try:
-                return server, await server.handle(dict(RACES))
+                return await Server(session).handle(dict(RACES))
             finally:
                 session.close()
 
-        server, (status, _) = _run(scenario())
+        status, _ = _run(scenario())
         assert status == 200
-        assert server.policy is policy
         assert [s.policy for s in seen] == [policy]
 
     def test_starved_request_is_retried(self):
@@ -189,7 +169,6 @@ class _StubSession:
     """A Session stand-in with a gate, so dedup timing is deterministic."""
     workers = 0
     cache_dir = None
-    solve = SolveConfig()
 
     def __init__(self, body):
         self.body = body
@@ -212,10 +191,10 @@ class TestInflightDedup:
 
         async def scenario():
             session = _StubSession(canned)
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             t1 = asyncio.ensure_future(server.handle(dict(RACES)))
             t2 = asyncio.ensure_future(server.handle(dict(RACES)))
-            await asyncio.sleep(0.05)  # both climb the ladder
+            await asyncio.sleep(0.05)  # both reach dedup
             session.gate.set()
             return await asyncio.gather(t1, t2), session.calls, server
 
@@ -243,7 +222,7 @@ class TestInflightDedup:
 
         async def scenario():
             session = _StubSession(canned)
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             t1 = asyncio.ensure_future(server.handle(leader_payload))
             await asyncio.sleep(0.05)  # the leader claims the key
             t2 = asyncio.ensure_future(server.handle(follower_payload))
@@ -266,7 +245,7 @@ class TestInflightDedup:
 
         async def scenario():
             session = _StubSession(canned)
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             other = dict(RACES, width=16)
             t1 = asyncio.ensure_future(server.handle(dict(RACES)))
             t2 = asyncio.ensure_future(server.handle(other))
@@ -284,7 +263,7 @@ class TestWarmPool:
     def test_pooled_check_and_no_orphans(self, tmp_path):
         async def scenario():
             session = Session(workers=2, cache_dir=str(tmp_path / "qc"))
-            server = Server(session, QuotaLedger())
+            server = Server(session)
             try:
                 s1, b1 = await server.handle(RACES)
                 s2, b2 = await server.handle(RACES)

@@ -1,10 +1,6 @@
-"""Unit tests for the infix and SMT-LIB2 printers."""
+"""Unit tests for the infix printer."""
 
-from repro.smt import (
-    And, ArrayVar, BVAdd, BVConst, BVVar, Eq, Extract, Ite, Not, Select,
-    SignExt, Store, ULt, Var, ZeroExt, script_smtlib, to_smtlib, to_str,
-)
-from repro.smt.sorts import BV
+from repro.smt import ArrayVar, BVAdd, BVVar, Ite, Select, Store, ULt, to_str
 
 x = BVVar("prx", 8)
 y = BVVar("pry", 8)
@@ -28,35 +24,3 @@ def test_to_str_depth_cutoff():
         t = Ite(ULt(x, y), t, y)
     assert "..." in to_str(t, max_depth=4)
 
-
-def test_smtlib_constants_and_vars():
-    assert to_smtlib(BVConst(5, 8)) == "(_ bv5 8)"
-    assert to_smtlib(x) == "prx"
-
-
-def test_smtlib_sanitizes_special_names():
-    v = Var("tid.x", BV(8))
-    assert to_smtlib(v) == "|tid.x|"
-
-
-def test_smtlib_indexed_operators():
-    assert to_smtlib(Extract(x, 7, 4)) == "((_ extract 7 4) prx)"
-    assert to_smtlib(ZeroExt(x, 8)) == "((_ zero_extend 8) prx)"
-    assert to_smtlib(SignExt(x, 8)) == "((_ sign_extend 8) prx)"
-
-
-def test_script_declares_all_vars():
-    a = ArrayVar("pra", 8, 8)
-    f = And(Eq(Select(a, x), y), ULt(x, y))
-    script = script_smtlib([f])
-    assert "(set-logic QF_ABV)" in script
-    assert "(declare-fun prx () (_ BitVec 8))" in script
-    assert "(declare-fun pra () (Array (_ BitVec 8) (_ BitVec 8)))" in script
-    assert script.strip().endswith("(check-sat)")
-
-
-def test_script_is_parseable_sexpr():
-    """Balanced parens — a cheap structural sanity check."""
-    f = Eq(BVAdd(x, y), BVConst(1, 8))
-    script = script_smtlib([f, Not(f)])
-    assert script.count("(") == script.count(")")

@@ -382,6 +382,29 @@ def test_quotient_identity_valid_everywhere(j):
             assert evaluate(t, env) == evaluate(s, env), (t, s, env)
 
 
+_QK = BVVar("rw.qk", W)
+_QUOTIENT_TERM = BVMul(_QK, BVUDiv(X, BVMul(_QK, BVConst(2, W))))
+
+
+@pytest.mark.parametrize("t", [
+    BVAdd(_QUOTIENT_TERM, _QUOTIENT_TERM),
+    BVAdd(BVAdd(_QUOTIENT_TERM, _QUOTIENT_TERM), Y),
+], ids=["merged", "merged-plus-y"])
+def test_quotient_identity_after_merge_is_idempotent(t):
+    """A sum whose monomials only merge into ``m*(x udiv m)`` (here
+    ``m = k*2``, from ``k*(x udiv m)`` twice) gets the quotient identity
+    in the same pass: a second ``simplify`` changes nothing, and the
+    result agrees with ``t`` on every assignment."""
+    s = simplify(t)
+    assert simplify(s) is s, (s, simplify(s))
+    assert not any(n.kind == Kind.BVUDIV for n in iter_dag(s)), s
+    for x in range(1 << W):
+        for k in range(1 << W):
+            for y in range(1 << W):
+                env = {X: x, _QK: k, Y: y}
+                assert evaluate(t, env) == evaluate(s, env), (t, s, env)
+
+
 def test_quotient_remainder_folds_under_zero_fact():
     """With ``x urem m == 0`` and a zpow2 ``m`` asserted (the Reduction
     coverage VC's facts), ``m*(x udiv m)`` is ``x`` on every model."""

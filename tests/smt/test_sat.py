@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.sat import SATSolver, SATResult, luby, parse_dimacs, to_dimacs, load_into
+from repro.smt.sat import SATSolver, SATResult, luby
 
 
 def lit(v: int, positive: bool) -> int:
@@ -217,23 +217,3 @@ class TestLuby:
         with pytest.raises(ValueError):
             luby(0)
 
-
-class TestDimacs:
-    def test_roundtrip(self):
-        text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n"
-        n, clauses = parse_dimacs(text)
-        assert n == 3 and len(clauses) == 2
-        out = to_dimacs(n, clauses)
-        n2, clauses2 = parse_dimacs(out)
-        assert (n2, clauses2) == (n, clauses)
-
-    def test_load_into_and_solve(self):
-        s = SATSolver()
-        assert load_into(s, "p cnf 2 2\n1 2 0\n-1 0\n")
-        assert s.solve() is SATResult.SAT
-        assert s.model_value(0) is False
-        assert s.model_value(1) is True
-
-    def test_clause_spanning_lines(self):
-        n, clauses = parse_dimacs("p cnf 2 1\n1\n2 0\n")
-        assert clauses == [[0, 2]]
