@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang import LaunchConfig, check_postconditions, run_kernel
+from ..lang.interp import CompiledKernel
 from ..lang.typecheck import KernelInfo
 from ..smt import Model, Term
 from .result import Counterexample
@@ -109,7 +110,7 @@ def _pattern_fill(name: str, flat: int) -> int:
     return (0xA5 + 73 * flat) & 0xFFFFFFFF
 
 
-def _run_pair(src: KernelInfo, tgt: KernelInfo, config: LaunchConfig,
+def _run_pair(src: CompiledKernel, tgt: CompiledKernel,
               inputs: dict[str, object],
               shared_fill=None) -> ReplayResult | None:
     """One concrete comparison; None when the kernels agree and are
@@ -117,13 +118,11 @@ def _run_pair(src: KernelInfo, tgt: KernelInfo, config: LaunchConfig,
     src_fault = tgt_fault = None
     r1 = r2 = None
     try:
-        r1 = run_kernel(src, config, inputs, check_races=True,
-                        shared_fill=shared_fill)
+        r1 = src.run(inputs, check_races=True, shared_fill=shared_fill)
     except Exception as exc:
         src_fault = exc
     try:
-        r2 = run_kernel(tgt, config, inputs, check_races=True,
-                        shared_fill=shared_fill)
+        r2 = tgt.run(inputs, check_races=True, shared_fill=shared_fill)
     except Exception as exc:
         tgt_fault = exc
     # A fault (out-of-bounds access, barrier divergence...) on one side only
@@ -142,8 +141,9 @@ def _run_pair(src: KernelInfo, tgt: KernelInfo, config: LaunchConfig,
         return ReplayResult(True, f"target kernel races: {r2.races[0]}")
     if r1.races and not r2.races:
         return ReplayResult(True, f"source kernel races: {r1.races[0]}")
-    out1 = {name: r1.globals[name] for name in src.global_arrays}
-    out2 = {name: r2.globals.get(name, {}) for name in src.global_arrays}
+    arrays = src.info.global_arrays
+    out1 = {name: r1.globals[name] for name in arrays}
+    out2 = {name: r2.globals.get(name, {}) for name in arrays}
     for name in out1:
         cells = set(out1[name]) | set(out2[name])
         for cell in sorted(cells):
@@ -174,12 +174,13 @@ def replay_equivalence(src: KernelInfo, tgt: KernelInfo,
     attempts: list[dict[str, object]] = [base_inputs]
     if filled:
         attempts.append({**base_inputs, **filled})
+    programs = CompiledKernel(src, config), CompiledKernel(tgt, config)
     for inputs in attempts:
         # Probe uninitialized shared memory with two fills: a divergence that
         # flows through an uninitialized tile only shows when the fills make
         # the stale cells distinguishable (real shared memory is arbitrary).
         for fill in (None, _pattern_fill):
-            result = _run_pair(src, tgt, config, inputs, shared_fill=fill)
+            result = _run_pair(*programs, inputs, shared_fill=fill)
             if result is not None:
                 return result
     return ReplayResult(False, "kernels agree on this input")

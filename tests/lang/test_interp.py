@@ -1,12 +1,16 @@
 """Unit tests for the concrete reference interpreter: canonical scheduling,
 barrier semantics, race detection, and postcondition checking."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import InterpError
 from repro.lang import (
-    LaunchConfig, check_kernel, check_postconditions, parse_kernel, run_kernel,
+    LaunchConfig, RaceReport, check_kernel, check_postconditions, parse_kernel,
+    run_kernel,
 )
+from repro.lang.ast import Barrier, Block, Spec
 
 
 def run(src, cfg=None, inputs=None, **kw):
@@ -49,6 +53,20 @@ class TestBasics:
         with pytest.raises(InterpError, match="iterations"):
             run("void f(int *o) { for (int k = 0; k < 1; k = k) { } }",
                 loop_limit=10)
+
+    @pytest.mark.parametrize("builtin, axis", [("bid.z", "blockIdx"),
+                                               ("gdim.z", "gridDim")])
+    def test_z_axis_of_the_grid_raises_when_executed(self, builtin, axis):
+        with pytest.raises(InterpError,
+                           match=f"^{axis} has no z axis in this model$"):
+            run(f"void f(int *o) {{ o[tid.x] = {builtin}; }}")
+
+    def test_z_axis_of_the_grid_in_untaken_branch_is_fine(self):
+        _, r = run("""void f(int *o, int n) {
+            if (n > 5) { o[0] = bid.z + gdim.z; }
+            o[tid.x + 1] = n > 5 ? bid.z : gdim.x;
+        }""", inputs={"n": 1})
+        assert r.globals["o"] == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_builtin_geometry(self):
         cfg = LaunchConfig(bdim=(2, 3, 1), gdim=(2, 2))
@@ -100,6 +118,17 @@ class TestSharedMemoryAndBarriers:
         # uniform condition: all threads take the same path -> fine
         run(div, inputs={"n": 1})
         run(div, inputs={"n": 5})
+
+    def test_barrier_divergence_raises(self):
+        # The type checker rejects a barrier under a thread-dependent branch,
+        # so swap the divergent body into a checked uniform kernel.
+        info, _ = run("void f(int *o, int n) { }", inputs={"n": 0})
+        info = dataclasses.replace(info, kernel=parse_kernel(
+            "void f(int *o, int n) { if (tid.x < n) { __syncthreads(); } }"))
+        with pytest.raises(InterpError, match=r"^barrier divergence in block "
+                                              r"\(0, 0\): some threads"):
+            run_kernel(info, LaunchConfig(bdim=(4, 1, 1)), {"n": 2})
+        run_kernel(info, LaunchConfig(bdim=(4, 1, 1)), {"n": 4})
 
     def test_out_of_bounds_shared_access(self):
         src = """void f(int *o) {
@@ -154,6 +183,47 @@ class TestRaceDetection:
         assert r.races == []
         assert r.globals["o"][1] == 3
 
+    def test_compound_assignment_records_read_and_write(self):
+        _, r = run("void f(int *o) { o[0] += 1; }",
+                   cfg=LaunchConfig(bdim=(2, 1, 1)))
+        assert r.globals["o"] == {0: 2}
+        assert r.races == [
+            RaceReport(array="o", index=0, kind="write-write", block=(0, 0),
+                       threads=((0, 0, 0), (1, 0, 0))),
+            RaceReport(array="o", index=0, kind="read-write", block=(0, 0),
+                       threads=((1, 0, 0), (0, 0, 0))),
+        ]
+
+    def test_cross_block_global_write_write(self):
+        _, r = run("void f(int *o) { o[0] = bid.x; }",
+                   cfg=LaunchConfig(bdim=(1, 1, 1), gdim=(2, 1)))
+        assert r.races == [RaceReport(
+            array="o", index=0, kind="write-write", block=(1, 0),
+            threads=((0, 0, 0), (0, 0, 0)))]
+
+    def test_cross_block_global_read_after_write(self):
+        _, r = run("""void f(int *o, int *a) {
+            if (bid.x == 0) { o[0] = 1; } else { a[tid.x] = o[0]; }
+        }""", cfg=LaunchConfig(bdim=(2, 1, 1), gdim=(2, 1)))
+        # Block 0's threads both write o[0] (an intra-block race); each
+        # reader of block 1 then conflicts with the last writer, thread 1.
+        assert r.races == [
+            RaceReport(array="o", index=0, kind="write-write", block=(0, 0),
+                       threads=((0, 0, 0), (1, 0, 0))),
+            RaceReport(array="o", index=0, kind="read-write", block=(1, 0),
+                       threads=((1, 0, 0), (0, 0, 0))),
+            RaceReport(array="o", index=0, kind="read-write", block=(1, 0),
+                       threads=((1, 0, 0), (1, 0, 0))),
+        ]
+
+    def test_cross_block_global_write_after_read(self):
+        _, r = run("""void f(int *o, int *a) {
+            if (bid.x == 0) { a[0] = o[0]; } else { o[0] = 1; }
+        }""", cfg=LaunchConfig(bdim=(1, 1, 1), gdim=(2, 1)))
+        assert r.races == [RaceReport(
+            array="o", index=0, kind="read-write", block=(1, 0),
+            threads=((0, 0, 0), (0, 0, 0)))]
+
     def test_races_can_be_disabled(self):
         _, r = run("void f(int *o) { o[0] = tid.x; }", check_races=False)
         assert r.races == []
@@ -199,6 +269,14 @@ class TestAssertionsAndSpecs:
         }"""
         info, r = run(src, inputs={"a": [1, 2, 3, 4]})
         assert check_postconditions(info, r) == []
+
+    def test_barrier_in_spec_code_raises(self):
+        # The type checker rejects this, so build the KernelInfo directly.
+        info, r = run("void f(int *o) { o[tid.x] = 1; }")
+        info = dataclasses.replace(
+            info, spec=Spec(body=Block(stmts=(Barrier(),))))
+        with pytest.raises(InterpError, match="^barrier in spec code$"):
+            check_postconditions(info, r)
 
     def test_free_vars_default_to_full_range(self):
         src = """void f(int *o) {

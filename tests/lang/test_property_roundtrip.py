@@ -68,18 +68,16 @@ class _Scope:
 
 def _interp_eval(expr, env):
     """Evaluate with the reference interpreter's scalar semantics."""
-    from repro.lang.interp import LaunchConfig, _Interp, _Thread
-    from repro.lang.typecheck import KernelInfo
-    from repro.lang import parse_kernel, check_kernel
+    from repro.lang.interp import CompiledKernel, LaunchConfig, _Interp
+    from repro.lang import check_kernel, parse_kernel
     kernel = parse_kernel("void f(int alpha, int beta, int gamma) { }")
-    info = check_kernel(kernel)
-    interp = _Interp(info, LaunchConfig(
-        bdim=(env["bdim.x"], 1, 1), gdim=(1, env["bid.y"] + 1), width=8),
-        {"alpha": env["alpha"], "beta": env["beta"], "gamma": env["gamma"]},
-        loop_limit=10)
-    th = _Thread(interp, (0, env["bid.y"]), (env["tid.x"], 0, 0))
-    th.locals.update(interp.scalars)
-    return th.eval(expr)
+    program = CompiledKernel(check_kernel(kernel), LaunchConfig(
+        bdim=(env["bdim.x"], 1, 1), gdim=(1, env["bid.y"] + 1), width=8))
+    state = program.run({"alpha": env["alpha"], "beta": env["beta"],
+                         "gamma": env["gamma"]}, loop_limit=10)
+    th = _Interp(program, state, loop_limit=10).thread(
+        (0, env["bid.y"]), (env["tid.x"], 0, 0))
+    return program.expression(expr)(th)
 
 
 @given(expr=exprs(3), data=st.data())
