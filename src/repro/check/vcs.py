@@ -62,7 +62,10 @@ class Refutation:
 
     ``assumptions`` are added to every query; ``bounds`` (empty: none)
     bound the launch of a model, after the unbounded query or, with
-    ``bounded_first`` (bug hunting), before it.  The checker
+    ``bounded_first`` (bug hunting), before it.  A bounded query lists
+    the bounds first: each ``v <= 4`` is a level-0 unit as soon as it
+    is blasted, so the high bits of every free launch axis are constants
+    before the assumptions' geometry products are built.  The checker
     appends to ``incomplete`` each obligation it skipped.  Used as a
     context manager, the check ends with its verdict in ``outcome``: a
     body that finishes maps to VERIFIED, or UNKNOWN when a candidate did
@@ -136,6 +139,10 @@ class Refutation:
                          Not(And(*obligations))]), self.solve)
         return self._account(response).verdict is CheckResult.UNSAT
 
+    def _terms(self, bounds: list[Term], vc: VC) -> list[Term]:
+        """A VC's query, launch bounds (if any) first."""
+        return [*bounds, *self.assumptions, *vc.terms]
+
     def _results(self, vcs: list[VC]):
         """Each VC's deciding result, in generation order, counted on the
         outcome as its VC is reached.
@@ -147,20 +154,25 @@ class Refutation:
         hunting, where the bounds make models cheap to find) the bounded
         query streams first, and the unbounded one is sent only when it
         is not SAT, which keeps the proof complete.
+
+        A bounded query is ``[*bounds, *assumptions, *vc.terms]``: the
+        bounds' level-0 units fold the products of free launch axes
+        (``gdim.x * bdim.x`` in the assumptions) to a few rows before
+        the blaster builds them.  An unbounded one keeps
+        ``[*assumptions, *vc.terms]``.
         """
         hunt = self.bounded_first and bool(self.bounds)
         first, then = (self.bounds, []) if hunt else ([], self.bounds)
         for vc, response in zip(vcs, self._stream(
-                [*self.assumptions, *vc.terms, *first] for vc in vcs)):
+                self._terms(first, vc) for vc in vcs)):
             self._account(response)
             sat = response.verdict is CheckResult.SAT
             # The launch is read as extract_launch reads it: an unbound
             # dim evaluates to 0 here and replays as 1; both are inside.
             if (not sat) if hunt else sat and not all(
                     response.model().eval(b) for b in self.bounds):
-                again = self._account(dispatch.solve_query(self._query(
-                    [*self.assumptions, *vc.terms, *then]), self.solve),
-                    vcs=0)
+                again = self._account(dispatch.solve_query(
+                    self._query(self._terms(then, vc)), self.solve), vcs=0)
                 if hunt or again.verdict is CheckResult.SAT:
                     response = again
             yield vc, response

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from ..errors import InterpError
@@ -638,14 +639,21 @@ class CompiledKernel:
     """A kernel compiled for one launch configuration.
 
     Compiling is cheap but not free; a caller that runs the same kernel and
-    launch on several inputs (counterexample replay) compiles it once.
+    launch on several inputs (counterexample replay) compiles it once.  The
+    body compiles at the first run, so a caller that only evaluates
+    expressions over a final state (:func:`check_postconditions`) never
+    compiles it.
     """
 
     def __init__(self, info: KernelInfo, config: LaunchConfig) -> None:
         self.info = info
         self.config = config
         self._compiler = _Compiler(info, config)
-        self.body = self._compiler.stmt(info.kernel.body)
+
+    @cached_property
+    def body(self) -> _Part:
+        """The compiled kernel body."""
+        return self._compiler.stmt(self.info.kernel.body)
 
     def expression(self, e: Expr) -> _Fn:
         """A closure evaluating ``e`` in a thread of this launch."""

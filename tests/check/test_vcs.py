@@ -9,7 +9,9 @@ from repro.check.replay import ReplayResult
 from repro.check.result import Counterexample, Verdict
 from repro.check.vcs import VC, Refutation, launch_bounds
 from repro.errors import EncodingError
-from repro.kernels import load_pair
+from repro.kernels import KERNELS, address_mutants, load_pair
+from repro.lang import check_kernel, parse_kernel
+from repro.lang.pretty import pretty_kernel
 from repro.param.equivalence import ParamOptions, check_equivalence_param
 from repro.param.geometry import Geometry
 from repro.smt import (
@@ -129,6 +131,79 @@ def test_bug_hunting_sends_the_bounded_query_first(solved):
     assert check.outcome.vcs_checked == 3
     assert check.outcome.stats["solver"]["queries"] == 5
     assert calls == ["big", "small"]   # "big" only has a large model
+
+
+ASSUMED = [UGe(X, 1)]
+BOUNDS = [X.ule(2)]
+NEGATED = [UGe(X, 5)]
+
+
+def _sent(monkeypatch, verdict, model=None):
+    """Stub the dispatcher: every query answers ``verdict`` (with
+    ``model``); returns the term list of each query sent, in order."""
+    sent = []
+
+    def answer(query, *args, **kw):
+        sent.append(list(query.assertions))
+        return dispatch.QueryResult(verdict=verdict,
+                                    _model=Model(model or {}))
+    monkeypatch.setattr(dispatch, "solve_stream",
+                        lambda queries, **kw: (answer(q) for q in queries))
+    monkeypatch.setattr(dispatch, "solve_query", answer)
+    return sent
+
+
+def _refute_one(bounded_first: bool) -> Refutation:
+    confirm, _ = _record_x(False)
+    with _check() as check:
+        check.assumptions = ASSUMED
+        check.bounds = BOUNDS
+        check.bounded_first = bounded_first
+        check.refute([VC(NEGATED, "vc")], confirm)
+    return check
+
+
+def test_the_bounded_resolve_lists_bounds_then_assumptions_then_the_vc(
+        monkeypatch):
+    sent = _sent(monkeypatch, CheckResult.SAT, {X: 9})
+    _refute_one(bounded_first=False)
+    assert sent == [[*ASSUMED, *NEGATED], [*BOUNDS, *ASSUMED, *NEGATED]]
+
+
+def test_bug_hunting_lists_bounds_then_assumptions_then_the_vc(
+        monkeypatch):
+    sent = _sent(monkeypatch, CheckResult.UNSAT)
+    _refute_one(bounded_first=True)
+    assert sent == [[*BOUNDS, *ASSUMED, *NEGATED], [*ASSUMED, *NEGATED]]
+
+
+def _transpose_mutant(label: str) -> tuple:
+    """The Transpose pair with its target's address mutant ``label``, as
+    the benchmark builds it: pretty-printed, then parsed again."""
+    source = check_kernel(parse_kernel(KERNELS["naiveTranspose"].source))
+    for mutant in address_mutants(
+            parse_kernel(KERNELS["optimizedTranspose"].source)):
+        if mutant.label == label:
+            return source, check_kernel(parse_kernel(
+                pretty_kernel(mutant.kernel)))
+    raise KeyError(label)
+
+
+@pytest.mark.parametrize("label, width, clauses", [
+    ("addr0", 32, 10_000), ("addr1", 32, 10_000), ("addr2", 32, 10_000),
+    ("addr3", 32, 10_000), ("addr2", 16, 8_000)])
+def test_launch_bounds_fold_the_geometry_products(label, width, clauses):
+    """Bounds first make the free launch axes' high bits root-level
+    constants, so the assumptions' double-width products blast to a few
+    rows: every 32-bit Transpose address mutant is a replayed BUG in
+    under 10,000 clauses (over 70,000 with the bounds last)."""
+    source, target = _transpose_mutant(label)
+    out = check_equivalence_param(
+        source, target, width, assumption_builder=transpose_assumptions,
+        options=ParamOptions(timeout=120, bughunt=True,
+                             solve=SolveConfig(cache=False)))
+    assert out.verdict is Verdict.BUG
+    assert out.stats["solver"]["clauses"] < clauses
 
 
 def test_a_second_query_counts_as_a_query_not_a_vc():

@@ -10,7 +10,8 @@ from repro.lang import (
     LaunchConfig, RaceReport, check_kernel, check_postconditions, parse_kernel,
     run_kernel,
 )
-from repro.lang.ast import Barrier, Block, Spec
+from repro.lang.ast import Barrier, Block, Postcond, Spec
+from repro.lang.interp import _Compiler
 
 
 def run(src, cfg=None, inputs=None, **kw):
@@ -269,6 +270,33 @@ class TestAssertionsAndSpecs:
         }"""
         info, r = run(src, inputs={"a": [1, 2, 3, 4]})
         assert check_postconditions(info, r) == []
+
+    def test_postconditions_compile_no_body_statement(self, monkeypatch):
+        """The body already ran: only the postconditions and the spec
+        code are compiled."""
+        info, r = run("""void f(int *o) {
+            if (tid.x < 4) { o[tid.x] = tid.x; }
+            int i;
+            postcond(i < 4 ==> o[i] == i);
+            spec {
+                int s = 0;
+                for (i = 0; i < 4; i++) { s = s + o[i]; }
+                postcond(s == 6);
+            }
+        }""")
+        compiled = []
+        real = _Compiler.stmt
+
+        def recording(self, stmt):
+            compiled.append(stmt)
+            return real(self, stmt)
+        monkeypatch.setattr(_Compiler, "stmt", recording)
+        assert check_postconditions(info, r, bounds={"i": range(4)}) == []
+        body = info.kernel.body
+        code = [body, *(s for s in body.stmts
+                        if not isinstance(s, (Postcond, Spec)))]
+        assert compiled and info.spec.body.stmts[0] in compiled
+        assert not any(c is s for c in compiled for s in code)
 
     def test_barrier_in_spec_code_raises(self):
         # The type checker rejects this, so build the KernelInfo directly.
