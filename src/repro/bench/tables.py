@@ -17,7 +17,6 @@ reproduction share one code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from ..check.configs import reduction_assumptions, transpose_assumptions
@@ -147,13 +146,6 @@ def table2(widths_transpose=TRANSPOSE_WIDTHS, widths_reduction=REDUCTION_WIDTHS,
 
 
 # --------------------------------------------------------------- Table III
-
-
-@dataclass(frozen=True)
-class BuggyPair:
-    """A source kernel against a mutated target (an injected bug)."""
-    pair: str
-    mutant_label: str
 
 
 def _buggy_target(pair: str, index: int = 0):

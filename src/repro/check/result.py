@@ -11,9 +11,9 @@ guarantee).
 reports one record of additive numbers (``QueryResult.stats``), each under
 the group of the layer that counted it: ``solver`` (the ``Solver.check``
 counters and phase times, ``queries``, ``cache_hits``, ``budget_time`` and
-``budget_conflicts``), ``certify`` (proof checking) and ``resilience`` (the
-retry ladder and the worker pool).  The checkers count their front-end work
-the same way under ``encode``.  :func:`add_counters` sums every record into
+``budget_conflicts``), ``certify`` (proof checking) and ``resilience``
+(contained solver errors and worker-pool restarts).  The checkers count
+their front-end work the same way under ``encode``.  :func:`add_counters` sums every record into
 the outcome, and the server sums each response's ``encode`` group into
 ``/v1/stats`` with it.  The few values that are not sums are assigned once
 where they are known: ``encode.first_verdict_s``, ``incomplete`` and the
@@ -153,13 +153,6 @@ def format_solver_stats(outcome: "CheckOutcome") -> str:
     res = outcome.stats.get("resilience")
     if res:
         lines.append("resilience:")
-        lines.append(f"  attempts     {res.get('attempts', 0)}"
-                     f"  (retried queries: {res.get('retried', 0)},"
-                     f" recovered: {res.get('recovered', 0)})")
-        if res.get("budget_time") or res.get("budget_conflicts"):
-            lines.append("  escalations  by wall-clock: "
-                         f"{res.get('budget_time', 0)}, by conflicts: "
-                         f"{res.get('budget_conflicts', 0)}")
         if res.get("errors"):
             lines.append(f"  errors       {res['errors']} (contained as "
                          "UNKNOWN)")

@@ -2,7 +2,8 @@
 
 Every check proves its verification conditions (VCs) the same way
 (Sections III-IV): it asks the solver for a model of each VC's negation.
-UNSAT proves the VC.  UNKNOWN is budget exhaustion, the paper's ``T.O``.
+UNSAT proves the VC.  UNKNOWN is budget exhaustion, the paper's ``T.O``,
+unless the solver raised: a solver error ends the check UNKNOWN.
 A VC that holds costs one query.  A model is only a *candidate*: it
 becomes a launch, and the check reports BUG only after that launch replays
 on the concrete interpreter (the paper's "Formal Status": no false alarms).
@@ -187,11 +188,14 @@ class Refutation:
         counterexample it describes and its replay.  A replayed one ends
         the check as BUG (no later VC is solved); one that does not
         replay is recorded and the check goes on.  An UNKNOWN ends it as
-        TIMEOUT.
+        TIMEOUT, or as UNKNOWN when the solver raised instead.
         """
         for vc, response in self._results(list(vcs)):
             if response.verdict is CheckResult.UNSAT:
                 continue
+            if response.error is not None:
+                self._stop(Verdict.UNKNOWN,
+                           f"solver error: {response.error}")
             if response.verdict is CheckResult.UNKNOWN:
                 self._stop(Verdict.TIMEOUT, _BUDGET)
             cex, replay = confirm(vc.tag, response.model())

@@ -42,7 +42,7 @@ from .check.request import (
 from .check.result import Verdict, format_solver_stats, outcome_to_json
 from .lang import LaunchConfig, check_kernel, parse_kernel, run_kernel
 from .smt import (
-    QueryCache, RetryPolicy, SolveConfig, intern_stats, resolve_cache,
+    QueryCache, SolveConfig, intern_stats, resolve_cache,
 )
 
 __all__ = ["main", "EXIT_VERIFIED", "EXIT_REFUTED", "EXIT_USAGE",
@@ -133,11 +133,9 @@ def _request(args, solve: SolveConfig) -> CheckRequest:
 
 def _solve_config(args) -> SolveConfig:
     """The one :class:`SolveConfig` of a check command: the environment's
-    settings with the flags on top.  A bad flag value (``--jobs 0``,
-    ``--retries -1``) raises ``ValueError``."""
-    fields: dict = {"policy": RetryPolicy(
-        retries=args.retries if args.retries is not None else 0,
-        max_timeout=args.max_budget)}
+    settings with the flags on top.  A bad flag value (``--jobs 0``)
+    raises ``ValueError``."""
+    fields: dict = {}
     if args.jobs is not None:
         fields["jobs"] = args.jobs
     if args.certify is not None:
@@ -201,13 +199,6 @@ def main(argv: list[str] | None = None) -> int:
                             "stats) as JSON to FILE, or to stdout when "
                             "FILE is omitted — the same shape the serve "
                             "API returns")
-        p.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry UNKNOWN solver verdicts up to N times, "
-                            "doubling the budget each attempt "
-                            "(default 0)")
-        p.add_argument("--max-budget", type=float, default=None,
-                       metavar="SECONDS",
-                       help="cap on the escalated per-query timeout")
 
     p_eq = sub.add_parser("equiv", help="check kernel equivalence")
     p_eq.add_argument("source")

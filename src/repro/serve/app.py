@@ -42,8 +42,6 @@ import sys
 from typing import Any
 
 from ..check.result import add_counters
-from ..smt.dispatch import SolveConfig
-from ..smt.resilience import RetryPolicy
 from .protocol import (
     HTTP_INTERNAL, HTTP_USAGE, ProtocolError,
     canonical_request_key, parse_request, translate_counterexample,
@@ -309,11 +307,11 @@ async def _stdio_loop(server: Server) -> None:
     await server.serve_jsonl(reader, write_line)
 
 
-async def _amain(args, solve: SolveConfig) -> int:
+async def _amain(args) -> int:
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
     session = Session(workers=args.workers, cache_dir=args.cache_dir,
-                      rlimit_mb=args.rlimit_mb, solve=solve)
+                      rlimit_mb=args.rlimit_mb)
     server = Server(session)
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -398,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rlimit-mb", type=int, default=None,
                         metavar="MB",
                         help="per-worker address-space cap")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry UNKNOWN verdicts up to N times, "
-                             "doubling the budget each attempt (default 0)")
     parser.add_argument("--drain-seconds", type=float, default=5.0,
                         metavar="S",
                         help="on shutdown, let in-flight checks finish "
@@ -411,12 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("pick at least one transport: --port, --stdio, "
                      "or --socket")
     try:
-        solve = SolveConfig.from_env(policy=RetryPolicy(
-            retries=args.retries))
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return asyncio.run(_amain(args, solve))
+        return asyncio.run(_amain(args))
     except KeyboardInterrupt:  # pragma: no cover
         return 0
 

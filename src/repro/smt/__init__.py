@@ -42,7 +42,6 @@ from .dispatch import (
     Query, QueryResult, SolveConfig, default_cache, resolve_cache,
     solve_all, solve_query, solve_stream,
 )
-from .resilience import RetryPolicy
 from .faults import FaultPlan, InjectedFault
 
 __all__ = [
@@ -71,6 +70,6 @@ __all__ = [
     "QueryCache", "canonical_key", "canonicalize",
     "Query", "QueryResult", "SolveConfig", "default_cache",
     "resolve_cache", "solve_all", "solve_query", "solve_stream",
-    # resilience
-    "RetryPolicy", "FaultPlan", "InjectedFault",
+    # fault injection
+    "FaultPlan", "InjectedFault",
 ]

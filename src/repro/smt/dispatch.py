@@ -11,8 +11,8 @@ independence into throughput:
 * :func:`solve_stream` — the same, pulled from a producer chunk by chunk:
   the one consumer loop of the race and functional checkers.
 
-All three take one :class:`SolveConfig` — worker count, query cache, retry
-policy, certification — that a caller builds once and hands down unchanged;
+All three take one :class:`SolveConfig` — worker count, query cache,
+certification — that a caller builds once and hands down unchanged;
 ``None`` means :meth:`SolveConfig.from_env`, the only reader of
 ``PUGPARA_JOBS`` and ``PUGPARA_CERTIFY``.
 
@@ -29,22 +29,21 @@ model projection, and the solver's stats record, which becomes the
 
 Pool lifetime: each public call owns at most one worker pool, built
 lazily by the first wave with more than one leader — a ``solve_all`` call
-one, a ``solve_stream`` iteration one that every chunk shares.  Retry waves
-reuse it; it is rebuilt only after a worker dies, and torn down when the
-call returns or the stream is exhausted, closed or collected.  At
+one, a ``solve_stream`` iteration one that every chunk shares.  It is
+rebuilt only after a worker dies, and torn down when the call returns or
+the stream is exhausted, closed or collected.  At
 ``jobs=1``, and for any wave of a single leader, no pool is built and no
 term is encoded.
 
-Per-query wall-clock budgets ride inside the worker's ``Solver`` and surface
-as ``UNKNOWN`` on expiry — the paper's ``T.O`` — never as a wrong verdict.
+Each query is solved once, under its own budget: the wall-clock timeout
+and conflict budget it carries ride inside the ``Solver`` and surface as
+``UNKNOWN`` on expiry — the paper's ``T.O`` — never as a wrong verdict.
+The caller sets that budget (a check gives each query the time it has
+left); the dispatcher never raises it.
 
 Beyond throughput, the dispatcher is a *resilient runtime* — it degrades,
 it never reports what it cannot defend:
 
-* **UNKNOWN retries.** A :class:`~repro.smt.resilience.RetryPolicy` re-asks
-  budget-exhausted queries under doubled budgets; each attempt's budgets,
-  verdict and error travel back in ``QueryResult.attempts``, the ladder's
-  counters in ``stats["resilience"]``.
 * **Worker-crash recovery.** A dead worker (``BrokenProcessPool``) requeues
   its in-flight queries, the pool is rebuilt under capped exponential
   backoff (from :data:`POOL_BACKOFF`), and after :data:`POOL_RETRIES`
@@ -54,12 +53,14 @@ it never reports what it cannot defend:
   take the run down; workers ignore SIGINT so Ctrl-C tears the pool down
   cleanly from the parent.
 * **Exception containment.** A solver failure (genuine or injected via
-  :mod:`repro.smt.faults`) becomes ``UNKNOWN`` with the error recorded —
-  never an unhandled exception, never a fabricated verdict.
+  :mod:`repro.smt.faults`) becomes ``UNKNOWN`` with the error text in
+  ``QueryResult.error`` and counted in ``stats["resilience"]`` — never an
+  unhandled exception, never a fabricated verdict.  The solver is
+  deterministic, so the query is not re-asked: it would raise again.
 
 Determinism: the CDCL core is deterministic, so a batch solved at ``jobs=8``
 returns bit-identical verdicts (and models) to a serial run; only wall-clock
-changes.  Faults and retries preserve this one-sidedly: a faulted or
+changes.  Faults preserve this one-sidedly: a faulted or
 budget-starved run answers the fault-free verdict or ``UNKNOWN``.
 
 Pools are torn down hermetically: every path — normal completion, SIGINT,
@@ -88,7 +89,6 @@ from .qcache import (
     QueryCache, canonicalize, decode_terms, encode_terms,
     model_from_canonical, model_to_canonical,
 )
-from .resilience import RetryPolicy
 from .simplify import simplify_all
 from .solver import CheckResult, Solver
 from .terms import Term
@@ -121,13 +121,12 @@ class QueryResult:
 
     ``stats`` is the query's record of additive numbers, grouped by the
     layer that counted them (``solver``, ``certify``, ``resilience``; see
-    :mod:`repro.check.result`).  ``attempts`` lists each solve attempt's
-    budgets, verdict and error text; it is empty when the cache or a
-    duplicate in the batch answered.
+    :mod:`repro.check.result`).  ``error`` is the text of the exception
+    that made the solve UNKNOWN, or ``None``.
     """
     verdict: CheckResult
     stats: dict[str, dict] = field(default_factory=_one_query)
-    attempts: list[dict] = field(default_factory=list)
+    error: str | None = None
     cached: bool = False
     tag: Any = None
     _model: Model | None = None
@@ -159,13 +158,11 @@ class SolveConfig:
 
     ``jobs`` worker processes solve the cache misses (1 = in-process).
     ``cache`` is the canonical query cache: ``None`` the process-wide
-    default, ``False`` off, or a :class:`QueryCache`.  ``policy`` retries
-    UNKNOWN verdicts under escalated budgets.  ``certify`` requires every
-    UNSAT verdict to carry a checked DRAT proof.
+    default, ``False`` off, or a :class:`QueryCache`.  ``certify`` requires
+    every UNSAT verdict to carry a checked DRAT proof.
     """
     jobs: int = 1
     cache: QueryCache | bool | None = None
-    policy: RetryPolicy = RetryPolicy()
     certify: bool = False
 
     def __post_init__(self) -> None:
@@ -416,16 +413,17 @@ def _prepare(index: int, query: Query) -> _Prepared:
                      varmap=varmap, simplify_time=simplify_time)
 
 
-#: One solve attempt's outcome: (verdict, model, stats record, error text).
+#: One solve's outcome: (verdict, model, stats record, error text).
 _Outcome = tuple[CheckResult, Model | None, dict, str | None]
 
 
 def _failed(error: BaseException, elapsed: float = 0.0) -> tuple:
-    """The UNKNOWN of a solve that raised: the error is recorded, never
-    propagated and never turned into a verdict."""
+    """The UNKNOWN of a solve that raised: the error is recorded and
+    counted, never propagated and never turned into a verdict."""
     text = ("memory exhausted" if isinstance(error, MemoryError)
             else f"{type(error).__name__}: {error}")
-    return CheckResult.UNKNOWN, None, {"solver": {"time": elapsed}}, text
+    return (CheckResult.UNKNOWN, None,
+            {"solver": {"time": elapsed}, "resilience": {"errors": 1}}, text)
 
 
 def _solve(work: list[Term], key: str, timeout: float | None,
@@ -541,86 +539,41 @@ def _result_from_entry(entry: dict, varmap: dict[Term, int],
 # ----------------------------------------------------- the solving waves
 
 
-def _attempt_salt(attempt: int, requeue: int) -> int:
-    """Fold the retry attempt and pool-requeue count into one fault salt, so
-    every re-dispatch of a query draws a fresh deterministic decision."""
-    return attempt * 1024 + requeue
+def _solve_batch(leaders: list[_Prepared], certify: bool,
+                 plan: FaultPlan | None, pool: _Pool) -> dict[str, _Outcome]:
+    """Solve every leader once, under its query's own budget: each
+    leader's outcome.
 
-
-def _attempt_record(attempt: int, timeout: float | None,
-                    conflicts: int | None, outcome: _Outcome) -> dict:
-    """One entry of ``QueryResult.attempts``."""
-    verdict, _, stats, error = outcome
-    record: dict[str, Any] = {"attempt": attempt, "verdict": verdict.value}
-    if timeout is not None:
-        record["timeout"] = timeout
-    if conflicts is not None:
-        record["conflict_budget"] = conflicts
-    if error:
-        record["error"] = error
-    for axis in ("time", "conflicts"):
-        if stats["solver"].get("budget_" + axis):
-            # The budget axis that expired on this attempt.
-            record["budget_axis"] = axis
-    return record
-
-
-def _resilience(attempts: list[dict], verdict: CheckResult) -> dict:
-    """The retry ladder's counters for one query: nothing for a query
-    whose first attempt answered without an error."""
-    errors = sum(1 for a in attempts if "error" in a)
-    if len(attempts) == 1 and not errors:
-        return {}
-    retried = len(attempts) > 1
-    axes = [a.get("budget_axis") for a in attempts]
-    return {"attempts": len(attempts), "retried": int(retried),
-            "recovered": int(retried and verdict is not CheckResult.UNKNOWN),
-            "errors": errors, "budget_time": axes.count("time"),
-            "budget_conflicts": axes.count("conflicts")}
-
-
-def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
-                 plan: FaultPlan | None, pool: _Pool
-                 ) -> dict[str, tuple[_Outcome, list[dict]]]:
-    """Solve every leader, retrying UNKNOWNs under escalated budgets: each
-    leader's final outcome and its attempt records.
-
-    One loop over pending ``(leader, attempt, requeue)`` items: each round
-    solves them all, on ``pool`` when there are several, else in-process.
-    An UNKNOWN comes back at the next attempt; a query whose worker died
-    comes back at the same attempt with its requeue count bumped, so the
-    retry draws a fresh fault decision.
+    One loop over pending ``(leader, requeue)`` items: each round solves
+    them all, on ``pool`` when there are several, else in-process.  A
+    query whose worker died comes back with its requeue count bumped; the
+    count is the fault salt, so the re-dispatch draws a fresh fault
+    decision.
     """
-    policy, certify = config.policy, config.certify
     spec = plan.to_spec() if plan is not None else None
     events: dict[str, int] = {}
     outcomes: dict[str, _Outcome] = {}
-    records: dict[str, list[dict]] = {p.key: [] for p in leaders}
-    pending = [(p, 0, 0) for p in leaders]
+    pending = [(p, 0) for p in leaders]
     while pending:
-        wave = [(p, attempt, requeue, _attempt_salt(attempt, requeue),
-                 *policy.budgets(p.query.timeout, p.query.conflict_budget,
-                                 attempt))
-                for p, attempt, requeue in pending]
-        pending = []
+        wave, pending = pending, []
         futures = None
         if pool.jobs > 1 and len(wave) > 1 and not pool.degraded:
             futures = [pool.submit((
-                encode_terms(p.work), p.key, timeout, conflicts,
-                p.query.do_simplify, spec, salt, certify))
-                for p, _, _, salt, timeout, conflicts in wave]
+                encode_terms(p.work), p.key, p.query.timeout,
+                p.query.conflict_budget, p.query.do_simplify, spec, requeue,
+                certify)) for p, requeue in wave]
         requeued = 0
-        for i, (p, attempt, requeue, salt, timeout, conflicts) \
-                in enumerate(wave):
+        for i, (p, requeue) in enumerate(wave):
             if futures is None:
-                outcome = _solve(p.work, p.key, timeout, conflicts,
-                                 p.query.do_simplify, plan, salt, certify)
+                outcome = _solve(p.work, p.key, p.query.timeout,
+                                 p.query.conflict_budget, p.query.do_simplify,
+                                 plan, requeue, certify)
             else:
                 try:
                     verdict, blob, stats, error = futures[i].result()
                 except BrokenExecutor:
                     # The worker died mid-query (crash, OOM kill).
-                    pending.append((p, attempt, requeue + 1))
+                    pending.append((p, requeue + 1))
                     requeued += 1
                     continue
                 except Exception as exc:
@@ -630,26 +583,17 @@ def _solve_batch(leaders: list[_Prepared], config: SolveConfig,
                     outcome = (verdict, _model_from_names(blob, p.varmap),
                                stats, error)
             outcomes[p.key] = outcome
-            records[p.key].append(
-                _attempt_record(attempt, timeout, conflicts, outcome))
-            if outcome[0] is CheckResult.UNKNOWN and attempt < policy.retries:
-                pending.append((p, attempt + 1, 0))
         if requeued:
             pool.broke(requeued, events)
         elif futures is not None:
             pool.failures = 0
 
-    # Each leader's record gains the ladder's counters; the pool's events
-    # (worker restarts, degradation) are the batch's, counted once on its
-    # first leader.
-    for i, p in enumerate(leaders):
-        verdict, _, stats, _ = outcomes[p.key]
-        resilience = _resilience(records[p.key], verdict)
-        if i == 0:
-            resilience.update(events)
-        if resilience:
-            stats["resilience"] = resilience
-    return {p.key: (outcomes[p.key], records[p.key]) for p in leaders}
+    # The pool's events (worker restarts, degradation) are the batch's,
+    # counted once on its first leader.
+    if events:
+        stats = outcomes[leaders[0].key][2]
+        stats.setdefault("resilience", {}).update(events)
+    return outcomes
 
 
 # -------------------------------------------------------------- public
@@ -672,8 +616,7 @@ def solve_all(queries: Sequence[Query], *,
     own), else on a pool of this call's.
     Structurally identical queries (canonical-key equal) are solved once per
     batch; the followers receive the leader's verdict and a model rebound to
-    their own variables.  ``policy`` retries UNKNOWN verdicts under
-    escalated budgets.
+    their own variables.
 
     ``certify`` requires every UNSAT verdict to carry a checked DRAT
     proof; a rejected proof surfaces as UNKNOWN with
@@ -707,14 +650,13 @@ def solve_all(queries: Sequence[Query], *,
             order.append(prep.key)
         groups[prep.key].append(prep)
 
-    # Phase 2: solve each group's leader through the resilient runtime
-    # (worker pool with crash recovery, or in-process), retrying UNKNOWNs
-    # under the policy's escalation schedule.
+    # Phase 2: solve each group's leader once through the resilient
+    # runtime (worker pool with crash recovery, or in-process).
     own = pool is None
     if own:
         pool = _Pool(config.jobs)
     try:
-        solved = _solve_batch([groups[key][0] for key in order], config,
+        solved = _solve_batch([groups[key][0] for key in order], certify,
                               plan, pool)
     finally:
         if own:
@@ -723,7 +665,7 @@ def solve_all(queries: Sequence[Query], *,
     # Phase 3: populate the cache and fan results back out.
     for key in order:
         leader, *duplicates = groups[key]
-        (verdict, model, stats, _), attempts = solved[key]
+        verdict, model, stats, error = solved[key]
         counts = stats["solver"]
         # The solver started from the prepared assertions: the time spent
         # simplifying them belongs to this query.
@@ -741,7 +683,7 @@ def solve_all(queries: Sequence[Query], *,
                 verdict, model, leader.varmap, counts, certified=certified))
         counts.update(queries=1, cache_hits=0)
         results[leader.index] = QueryResult(
-            verdict=verdict, stats=stats, attempts=attempts,
+            verdict=verdict, stats=stats, error=error,
             tag=leader.query.tag, _model=model)
         for prep in duplicates:
             # A structural duplicate within the batch: translate the
@@ -751,8 +693,8 @@ def solve_all(queries: Sequence[Query], *,
                 dup_model = model_from_canonical(
                     model_to_canonical(model, leader.varmap), prep.varmap)
             results[prep.index] = QueryResult(
-                verdict=verdict, stats=_hit_record({}), cached=True,
-                tag=prep.query.tag, _model=dup_model)
+                verdict=verdict, stats=_hit_record({}), error=error,
+                cached=True, tag=prep.query.tag, _model=dup_model)
 
     return [r for r in results if r is not None]
 
@@ -767,7 +709,7 @@ def solve_stream(queries, *, config: SolveConfig | None = None,
     each VC on demand); it is pulled ``chunk`` queries at a time (default
     ``max(4, 2 * jobs)``: enough work to feed every worker twice), each
     chunk solved through the full :func:`solve_all` machinery — canonical
-    cache, duplicate folding, retry policy — on one worker pool that
+    cache, duplicate folding — on one worker pool that
     every chunk shares, and yielded before the next chunk is even pulled.
     Two consequences:
 

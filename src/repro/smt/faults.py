@@ -18,10 +18,10 @@ Decisions are **deterministic**: whether a fault fires at a given site is a
 pure function of ``(seed, site, key, salt)`` — a sha256-derived fraction
 compared against the class's probability.  The same plan over the same
 query batch injects the same faults in every run and in every process; no
-RNG state is involved.  The ``salt`` folds in the retry attempt and requeue
-count, so a *retried* query draws a fresh decision — exactly how transient
-real-world faults behave — while a plain re-run reproduces the original
-fault sequence bit for bit.
+RNG state is involved.  The ``salt`` is the query's requeue count, so a
+query re-dispatched after its worker died draws a fresh decision — exactly
+how transient real-world faults behave — while a plain re-run reproduces
+the original fault sequence bit for bit.
 
 Plans travel across process boundaries as compact spec strings
 (``"seed=7,worker_crash=0.5"``), either explicitly (the dispatcher puts the

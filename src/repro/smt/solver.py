@@ -62,7 +62,9 @@ class Solver:
     conflict_budget:
         Optional cap on SAT conflicts, for deterministic budget tests.
     do_simplify:
-        Disable to measure the simplifier's contribution (ablation benches).
+        Disable to solve the assertions as written, without the word-level
+        simplifier.  Only tests do: as a reference the simplifier must
+        agree with, and to keep hand-built queries as they are.
     validate_models:
         Re-evaluate every original assertion under each model before
         returning it (a soundness net used throughout the test suite).

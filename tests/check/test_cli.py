@@ -207,8 +207,7 @@ class TestExitCodeContract:
                   "--portfolio=2"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--retries", "-1"],
-                                       ["--jobs", "0"], ["--jobs", "-3"]])
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"]])
     def test_bad_solve_setting_is_usage_error(self, kernel_files, flags,
                                               capsys):
         with pytest.raises(SystemExit) as exc:
@@ -248,31 +247,23 @@ class TestExitCodeContract:
 
 
 class TestResilienceFlags:
-    def test_retries_flag_recovers_timeout(self, tmp_path, capsys):
-        """A budget-starved races run recovers under --retries (wall-clock
-        escalation doubles the tiny timeout until the queries fit)."""
-        p = tmp_path / "ok.cu"
-        p.write_text("void f(int *o) { o[tid.x] = 1; }")
-        rc = main(["races", str(p), "--width", "8", "--timeout", "60",
-                   "--cbdim", "4,1,1", "--cgdim", "1,1",
-                   "--retries", "3",
-                   "--max-budget", "60", "--no-cache", "--stats"])
-        assert rc == 0
-        assert "verified" in capsys.readouterr().out
-
     def test_escalation_flag_is_usage_error(self, tmp_path, capsys):
-        """Retries double the budget; there is no schedule to pick, on
-        either front door."""
+        """``--timeout`` is a check's only budget: there is no retry
+        count, budget cap or escalation schedule to set, on either front
+        door."""
         p = tmp_path / "ok.cu"
         p.write_text("void f(int *o) { o[tid.x] = 1; }")
-        for argv in (["races", str(p), "--width", "8", "--retries", "2",
-                      "--escalation", "luby"],
-                     ["serve", "--", "--stdio", "--retries", "2",
-                      "--escalation", "luby"]):
+        races = ["races", str(p), "--width", "8"]
+        serve = ["serve", "--", "--stdio"]
+        for argv, flag in ((races + ["--escalation", "luby"], "--escalation"),
+                           (races + ["--retries", "2"], "--retries"),
+                           (races + ["--max-budget", "60"], "--max-budget"),
+                           (serve + ["--escalation", "luby"], "--escalation"),
+                           (serve + ["--retries", "2"], "--retries")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "unrecognized arguments: --escalation" in \
+            assert f"unrecognized arguments: {flag}" in \
                 capsys.readouterr().err
 
     def test_replay_opt_out_flag_is_usage_error(self, tmp_path, capsys):
@@ -287,16 +278,19 @@ class TestResilienceFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stats_include_resilience_section(self, tmp_path, capsys):
-        """Under a total-exception fault plan with retries, --stats renders
-        the resilience block."""
+        """A solver exception ends the check inconclusive (exit 3) with
+        the error as its reason, and --stats counts it in the resilience
+        block."""
+        from repro.cli import EXIT_UNKNOWN
         from repro.smt import FaultPlan, faults
         p = tmp_path / "ok.cu"
         p.write_text("void f(int *o) { o[tid.x] = 1; }")
-        plan = FaultPlan(seed=4, solver_exception=1.0, max_triggers=1)
-        with faults.injected(plan):
+        with faults.injected(FaultPlan(seed=4, solver_exception=1.0)):
             rc = main(["races", str(p), "--width", "8", "--timeout", "60",
                        "--cbdim", "4,1,1", "--cgdim", "1,1",
-                       "--retries", "2", "--no-cache", "--stats"])
+                       "--no-cache", "--stats"])
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "resilience:" in out
+        assert rc == EXIT_UNKNOWN
+        assert out.startswith("unknown (")
+        assert "solver error: InjectedFault" in out
+        assert "resilience:\n  errors       1 (contained as UNKNOWN)" in out

@@ -18,7 +18,7 @@ from repro.serve.protocol import (
     ProtocolError, parse_request, verdict_exit_code,
 )
 from repro.serve.session import execute_check
-from repro.smt import RetryPolicy, SolveConfig, dispatch, faults
+from repro.smt import SolveConfig, dispatch, faults
 
 TRANSPOSE_C = {"pair": "Transpose", "cbdim": [2, 2, 1], "cgdim": [2, 2],
                "scalars": {"width": 4, "height": 4}}
@@ -31,7 +31,7 @@ def _transpose_mutant() -> str:
 
 #: (kernel sources, request fields, expected verdict): races param, equiv
 #: param with a pair, equiv nonparam, func param and func nonparam, plus a
-#: certified check and one whose query is retried.
+#: certified check and one whose solver raises.
 CASES = {
     "races-param": (
         [KERNELS["scanRacy"].source],
@@ -55,18 +55,16 @@ CASES = {
     "races-certified": (
         [KERNELS["optimizedTranspose"].source],
         {"command": "races", "certify": True, **TRANSPOSE_C}, "verified"),
-    "equiv-nonparam-retried": (
+    "equiv-nonparam-faulted": (
         [KERNELS["naiveTranspose"].source,
          KERNELS["optimizedTranspose"].source],
         {"command": "equiv", "method": "nonparam", "bdim": [2, 2, 1],
-         "gdim": [1, 1], "scalars": {"width": 2, "height": 2}}, "verified"),
+         "gdim": [1, 1], "scalars": {"width": 2, "height": 2}}, "unknown"),
 }
 
-#: The retried case's first solve attempt raises; ``--retries 2`` answers
-#: the query on the second.  Fault triggers are counted per process, so
-#: the case solves in-process on both sides: fresh pool workers would
-#: each fail once more.
-TRANSIENT = faults.FaultPlan(seed=4, solver_exception=1.0, max_triggers=1)
+#: The faulted case's every solve raises: both sides end the check UNKNOWN
+#: with the error as its reason.
+FAULTED = faults.FaultPlan(seed=4, solver_exception=1.0)
 
 #: The ``solver`` counts the CLI's ``--stats-json`` and the server's body
 #: must agree on.
@@ -112,10 +110,7 @@ def test_cli_and_server_agree(case, tmp_path, capsys, monkeypatch):
     dest = tmp_path / "outcome.json"
     argv = _cli_argv(fields, paths, str(dest))
     solve = SolveConfig.from_env(cache=False)
-    retried = case.endswith("-retried")
-    if retried:
-        argv += ["--retries", "2", "--jobs", "1"]
-        solve = SolveConfig(cache=False, policy=RetryPolicy(retries=2))
+    faulted = case.endswith("-faulted")
 
     records = []
     real = dispatch.solve_all
@@ -126,7 +121,7 @@ def test_cli_and_server_agree(case, tmp_path, capsys, monkeypatch):
         return results
     monkeypatch.setattr(dispatch, "solve_all", recording)
 
-    with faults.injected(TRANSIENT) if retried else nullcontext():
+    with faults.injected(FAULTED) if faulted else nullcontext():
         rc = main(argv)
     capsys.readouterr()
     cli = json.loads(dest.read_text())
@@ -134,7 +129,7 @@ def test_cli_and_server_agree(case, tmp_path, capsys, monkeypatch):
     payload = {**fields, "source": sources[0], "width": 8, "timeout": 120}
     if len(sources) > 1:
         payload["target"] = sources[1]
-    with faults.injected(TRANSIENT) if retried else nullcontext():
+    with faults.injected(FAULTED) if faulted else nullcontext():
         served = execute_check(asdict(parse_request(payload)), solve)
 
     assert served["status"] == "ok"
@@ -159,8 +154,10 @@ def test_cli_and_server_agree(case, tmp_path, capsys, monkeypatch):
     if fields.get("certify"):
         assert served["certified"] is True
         assert served["stats"]["certify"]["checked"] > 0
-    if retried:
-        assert served["stats"]["resilience"]["recovered"] == 1
+    if faulted:
+        assert cli["reason"].startswith("solver error: InjectedFault")
+        assert served["reason"].startswith("solver error: InjectedFault")
+        assert served["stats"]["resilience"]["errors"] == 1
 
 
 def test_run_check_applies_the_request_certify_setting():

@@ -15,7 +15,8 @@ from repro.lang.pretty import pretty_kernel
 from repro.param.equivalence import ParamOptions, check_equivalence_param
 from repro.param.geometry import Geometry
 from repro.smt import (
-    BVVar, CheckResult, Eq, Model, SolveConfig, UGe, dispatch,
+    BVVar, CheckResult, Distinct, Eq, Model, SolveConfig, UGe, ULt,
+    dispatch,
 )
 
 X = BVVar("vcs.x", 8)
@@ -270,6 +271,47 @@ def test_unknown_ends_the_check_as_timeout(monkeypatch):
         check.refute([VC(UNSAT, "a"), VC(SAT, "b")], confirm)
     assert check.outcome.verdict is Verdict.TIMEOUT
     assert "T.O" in check.outcome.reason and not calls
+
+
+def test_a_solver_error_ends_the_check_as_unknown(monkeypatch):
+    def failed(queries, **kw):
+        return [dispatch.QueryResult(verdict=CheckResult.UNKNOWN,
+                                     error="memory exhausted")
+                for _ in queries]
+    monkeypatch.setattr(dispatch, "solve_all", failed)
+    confirm, calls = _confirm_if()
+    with _check() as check:
+        check.refute([VC(SAT, "a")], confirm)
+    assert check.outcome.verdict is Verdict.UNKNOWN
+    assert check.outcome.reason == "solver error: memory exhausted"
+    assert not calls
+
+
+def _pigeonhole(pigeons: int) -> list:
+    """``pigeons`` values in ``pigeons - 1`` holes: UNSAT, and far more
+    CDCL conflicts than a fraction of a second allows."""
+    vs = [BVVar(f"vcs.php{i}", 4) for i in range(pigeons)]
+    return [Distinct(*vs), *(ULt(v, pigeons - 1) for v in vs)]
+
+
+def test_a_starved_check_solves_each_query_once_within_its_timeout(
+        monkeypatch):
+    """The check's timeout is its only budget: a VC that outlasts it is
+    solved once, under no more than the time the check has, and the check
+    ends TIMEOUT."""
+    solves = []
+    real = dispatch._solve
+
+    def recording(work, key, timeout, *args, **kw):
+        solves.append((key, timeout))
+        return real(work, key, timeout, *args, **kw)
+    monkeypatch.setattr(dispatch, "_solve", recording)
+    confirm, calls = _confirm_if()
+    with Refutation(0.2, SolveConfig(cache=False)) as check:
+        check.refute([VC(_pigeonhole(9), "php")], confirm)
+    assert check.outcome.verdict is Verdict.TIMEOUT and not calls
+    assert len(solves) == 1
+    assert 0 < solves[0][1] <= 0.2
 
 
 def test_encoding_error_is_unsupported():

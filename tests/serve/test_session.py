@@ -11,7 +11,7 @@ import pytest
 from repro.kernels import KERNELS
 from repro.serve.app import Server
 from repro.serve.session import Session, execute_check
-from repro.smt import RetryPolicy, SolveConfig
+from repro.smt import SolveConfig
 from repro.smt.qcache import QueryCache
 
 SRC = KERNELS["optimizedTranspose"].source
@@ -120,18 +120,10 @@ class TestServerCore:
         assert "verdict" not in body
 
 
-class TestRetryPolicyReachesChecks:
-    """The server's checks run under the session's retry policy."""
+class TestSolveConfigReachesChecks:
+    """The server's checks run under the session's solve settings."""
 
-    #: The non-square serialized Transpose reaches the SAT loop, so a
-    #: starved budget leaves its one query UNKNOWN on every attempt.
-    STARVED = {"command": "equiv", "method": "nonparam",
-               "source": KERNELS["naiveTranspose"].source,
-               "target": KERNELS["optimizedTranspose"].source,
-               "width": 16, "bdim": [4, 2, 1], "gdim": [2, 2],
-               "scalars": {"width": 8, "height": 4}, "timeout": 0.0001}
-
-    def test_session_checks_receive_the_policy(self, monkeypatch):
+    def test_session_checks_receive_the_solve_config(self, monkeypatch):
         import repro.check.request as request_mod
         from repro.check.result import CheckOutcome, Verdict
         seen = []
@@ -140,10 +132,10 @@ class TestRetryPolicyReachesChecks:
             seen.append(kwargs["solve"])
             return CheckOutcome(verdict=Verdict.VERIFIED)
         monkeypatch.setattr(request_mod, "check_races", fake_check_races)
-        policy = RetryPolicy(retries=1)
+        solve = SolveConfig(jobs=3, cache=False)
 
         async def scenario():
-            session = Session(workers=0, solve=SolveConfig(policy=policy))
+            session = Session(workers=0, solve=solve)
             try:
                 return await Server(session).handle(dict(RACES))
             finally:
@@ -151,18 +143,7 @@ class TestRetryPolicyReachesChecks:
 
         status, _ = _run(scenario())
         assert status == 200
-        assert [s.policy for s in seen] == [policy]
-
-    def test_starved_request_is_retried(self):
-        from dataclasses import asdict
-        from repro.serve.protocol import parse_request
-        fields = asdict(parse_request(self.STARVED))
-        solve = SolveConfig(cache=False, policy=RetryPolicy(retries=1))
-        body = execute_check(fields, solve)
-        assert body["verdict"] == "timeout"
-        assert body["stats"]["resilience"]["attempts"] == 2
-        assert execute_check(fields, SolveConfig(cache=False))[
-            "stats"].get("resilience") is None
+        assert seen == [solve]
 
 
 class _StubSession:

@@ -193,16 +193,6 @@ class TestSimplifyOnce:
         assert res.verdict is CheckResult.SAT
         assert len(calls) == 1
 
-    def test_one_simplify_across_retries(self, monkeypatch):
-        from repro.smt import RetryPolicy
-        calls = self._count_simplify(monkeypatch)
-        res = solve_query(_factoring_query(timeout=1e-6),
-                          SolveConfig(cache=False,
-                                      policy=RetryPolicy(retries=1)))
-        assert res.verdict is CheckResult.UNKNOWN
-        assert len(res.attempts) == 2
-        assert len(calls) == 1
-
     def test_miss_reports_its_simplify_time(self):
         res = solve_query(_sat_query("so.t", 2, 9), config=SERIAL)
         counts = res.stats["solver"]

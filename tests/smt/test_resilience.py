@@ -1,11 +1,10 @@
-"""The resilient solving runtime: retry policies, fault survival, and the
-worker-crash degradation ladder.
+"""The resilient solving runtime: one solve per query under its own
+budget, fault survival, and the worker-crash degradation ladder.
 
 The dispatcher's contract under faults is one-sided: a faulted run answers
 the fault-free verdict or UNKNOWN — never a wrong verdict, never an
 unhandled exception.  These tests inject every fault class and check that
-contract, plus the ISSUE acceptance case: an UNKNOWN on the default budget
-recovered by deterministic conflict-budget escalation.
+contract.
 """
 
 import concurrent.futures
@@ -18,7 +17,7 @@ from repro.check.result import Verdict
 from repro.kernels import KERNELS
 from repro.smt import (
     BVConst, BVVar, CheckResult, Distinct, Eq, FaultPlan, Query, QueryCache,
-    RetryPolicy, SolveConfig, ULt, UGt, faults, solve_all, solve_query,
+    SolveConfig, ULt, UGt, faults, solve_all, solve_query,
     solve_stream,
 )
 from repro.smt import dispatch
@@ -57,78 +56,35 @@ def _easy_queries():
 _EASY_VERDICTS = [CheckResult.SAT, CheckResult.SAT, CheckResult.UNSAT]
 
 
-# ----------------------------------------------------------- RetryPolicy
+# ------------------------------------------------------ budget starvation
 
 
-class TestRetryPolicy:
-    def test_geometric_schedule(self):
-        p = RetryPolicy(retries=3)
-        assert [p.budgets(1.0, 10, a) for a in range(4)] == \
-            [(1.0, 10), (2.0, 20), (4.0, 40), (8.0, 80)]
+class TestBudgetStarvation:
+    def test_starved_query_is_unknown_and_solved_once(self, monkeypatch):
+        """A conflict budget too small for the query leaves it UNKNOWN
+        after one solve at that budget: the dispatcher never raises it."""
+        calls = []
+        real = dispatch._solve
 
-    def test_budgets_scale_both_axes(self):
-        p = RetryPolicy(retries=2)
-        assert p.budgets(1.5, 100, 1) == (3.0, 200)
-        assert p.budgets(None, 100, 1) == (None, 200)
-        assert p.budgets(1.5, None, 2) == (6.0, None)
-
-    def test_budgets_respect_caps(self):
-        p = RetryPolicy(retries=8, max_timeout=4.0)
-        assert p.budgets(1.0, 100, 5) == (4.0, 3200)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retries=-1)
-
-
-
-# ------------------------------------------------- escalation acceptance
-
-
-class TestEscalationRecovery:
-    def test_unknown_on_default_budget_recovered(self):
-        """The ISSUE acceptance case, deterministic via conflict budgets:
-        budget 50 is exhausted (UNKNOWN), geometric escalation reaches a
-        sufficient budget and recovers the real verdict."""
-        starved = solve_query(_pigeonhole_query(50), config=SERIAL)
-        assert starved.verdict is CheckResult.UNKNOWN
-
-        result = solve_query(_pigeonhole_query(50), SolveConfig(
-            cache=False, policy=RetryPolicy(retries=4)))
-        assert result.verdict is CheckResult.UNSAT
-        res = result.stats["resilience"]
-        assert res["recovered"] == 1
-        attempts = result.attempts
-        assert res["attempts"] == len(attempts) >= 2
-        assert attempts[0]["verdict"] == "unknown"
-        assert attempts[0]["conflict_budget"] == 50
-        assert attempts[-1]["verdict"] == "unsat"
-        # the schedule actually escalated
-        budgets = [a["conflict_budget"] for a in attempts]
-        assert budgets == sorted(budgets) and budgets[-1] > budgets[0]
-
-    def test_retries_exhausted_stays_unknown(self):
-        result = solve_query(_pigeonhole_query(1), SolveConfig(
-            cache=False, policy=RetryPolicy(retries=1)))
-        assert result.verdict is CheckResult.UNKNOWN
-        assert len(result.attempts) == 2
-        assert result.stats["resilience"]["attempts"] == 2
-
-    def test_no_retry_without_policy(self):
+        def recording(work, key, timeout, conflict_budget, *args, **kw):
+            calls.append(conflict_budget)
+            return real(work, key, timeout, conflict_budget, *args, **kw)
+        monkeypatch.setattr(dispatch, "_solve", recording)
         result = solve_query(_pigeonhole_query(50), config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
+        assert result.error is None
         assert "resilience" not in result.stats
-        assert len(result.attempts) == 1
+        assert result.stats["solver"]["budget_conflicts"] == 1
+        assert calls == [50]
 
-    def test_unknown_never_cached_across_retries(self):
+    def test_unknown_never_cached(self):
         cache = QueryCache()
-        result = solve_query(_pigeonhole_query(1), SolveConfig(
-            cache=cache, policy=RetryPolicy(retries=1)))
+        result = solve_query(_pigeonhole_query(1), SolveConfig(cache=cache))
         assert result.verdict is CheckResult.UNKNOWN
         assert len(cache) == 0
-        # and the recovered verdict IS cached
-        result = solve_query(_pigeonhole_query(50), SolveConfig(
-            cache=cache, policy=RetryPolicy(retries=4)))
+        # and a decided verdict IS cached
+        result = solve_query(_pigeonhole_query(None), SolveConfig(
+            cache=cache))
         assert result.verdict is CheckResult.UNSAT
         assert len(cache) == 1
 
@@ -141,7 +97,8 @@ class TestSolverExceptionFaults:
         with faults.injected(FaultPlan(seed=3, solver_exception=1.0)):
             result = solve_query(_easy_queries()[0], config=SERIAL)
         assert result.verdict is CheckResult.UNKNOWN
-        assert "InjectedFault" in result.attempts[0]["error"]
+        assert "InjectedFault" in result.error
+        assert result.stats["resilience"] == {"errors": 1}
 
     def test_batch_never_wrong_under_exceptions(self):
         baseline = [r.verdict for r in
@@ -154,16 +111,6 @@ class TestSolverExceptionFaults:
                        solve_all(_easy_queries(), config=SERIAL)]
             for g, b in zip(got, baseline):
                 assert g is b or g is CheckResult.UNKNOWN
-
-    def test_transient_exception_recovered_by_retry(self):
-        plan = FaultPlan(seed=3, solver_exception=1.0, max_triggers=1)
-        with faults.injected(plan):
-            result = solve_query(_easy_queries()[0], SolveConfig(
-                cache=False, policy=RetryPolicy(retries=2)))
-        assert result.verdict is CheckResult.SAT
-        res = result.stats["resilience"]
-        assert res["recovered"] == 1 and res["errors"] == 1
-        assert "error" in result.attempts[0]
 
 
 class TestDelayFaults:
@@ -218,10 +165,9 @@ def pools_built(monkeypatch):
 
 @pytest.mark.slow
 class TestOnePoolPerCall:
-    def test_transient_fault_recovers_at_any_job_count(self):
-        """A "fails once" fault is counted per process: retry waves on one
-        pool meet workers that have already failed, so the race check
-        recovers on the pool as it does in-process."""
+    def test_solver_error_is_unknown_at_any_job_count(self):
+        """A solver exception, in-process or on a pool worker, ends the
+        race check UNKNOWN with the error as its reason."""
         req = CheckRequest(command="races",
                            source=KERNELS["optimizedTranspose"].source,
                            width=4, pair="Transpose", cbdim=(2, 2, 1),
@@ -229,17 +175,10 @@ class TestOnePoolPerCall:
         for jobs in (1, 2):
             with faults.injected(FaultPlan(seed=4, solver_exception=1.0,
                                            max_triggers=1)):
-                out = run_check(req, SolveConfig(
-                    jobs=jobs, cache=False, policy=RetryPolicy(retries=2)))
-            assert out.verdict is Verdict.VERIFIED, jobs
-            assert out.stats["resilience"]["recovered"] >= 1
-
-    def test_retry_waves_share_one_pool(self, pools_built):
-        queries = [_pigeonhole_query(1, pigeons) for pigeons in (6, 7)]
-        results = solve_all(queries, config=SolveConfig(
-            jobs=2, cache=False, policy=RetryPolicy(retries=2)))
-        assert [len(r.attempts) for r in results] == [3, 3]
-        assert len(pools_built) == 1
+                out = run_check(req, SolveConfig(jobs=jobs, cache=False))
+            assert out.verdict is Verdict.UNKNOWN, jobs
+            assert out.reason.startswith("solver error: InjectedFault")
+            assert out.stats["resilience"]["errors"] >= 1
 
     def test_stream_chunks_share_one_pool(self, pools_built):
         x = BVVar("pc.x", 16)
@@ -254,8 +193,8 @@ class TestOnePoolPerCall:
 
     def test_single_leader_waves_build_no_pool(self, pools_built):
         result = solve_query(_pigeonhole_query(1), SolveConfig(
-            jobs=2, cache=False, policy=RetryPolicy(retries=2)))
-        assert len(result.attempts) == 3
+            jobs=2, cache=False))
+        assert result.verdict is CheckResult.UNKNOWN
         assert pools_built == []
 
     def test_no_worker_outlives_a_check_stopped_by_a_bug(self, pools_built):
